@@ -382,10 +382,6 @@ def face_gains(g: GainGraph, fs: FaceStructure) -> tuple[GainExponent, ...]:
     return tuple(cycle_gain(g, face) for face in fs.faces)
 
 
-def _oriented_gain_exp(g: GainGraph, a: int, b: int) -> int:
-    return g.gain(a, b).exp
-
-
 def parse_face_structure(g: GainGraph, faces) -> FaceStructure:
     """Validate user-supplied inner faces against the graph and its gains.
 
@@ -483,7 +479,7 @@ def _assert_symmetric_difference_law(g: GainGraph, fs: FaceStructure) -> None:
                 ok = False
                 break
             new = nxt[cur]
-            exp = (exp + _oriented_gain_exp(g, cur, new)) % k
+            exp = (exp + g.gain(cur, new).exp) % k
             cur = new
             steps += 1
             if cur == start:

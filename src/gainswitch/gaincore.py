@@ -25,8 +25,6 @@ __all__ = [
     "GainGraph",
     "SwitchingFunction",
     "MIXED_EXPONENTS",
-    "gain_mul",
-    "gain_conj",
     "build_gain_graph",
     "hermitian_matrix",
     "underlying",
@@ -121,16 +119,6 @@ class GainExponent:
         if 4 * t == 3 * k:
             return "-i"
         return f"w^{t}"
-
-
-def gain_mul(a: GainExponent, b: GainExponent) -> GainExponent:
-    """Product of two gains from the same group."""
-    return a * b
-
-
-def gain_conj(a: GainExponent) -> GainExponent:
-    """Conjugate (inverse) of a gain."""
-    return a.conj()
 
 
 class SimpleGraph:
@@ -429,12 +417,13 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
             elif tag == "n":
                 if n is not None:
                     raise ValidationError("repeated n line")
-                n = int(parts[1])
+                _, count = parts
+                n = int(count)
             elif tag == "e":
                 if k is None or n is None:
                     raise ValidationError("e line before gg/n header")
-                u, v = int(parts[1]), int(parts[2])
-                tok = parts[3]
+                _, su, sv, tok = parts
+                u, v = int(su), int(sv)
                 if k == 4 and tok in _MIXED_TOKEN:
                     t = _MIXED_TOKEN[tok]
                 else:

@@ -2,9 +2,10 @@
 
 Two independent routes are kept deliberately separate: the characteristic
 polynomial is assembled combinatorially from elementary subgraphs (edges and
-cycles with real cycle gains), while eigenvalues come from a cyclic Jacobi
-iteration on the real-symmetric embedding of the Hermitian matrix.  Their
-agreement is a standing cross-check, not an implementation shortcut.
+cycles with real cycle gains), enumerated once and binned by order, while
+eigenvalues come from a cyclic complex Jacobi iteration on the n x n
+Hermitian matrix itself.  Their agreement is a standing cross-check, not an
+implementation shortcut.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
 
 DEFAULT_ELEMENTARY_CAP = 14
 JACOBI_MAX_SWEEPS = 50
-PAIRING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,68 +58,71 @@ class ElementarySubgraph:
         return len(self.cycles)
 
 
-def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
-    """All elementary subgraphs covering exactly k vertices.
+def _elementary_by_order(g: SimpleGraph, max_order: int, max_vertices: int) -> list[list[ElementarySubgraph]]:
+    """Every elementary subgraph on at most max_order vertices, binned by order.
 
-    The recursion anchors at the smallest vertex not yet excluded or used:
-    either skip it, match it to a free neighbor, or grow a cycle through it
-    (cycles are generated once, smallest vertex first, direction fixed by
-    second vertex < last vertex).
+    One recursion anchors at the smallest vertex not yet decided: either
+    leave it uncovered, match it to a free neighbor, or grow a cycle through
+    it (cycles are generated once, smallest vertex first, direction fixed by
+    second vertex < last vertex).  Each leaf is one subgraph.
     """
     if g.n > max_vertices:
         raise InstanceTooLargeError(
             f"elementary-subgraph enumeration capped at {max_vertices} vertices, graph has {g.n}"
         )
-    if not 0 <= k <= g.n:
-        raise ValidationError(f"order {k} out of range 0..{g.n}")
-    out: list[ElementarySubgraph] = []
+    bins: list[list[ElementarySubgraph]] = [[] for _ in range(max_order + 1)]
     avail = [True] * (g.n + 1)
     edges_acc: list[tuple[int, int]] = []
     cycles_acc: list[tuple[int, ...]] = []
 
-    def rec(order_left: int, start: int) -> None:
-        if order_left == 0:
-            out.append(ElementarySubgraph(tuple(edges_acc), tuple(cycles_acc)))
-            return
+    def rec(order: int, start: int) -> None:
         v = start
         while v <= g.n and not avail[v]:
             v += 1
-        if v > g.n:
+        if v > g.n or order == max_order:
+            bins[order].append(ElementarySubgraph(tuple(edges_acc), tuple(cycles_acc)))
             return
         # leave v uncovered
         avail[v] = False
-        rec(order_left, v + 1)
-        if order_left >= 2:
+        rec(order, v + 1)
+        if order + 2 <= max_order:
             # match v with a free neighbor (all free vertices are > v here)
             for w in g.neighbors(v):
                 if avail[w]:
                     avail[w] = False
                     edges_acc.append((v, w))
-                    rec(order_left - 2, v + 1)
+                    rec(order + 2, v + 1)
                     edges_acc.pop()
                     avail[w] = True
             # or grow a cycle anchored at v
-            if order_left >= 3:
-                grow([v], order_left, v + 1)
+            if order + 3 <= max_order:
+                grow([v], order, v + 1)
         avail[v] = True
 
-    def grow(path: list[int], order_left: int, resume: int) -> None:
+    def grow(path: list[int], order: int, resume: int) -> None:
         last = path[-1]
         if len(path) >= 3 and path[1] < last and g.has_edge(last, path[0]):
             cycles_acc.append(tuple(path))
-            rec(order_left - len(path), resume)
+            rec(order + len(path), resume)
             cycles_acc.pop()
-        if len(path) < order_left:
+        if order + len(path) < max_order:
             for y in g.neighbors(last):
                 if avail[y]:
                     avail[y] = False
                     path.append(y)
-                    grow(path, order_left, resume)
+                    grow(path, order, resume)
                     path.pop()
                     avail[y] = True
 
-    rec(k, 1)
-    return out
+    rec(0, 1)
+    return bins
+
+
+def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
+    """All elementary subgraphs covering exactly k vertices."""
+    if not 0 <= k <= g.n:
+        raise ValidationError(f"order {k} out of range 0..{g.n}")
+    return _elementary_by_order(g, k, max_vertices)[k]
 
 
 def real_cycle_gain(g: GainGraph, cycle) -> float:
@@ -144,120 +147,111 @@ class CharPoly:
         return acc
 
 
+def _coefficients(g: GainGraph, max_vertices: int) -> list[float]:
+    """a_0 .. a_n of the characteristic polynomial, from one enumeration.
+
+    a_k sums (-1)^components * 2^cycles * product of real cycle gains over
+    all elementary subgraphs on k vertices.
+    """
+    coeffs = []
+    for subs in _elementary_by_order(g.graph, g.graph.n, max_vertices):
+        total = 0.0
+        for sub in subs:
+            term = (-1.0) ** sub.num_components * 2.0 ** sub.num_cycles
+            for cyc in sub.cycles:
+                term *= cycle_gain(g, cyc).value.real
+            total += term
+        coeffs.append(total)
+    return coeffs
+
+
 def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> CharPoly:
     """Characteristic polynomial from the elementary-subgraph expansion.
 
-    a_k sums (-1)^components * 2^cycles * product of real cycle gains over
-    all elementary subgraphs on k vertices.  For group orders 1, 2, 4 every
-    coefficient is an integer; an exactness guard enforces that.
+    For group orders 1, 2, 4 every coefficient is an integer; an exactness
+    guard enforces that.
     """
-    n = g.graph.n
-    coeffs = []
-    for k in range(1, n + 1):
-        total = 0.0
-        for sub in enumerate_elementary(g.graph, k, max_vertices):
-            term = (-1.0) ** sub.num_components * 2.0 ** sub.num_cycles
-            for cyc in sub.cycles:
-                term *= real_cycle_gain(g, cyc)
-            total += term
-        if g.group.order in (1, 2, 4) and abs(total - round(total)) >= 1e-6:
-            raise NumericError(f"coefficient a_{k} = {total} drifted off an integer")
-        coeffs.append(total)
-    return CharPoly(n, tuple(coeffs))
+    coeffs = _coefficients(g, max_vertices)[1:]
+    if g.group.order in (1, 2, 4):
+        for k, total in enumerate(coeffs, start=1):
+            if abs(total - round(total)) >= 1e-6:
+                raise NumericError(f"coefficient a_{k} = {total} drifted off an integer")
+    return CharPoly(g.graph.n, tuple(coeffs))
 
 
 def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> float:
-    """Determinant of the Hermitian adjacency matrix, via the order-n expansion."""
+    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n."""
     n = g.graph.n
-    if n == 0:
-        return 1.0
-    total = 0.0
-    for sub in enumerate_elementary(g.graph, n, max_vertices):
-        term = (-1.0) ** sub.num_components * 2.0 ** sub.num_cycles
-        for cyc in sub.cycles:
-            term *= real_cycle_gain(g, cyc)
-        total += term
-    return (-1.0) ** n * total
+    return (-1.0) ** n * _coefficients(g, max_vertices)[n]
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order, each within ``tol`` of the truth."""
+    """Eigenvalues in ascending order, each within ``tol * ||H||_F`` of the truth."""
 
     eigenvalues: tuple[float, ...]
     tol: float
 
 
-def _jacobi_eigenvalues(a: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
-    """Cyclic Jacobi on a real symmetric matrix; ascending eigenvalues.
+def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
+    """Cyclic complex Jacobi on a Hermitian matrix; ascending eigenvalues.
 
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below tol * ||A||; hitting the sweep cap raises NumericError.
+    Each pair (p, q) is annihilated by a real rotation, with the angle taken
+    from |h_pq| and the diagonal difference, times the phase h_pq / |h_pq|.
+    Sweeps run until the off-diagonal Frobenius norm drops below
+    tol * ||H||; hitting the sweep cap raises NumericError.
     """
-    a = np.array(a, dtype=float)
+    a = np.array(h, dtype=complex)
     n = a.shape[0]
-    if n <= 1:
-        return [float(a[i, i]) for i in range(n)]
-    norm = float(np.sqrt(np.sum(a * a)))
-    if norm == 0.0:
-        return [0.0] * n
-    target = tol * norm
+    target = tol * float(np.sqrt(np.vdot(a, a).real))
     for _ in range(max_sweeps):
         # Sum the off-diagonal entries directly: subtracting the diagonal
         # mass from the total cancels catastrophically once the iteration
-        # is nearly converged, stalling the norm around sqrt(eps) * ||A||.
+        # is nearly converged, stalling the norm around sqrt(eps) * ||H||.
         strict = a - np.diag(np.diag(a))
-        off = float(np.sqrt(np.sum(strict * strict)))
+        off = float(np.sqrt(np.vdot(strict, strict).real))
         if off <= target:
-            return sorted(float(a[i, i]) for i in range(n))
+            return sorted(float(a[i, i].real) for i in range(n))
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
                 if apq == 0.0:
                     continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) * 1e150 < abs(diff):
+                r = abs(apq)
+                diff = (a[q, q] - a[p, p]).real
+                if r * 1e150 < abs(diff):
                     # theta would overflow; its large-|theta| limit is exact
                     # to double precision here.
-                    t = apq / diff
+                    t = r / diff
                 else:
-                    theta = diff / (2.0 * apq)
+                    theta = diff / (2.0 * r)
                     t = np.sign(theta) if theta != 0.0 else 1.0
                     t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                rot = np.array([[c, -s], [s, c]])
+                phase = apq / r
+                rot = np.array([[c, -s * phase], [s, c * phase]])
                 a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
+                a[:, [p, q]] = a[:, [p, q]] @ rot.conj().T
                 a[p, q] = 0.0
                 a[q, p] = 0.0
     raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
 
-@lru_cache(maxsize=4096)
+# Each entry keeps its graph alive.  The hits that pay are few and recent: an
+# orientation's underlying graph in spectral balance, or one graph asked again.
+@lru_cache(maxsize=256)
 def _spectrum_cached(g: GainGraph, tol: float) -> Spectrum:
-    h = hermitian_matrix(g)
-    n = g.graph.n
-    if n == 0:
-        return Spectrum((), tol)
-    m = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    vals = _jacobi_eigenvalues(m, tol)
-    for i in range(0, 2 * n, 2):
-        if abs(vals[i + 1] - vals[i]) > PAIRING_TOL:
-            raise NumericError(
-                f"doubled eigenvalues failed to pair within {PAIRING_TOL}: "
-                f"{vals[i]} vs {vals[i + 1]}"
-            )
-    return Spectrum(tuple(vals[0::2]), tol)
+    return Spectrum(tuple(_jacobi_eigenvalues(hermitian_matrix(g), tol)), tol)
 
 
 def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     """Eigenvalues of the Hermitian adjacency matrix.
 
-    The n x n Hermitian matrix H = Re + i*Im is embedded as the 2n x 2n real
-    symmetric [[Re, -Im], [Im, Re]], solved by cyclic Jacobi, and the doubled
-    spectrum is deduplicated by pairing adjacent sorted values.  Results are
-    cached on the (immutable) graph.
+    Cyclic complex Jacobi runs on the n x n Hermitian matrix until its
+    off-diagonal Frobenius norm is at most tol * ||H||_F, which by Weyl's
+    inequality bounds every eigenvalue's error.  Results are cached on the
+    (immutable) graph.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")

@@ -80,6 +80,18 @@ def test_spectrum_arc_triangle(capsys):
     assert report["command"] == "spectrum" and report["inputs"] == [ARC_TRIANGLE]
 
 
+def test_spectrum_loose_tol_k6(tmp_path, capsys):
+    path = tmp_path / "k6_path.gg"
+    path.write_text("gg 6\nn 3\ne 1 2 1\ne 1 3 1\n")
+    code, report = run(capsys, "spectrum", str(path), "--tol", "1e-2")
+    assert code == 0
+    res = report["result"]
+    assert res["coefficients"] == [1, 0, -2, 0]
+    r2 = math.sqrt(2)
+    # ||H||_F = 2, so each eigenvalue is within 2 * tol
+    assert all(abs(x - y) <= 2e-2 for x, y in zip(res["eigenvalues"], [-r2, 0.0, r2]))
+
+
 def test_spectrum_cap_keeps_eigenvalues(capsys):
     code, report = run(capsys, "spectrum", "--max-enum", "1", BOWTIE_MINUS)
     assert code == 3

@@ -209,6 +209,10 @@ def test_parse_gg_error_lines():
         gs.parse_gg("gg 4\nn 2\ne 1 2 7\n")
     with pytest.raises(ValidationError):
         gs.parse_gg("n 2\ne 1 2 0\n")
+    with pytest.raises(ValidationError, match="line 2"):
+        gs.parse_gg("gg 4\nn 3 9\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        gs.parse_gg("gg 4\nn 2\ne 1 2 i extra\n")
 
 
 def test_round_trip_random(rng):

@@ -3,7 +3,9 @@
 Claims covered:
     - enumerate_elementary matches a brute-force edge-subset oracle
     - char_poly_elementary matches numpy's eigenvalue-based polynomial
-    - spectrum matches numpy.linalg.eigvalsh within 1e-9
+    - char_poly_elementary and determinant match sympy's exact charpoly/det
+    - spectrum matches numpy.linalg.eigvalsh within 1e-9, and within
+      tol * ||H||_F at loose tol without ever raising
     - switching preserves spectra and coefficients
     - bipartite graphs have symmetric spectra; the nonzero-cycle-sum
       converse recovers bipartiteness; the one-arc triangle is the counterexample
@@ -170,6 +172,30 @@ def test_determinant():
         assert abs(gs.determinant(g) - want) < 1e-8 * max(1.0, abs(want))
 
 
+def test_char_poly_and_determinant_match_sympy(rng):
+    # Exact oracle: each gain is a power of a symbol z standing for a
+    # primitive k-th root of unity (I for k = 4, omega = (-1 + sqrt(-3))/2 for
+    # k = 3), reduced modulo the cyclotomic polynomial Phi_k(z).  For these k
+    # 2 Re of every gain is an integer, so every coefficient is one too.
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for k in (2, 3, 4, 6):
+        phi = sympy.cyclotomic_poly(k, z)
+        for _ in range(6):
+            g = random_gains(rng, random_connected_graph(rng, n_hi=7), k=k)
+            n = g.graph.n
+            m = sympy.zeros(n, n)
+            for (u, v), gain in zip(g.graph.edges, g.gains):
+                m[u - 1, v - 1] = z ** gain.exp
+                m[v - 1, u - 1] = z ** (-gain.exp % k)
+            want = [sympy.rem(c, phi, z) for c in m.charpoly().all_coeffs()]
+            det = sympy.rem(m.det(), phi, z)
+            assert all(c.is_Integer for c in want) and det.is_Integer
+            got = gs.char_poly_elementary(g).all_coefficients()
+            assert max(abs(a - int(b)) for a, b in zip(got, want)) < 1e-9
+            assert abs(gs.determinant(g) - int(det)) < 1e-9
+
+
 def test_real_cycle_gain():
     assert gs.spectral.real_cycle_gain(all_ones(cycle_graph(3)), (1, 2, 3)) == 1.0
     assert gs.spectral.real_cycle_gain(arc_triangle(), (1, 2, 3)) == 0.0
@@ -193,6 +219,19 @@ def test_spectrum_matches_numpy(rng):
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() < 1e-9 * scale
         assert list(got) == sorted(got)
+
+
+def test_spectrum_loose_tol_never_raises(rng):
+    # a loose tol only widens the error bound tol * ||H||_F; it is a valid
+    # setting and must not turn into a numeric failure
+    for _ in range(12):
+        graph = random_connected_graph(rng, n_lo=5, n_hi=22, m_cap=40)
+        g = random_gains(rng, graph, k=rng.choice([3, 4, 6]))
+        h = gs.hermitian_matrix(g)
+        want = oracle_spectrum(g)
+        for tol in (1e-4, 1e-2):
+            got = np.array(gs.spectrum(g, tol).eigenvalues)
+            assert np.abs(got - want).max() <= tol * np.linalg.norm(h)
 
 
 def test_spectrum_tol_validation():
