@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph
-from .switching import basis_gain_profile, canonical_basis, cycle_gain
+from .switching import _normal_form, canonical_basis, cycle_gain, spanning_forest
 
 __all__ = [
     "ClassCountVector",
@@ -139,8 +139,7 @@ def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
 
 def mixed_basis_profile(g: GainGraph) -> tuple[int, ...]:
     """Gain exponents of g over the canonical fundamental basis of its graph."""
-    _, basis = canonical_basis(g.graph)
-    return tuple(x.exp for x in basis_gain_profile(g, basis))
+    return _normal_form(g, spanning_forest(g.graph))[1]
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,9 @@ class Block:
 def block_decompose(g: SimpleGraph) -> list[Block]:
     """Biconnected blocks (cut edges appear as single-edge blocks).
 
-    Standard low-link search with an edge stack; blocks are returned sorted
-    by their smallest original vertex, then by edge lists.
+    Standard low-link search with an edge stack, on an explicit DFS stack so
+    deep trees need no recursion; blocks are returned sorted by their
+    smallest original vertex, then by edge lists.
     """
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
@@ -238,33 +238,35 @@ def block_decompose(g: SimpleGraph) -> list[Block]:
     edge_stack: list[int] = []
     raw_blocks: list[list[int]] = []
 
-    def dfs(u: int, parent_edge: int) -> None:
-        nonlocal timer
-        disc[u] = low[u] = timer
-        timer += 1
-        for w in g.neighbors(u):
-            e = g.edge_id(u, w)
-            if e == parent_edge:
-                continue
-            if disc[w] == 0:
-                edge_stack.append(e)
-                dfs(w, e)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    block = []
-                    while True:
-                        x = edge_stack.pop()
-                        block.append(x)
-                        if x == e:
-                            break
-                    raw_blocks.append(block)
-            elif disc[w] < disc[u]:
-                edge_stack.append(e)
-                low[u] = min(low[u], disc[w])
-
     for s in range(1, g.n + 1):
-        if disc[s] == 0:
-            dfs(s, -1)
+        if disc[s]:
+            continue
+        disc[s] = low[s] = timer
+        timer += 1
+        stack = [(s, -1, iter(g.neighbors(s)))]
+        while stack:
+            u, parent_edge, todo = stack[-1]
+            for w in todo:
+                e = g.edge_id(u, w)
+                if disc[w] == 0:
+                    edge_stack.append(e)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, e, iter(g.neighbors(w))))
+                    break
+                if e != parent_edge and disc[w] < disc[u]:
+                    edge_stack.append(e)
+                    low[u] = min(low[u], disc[w])
+            else:  # u is done: pass its low-link up, and close a block at a cut
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= disc[p]:
+                        block = [edge_stack.pop()]
+                        while block[-1] != parent_edge:
+                            block.append(edge_stack.pop())
+                        raw_blocks.append(block)
 
     blocks = []
     for edge_ids in raw_blocks:
@@ -301,20 +303,6 @@ def is_cactus(g: SimpleGraph) -> bool:
     return all(b.graph.m == 1 or b.graph.m == b.graph.n for b in block_decompose(g))
 
 
-def _block_cycle_sequence(block: Block) -> tuple[int, ...]:
-    """The cycle through a cycle block, in original labels, starting anywhere."""
-    start = 1
-    seq = [start]
-    prev, cur = 0, start
-    while True:
-        nxt = [w for w in block.graph.neighbors(cur) if w != prev]
-        prev, cur = cur, nxt[0]
-        if cur == start:
-            break
-        seq.append(cur)
-    return tuple(block.vertices[v - 1] for v in seq)
-
-
 def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> int:
     """Class size as a product over blocks.
 
@@ -328,13 +316,14 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
     for block in block_decompose(g.graph):
         if block.graph.m == 1:
             size *= 3
-        elif block.graph.m == block.graph.n:
-            seq = _block_cycle_sequence(block)
-            size *= alpha_closed_form(len(seq)).component(cycle_gain(g, seq))
+            continue
+        profile = mixed_basis_profile(induced_gain_graph(g, block))
+        if block.graph.m == block.graph.n:
+            # The one chord's gain is the cycle gain in one direction; alpha
+            # counts a gain and its conjugate alike, so the direction is moot.
+            size *= alpha_closed_form(block.graph.n).component(g.group.element(profile[0]))
         else:
-            sub = induced_gain_graph(g, block)
-            census = brute_force_census(block.graph, max_edges)
-            size *= census.size_of(mixed_basis_profile(sub))
+            size *= brute_force_census(block.graph, max_edges).size_of(profile)
     return size
 
 

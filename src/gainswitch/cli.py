@@ -151,8 +151,7 @@ def cmd_census(args) -> tuple[dict, int]:
         checks["sizes_sum_to_total"] = sum(s for _, s in brute.classes) == brute.total
         if "block_product_size" in result and g.mixed_mode:
             checks["brute_vs_blocks"] = (
-                result["block_product_size"]
-                == brute.size_of(census_mod.mixed_basis_profile(g))
+                result["block_product_size"] == result["brute_force"]["input_class_size"]
             )
         if "plane" in result:
             checks["brute_count_vs_plane_count"] = (
@@ -160,8 +159,7 @@ def cmd_census(args) -> tuple[dict, int]:
             )
             if g.mixed_mode:
                 checks["brute_vs_plane_size"] = (
-                    result["plane"]["input_class_size"]
-                    == brute.size_of(census_mod.mixed_basis_profile(g))
+                    result["plane"]["input_class_size"] == result["brute_force"]["input_class_size"]
                 )
     if checks:
         result["cross_checks"] = checks
@@ -238,41 +236,21 @@ def cmd_product(args) -> tuple[dict, int]:
     return result, 0
 
 
-def _generators(group: symmetry.AutGroup) -> list[symmetry.VertexPermutation]:
-    """A small generating set, grown greedily from the element list."""
-    identity = symmetry.VertexPermutation.identity(group.n)
-    gens: list[symmetry.VertexPermutation] = []
-    closure = {identity}
-    for f in group.elements:
-        if f in closure:
-            continue
-        gens.append(f)
-        frontier = list(closure)
-        closure.add(f)
-        frontier.append(f)
-        while frontier:
-            h = frontier.pop()
-            for gen in gens:
-                c = gen.compose(h)
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
-    return gens
-
-
 def cmd_aut(args) -> tuple[dict, int]:
     g, _ = _load(args.file)
     max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
-    aut_under = symmetry.automorphisms(g.graph, max_aut)
-    aut_gain = symmetry.gain_automorphisms(g, max_aut)
+    if g.mixed_mode:
+        aut_under, aut_s, aut_u = symmetry.mixed_aut_decomposition(g, max_aut)
+    else:
+        aut_under = symmetry.automorphisms(g.graph, max_aut)
+    aut_gain = symmetry._gain_subgroup(aut_under, g)
     result = {
         "underlying_order": aut_under.order,
-        "underlying_generators": [list(p.image) for p in _generators(aut_under)],
+        "underlying_generators": [list(p.image) for p in symmetry.generating_set(aut_under)],
         "gain_order": aut_gain.order,
-        "gain_generators": [list(p.image) for p in _generators(aut_gain)],
+        "gain_generators": [list(p.image) for p in symmetry.generating_set(aut_gain)],
     }
     if g.mixed_mode:
-        _, aut_s, aut_u = symmetry.mixed_aut_decomposition(g, max_aut)
         result["directed_part_order"] = aut_s.order
         result["undirected_part_order"] = aut_u.order
     return result, 0

@@ -377,6 +377,14 @@ def negate(g: GainGraph) -> GainGraph:
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
 
+def _integer(token: str) -> int:
+    """An ASCII decimal integer, ``-?[0-9]+``; bare ``int`` would also take
+    ``1_0``, ``+3`` and non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValidationError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
 def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
     """Parse the ``.gg`` text format.
 
@@ -407,7 +415,7 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
             if tag == "gg":
                 if k is not None:
                     raise ValidationError("repeated gg header")
-                k = int(parts[1])
+                k = _integer(parts[1])
                 if len(parts) == 3:
                     if parts[2] != "mixed":
                         raise ValidationError(f"unknown header flag {parts[2]!r}")
@@ -418,21 +426,23 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
                 if n is not None:
                     raise ValidationError("repeated n line")
                 _, count = parts
-                n = int(count)
+                n = _integer(count)
             elif tag == "e":
                 if k is None or n is None:
                     raise ValidationError("e line before gg/n header")
                 _, su, sv, tok = parts
-                u, v = int(su), int(sv)
+                u, v = _integer(su), _integer(sv)
                 if k == 4 and tok in _MIXED_TOKEN:
                     t = _MIXED_TOKEN[tok]
                 else:
-                    t = int(tok)
+                    t = _integer(tok)
                 entries.append((u, v, t))
             elif tag == "f":
                 if n is None:
                     raise ValidationError("f line before n header")
-                face = tuple(int(p) for p in parts[1:])
+                face = tuple(_integer(p) for p in parts[1:])
+                if not face:
+                    raise ValidationError("f line lists no vertices")
                 for v in face:
                     if not 1 <= v <= n:
                         raise ValidationError(f"face vertex {v} out of range")

@@ -232,6 +232,27 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     return GainGraph(g.graph, g.group, tuple(gains), mixed_mode=mixed)
 
 
+def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int, ...]]:
+    """Vertex potentials on f, and the chord exponents of g normalised to f.
+
+    ``pot[v]`` is the exponent of v's forest path to its root; switching by pot
+    leaves chord (u, v), listed by edge id, with t_uv + pot[v] - pot[u]: the
+    gain of its fundamental cycle.
+    """
+    k = g.group.order
+    pot = [0] * (g.graph.n + 1)
+    for v in f.bfs_order:
+        p = f.parent[v]
+        if p:
+            pot[v] = (pot[p] + g.gain(v, p).exp) % k
+    chords = tuple(
+        (x.exp + pot[v] - pot[u]) % k
+        for e, ((u, v), x) in enumerate(zip(g.graph.edges, g.gains))
+        if e not in f.forest_edges
+    )
+    return pot, chords
+
+
 def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
     """Switch g so that every forest edge has gain 1.
 
@@ -242,12 +263,8 @@ def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
     """
     if f is None:
         f = spanning_forest(g.graph)
-    n = g.graph.n
-    values: list[GainExponent | None] = [None] * (n + 1)
-    for v in f.bfs_order:
-        p = f.parent[v]
-        values[v] = g.group.one if p == 0 else g.gain(v, p) * values[p]
-    theta = SwitchingFunction(tuple(values[1:]))
+    pot, _ = _normal_form(g, f)
+    theta = SwitchingFunction(tuple(g.group.element(x) for x in pot[1:]))
     return apply_switching(g, theta), theta
 
 
@@ -263,12 +280,11 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
     if a.graph != b.graph or a.group != b.group:
         return DIFFERENT_GRAPH
     f = forest if forest is not None else spanning_forest(a.graph)
-    basis = fundamental_cycles(a.graph, f)
-    if basis_gain_profile(a, basis) != basis_gain_profile(b, basis):
+    pot_a, chords_a = _normal_form(a, f)
+    pot_b, chords_b = _normal_form(b, f)
+    if chords_a != chords_b:
         return None
-    _, ta = normalize_to_forest(a, f)
-    _, tb = normalize_to_forest(b, f)
-    theta = ta.mul(tb.conj())
+    theta = SwitchingFunction(tuple(a.group.element(x - y) for x, y in zip(pot_a[1:], pot_b[1:])))
     if apply_switching(a, theta) != b:  # exact integer check; cannot fail
         raise AssertionError("internal error: switching witness failed to verify")
     return theta
@@ -283,11 +299,14 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     if a.graph != b.graph or a.group != b.group:
         raise ValidationError("inputs do not share an underlying graph")
     f = forest if forest is not None else spanning_forest(a.graph)
-    basis = fundamental_cycles(a.graph, f)
-    for cyc in basis.cycles:
-        ga, gb = cycle_gain(a, cyc), cycle_gain(b, cyc)
-        if ga != gb:
-            return cyc, ga, gb
+    _, chords_a = _normal_form(a, f)
+    _, chords_b = _normal_form(b, f)
+    chord_ids = (e for e in range(a.graph.m) if e not in f.forest_edges)
+    for e, x, y in zip(chord_ids, chords_a, chords_b):
+        if x != y:
+            u, v = a.graph.edges[e]
+            cycle = (u,) + tuple(_tree_path(f, v, u)[:-1])
+            return cycle, GainExponent(a.group, x), GainExponent(a.group, y)
     return None
 
 
@@ -356,8 +375,8 @@ def cycle_gains_equal_chordless(a: GainGraph, b: GainGraph, max_vertices: int = 
 
 def is_balanced(g: GainGraph) -> bool:
     """True when every cycle has gain 1 (checked on a fundamental basis)."""
-    _, basis = canonical_basis(g.graph)
-    return all(x.is_one() for x in basis_gain_profile(g, basis))
+    _, chords = _normal_form(g, spanning_forest(g.graph))
+    return not any(chords)
 
 
 def gain_character(g: GainGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> str:
@@ -369,9 +388,7 @@ def gain_character(g: GainGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> str:
     fundamental basis alone and needs no cap; the other verdicts require full
     cycle enumeration and refuse graphs above ``max_vertices``.
     """
-    _, basis = canonical_basis(g.graph)
-    profile = basis_gain_profile(g, basis)
-    if all(x.is_one() for x in profile):
+    if is_balanced(g):
         return BALANCED
     gains = [cycle_gain(g, c) for c in enumerate_cycles(g.graph, max_vertices)]
     if all(x.is_minus_one() for x in gains):

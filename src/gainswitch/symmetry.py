@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
-from .switching import (
-    basis_gain_profile,
-    canonical_basis,
-    switching_equivalent,
-)
+from .switching import _normal_form, spanning_forest, switching_equivalent
 
 __all__ = [
     "VertexPermutation",
@@ -28,6 +24,7 @@ __all__ = [
     "switching_isomorphic",
     "orbit_of_class",
     "underlying_isomorphism",
+    "generating_set",
 ]
 
 DEFAULT_AUT_CAP = 10
@@ -90,47 +87,61 @@ class AutGroup:
         return iter(self.elements)
 
 
-def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """All automorphisms of a simple graph, by backtracking with degree pruning."""
-    if g.n > max_vertices:
+def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str):
+    """Yield every isomorphism from a onto b, in increasing order of image tuples.
+
+    Backtracking on the vertices of a with degree pruning; automorphisms are
+    the case a = b.
+    """
+    if a.n > max_vertices:
         raise InstanceTooLargeError(
-            f"automorphism search capped at {max_vertices} vertices, graph has {g.n}"
+            f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
         )
-    n = g.n
-    degrees = [g.degree(v) for v in range(1, n + 1)]
-    found: list[VertexPermutation] = []
+    n = a.n
+    deg_a = [a.degree(v) for v in range(n + 1)]
+    deg_b = [b.degree(w) for w in range(b.n + 1)]
+    if sorted(deg_a) != sorted(deg_b):  # also settles n and m
+        return
+    adj_b = [set(b.neighbors(w)) for w in range(n + 1)]
+    earlier = [[(u, a.has_edge(u, v)) for u in range(1, v)] for v in range(n + 1)]
     image = [0] * (n + 1)
     used = [False] * (n + 1)
 
-    def rec(v: int) -> None:
+    def rec(v: int):
         if v > n:
-            found.append(VertexPermutation(tuple(image[1:])))
+            yield VertexPermutation(tuple(image[1:]))
             return
         for w in range(1, n + 1):
-            if used[w] or degrees[w - 1] != degrees[v - 1]:
+            if used[w] or deg_a[v] != deg_b[w]:
                 continue
-            if any(g.has_edge(u, v) != g.has_edge(image[u], w) for u in range(1, v)):
+            nbrs = adj_b[w]
+            if any((image[u] in nbrs) != adjacent for u, adjacent in earlier[v]):
                 continue
             image[v] = w
             used[w] = True
-            rec(v + 1)
+            yield from rec(v + 1)
             used[w] = False
-            image[v] = 0
 
-    rec(1)
-    found.sort(key=lambda f: f.image)
-    return AutGroup(n, tuple(found))
+    yield from rec(1)
+
+
+def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
+    """All automorphisms of a simple graph, by backtracking with degree pruning."""
+    return AutGroup(g.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
 
 
 def _preserves_gains(f: VertexPermutation, g: GainGraph) -> bool:
     return all(g.gain(f(u), f(v)) == g.gain(u, v) for u, v in g.graph.edges)
 
 
+def _gain_subgroup(aut: AutGroup, g: GainGraph) -> AutGroup:
+    """The elements of aut, a group of g's underlying graph, that preserve every gain."""
+    return AutGroup(aut.n, tuple(f for f in aut.elements if _preserves_gains(f, g)))
+
+
 def gain_automorphisms(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
     """The subgroup of graph automorphisms that preserve every gain exactly."""
-    aut = automorphisms(g.graph, max_vertices)
-    kept = tuple(f for f in aut.elements if _preserves_gains(f, g))
-    return AutGroup(aut.n, kept)
+    return _gain_subgroup(automorphisms(g.graph, max_vertices), g)
 
 
 def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
@@ -152,7 +163,7 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
         build_gain_graph(n, g.group, directed, mixed_mode=True), max_vertices
     )
     aut_u = automorphisms(SimpleGraph(n, undirected), max_vertices)
-    aut_mixed = {f.image for f in gain_automorphisms(g, max_vertices)}
+    aut_mixed = {f.image for f in _gain_subgroup(aut_g, g)}
     inter_gs = {f.image for f in aut_g} & {f.image for f in aut_s}
     inter_su = {f.image for f in aut_s} & {f.image for f in aut_u}
     if aut_mixed != inter_gs or aut_mixed != inter_su:
@@ -185,8 +196,8 @@ def switching_isomorphic(a: GainGraph, b: GainGraph, max_vertices: int = DEFAULT
     """
     if a.graph != b.graph or a.group != b.group:
         raise ValidationError("inputs do not share an underlying graph")
-    forest, _ = canonical_basis(a.graph)
-    for f in automorphisms(a.graph, max_vertices):
+    forest = spanning_forest(a.graph)
+    for f in _isomorphisms(a.graph, a.graph, max_vertices, "automorphism"):
         theta = switching_equivalent(act(f, a), b, forest=forest)
         if theta:
             return f, theta
@@ -207,11 +218,11 @@ def orbit_of_class(
         raise InstanceTooLargeError(
             f"orbit computation capped at {max_edges} edges, graph has {g.graph.m}"
         )
-    _, basis = canonical_basis(g.graph)
+    forest = spanning_forest(g.graph)
     reps: dict[tuple[int, ...], GainGraph] = {}
     for f in automorphisms(g.graph, max_vertices):
         moved = act(f, g)
-        key = tuple(x.exp for x in basis_gain_profile(moved, basis))
+        _, key = _normal_form(moved, forest)
         if key not in reps:
             reps[key] = moved
     return [reps[key] for key in sorted(reps)]
@@ -220,39 +231,30 @@ def orbit_of_class(
 def underlying_isomorphism(a: SimpleGraph, b: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP):
     """An isomorphism from a onto b as a VertexPermutation, or None.
 
-    Backtracking on vertices of a with degree pruning; intended for the CLI
-    so that gain graphs given with different labelings can be aligned before
-    the switching-isomorphism search.
+    The first hit of the backtracking search; intended for the CLI so that
+    gain graphs given with different labelings can be aligned before the
+    switching-isomorphism search.
     """
     if a.n != b.n or a.m != b.m:
         return None
-    if a.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"isomorphism search capped at {max_vertices} vertices, graph has {a.n}"
-        )
-    n = a.n
-    deg_a = sorted(a.degree(v) for v in range(1, n + 1))
-    deg_b = sorted(b.degree(v) for v in range(1, n + 1))
-    if deg_a != deg_b:
-        return None
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
+    return next(_isomorphisms(a, b, max_vertices, "isomorphism"), None)
 
-    def rec(v: int):
-        if v > n:
-            return VertexPermutation(tuple(image[1:]))
-        for w in range(1, n + 1):
-            if used[w] or a.degree(v) != b.degree(w):
-                continue
-            if any(a.has_edge(u, v) != b.has_edge(image[u], w) for u in range(1, v)):
-                continue
-            image[v] = w
-            used[w] = True
-            hit = rec(v + 1)
-            if hit is not None:
-                return hit
-            used[w] = False
-            image[v] = 0
-        return None
 
-    return rec(1)
+def generating_set(group: AutGroup) -> list[VertexPermutation]:
+    """A small generating set, grown greedily from the element list."""
+    closure = {tuple(range(1, group.n + 1))}
+    gens: list[tuple[int, ...]] = []
+    for f in group.elements:
+        if f.image in closure:
+            continue
+        gens.append(f.image)
+        closure.add(f.image)
+        frontier = list(closure)
+        while frontier:
+            h = frontier.pop()
+            for gen in gens:
+                c = tuple(gen[w - 1] for w in h)
+                if c not in closure:
+                    closure.add(c)
+                    frontier.append(c)
+    return [VertexPermutation(img) for img in gens]

@@ -14,6 +14,7 @@ Claims covered here:
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -227,6 +228,30 @@ def test_blocks_partition_the_edges():
         for u, v in b.graph.edges:
             seen.append((b.vertices[u - 1], b.vertices[v - 1]))
     assert sorted(seen) == list(graph.edges)
+
+
+def test_block_decompose_deep_graphs_match_networkx():
+    """Blocks of graphs whose DFS trees run thousands of vertices deep."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3000)
+    order = list(range(1, 3001))
+    rng.shuffle(order)
+    sparse = {tuple(sorted(p)) for p in zip(order, order[1:])}  # a Hamiltonian path
+    while len(sparse) < 3600:  # plus short chords along it: many small blocks
+        i = rng.randrange(2990)
+        u, v = order[i], order[i + rng.randint(2, 9)]
+        sparse.add((min(u, v), max(u, v)))
+    for graph in [path_graph(3000), gs.SimpleGraph(3000, sorted(sparse))]:
+        got = sorted(
+            sorted((b.vertices[u - 1], b.vertices[v - 1]) for u, v in b.graph.edges)
+            for b in gs.block_decompose(graph)
+        )
+        oracle = nx.Graph(graph.edges)
+        want = sorted(
+            sorted(tuple(sorted(e)) for e in comp)
+            for comp in nx.biconnected_component_edges(oracle)
+        )
+        assert got == want
 
 
 def test_induced_gain_graph_keeps_gains():

@@ -10,8 +10,8 @@ import math
 import pathlib
 
 import gainswitch as gs
-from gainswitch import cli
-from conftest import all_ones, cycle_graph
+from gainswitch import cli, symmetry
+from conftest import all_ones, cycle_graph, path_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 ARC_TRIANGLE = str(DATA / "arc_triangle.gg")
@@ -225,6 +225,37 @@ def test_aut_bowtie(capsys):
     assert res["undirected_part_order"] == 8
     gens = [gs.VertexPermutation(tuple(img)) for img in res["underlying_generators"]]
     assert gens and all(not f.is_identity() for f in gens)
+
+
+def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
+    searched = []
+    search = symmetry._isomorphisms
+
+    def counting(a, b, *rest):
+        searched.append(a)
+        return search(a, b, *rest)
+
+    monkeypatch.setattr(symmetry, "_isomorphisms", counting)
+    code, report = run(capsys, "aut", BOWTIE_MINUS)
+    assert code == 0 and report["result"]["underlying_order"] == 8
+    g, _ = gs.load_gg(BOWTIE_MINUS)
+    # the underlying graph, then the directed and the undirected part
+    assert len(searched) == 3 and searched.count(g.graph) == 1
+
+
+def test_census_and_classify_on_a_long_path(tmp_path, capsys):
+    # a DFS tree 1600 vertices deep once overflowed the block decomposition
+    mixed_path = tmp_path / "mixed_path.gg"
+    gs.save_gg(all_ones(path_graph(1600)), mixed_path)
+    code, report = run(capsys, "census", str(mixed_path))
+    assert code == 0
+    assert report["result"]["cactus"] is True
+    assert report["result"]["block_product_size"] == 3**1599
+    plain_path = tmp_path / "plain_path.gg"
+    gs.save_gg(all_ones(path_graph(1600), mixed_mode=False), plain_path)
+    code, report = run(capsys, "classify", str(plain_path))
+    assert code == 0
+    assert report["result"]["cactus"] is True and report["result"]["balanced"] is True
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

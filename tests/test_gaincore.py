@@ -213,6 +213,18 @@ def test_parse_gg_error_lines():
         gs.parse_gg("gg 4\nn 3 9\n")
     with pytest.raises(ValidationError, match="line 3"):
         gs.parse_gg("gg 4\nn 2\ne 1 2 i extra\n")
+    with pytest.raises(ValidationError, match="line 2"):
+        gs.parse_gg("gg 4\nn 1_0\n")  # int() reads 10
+    with pytest.raises(ValidationError, match="line 3"):
+        gs.parse_gg("gg 4\nn 2\ne \u0661 2 1\n")  # Arabic-Indic digit one
+    with pytest.raises(ValidationError, match="line 3"):
+        gs.parse_gg("gg 6\nn 2\ne 1 2 \u0661\n")
+    with pytest.raises(ValidationError, match="line 1"):
+        gs.parse_gg("gg +3\nn 2\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        gs.parse_gg("gg 4\nn 3\nf 1 2 +3\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        gs.parse_gg("gg 4\nn 3\nf\n")
 
 
 def test_round_trip_random(rng):

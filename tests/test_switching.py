@@ -224,6 +224,45 @@ def test_switching_equivalent_negative_on_chord_tweak(rng):
         assert gs.cycle_gain(h, cycle) == gb
 
 
+def test_potential_decisions_match_fundamental_cycle_walks(rng):
+    """Chord values from vertex potentials agree with walking every basis cycle.
+
+    The reference is the cycle-walk route, written out here: the first
+    fundamental cycle, in chord order, whose two gains differ.  Pairs cover
+    k = 1..8 orders, disconnected graphs, and switched, switched-then-tweaked
+    and unrelated gains.
+    """
+
+    def walked_difference(a, b, basis):
+        for cyc in basis.cycles:
+            ga, gb = gs.cycle_gain(a, cyc), gs.cycle_gain(b, cyc)
+            if ga != gb:
+                return cyc, ga, gb
+        return None
+
+    for _ in range(1200):
+        n = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graph = gs.SimpleGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        k = rng.choice([1, 2, 3, 4, 6, 8])
+        a = random_gains(rng, graph, k=k)
+        b = gs.apply_switching(a, random_switching(rng, a))
+        roll = rng.random()
+        if roll < 0.4 and graph.m:
+            gains = list(b.gains)
+            gains[rng.randrange(graph.m)] = gs.GainExponent(a.group, rng.randrange(k))
+            b = gs.GainGraph(graph, a.group, tuple(gains))
+        elif roll < 0.6:
+            b = random_gains(rng, graph, k=k)
+        _, basis = gs.canonical_basis(graph)
+        want = walked_difference(a, b, basis)
+        assert gs.first_profile_difference(a, b) == want
+        assert (gs.switching_equivalent(a, b) is None) == (want is not None)
+        profile = gs.basis_gain_profile(a, basis)
+        assert gs.mixed_basis_profile(a) == tuple(x.exp for x in profile)
+        assert gs.is_balanced(a) == all(x.is_one() for x in profile)
+
+
 def test_different_graph_sentinel():
     a = all_ones(path_graph(3))
     b = all_ones(gs.SimpleGraph(3, [(1, 2), (1, 3)]))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import gainswitch as gs
+from gainswitch import symmetry
 from conftest import (
     G4,
     all_ones,
@@ -121,10 +122,58 @@ def test_automorphisms_match_oracle(rng):
         assert got == oracle_automorphisms(graph)
 
 
+def test_isomorphism_search_matches_networkx(rng):
+    """VF2 decides isomorphism of equal-degree pairs and counts automorphisms."""
+    nx = pytest.importorskip("networkx")
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        a = gs.SimpleGraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        oracle_a = nx.Graph(a.edges)
+        oracle_a.add_nodes_from(range(1, n + 1))
+        oracle_b = oracle_a.copy()
+        try:  # degree-preserving rewiring; often not isomorphic any more
+            swaps, seed = rng.randint(1, 3), rng.randrange(2**32)
+            nx.double_edge_swap(oracle_b, nswap=swaps, max_tries=50, seed=seed)
+        except nx.NetworkXException:
+            pass
+        labels = list(range(1, n + 1))
+        rng.shuffle(labels)
+        b = gs.SimpleGraph(n, [(labels[u - 1], labels[v - 1]) for u, v in oracle_b.edges])
+        f = gs.underlying_isomorphism(a, b)
+        assert (f is not None) == nx.is_isomorphic(oracle_a, oracle_b)
+        if f is not None:
+            assert all(b.has_edge(f(u), f(v)) for u, v in a.edges)
+        if n <= 6:  # VF2 lists every automorphism; beyond n = 6 that takes seconds
+            vf2 = nx.algorithms.isomorphism.GraphMatcher(oracle_a, oracle_a)
+            assert gs.automorphisms(a).order == sum(1 for _ in vf2.isomorphisms_iter())
+
+
 def test_automorphism_cap():
     with pytest.raises(gs.InstanceTooLargeError):
         gs.automorphisms(path_graph(11))
     assert gs.automorphisms(path_graph(11), max_vertices=11).order == 2
+
+
+def test_generating_set_generates_the_group(rng):
+    graphs = [path_graph(1), cycle_graph(5), complete_graph(5), bowtie_minus().graph]
+    graphs += [random_connected_graph(rng, n_lo=3, n_hi=7) for _ in range(4)]
+    for graph in graphs:
+        aut = gs.automorphisms(graph)
+        gens = gs.generating_set(aut)
+        closure = {gs.VertexPermutation.identity(graph.n)}
+        for gen in gens:
+            assert gen not in closure  # each generator is new when it joins
+            frontier = [gen]
+            closure.add(gen)
+            while frontier:
+                h = frontier.pop()
+                for x in list(closure):
+                    for c in (h.compose(x), x.compose(h)):
+                        if c not in closure:
+                            closure.add(c)
+                            frontier.append(c)
+        assert closure == set(aut.elements)
 
 
 # -- gain automorphisms ------------------------------------------------------
@@ -170,6 +219,29 @@ def test_mixed_aut_decomposition_all_undirected():
     assert aut_s.order == math.factorial(4)  # empty directed part
     with pytest.raises(gs.ValidationError):
         gs.mixed_aut_decomposition(all_ones(cycle_graph(4), mixed_mode=False))
+
+
+def test_mixed_aut_decomposition_searches_three_graphs(monkeypatch):
+    g = bowtie_minus()
+    undirected = gs.SimpleGraph(5, [e for e, x in zip(g.graph.edges, g.gains) if x.is_one()])
+    searched = []
+    search = symmetry._isomorphisms
+
+    def counting(a, b, *rest):
+        searched.append(a)
+        return search(a, b, *rest)
+
+    monkeypatch.setattr(symmetry, "_isomorphisms", counting)
+    aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
+    assert (aut_g.order, aut_s.order, aut_u.order) == (8, 1, 8)
+    assert len(searched) == 3 and searched.count(g.graph) == 1
+
+    def losing_the_undirected_part(a, b, *rest):
+        return iter(()) if a == undirected else search(a, b, *rest)
+
+    monkeypatch.setattr(symmetry, "_isomorphisms", losing_the_undirected_part)
+    with pytest.raises(AssertionError, match="intersection identities"):
+        gs.mixed_aut_decomposition(g)
 
 
 def test_mixed_aut_decomposition_random(rng):
