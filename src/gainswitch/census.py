@@ -2,10 +2,18 @@
 
 A mixed orientation assigns each edge a gain from {1, i, -i}; two
 orientations are equivalent exactly when they agree on a fundamental cycle
-basis, so the brute-force census keys the 3^m assignments by their basis
-gain profile.  Closed forms cover cycles (the alpha vectors), graphs whose
-blocks are tractable (class sizes multiply over blocks), and 2-connected
-plane graphs (sums over gamma matrices attached to the inner faces).
+basis.  Edge e with gain i adds its signed incidence sigma_e on the basis
+cycles to their exponents mod 4, and gain -i subtracts it.
+
+The brute-force census keys every one of the 3^m assignments by its basis
+gain profile: the keys of the low edges' settings are built once, and each
+setting of the high edges shifts that shared array to key one chunk.  The
+closed forms count without enumerating: cycles by their alpha vectors,
+other graphs by multiplying class sizes over blocks, where a block that is
+not a cycle is sized by a convolution over Z_4^r (one step per edge), and
+2-connected plane graphs by sums over gamma matrices attached to the inner
+faces, taken for every face-gain vector at once by a convolution over
+Z_4^k (one step per face cell).
 
 All counts are exact Python integers.
 """
@@ -13,13 +21,14 @@ All counts are exact Python integers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph
+from .gaincore import GainExponent, GainGraph, SimpleGraph
 from .switching import _normal_form, canonical_basis, cycle_gain, spanning_forest
 
 __all__ = [
@@ -48,6 +57,10 @@ __all__ = [
 
 DEFAULT_CENSUS_CAP = 16
 DEFAULT_FACE_CAP = 12
+
+_LOW_DIGITS = 12  # the scan keys 3^12 orientations per chunk
+_DENSE_RANK = 10  # the scan tallies into 4^r bins up to this cycle rank
+_MAX_CONVOLUTION_DIM = 12  # 4^12 int64 weights: 128 MiB per array
 
 # Position of each k = 4 exponent inside an alpha vector (1, -1, i, -i).
 _ALPHA_POSITION = {0: 0, 2: 1, 1: 2, 3: 3}
@@ -170,46 +183,110 @@ class Census:
             raise ValidationError(f"profile {profile} is not attained by any orientation") from None
 
 
+def _basis_incidence(g: SimpleGraph, basis) -> list[list[int]]:
+    """``sigma[e][j]`` is +1 or -1 when basis cycle j runs along edge e upward
+    (smaller to larger vertex) or downward, and 0 when it avoids e."""
+    sigma = [[0] * len(basis) for _ in range(g.m)]
+    for j, cyc in enumerate(basis.cycles):
+        closed = list(cyc) + [cyc[0]]
+        for a, b in zip(closed, closed[1:]):
+            sigma[g.edge_id(a, b)][j] = 1 if a < b else -1
+    return sigma
+
+
 def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> Census:
     """Enumerate all 3^m mixed orientations and bucket them by basis profile.
 
-    The assignment space is scanned in contiguous index chunks (mixed-radix
-    digits over {1, i, -i} per edge) and per-chunk counts merge by addition,
-    so the result is independent of the chunking.
+    Orientation number sum_e d_e 3^e gives edge e the gain (1, i, -i)[d_e].
+    Its key packs the basis cycle exponents mod 4 into 2-bit fields, one per
+    cycle; digit d_e adds (0, sigma_e, -sigma_e)[d_e] to them, field by
+    field with no carry between fields.  The keys of all settings of the
+    low 12 digits are built once; each setting of the high digits adds its
+    own constant to that shared array, which keys one chunk of up to 3^12
+    orientations, and the chunk is binned: by ``np.bincount`` over the 4^r
+    profiles, or by ``np.unique`` above rank 10, where those bins would not
+    fit.  Every orientation thus gets its own key while memory stays at one
+    chunk.
     """
     if g.m > max_edges:
         raise InstanceTooLargeError(f"census capped at {max_edges} edges, graph has {g.m}")
     _, basis = canonical_basis(g)
-    arcs_per_cycle = []
-    for cyc in basis.cycles:
-        closed = list(cyc) + [cyc[0]]
-        arcs = [(g.edge_id(a, b), 1 if a < b else -1) for a, b in zip(closed, closed[1:])]
-        arcs_per_cycle.append(arcs)
-    total = 3**g.m
-    pow3 = [3**e for e in range(g.m + 1)]
-    exp_fwd = np.array([0, 1, 3], dtype=np.int64)
-    exp_rev = np.array([0, 3, 1], dtype=np.int64)
-    counts: dict[int, int] = {}
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        key = np.zeros(stop - start, dtype=np.int64)
-        for j, arcs in enumerate(arcs_per_cycle):
-            acc = np.zeros(stop - start, dtype=np.int64)
-            for e, sign in arcs:
-                digit = (idx // pow3[e]) % 3
-                acc += (exp_fwd if sign > 0 else exp_rev)[digit]
-            key += (acc % 4) << (2 * j)
-        uniq, cnt = np.unique(key, return_counts=True)
-        for u, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[u] = counts.get(u, 0) + c
-    r = len(arcs_per_cycle)
-    classes = tuple(
-        (tuple((packed >> (2 * j)) & 3 for j in range(r)), size)
-        for packed, size in sorted(counts.items())
+    r = len(basis)
+    low_bits = sum(1 << 2 * j for j in range(r))
+
+    def pack(shift) -> int:
+        return sum((x % 4) << 2 * j for j, x in enumerate(shift))
+
+    def add(a, b):  # field-wise sum mod 4 of packed keys
+        return a ^ b ^ ((a & b & low_bits) << 1)
+
+    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, basis)]
+    dense = r <= _DENSE_RANK
+    low = min(g.m, _LOW_DIGITS)
+    keys = np.zeros(1, dtype=np.uint32 if dense else np.uint64)
+    for shifts in digits[:low]:  # digit e is the e-th least significant
+        keys = np.concatenate([add(keys, c) for c in shifts])
+    tally = np.zeros(4**r if dense else 0, dtype=np.int64)
+    sparse: dict[int, int] = {}
+    for high in itertools.product(*digits[low:]):
+        chunk = add(keys, reduce(add, high, 0))
+        if dense:
+            tally += np.bincount(chunk, minlength=4**r)
+        else:
+            for u, c in zip(*(a.tolist() for a in np.unique(chunk, return_counts=True))):
+                sparse[u] = sparse.get(u, 0) + c
+    if dense:
+        packed = np.flatnonzero(tally)
+        sizes = tally[packed].tolist()
+    else:
+        packed = np.array(sorted(sparse), dtype=np.uint64)
+        sizes = [sparse[u] for u in packed.tolist()]
+    fields = [((packed >> (2 * j)) & 3).tolist() for j in range(r)]
+    profiles = zip(*fields) if r else [()]  # a forest has the one empty profile
+    classes = tuple(zip(profiles, sizes))
+    return Census(total=3**g.m, classes=classes, chords=basis.chords)
+
+
+def _convolve(d: int, steps) -> np.ndarray:
+    """Weights over Z_4^d after a sequence of weighted shift steps.
+
+    Starts from a unit weight at 0.  Each step is a list of (shift, weight)
+    pairs, a shift being a length-d vector of exponents; the step replaces W
+    by the sum of weight * (W shifted by shift).  The entries never go
+    negative and sum to the product of the steps' weight totals, so int64
+    holds them exactly while that product is below 2^63; past it they are
+    Python integers.  Memory is 4^d entries, refused above 4^12.
+    """
+    if d > _MAX_CONVOLUTION_DIM:
+        raise InstanceTooLargeError(
+            f"convolution over Z_4^d capped at d = {_MAX_CONVOLUTION_DIM}, got d = {d}"
+        )
+    steps = [list(step) for step in steps]
+    total = math.prod(sum(weight for _, weight in step) for step in steps)
+    w = np.zeros((4,) * d, dtype=np.int64 if total < 2**63 else object)
+    w[(0,) * d] = 1
+    axes = tuple(range(d))
+    for step in steps:
+        out = np.zeros_like(w)
+        for shift, weight in step:
+            if weight:
+                out += weight * (np.roll(w, shift, axes) if any(shift) else w)
+        w = out
+    return w
+
+
+def _profile_counts(g: SimpleGraph) -> np.ndarray:
+    """Number of mixed orientations per basis profile, as a (4,)*r array.
+
+    One convolution step per edge: gain 1, i or -i shifts the profile by
+    0, +sigma_e or -sigma_e.
+    """
+    _, basis = canonical_basis(g)
+    zero = (0,) * len(basis)
+    return _convolve(
+        len(basis),
+        ([(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)] for s in _basis_incidence(g, basis)),
     )
-    return Census(total=total, classes=classes, chords=basis.chords)
 
 
 @dataclass(frozen=True)
@@ -307,8 +384,10 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
     """Class size as a product over blocks.
 
     Cut edges contribute 3, cycle blocks contribute the alpha component of
-    their cycle gain, and any other block contributes the size of its own
-    class in the block's brute-force census.  The input must be mixed.
+    their cycle gain, and any other block contributes the number of its
+    orientations sharing its basis profile, counted by a convolution over
+    Z_4^r with one step per block edge (blocks above ``max_edges`` edges
+    are refused).  The input must be mixed.
     """
     if not g.mixed_mode:
         raise ValidationError("block class sizes apply to mixed graphs")
@@ -323,7 +402,11 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
             # counts a gain and its conjugate alike, so the direction is moot.
             size *= alpha_closed_form(block.graph.n).component(g.group.element(profile[0]))
         else:
-            size *= brute_force_census(block.graph, max_edges).size_of(profile)
+            if block.graph.m > max_edges:
+                raise InstanceTooLargeError(
+                    f"census capped at {max_edges} edges, block has {block.graph.m}"
+                )
+            size *= int(_profile_counts(block.graph)[profile])
     return size
 
 
@@ -496,7 +579,15 @@ class GammaMatrix:
         return self.entries[p - 1][q - 1]
 
 
-def _gamma_search(fs: FaceStructure, y, first_only: bool):
+def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
+    """All gamma matrices for the given face-gain vector y.
+
+    Cell values obey the edge-count conditions (a single shared edge cannot
+    carry -1), rows multiply to y_p, and the matrix is Hermitian by
+    construction.  Deterministic order: rows filled top down, cell values
+    tried in increasing exponent order.
+    """
+    y = tuple(y)
     group = y[0].group
     if group.order != 4:
         raise ValidationError("gamma matrices are defined over the k = 4 group")
@@ -510,26 +601,25 @@ def _gamma_search(fs: FaceStructure, y, first_only: bool):
     for p, q in fs.nonempty_cells():
         allowed[(p, q)] = (0, 1, 3) if fs.n_pq(p, q) == 1 else (0, 1, 2, 3)
 
+    # Entry (p, q) reads cell (p, q) when p <= q and conjugates cell (q, p) below the diagonal.
+    layout = [
+        [(min(p, q), max(p, q), 1 if p <= q else -1) if fs.n_pq(p, q) else None for q in range(1, k + 1)]
+        for p in range(1, k + 1)
+    ]
+    elements = group.elements()
     assigned: dict[tuple[int, int], int] = {}
     found: list[GammaMatrix] = []
 
     def build() -> GammaMatrix:
-        rows = []
-        for p in range(1, k + 1):
-            row = []
-            for q in range(1, k + 1):
-                if fs.n_pq(p, q) == 0:
-                    row.append(None)
-                else:
-                    x = assigned[(p, q) if p <= q else (q, p)]
-                    row.append(GainExponent(group, x if p <= q else (-x) % 4))
-            rows.append(tuple(row))
-        return GammaMatrix(tuple(rows))
+        return GammaMatrix(tuple(
+            tuple(None if e is None else elements[e[2] * assigned[e[:2]] % 4] for e in row)
+            for row in layout
+        ))
 
-    def rec(p: int) -> bool:
+    def rec(p: int) -> None:
         if p > k:
             found.append(build())
-            return first_only
+            return
         base = 0
         for q in range(1, p):
             if fs.n_pq(q, p) > 0:
@@ -540,60 +630,59 @@ def _gamma_search(fs: FaceStructure, y, first_only: bool):
                 continue
             for c, x in zip(cells, combo):
                 assigned[c] = x
-            stop = rec(p + 1)
+            rec(p + 1)
             for c in cells:
                 del assigned[c]
-            if stop:
-                return True
-        return False
 
     rec(1)
     return found
 
 
-def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
-    """All gamma matrices for the given face-gain vector y.
+def _face_weights(fs: FaceStructure, max_faces: int) -> np.ndarray:
+    """The gamma-matrix sum of alpha products for every face-gain vector.
 
-    Cell values obey the edge-count conditions (a single shared edge cannot
-    carry -1), rows multiply to y_p, and the matrix is Hermitian by
-    construction.  Deterministic order: rows filled top down, cell values
-    tried in increasing exponent order.
+    A (4,)*k array: entry y sums, over the gamma matrices for face gains y,
+    the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each cell
+    (p, q) is one convolution step: value x adds x to row sum p and, off the
+    diagonal, -x to row sum q, weighted by alpha_x(n_pq).  A single-edge
+    cell never carries -1 because alpha_{-1}(1) = 0.
     """
-    return _gamma_search(fs, tuple(y), first_only=False)
+    if fs.k > max_faces:
+        raise InstanceTooLargeError(f"class counting capped at {max_faces} faces, got {fs.k}")
+    steps = []
+    for p, q in fs.nonempty_cells():
+        alpha = alpha_closed_form(fs.n_pq(p, q)).as_tuple()
+        step = []
+        for x in range(4):
+            shift = [0] * fs.k
+            shift[q - 1] = -x
+            shift[p - 1] = x  # on the diagonal this overwrites the -x
+            step.append((tuple(shift), alpha[_ALPHA_POSITION[x]]))
+        steps.append(step)
+    return _convolve(fs.k, steps)
 
 
-def plane_class_size(g: GainGraph, fs: FaceStructure) -> int:
+def plane_class_size(g: GainGraph, fs: FaceStructure, max_faces: int = DEFAULT_FACE_CAP) -> int:
     """Class size of a mixed orientation of a 2-connected plane graph.
 
     Sums, over every gamma matrix for the face-gain vector of g, the product
-    of alpha components alpha_{x_pq}(n_pq) across the nonempty cells.
+    of alpha components alpha_{x_pq}(n_pq) across the nonempty cells.  The
+    sum is read off the face-cell convolution, which holds 4^k integers, so
+    structures above ``max_faces`` faces are refused.
     """
     if not g.mixed_mode:
         raise ValidationError("plane class sizes apply to mixed graphs")
-    y = face_gains(g, fs)
-    total = 0
-    for mat in enumerate_gamma(fs, y):
-        prod = 1
-        for p, q in fs.nonempty_cells():
-            prod *= alpha_closed_form(fs.n_pq(p, q)).component(mat.entry(p, q))
-        total += prod
-    return total
+    y = tuple(x.exp for x in face_gains(g, fs))
+    return int(_face_weights(fs, max_faces)[y])
 
 
 def plane_class_count(g: SimpleGraph, fs: FaceStructure, max_faces: int = DEFAULT_FACE_CAP) -> int:
     """Number of classes of a 2-connected plane graph.
 
     Counts the face-gain vectors y in {1, -1, i, -i}^k that admit at least
-    one gamma matrix; each achievable y corresponds to exactly one class.
+    one gamma matrix, that is, whose face-cell convolution entry is nonzero;
+    each achievable y corresponds to exactly one class.
     """
     if fs.graph != g:
         raise ValidationError("face structure belongs to a different graph")
-    if fs.k > max_faces:
-        raise InstanceTooLargeError(f"class counting capped at {max_faces} faces, got {fs.k}")
-    group = GainGroup(4)
-    count = 0
-    for combo in itertools.product(range(4), repeat=fs.k):
-        y = tuple(GainExponent(group, t) for t in combo)
-        if _gamma_search(fs, y, first_only=True):
-            count += 1
-    return count
+    return int(np.count_nonzero(_face_weights(fs, max_faces)))

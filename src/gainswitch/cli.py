@@ -142,7 +142,7 @@ def cmd_census(args) -> tuple[dict, int]:
         face_cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_FACE_CAP
         plane: dict = {"class_count": census_mod.plane_class_count(graph, fs, face_cap)}
         if g.mixed_mode:
-            plane["input_class_size"] = census_mod.plane_class_size(g, fs)
+            plane["input_class_size"] = census_mod.plane_class_size(g, fs, face_cap)
         result["plane"] = plane
         methods += 1
 

@@ -112,7 +112,8 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     """
     n = g.n
     if vertex_order is None:
-        rank = list(range(n + 1))
+        def by_rank(vertices):  # vertex lists and adjacency tuples are already sorted
+            return vertices
     else:
         vertex_order = list(vertex_order)
         if sorted(vertex_order) != list(range(1, n + 1)):
@@ -120,13 +121,16 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
         rank = [0] * (n + 1)
         for pos, v in enumerate(vertex_order):
             rank[v] = pos
+
+        def by_rank(vertices):
+            return sorted(vertices, key=rank.__getitem__)
     parent = [0] * (n + 1)
     root = [0] * (n + 1)
     depth = [0] * (n + 1)
     order: list[int] = []
     forest_edges: set[int] = set()
     seen = [False] * (n + 1)
-    for s in sorted(range(1, n + 1), key=lambda v: rank[v]):
+    for s in by_rank(range(1, n + 1)):
         if seen[s]:
             continue
         seen[s] = True
@@ -135,7 +139,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in sorted(g.neighbors(v), key=lambda x: rank[x]):
+            for w in by_rank(g.neighbors(v)):
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = v
@@ -271,9 +275,9 @@ def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
 def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | None = None):
     """Decide switching equivalence of two gain graphs on the same underlying graph.
 
-    Returns a witness ``SwitchingFunction`` theta with
-    ``apply_switching(a, theta) == b`` when the graphs are equivalent, ``None``
-    when they share the underlying graph but are inequivalent, and the falsy
+    Returns a witness ``SwitchingFunction`` theta, checked to switch every
+    gain of a to the gain of b, when the graphs are equivalent; ``None``
+    when they share the underlying graph but are inequivalent; and the falsy
     sentinel ``DIFFERENT_GRAPH`` when they do not share it (or their groups
     differ), so that case is never confused with a plain negative verdict.
     """
@@ -284,10 +288,12 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
     pot_b, chords_b = _normal_form(b, f)
     if chords_a != chords_b:
         return None
-    theta = SwitchingFunction(tuple(a.group.element(x - y) for x, y in zip(pot_a[1:], pot_b[1:])))
-    if apply_switching(a, theta) != b:  # exact integer check; cannot fail
-        raise AssertionError("internal error: switching witness failed to verify")
-    return theta
+    k = a.group.order
+    shift = [(x - y) % k for x, y in zip(pot_a, pot_b)]
+    for (u, v), x, y in zip(a.graph.edges, a.gains, b.gains):  # exact check; cannot fail
+        if (x.exp - shift[u] + shift[v]) % k != y.exp:
+            raise AssertionError("internal error: switching witness failed to verify")
+    return SwitchingFunction(tuple(a.group.element(x) for x in shift[1:]))
 
 
 def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest | None = None):

@@ -10,7 +10,12 @@ Claims covered here:
   * face structures of 2-connected plane graphs validate correctly, their
     gamma matrices match hand-enumerated sets, and the face-sum formula
     reproduces exhaustive class sizes and counts across a plane catalog;
-  * adjacent faces obey the symmetric-difference gain law.
+  * adjacent faces obey the symmetric-difference gain law;
+  * the chunked scan, the cycle-space convolution and a character-sum
+    formula give the same census, block sizes by convolution match the scan
+    on random mixed graphs, the face-cell convolution matches gamma-matrix
+    enumeration for every face-gain vector (a seeded sample on the
+    5-face prism), and the convolutions stay exact past 2^63.
 """
 
 import itertools
@@ -19,6 +24,7 @@ import random
 import pytest
 
 import gainswitch as gs
+from gainswitch import census as census_mod
 from conftest import (
     G4,
     PLANE_CATALOG,
@@ -29,6 +35,7 @@ from conftest import (
     mixed,
     path_graph,
     random_cactus,
+    random_connected_graph,
     random_gains,
 )
 
@@ -539,3 +546,251 @@ def test_symmetric_difference_law(rng):
             assert abs(z - y[p - 1] * y[q - 1]) < 1e-12, name
             checked += 1
     assert checked >= 15
+
+
+# -- convolution census and scan chunks --------------------------------------
+
+
+def dp_census(graph):
+    """Nonzero profile counts of the cycle-space convolution, as a dict."""
+    counts = census_mod._profile_counts(graph)
+    return {
+        tuple(int(x) for x in p): int(counts[p])
+        for p in itertools.product(range(4), repeat=counts.ndim)
+        if counts[p]
+    }
+
+
+def random_mixed_graph(rng, m_cap=11):
+    """Mixed orientation of a random graph with up to three components.
+
+    Components are random connected graphs; some are joined by a bridge and
+    pendant edges are hung off random vertices, so both cut edges and
+    separate components occur.
+    """
+    while True:
+        n, edges = 0, []
+        for _ in range(rng.randint(1, 3)):
+            part = random_connected_graph(rng, n_lo=2, n_hi=5, m_cap=8)
+            if n and rng.random() < 0.5:
+                edges.append((rng.randint(1, n), n + rng.randint(1, part.n)))
+            edges += [(u + n, v + n) for u, v in part.edges]
+            n += part.n
+        for _ in range(rng.randint(0, 2)):
+            n += 1
+            edges.append((rng.randint(1, n - 1), n))
+        if len(edges) <= m_cap:
+            return random_gains(rng, gs.SimpleGraph(n, sorted(edges)), mixed_mode=True)
+
+
+def test_block_convolution_matches_census_on_random_mixed_graphs():
+    rng = random.Random(4004)
+    several_components = with_bridges = non_cycle_blocks = 0
+    for _ in range(220):
+        g = random_mixed_graph(rng)
+        census = gs.brute_force_census(g.graph)
+        assert gs.class_size_by_blocks(g) == census.size_of(gs.mixed_basis_profile(g))
+        blocks = gs.block_decompose(g.graph)
+        several_components += g.graph.num_components > 1
+        with_bridges += any(b.graph.m == 1 for b in blocks)
+        non_cycle_blocks += any(b.graph.m > b.graph.n for b in blocks)
+    assert several_components >= 50 and with_bridges >= 100 and non_cycle_blocks >= 50
+
+
+def test_scan_over_several_chunks_matches_convolution_census():
+    rng = random.Random(1314)
+    graphs = []
+    for m in (13, 13, 14, 14):
+        graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=m)
+        while graph.m != m:
+            graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=m)
+        graphs.append(graph)
+    assert sorted(graph.m for graph in graphs) == [13, 13, 14, 14]
+    for graph in graphs:  # 3 or 9 chunks of 3^12 orientations
+        census = gs.brute_force_census(graph)
+        assert census.total == 3**graph.m
+        assert dict(census.classes) == dp_census(graph)
+
+
+def test_scan_paths_for_small_chunks_and_sparse_tallies(monkeypatch):
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    graphs = [path_graph(4), cycle_graph(5), diamond, bowtie_minus().graph, complete_graph(4)]
+    want = [gs.brute_force_census(graph) for graph in graphs]
+    monkeypatch.setattr(census_mod, "_LOW_DIGITS", 2)  # many high-digit chunks
+    for graph, census in zip(graphs, want):
+        assert gs.brute_force_census(graph) == census
+    monkeypatch.setattr(census_mod, "_DENSE_RANK", 0)  # tallies by np.unique
+    for graph, census in zip(graphs, want):
+        assert gs.brute_force_census(graph) == census
+        assert dict(census.classes) == oracle_census(graph)
+
+
+# Exponent k of i^k as a Gaussian integer (re, im).
+I_POWER = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def character_sum_census(graph):
+    """Class sizes by characters of Z_4^r, in exact Gaussian integers.
+
+    Count(p) = 4^-r sum_chi i^-<chi, p> prod_e (1 + 2 Re i^<chi, sigma_e>):
+    each edge contributes 1 + i^a + i^-a for a = <chi, sigma_e>, which is
+    3, 1, -1, 1 for a = 0, 1, 2, 3.
+    """
+    _, basis = gs.canonical_basis(graph)
+    r = len(basis)
+    sigma = [[0] * r for _ in range(graph.m)]
+    for j, cyc in enumerate(basis.cycles):
+        closed = list(cyc) + [cyc[0]]
+        for a, b in zip(closed, closed[1:]):
+            sigma[graph.edge_id(a, b)][j] = 1 if a < b else -1
+    factor = (3, 1, -1, 1)
+    product = {}
+    for chi in itertools.product(range(4), repeat=r):
+        prod = 1
+        for s in sigma:
+            prod *= factor[sum(c * x for c, x in zip(chi, s)) % 4]
+        product[chi] = prod
+    counts = {}
+    for p in itertools.product(range(4), repeat=r):
+        re = im = 0
+        for chi, prod in product.items():
+            x, y = I_POWER[-sum(c * t for c, t in zip(chi, p)) % 4]
+            re, im = re + x * prod, im + y * prod
+        assert im == 0 and re % 4**r == 0
+        if re:
+            counts[p] = re // 4**r
+    return counts
+
+
+def test_census_matches_character_sums():
+    rng = random.Random(1982)
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    graphs = [cycle_graph(5), diamond, complete_graph(4), bowtie_minus().graph]
+    graphs += [gs.SimpleGraph(n, edges) for name, n, edges, _ in PLANE_CATALOG if name in ("prism", "house")]
+    while len(graphs) < 12:
+        graph = random_connected_graph(rng, n_lo=4, n_hi=8, m_cap=11)
+        if graph.m - graph.n + 1 <= 4:
+            graphs.append(graph)
+    for graph in graphs:
+        want = character_sum_census(graph)
+        assert dict(gs.brute_force_census(graph).classes) == want
+        assert dp_census(graph) == want
+
+
+def prism_structure(k):
+    """C_k x K_2 with its k quads and inner k-gon as faces."""
+    edges = [(i, i % k + 1) for i in range(1, k + 1)]
+    edges += [(k + i, k + i % k + 1) for i in range(1, k + 1)] + [(i, k + i) for i in range(1, k + 1)]
+    faces = [(i, i % k + 1, k + i % k + 1, k + i) for i in range(1, k + 1)]
+    faces.append(tuple(k + i for i in range(1, k + 1)))
+    return gs.SimpleGraph(2 * k, sorted((min(e), max(e)) for e in edges)), faces
+
+
+def wheel_structure(k):
+    """Rim 1..k and hub k + 1, with the k triangles as faces."""
+    edges = [(i, i % k + 1) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    faces = [(i, i % k + 1, k + 1) for i in range(1, k + 1)]
+    return gs.SimpleGraph(k + 1, sorted((min(e), max(e)) for e in edges)), faces
+
+
+def grid_structure(rows, cols):
+    """rows x cols grid of vertices with its inner squares as faces."""
+    def vid(i, j):
+        return i * cols + j + 1
+
+    edges = [(vid(i, j), vid(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(vid(i, j), vid(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    faces = [
+        (vid(i, j), vid(i, j + 1), vid(i + 1, j + 1), vid(i + 1, j))
+        for i in range(rows - 1)
+        for j in range(cols - 1)
+    ]
+    return gs.SimpleGraph(rows * cols, sorted(edges)), faces
+
+
+def gamma_sum(fs, y):
+    """Sum of alpha products over enumerate_gamma, and whether any matrix exists."""
+    total, found = 0, False
+    for mat in gs.enumerate_gamma(fs, y):
+        found = True
+        prod = 1
+        for p, q in fs.nonempty_cells():
+            prod *= gs.alpha_vector(fs.n_pq(p, q)).component(mat.entry(p, q))
+        total += prod
+    return total, found
+
+
+@pytest.mark.parametrize(
+    "name, structure",
+    [
+        ("prism3", prism_structure(3)),
+        ("prism4", prism_structure(4)),
+        ("wheel3", wheel_structure(3)),
+        ("wheel4", wheel_structure(4)),
+        ("wheel5", wheel_structure(5)),
+        ("grid2x4", grid_structure(2, 4)),
+        ("grid3x3", grid_structure(3, 3)),
+    ],
+)
+def test_face_convolution_matches_gamma_enumeration(name, structure):
+    graph, faces = structure
+    fs = gs.parse_face_structure(all_ones(graph), faces)
+    weights = census_mod._face_weights(fs, census_mod.DEFAULT_FACE_CAP)
+    assert weights.shape == (4,) * fs.k and int(weights.sum()) == 3**graph.m
+    vectors = list(itertools.product(range(4), repeat=fs.k))
+    if name == "prism4":  # 531441 gamma matrices in all: check a seeded sample of y
+        vectors = random.Random(4).sample(vectors, 24)
+    for y in vectors:
+        total, found = gamma_sum(fs, tuple(gs.GainExponent(G4, t) for t in y))
+        assert int(weights[y]) == total, (name, y)
+        assert bool(weights[y]) == found, (name, y)
+    census = gs.brute_force_census(graph)
+    assert gs.plane_class_count(graph, fs) == census.num_classes == int((weights != 0).sum())
+
+
+def theta_graph(length):
+    """Vertices 1 and 2 joined by three paths of ``length`` edges, with its two faces."""
+    n, paths = 2, []
+    for _ in range(3):
+        inner = list(range(n + 1, n + length))
+        n += length - 1
+        paths.append([1] + inner + [2])
+    edges = sorted((min(a, b), max(a, b)) for path in paths for a, b in zip(path, path[1:]))
+    a, b, c = paths
+    faces = [tuple(a + b[-2:0:-1]), tuple(b + c[-2:0:-1])]
+    return gs.SimpleGraph(n, edges), faces
+
+
+@pytest.mark.parametrize("length", [14, 16])
+def test_convolutions_stay_exact_past_int64(length):
+    """m = 42 or 48 edges: 3^m exceeds 2^63, so the weights are Python integers."""
+    graph, faces = theta_graph(length)
+    assert graph.m == 3 * length and 3**graph.m > 2**63
+    rng = random.Random(length)
+    alpha = gs.alpha_vector(length)
+    for _ in range(4):
+        g = random_gains(rng, graph, mixed_mode=True)
+        fs = gs.parse_face_structure(g, faces)
+        y1, y2 = (x.exp for x in gs.face_gains(g, fs))
+        # row 1: x_11 + x_12 = y1; row 2: x_22 - x_12 = y2
+        want = sum(
+            alpha.component(G4.element(y1 - x))
+            * alpha.component(G4.element(x))
+            * alpha.component(G4.element(y2 + x))
+            for x in range(4)
+        )
+        assert gs.class_size_by_blocks(g, max_edges=50) == gs.plane_class_size(g, fs) == want
+    if length == 16:
+        assert want > 2**63  # an int64 accumulator would have wrapped
+    assert gs.plane_class_count(graph, fs) == 16
+
+
+def test_plane_size_cap_and_convolution_cap():
+    graph, faces = diamond_fixture()
+    fs = gs.parse_face_structure(all_ones(graph), faces)
+    with pytest.raises(gs.InstanceTooLargeError):
+        gs.plane_class_size(all_ones(graph), fs, max_faces=1)
+    with pytest.raises(gs.InstanceTooLargeError):
+        census_mod._convolve(13, [])
+    with pytest.raises(gs.InstanceTooLargeError):
+        gs.class_size_by_blocks(all_ones(complete_graph(5)), max_edges=9)

@@ -1,9 +1,11 @@
 """Spanning forests, cycle bases, switching, and the equivalence decision.
 
 Claims covered:
-    - forests span every vertex with one root per component, acyclically
+    - forests span every vertex with one root per component, acyclically;
+      the default forest equals the one for the identity vertex order
     - the fundamental basis has m - n + c chord-first cycles
-    - switching preserves every cycle gain; witnesses verify exactly
+    - switching preserves every cycle gain; witnesses verify exactly, and
+      the equivalence verdict ignores the mixed flag
     - verdicts are forest-independent and chordless-agreement holds
     - two witnesses differ by one constant per connected component
     - agreement on every non-cut edge is sufficient for equivalence
@@ -96,6 +98,15 @@ def test_spanning_forest_disconnected_roots():
     f = gs.spanning_forest(graph)
     assert f.parent[1] == 0 and f.parent[3] == 0 and f.parent[4] == 0
     assert f.root[2] == 1 and f.root[5] == 4
+
+
+def test_identity_vertex_order_gives_the_default_forest(rng):
+    """The default forest skips the rank sort; it must match the sorted path."""
+    for _ in range(40):
+        a = random_connected_graph(rng, n_hi=7)
+        b = random_connected_graph(rng, n_hi=6)
+        for graph in (a, gs.SimpleGraph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])):
+            assert gs.spanning_forest(graph) == gs.spanning_forest(graph, range(1, graph.n + 1))
 
 
 def test_vertex_order_changes_root():
@@ -203,6 +214,16 @@ def test_switching_equivalent_positive(rng):
             graph, g.group, h.gains, mixed_mode=gs.apply_switching(g, witness).mixed_mode
         )
         assert gs.apply_switching(g, witness).gains == h.gains
+
+
+def test_switching_equivalent_ignores_the_mixed_flag():
+    """Equivalence compares gains: a mixed graph and the same gains unflagged agree."""
+    flagged = arc_triangle()
+    plain = gs.GainGraph(flagged.graph, flagged.group, flagged.gains, mixed_mode=False)
+    for a, b in ((flagged, plain), (plain, flagged)):
+        witness = gs.switching_equivalent(a, b)
+        assert witness is not None and witness.is_identity()
+        assert gs.apply_switching(a, witness).gains == b.gains
 
 
 def test_switching_equivalent_negative_on_chord_tweak(rng):
