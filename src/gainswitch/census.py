@@ -55,12 +55,11 @@ __all__ = [
     "plane_class_count",
 ]
 
-DEFAULT_CENSUS_CAP = 16
-DEFAULT_FACE_CAP = 12
-
 _LOW_DIGITS = 12  # the scan keys 3^12 orientations per chunk
-_DENSE_RANK = 10  # the scan tallies into 4^r bins up to this cycle rank
-_MAX_CONVOLUTION_DIM = 12  # 4^12 int64 weights: 128 MiB per array
+_MAX_DENSE_DIM = 12  # largest (4,)*d int64 array built: 4^12 entries, 128 MiB
+
+DEFAULT_CENSUS_CAP = 16
+DEFAULT_FACE_CAP = _MAX_DENSE_DIM  # the face convolution holds 4^k weights
 
 # Position of each k = 4 exponent inside an alpha vector (1, -1, i, -i).
 _ALPHA_POSITION = {0: 0, 2: 1, 1: 2, 3: 3}
@@ -204,7 +203,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     low 12 digits are built once; each setting of the high digits adds its
     own constant to that shared array, which keys one chunk of up to 3^12
     orientations, and the chunk is binned: by ``np.bincount`` over the 4^r
-    profiles, or by ``np.unique`` above rank 10, where those bins would not
+    profiles, or by ``np.unique`` above rank 12, where those bins would not
     fit.  Every orientation thus gets its own key while memory stays at one
     chunk.
     """
@@ -221,7 +220,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
         return a ^ b ^ ((a & b & low_bits) << 1)
 
     digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, basis)]
-    dense = r <= _DENSE_RANK
+    dense = r <= _MAX_DENSE_DIM
     low = min(g.m, _LOW_DIGITS)
     keys = np.zeros(1, dtype=np.uint32 if dense else np.uint64)
     for shifts in digits[:low]:  # digit e is the e-th least significant
@@ -255,22 +254,27 @@ def _convolve(d: int, steps) -> np.ndarray:
     by the sum of weight * (W shifted by shift).  The entries never go
     negative and sum to the product of the steps' weight totals, so int64
     holds them exactly while that product is below 2^63; past it they are
-    Python integers.  Memory is 4^d entries, refused above 4^12.
+    Python integers, which take about five times the bytes and time, so
+    their cap on d is two lower.  Three arrays of 4^d entries are live at
+    once.
     """
-    if d > _MAX_CONVOLUTION_DIM:
-        raise InstanceTooLargeError(
-            f"convolution over Z_4^d capped at d = {_MAX_CONVOLUTION_DIM}, got d = {d}"
-        )
     steps = [list(step) for step in steps]
     total = math.prod(sum(weight for _, weight in step) for step in steps)
-    w = np.zeros((4,) * d, dtype=np.int64 if total < 2**63 else object)
+    exact = total < 2**63
+    cap = _MAX_DENSE_DIM if exact else _MAX_DENSE_DIM - 2
+    if d > cap:
+        raise InstanceTooLargeError(f"convolution over Z_4^d capped at d = {cap}, got d = {d}")
+    w = np.zeros((4,) * d, dtype=np.int64 if exact else object)
     w[(0,) * d] = 1
     axes = tuple(range(d))
     for step in steps:
         out = np.zeros_like(w)
         for shift, weight in step:
             if weight:
-                out += weight * (np.roll(w, shift, axes) if any(shift) else w)
+                term = np.roll(w, shift, axes) if any(shift) else w.copy()  # own copy: scaled in place
+                term *= weight
+                out += term
+                del term  # before the next roll allocates
         w = out
     return w
 
@@ -601,20 +605,21 @@ def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
     for p, q in fs.nonempty_cells():
         allowed[(p, q)] = (0, 1, 3) if fs.n_pq(p, q) == 1 else (0, 1, 2, 3)
 
-    # Entry (p, q) reads cell (p, q) when p <= q and conjugates cell (q, p) below the diagonal.
-    layout = [
-        [(min(p, q), max(p, q), 1 if p <= q else -1) if fs.n_pq(p, q) else None for q in range(1, k + 1)]
-        for p in range(1, k + 1)
-    ]
-    elements = group.elements()
     assigned: dict[tuple[int, int], int] = {}
     found: list[GammaMatrix] = []
 
     def build() -> GammaMatrix:
-        return GammaMatrix(tuple(
-            tuple(None if e is None else elements[e[2] * assigned[e[:2]] % 4] for e in row)
-            for row in layout
-        ))
+        rows = []
+        for p in range(1, k + 1):
+            row = []
+            for q in range(1, k + 1):
+                if fs.n_pq(p, q) == 0:
+                    row.append(None)
+                else:
+                    x = assigned[(p, q) if p <= q else (q, p)]
+                    row.append(GainExponent(group, x if p <= q else (-x) % 4))
+            rows.append(tuple(row))
+        return GammaMatrix(tuple(rows))
 
     def rec(p: int) -> None:
         if p > k:
@@ -638,16 +643,17 @@ def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
     return found
 
 
-def _face_weights(fs: FaceStructure, max_faces: int) -> np.ndarray:
+def _face_weights(fs: FaceStructure, max_faces: int | None = None) -> np.ndarray:
     """The gamma-matrix sum of alpha products for every face-gain vector.
 
     A (4,)*k array: entry y sums, over the gamma matrices for face gains y,
     the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each cell
     (p, q) is one convolution step: value x adds x to row sum p and, off the
     diagonal, -x to row sum q, weighted by alpha_x(n_pq).  A single-edge
-    cell never carries -1 because alpha_{-1}(1) = 0.
+    cell never carries -1 because alpha_{-1}(1) = 0.  Structures above
+    ``max_faces`` faces are refused; the kernel's own cap on k holds anyway.
     """
-    if fs.k > max_faces:
+    if max_faces is not None and fs.k > max_faces:
         raise InstanceTooLargeError(f"class counting capped at {max_faces} faces, got {fs.k}")
     steps = []
     for p, q in fs.nonempty_cells():
@@ -662,18 +668,17 @@ def _face_weights(fs: FaceStructure, max_faces: int) -> np.ndarray:
     return _convolve(fs.k, steps)
 
 
-def plane_class_size(g: GainGraph, fs: FaceStructure, max_faces: int = DEFAULT_FACE_CAP) -> int:
+def plane_class_size(g: GainGraph, fs: FaceStructure) -> int:
     """Class size of a mixed orientation of a 2-connected plane graph.
 
     Sums, over every gamma matrix for the face-gain vector of g, the product
     of alpha components alpha_{x_pq}(n_pq) across the nonempty cells.  The
-    sum is read off the face-cell convolution, which holds 4^k integers, so
-    structures above ``max_faces`` faces are refused.
+    sum is read off the face-cell convolution, which holds 4^k integers.
     """
     if not g.mixed_mode:
         raise ValidationError("plane class sizes apply to mixed graphs")
     y = tuple(x.exp for x in face_gains(g, fs))
-    return int(_face_weights(fs, max_faces)[y])
+    return int(_face_weights(fs)[y])
 
 
 def plane_class_count(g: SimpleGraph, fs: FaceStructure, max_faces: int = DEFAULT_FACE_CAP) -> int:

@@ -140,9 +140,13 @@ def cmd_census(args) -> tuple[dict, int]:
             raise ValidationError("--faces given but the file has no f lines")
         fs = census_mod.parse_face_structure(g, faces)
         face_cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_FACE_CAP
-        plane: dict = {"class_count": census_mod.plane_class_count(graph, fs, face_cap)}
+        # One face-cell convolution gives both: the count of nonzero entries
+        # (plane_class_count) and the entry at the input's face gains (plane_class_size).
+        weights = census_mod._face_weights(fs, face_cap)
+        plane: dict = {"class_count": int(np.count_nonzero(weights))}
         if g.mixed_mode:
-            plane["input_class_size"] = census_mod.plane_class_size(g, fs, face_cap)
+            y = tuple(x.exp for x in census_mod.face_gains(g, fs))
+            plane["input_class_size"] = int(weights[y])
         result["plane"] = plane
         methods += 1
 

@@ -619,7 +619,7 @@ def test_scan_paths_for_small_chunks_and_sparse_tallies(monkeypatch):
     monkeypatch.setattr(census_mod, "_LOW_DIGITS", 2)  # many high-digit chunks
     for graph, census in zip(graphs, want):
         assert gs.brute_force_census(graph) == census
-    monkeypatch.setattr(census_mod, "_DENSE_RANK", 0)  # tallies by np.unique
+    monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", 0)  # tallies by np.unique
     for graph, census in zip(graphs, want):
         assert gs.brute_force_census(graph) == census
         assert dict(census.classes) == oracle_census(graph)
@@ -735,7 +735,7 @@ def gamma_sum(fs, y):
 def test_face_convolution_matches_gamma_enumeration(name, structure):
     graph, faces = structure
     fs = gs.parse_face_structure(all_ones(graph), faces)
-    weights = census_mod._face_weights(fs, census_mod.DEFAULT_FACE_CAP)
+    weights = census_mod._face_weights(fs)
     assert weights.shape == (4,) * fs.k and int(weights.sum()) == 3**graph.m
     vectors = list(itertools.product(range(4), repeat=fs.k))
     if name == "prism4":  # 531441 gamma matrices in all: check a seeded sample of y
@@ -785,12 +785,11 @@ def test_convolutions_stay_exact_past_int64(length):
     assert gs.plane_class_count(graph, fs) == 16
 
 
-def test_plane_size_cap_and_convolution_cap():
-    graph, faces = diamond_fixture()
-    fs = gs.parse_face_structure(all_ones(graph), faces)
-    with pytest.raises(gs.InstanceTooLargeError):
-        gs.plane_class_size(all_ones(graph), fs, max_faces=1)
+def test_convolution_caps():
     with pytest.raises(gs.InstanceTooLargeError):
         census_mod._convolve(13, [])
+    assert census_mod._convolve(2, [[((1, 0), 2**62), ((0, 1), 2**62)]]).dtype == object
+    with pytest.raises(gs.InstanceTooLargeError):  # Python-int weights: cap 10
+        census_mod._convolve(11, [[((0,) * 11, 2**63)]])
     with pytest.raises(gs.InstanceTooLargeError):
         gs.class_size_by_blocks(all_ones(complete_graph(5)), max_edges=9)
