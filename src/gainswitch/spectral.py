@@ -2,10 +2,11 @@
 
 Two independent routes are kept deliberately separate: the characteristic
 polynomial is assembled combinatorially from elementary subgraphs (edges and
-cycles with real cycle gains), enumerated once and binned by order, while
-eigenvalues come from a cyclic complex Jacobi iteration on the n x n
-Hermitian matrix itself.  Their agreement is a standing cross-check, not an
-implementation shortcut.
+cycles with real cycle gains) in one recursion that sums every order at once,
+with integer coefficients for k in {1, 2, 3, 4, 6}, while eigenvalues come
+from a cyclic complex Jacobi iteration on the n x n Hermitian matrix itself,
+in the round-robin ordering.  Their agreement is a standing cross-check, not
+an implementation shortcut.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InstanceTooLargeError, NumericError, ValidationError
-from .gaincore import GainGraph, SimpleGraph, build_gain_graph, hermitian_matrix, underlying
+from .gaincore import GainGraph, GainGroup, SimpleGraph, build_gain_graph, hermitian_matrix, underlying
 from .switching import cycle_gain, enumerate_cycles
 
 __all__ = [
@@ -36,6 +37,10 @@ __all__ = [
 
 DEFAULT_ELEMENTARY_CAP = 14
 JACOBI_MAX_SWEEPS = 50
+_NORMAL_MIN = np.finfo(float).tiny
+
+# Group orders at which 2 Re of every element is an integer (Niven).
+_INTEGER_ORDERS = (1, 2, 3, 4, 6)
 
 
 @dataclass(frozen=True)
@@ -58,71 +63,99 @@ class ElementarySubgraph:
         return len(self.cycles)
 
 
-def _elementary_by_order(g: SimpleGraph, max_order: int, max_vertices: int) -> list[list[ElementarySubgraph]]:
-    """Every elementary subgraph on at most max_order vertices, binned by order.
+def _cycle_weights(group: GainGroup) -> tuple:
+    """2 Re(x) for each element x of the group, indexed by exponent.
+
+    Exact ints for k in {1, 2, 3, 4, 6}, the only orders at which every one
+    of them is an integer; floats otherwise.
+    """
+    w = tuple(2.0 * x.value.real for x in group.elements())
+    return tuple(round(x) for x in w) if group.order in _INTEGER_ORDERS else w
+
+
+def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int, leaf, covers_only: bool = False) -> None:
+    """Call ``leaf(order, term, edges, cycles)`` once per elementary subgraph on at most max_order vertices.
 
     One recursion anchors at the smallest vertex not yet decided: either
-    leave it uncovered, match it to a free neighbor, or grow a cycle through
-    it (cycles are generated once, smallest vertex first, direction fixed by
-    second vertex < last vertex).  Each leaf is one subgraph.
+    leave it uncovered (never, when covers_only: then only subgraphs that
+    cover every vertex are reached), match it to a free neighbor, or grow a
+    cycle through it (cycles are generated once, smallest vertex first,
+    direction fixed by second vertex < last vertex).  ``exps[e]`` is the
+    exponent of edge id e in its u < v orientation, and the running term is
+    (-1)^components times the product of ``weights[t]`` over the cycles, t
+    being the cycle's exponent sum mod len(weights).  ``edges`` and
+    ``cycles`` are the live accumulators, valid only during the call.
     """
-    if g.n > max_vertices:
+    n = g.n
+    if n > max_vertices:
         raise InstanceTooLargeError(
-            f"elementary-subgraph enumeration capped at {max_vertices} vertices, graph has {g.n}"
+            f"elementary-subgraph enumeration capped at {max_vertices} vertices, graph has {n}"
         )
-    bins: list[list[ElementarySubgraph]] = [[] for _ in range(max_order + 1)]
-    avail = [True] * (g.n + 1)
+    k = len(weights)
+    out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
+    for (u, v), x in zip(g.edges, exps):
+        out[u][v] = x
+        out[v][u] = -x
+    avail = [True] * (n + 1)
     edges_acc: list[tuple[int, int]] = []
     cycles_acc: list[tuple[int, ...]] = []
 
-    def rec(order: int, start: int) -> None:
+    def rec(order: int, start: int, term) -> None:
         v = start
-        while v <= g.n and not avail[v]:
+        while v <= n and not avail[v]:
             v += 1
-        if v > g.n or order == max_order:
-            bins[order].append(ElementarySubgraph(tuple(edges_acc), tuple(cycles_acc)))
+        if v > n or order == max_order:
+            leaf(order, term, edges_acc, cycles_acc)
             return
-        # leave v uncovered
         avail[v] = False
-        rec(order, v + 1)
+        if not covers_only:
+            rec(order, v + 1, term)
         if order + 2 <= max_order:
             # match v with a free neighbor (all free vertices are > v here)
-            for w in g.neighbors(v):
+            for w in out[v]:
                 if avail[w]:
                     avail[w] = False
                     edges_acc.append((v, w))
-                    rec(order + 2, v + 1)
+                    rec(order + 2, v + 1, -term)
                     edges_acc.pop()
                     avail[w] = True
             # or grow a cycle anchored at v
             if order + 3 <= max_order:
-                grow([v], order, v + 1)
+                grow([v], 0, order, v + 1, term)
         avail[v] = True
 
-    def grow(path: list[int], order: int, resume: int) -> None:
+    def grow(path: list[int], t: int, order: int, resume: int, term) -> None:
         last = path[-1]
-        if len(path) >= 3 and path[1] < last and g.has_edge(last, path[0]):
-            cycles_acc.append(tuple(path))
-            rec(order + len(path), resume)
-            cycles_acc.pop()
+        if len(path) >= 3 and path[1] < last:
+            closing = out[last].get(path[0])
+            if closing is not None:
+                cycles_acc.append(tuple(path))
+                rec(order + len(path), resume, -term * weights[(t + closing) % k])
+                cycles_acc.pop()
         if order + len(path) < max_order:
-            for y in g.neighbors(last):
+            for y, x in out[last].items():
                 if avail[y]:
                     avail[y] = False
                     path.append(y)
-                    grow(path, order, resume)
+                    grow(path, t + x, order, resume, term)
                     path.pop()
                     avail[y] = True
 
-    rec(0, 1)
-    return bins
+    rec(0, 1, 1)
 
 
 def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
     """All elementary subgraphs covering exactly k vertices."""
     if not 0 <= k <= g.n:
         raise ValidationError(f"order {k} out of range 0..{g.n}")
-    return _elementary_by_order(g, k, max_vertices)[k]
+    found: list[ElementarySubgraph] = []
+
+    def keep(order: int, _term, edges, cycles) -> None:
+        if order == k:
+            found.append(ElementarySubgraph(tuple(edges), tuple(cycles)))
+
+    _elementary(g, (0,) * g.m, (1,), k, max_vertices, keep)
+    return found
 
 
 def real_cycle_gain(g: GainGraph, cycle) -> float:
@@ -147,42 +180,41 @@ class CharPoly:
         return acc
 
 
-def _coefficients(g: GainGraph, max_vertices: int) -> list[float]:
+def _coefficients(g: GainGraph, max_vertices: int, covers_only: bool = False) -> list:
     """a_0 .. a_n of the characteristic polynomial, from one enumeration.
 
     a_k sums (-1)^components * 2^cycles * product of real cycle gains over
-    all elementary subgraphs on k vertices.
+    all elementary subgraphs on k vertices: exact ints for k in
+    {1, 2, 3, 4, 6}.  With covers_only only a_n is summed; the rest stay 0.
     """
-    coeffs = []
-    for subs in _elementary_by_order(g.graph, g.graph.n, max_vertices):
-        total = 0.0
-        for sub in subs:
-            term = (-1.0) ** sub.num_components * 2.0 ** sub.num_cycles
-            for cyc in sub.cycles:
-                term *= cycle_gain(g, cyc).value.real
-            total += term
-        coeffs.append(total)
-    return coeffs
+    n = g.graph.n
+    totals = [0] * (n + 1)
+
+    def add(order: int, term, _edges, _cycles) -> None:
+        totals[order] += term
+
+    exps = [x.exp for x in g.gains]
+    _elementary(g.graph, exps, _cycle_weights(g.group), n, max_vertices, add, covers_only)
+    return totals
 
 
 def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> CharPoly:
     """Characteristic polynomial from the elementary-subgraph expansion.
 
-    For group orders 1, 2, 4 every coefficient is an integer; an exactness
-    guard enforces that.
+    For group orders 1, 2, 3, 4 and 6 every coefficient is summed as an
+    exact integer and stored as its float.
     """
     coeffs = _coefficients(g, max_vertices)[1:]
-    if g.group.order in (1, 2, 4):
-        for k, total in enumerate(coeffs, start=1):
-            if abs(total - round(total)) >= 1e-6:
-                raise NumericError(f"coefficient a_{k} = {total} drifted off an integer")
-    return CharPoly(g.graph.n, tuple(coeffs))
+    return CharPoly(g.graph.n, tuple(float(c) for c in coeffs))
 
 
 def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> float:
-    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n."""
+    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n.
+
+    Only the elementary subgraphs that cover every vertex are walked.
+    """
     n = g.graph.n
-    return (-1.0) ** n * _coefficients(g, max_vertices)[n]
+    return float((-1) ** n * _coefficients(g, max_vertices, covers_only=True)[n])
 
 
 @dataclass(frozen=True)
@@ -193,17 +225,52 @@ class Spectrum:
     tol: float
 
 
+@lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+    """One Jacobi sweep over an n x n matrix in the round-robin ordering.
+
+    Brent and Luk's ordering (SIAM J. Sci. Stat. Comput. 6, 1985): seat the
+    indices at a round table, pair each seat with the one across, and turn
+    every seat but the first by one between rounds.  Odd n gets a phantom
+    seat whose partner sits the round out.  Every pair meets exactly once in
+    n - 1 rounds (n rounds for odd n) of floor(n / 2) disjoint pairs.
+
+    Each round is ``(p, q, read, write, clear)``: its pairs as index arrays
+    with p < q, and flat indices into the matrix, ``read`` for the rows
+    (a_pq, a_pp, a_qq), ``write`` for the rotation's (pp, pq, qp, qq)
+    entries and ``clear`` for the annihilated (pq, qp) entries.
+    """
+    seats = list(range(n + n % 2))
+    half = len(seats) // 2
+    rounds = []
+    for _ in range(len(seats) - 1):
+        pairs = sorted(
+            (min(x, y), max(x, y)) for x, y in zip(seats[:half], reversed(seats[half:])) if max(x, y) < n
+        )
+        if pairs:
+            p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+            pp, pq, qp, qq = p * (n + 1), p * n + q, q * n + p, q * (n + 1)
+            rounds.append((p, q, np.stack((pq, pp, qq)), np.concatenate((pp, pq, qp, qq)), np.concatenate((pq, qp))))
+        seats = seats[:1] + seats[-1:] + seats[1:-1]
+    return tuple(rounds)
+
+
 def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
-    """Cyclic complex Jacobi on a Hermitian matrix; ascending eigenvalues.
+    """Cyclic complex Jacobi in the round-robin ordering; ascending eigenvalues.
 
     Each pair (p, q) is annihilated by a real rotation, with the angle taken
-    from |h_pq| and the diagonal difference, times the phase h_pq / |h_pq|.
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * ||H||; hitting the sweep cap raises NumericError.
+    from |h_pq| and the diagonal difference, times the phase h_pq / |h_pq|;
+    a pair with h_pq = 0 (or subnormal) gets the identity.  The pairs of one
+    round of ``_round_robin`` are disjoint, so their rotations commute and
+    are applied at once, as one unitary J with A <- J A J^H.  Sweeps run
+    until the off-diagonal Frobenius norm drops below tol * ||H||; hitting
+    the sweep cap raises NumericError.
     """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
     target = tol * float(np.sqrt(np.vdot(a, a).real))
+    rounds = _round_robin(n)
+    eye = np.eye(n, dtype=complex)
     for _ in range(max_sweeps):
         # Sum the off-diagonal entries directly: subtracting the diagonal
         # mass from the total cancels catastrophically once the iteration
@@ -211,30 +278,31 @@ def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_
         strict = a - np.diag(np.diag(a))
         off = float(np.sqrt(np.vdot(strict, strict).real))
         if off <= target:
-            return sorted(float(a[i, i].real) for i in range(n))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                r = abs(apq)
-                diff = (a[q, q] - a[p, p]).real
-                if r * 1e150 < abs(diff):
-                    # theta would overflow; its large-|theta| limit is exact
-                    # to double precision here.
-                    t = r / diff
-                else:
-                    theta = diff / (2.0 * r)
-                    t = np.sign(theta) if theta != 0.0 else 1.0
-                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                phase = apq / r
-                rot = np.array([[c, -s * phase], [s, c * phase]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.conj().T
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+            return sorted(a.real.diagonal().tolist())
+        for _, _, read, write, clear in rounds:
+            apq, app, aqq = a.take(read)
+            r = np.abs(apq)
+            diff = (aqq - app).real
+            # A subnormal h_pq has neither an accurate modulus nor a phase
+            # (1 / r overflows), so it counts as zero and is cleared.
+            zero = r < _NORMAL_MIN
+            # Where big, theta = diff / 2r would overflow, so it is formed
+            # from 0 instead and t is the large-|theta| limit r / diff,
+            # exact to double precision there.
+            big = r * 1e150 < np.abs(diff)
+            safe_r = r + zero  # 1 on zero pairs, whose t is set to 0
+            theta = diff * ~big / (2.0 * safe_r)
+            t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[theta < 0.0] *= -1.0
+            np.divide(r, diff, out=t, where=big)
+            t[zero] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            phase = apq / safe_r + zero
+            j = eye.copy()
+            j.put(write, np.concatenate((c, -s * phase, s, c * phase)))
+            a = j @ a @ j.conj().T
+            a.put(clear, 0.0)
     raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
 
@@ -248,10 +316,10 @@ def _spectrum_cached(g: GainGraph, tol: float) -> Spectrum:
 def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     """Eigenvalues of the Hermitian adjacency matrix.
 
-    Cyclic complex Jacobi runs on the n x n Hermitian matrix until its
-    off-diagonal Frobenius norm is at most tol * ||H||_F, which by Weyl's
-    inequality bounds every eigenvalue's error.  Results are cached on the
-    (immutable) graph.
+    Cyclic complex Jacobi, in the round-robin ordering, runs on the n x n
+    Hermitian matrix until its off-diagonal Frobenius norm is at most
+    tol * ||H||_F, which by Weyl's inequality bounds every eigenvalue's
+    error.  Results are cached on the (immutable) graph.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import (
@@ -84,7 +85,11 @@ class SpanningForest:
     root: tuple[int, ...]
     depth: tuple[int, ...]
     bfs_order: tuple[int, ...]
-    forest_edges: frozenset[int]
+    is_chord: tuple[bool, ...]  # per edge id: False on forest edges
+
+    @property
+    def forest_edges(self) -> frozenset[int]:
+        return frozenset(e for e, chord in enumerate(self.is_chord) if not chord)
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     root = [0] * (n + 1)
     depth = [0] * (n + 1)
     order: list[int] = []
-    forest_edges: set[int] = set()
+    is_chord = [True] * g.m
     seen = [False] * (n + 1)
     for s in by_rank(range(1, n + 1)):
         if seen[s]:
@@ -146,9 +151,9 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
                     root[w] = s
                     depth[w] = depth[v] + 1
                     order.append(w)
-                    forest_edges.add(g.edge_id(v, w))
+                    is_chord[g.edge_id(v, w)] = False
                     queue.append(w)
-    return SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), frozenset(forest_edges))
+    return SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), tuple(is_chord))
 
 
 def _tree_path(f: SpanningForest, u: int, v: int) -> list[int]:
@@ -175,9 +180,7 @@ def fundamental_cycles(g: SimpleGraph, f: SpanningForest) -> FundamentalCycleBas
     """The fundamental cycles of the non-forest edges, ordered by edge id."""
     cycles = []
     chords = []
-    for e, (u, v) in enumerate(g.edges):
-        if e in f.forest_edges:
-            continue
+    for e, (u, v) in compress(enumerate(g.edges), f.is_chord):
         path = _tree_path(f, v, u)  # v .. u through the forest
         cycles.append((u,) + tuple(path[:-1]))
         chords.append(e)
@@ -248,11 +251,11 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int,
     for v in f.bfs_order:
         p = f.parent[v]
         if p:
-            pot[v] = (pot[p] + g.gain(v, p).exp) % k
+            x = g.gains[g.graph.edge_id(v, p)].exp
+            pot[v] = (pot[p] + (x if v < p else -x)) % k
     chords = tuple(
         (x.exp + pot[v] - pot[u]) % k
-        for e, ((u, v), x) in enumerate(zip(g.graph.edges, g.gains))
-        if e not in f.forest_edges
+        for (u, v), x in compress(zip(g.graph.edges, g.gains), f.is_chord)
     )
     return pot, chords
 
@@ -307,7 +310,7 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     f = forest if forest is not None else spanning_forest(a.graph)
     _, chords_a = _normal_form(a, f)
     _, chords_b = _normal_form(b, f)
-    chord_ids = (e for e in range(a.graph.m) if e not in f.forest_edges)
+    chord_ids = compress(range(a.graph.m), f.is_chord)
     for e, x, y in zip(chord_ids, chords_a, chords_b):
         if x != y:
             u, v = a.graph.edges[e]

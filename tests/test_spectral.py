@@ -3,9 +3,13 @@
 Claims covered:
     - enumerate_elementary matches a brute-force edge-subset oracle
     - char_poly_elementary matches numpy's eigenvalue-based polynomial
-    - char_poly_elementary and determinant match sympy's exact charpoly/det
+    - char_poly_elementary and determinant equal sympy's exact charpoly/det
+      for k 1/2/3/4/6; determinant is (-1)^n a_n bit for bit at float k
+    - the round-robin schedule meets every pair once per sweep, in rounds
+      of disjoint pairs
     - spectrum matches numpy.linalg.eigvalsh within 1e-9, and within
-      tol * ||H||_F at loose tol without ever raising
+      tol * ||H||_F up to n 48, on graphs with isolated vertices and several
+      components, and at loose tol without ever raising; the sweep cap raises
     - switching preserves spectra and coefficients
     - bipartite graphs have symmetric spectra; the nonzero-cycle-sum
       converse recovers bipartiteness; the one-arc triangle is the counterexample
@@ -176,12 +180,13 @@ def test_char_poly_and_determinant_match_sympy(rng):
     # Exact oracle: each gain is a power of a symbol z standing for a
     # primitive k-th root of unity (I for k = 4, omega = (-1 + sqrt(-3))/2 for
     # k = 3), reduced modulo the cyclotomic polynomial Phi_k(z).  For these k
-    # 2 Re of every gain is an integer, so every coefficient is one too.
+    # 2 Re of every gain is an integer, so every coefficient is one too, and
+    # the expansion must produce it exactly.
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
-    for k in (2, 3, 4, 6):
+    for k in (1, 2, 3, 4, 6):
         phi = sympy.cyclotomic_poly(k, z)
-        for _ in range(6):
+        for _ in range(8):
             g = random_gains(rng, random_connected_graph(rng, n_hi=7), k=k)
             n = g.graph.n
             m = sympy.zeros(n, n)
@@ -191,9 +196,18 @@ def test_char_poly_and_determinant_match_sympy(rng):
             want = [sympy.rem(c, phi, z) for c in m.charpoly().all_coeffs()]
             det = sympy.rem(m.det(), phi, z)
             assert all(c.is_Integer for c in want) and det.is_Integer
-            got = gs.char_poly_elementary(g).all_coefficients()
-            assert max(abs(a - int(b)) for a, b in zip(got, want)) < 1e-9
-            assert abs(gs.determinant(g) - int(det)) < 1e-9
+            assert gs.char_poly_elementary(g).all_coefficients() == tuple(int(c) for c in want)
+            assert gs.determinant(g) == int(det)
+
+
+def test_determinant_is_the_last_coefficient_at_float_orders(rng):
+    # determinant walks only the subgraphs covering every vertex, in the order
+    # the full expansion meets them, so even float weights sum bit for bit alike
+    for k in (5, 8):
+        for _ in range(10):
+            g = random_gains(rng, random_connected_graph(rng, n_hi=8), k=k)
+            a_n = gs.char_poly_elementary(g).coefficients[-1]
+            assert gs.determinant(g) == (-1) ** g.graph.n * a_n
 
 
 def test_real_cycle_gain():
@@ -210,6 +224,19 @@ def test_spectrum_frozen_examples():
     assert max(abs(a - b) for a, b in zip(s, want)) < 1e-9
 
 
+def _scattered_graph(rng, n):
+    """Two or three random connected pieces on shuffled labels, plus isolated vertices."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    isolated = rng.randint(1, 4)
+    cuts = sorted(rng.sample(range(2, n - isolated - 1), rng.randint(1, 2)))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n - isolated]):
+        piece = random_connected_graph(rng, n_lo=hi - lo, n_hi=hi - lo, m_cap=2 * (hi - lo))
+        edges += [(labels[lo + u - 1], labels[lo + v - 1]) for u, v in piece.edges]
+    return gs.SimpleGraph(n, edges)
+
+
 def test_spectrum_matches_numpy(rng):
     for _ in range(50):
         graph = random_connected_graph(rng, n_hi=9)
@@ -219,6 +246,40 @@ def test_spectrum_matches_numpy(rng):
         scale = max(1.0, float(np.abs(want).max()))
         assert np.abs(got - want).max() < 1e-9 * scale
         assert list(got) == sorted(got)
+
+
+def test_spectrum_matches_numpy_large_and_disconnected(rng):
+    # odd and even n; in the scattered graphs every round holds zero pairs,
+    # and the late sweeps of a tight tol meet subnormal off-diagonal entries
+    for n in (20, 21, 27, 32, 33, 47, 48):
+        for k in (2, 3, 4, 6):
+            connected = random_connected_graph(rng, n_lo=n, n_hi=n, m_cap=2 * n)
+            for graph in (connected, _scattered_graph(rng, n)):
+                g = random_gains(rng, graph, k=k)
+                want = oracle_spectrum(g)
+                bound = np.linalg.norm(gs.hermitian_matrix(g))  # ||H||_F
+                for tol in (1e-9, 1e-13):
+                    got = np.array(gs.spectrum(g, tol).eigenvalues)
+                    assert np.abs(got - want).max() <= tol * bound
+                    assert list(got) == sorted(got)
+
+
+def test_round_robin_schedule():
+    for n in range(34):
+        rounds = gs.spectral._round_robin(n)
+        assert len(rounds) == (n - 1 + n % 2 if n > 1 else 0)
+        met = []
+        for p, q, *_ in rounds:
+            assert len(set(p.tolist() + q.tolist())) == 2 * len(p)  # disjoint
+            assert (p < q).all() and len(p) == n // 2
+            met += zip(p.tolist(), q.tolist())
+        assert sorted(met) == list(itertools.combinations(range(n), 2))
+
+
+def test_jacobi_sweep_cap_raises():
+    h = gs.hermitian_matrix(all_ones(complete_graph(6)))
+    with pytest.raises(NumericError):
+        gs.spectral._jacobi_eigenvalues(h, 1e-15, max_sweeps=1)
 
 
 def test_spectrum_loose_tol_never_raises(rng):
