@@ -362,11 +362,10 @@ def block_decompose(g: SimpleGraph) -> list[Block]:
 
 def induced_gain_graph(g: GainGraph, block: Block) -> GainGraph:
     """The gain graph g restricted to one of its blocks, on local labels."""
-    gains = []
-    for a, b in block.graph.edges:
-        u, v = block.vertices[a - 1], block.vertices[b - 1]
-        gains.append(g.gain(u, v))  # a < b implies u < v: orientations agree
-    return GainGraph(block.graph, g.group, tuple(gains), mixed_mode=g.mixed_mode)
+    verts, index = block.vertices, g.graph.edge_index
+    # a < b implies u < v: orientations agree
+    exps = [g.exps[index[verts[a - 1], verts[b - 1]]] for a, b in block.graph.edges]
+    return GainGraph._from_exps(block.graph, g.group, exps, g.mixed_mode)
 
 
 def cut_edge_lower_bound(g: SimpleGraph) -> int:
@@ -555,7 +554,7 @@ def _assert_symmetric_difference_law(g: GainGraph, fs: FaceStructure) -> None:
                 ok = False
                 break
             new = nxt[cur]
-            exp = (exp + g.gain(cur, new).exp) % k
+            exp = (exp + g.exponent(cur, new)) % k
             cur = new
             steps += 1
             if cur == start:

@@ -207,8 +207,8 @@ def cmd_iso(args) -> tuple[dict, int]:
         sigma = symmetry.underlying_isomorphism(a.graph, b.graph, max_aut)
         if sigma is None:
             return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, 1
-        gains = [b.gain(sigma(u), sigma(v)) for u, v in a.graph.edges]
-        b = GainGraph(a.graph, b.group, tuple(gains), mixed_mode=b.mixed_mode)
+        exps = [b.exponent(sigma(u), sigma(v)) for u, v in a.graph.edges]
+        b = GainGraph._from_exps(a.graph, b.group, exps, b.mixed_mode)
         relabeling = list(sigma.image)
     hit = symmetry.switching_isomorphic(a, b, max_aut)
     if hit is None:

@@ -2,7 +2,9 @@
 
 Gains are k-th roots of unity stored as exponents mod k, so all graph
 combinatorics stays in integer arithmetic; complex doubles appear only when a
-Hermitian adjacency matrix is materialized.  A mixed graph is the k = 4 case
+Hermitian adjacency matrix is materialized.  A ``GainGraph`` keeps one plain
+int per edge (``exps``); ``GainExponent`` objects are built only where a
+value is handed to a caller.  A mixed graph is the k = 4 case
 with edge gains restricted to {1, i, -i}: an undirected edge carries gain 1,
 a directed edge carries i along the arrow and -i against it.
 
@@ -12,6 +14,7 @@ The module also owns the ``.gg`` text format (see ``parse_gg``/``format_gg``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,26 +137,30 @@ class SimpleGraph:
     def __init__(self, n: int, edges) -> None:
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        canon = []
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for prev, cur in zip(canon, canon[1:]):
-            if prev == cur:
-                raise ValidationError(f"duplicate edge {cur}")
+        edges = list(edges)
+        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        if canon:
+            low, high = zip(*canon)
+            if low[0] < 1 or max(high) > n or any(map(operator.eq, low, high)):
+                for u, v in edges:  # name the first bad edge
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
+                    if u == v:
+                        raise ValidationError(f"self-loop at vertex {u}")
         self.n = n
         self.edges = tuple(canon)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        self.edge_index = dict(zip(self.edges, range(len(canon))))
+        if len(self.edge_index) < len(canon):
+            dup = next(cur for prev, cur in zip(canon, canon[1:]) if prev == cur)
+            raise ValidationError(f"duplicate edge {dup}")
         adj = [[] for _ in range(n + 1)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
-        self._hash = hash((n, self.edges))
+        # The edges are sorted, so each list already is: smaller neighbours
+        # first (from (w, v) edges), then larger ones (from (v, w) edges).
+        self.adjacency = tuple(map(tuple, adj))
+        self._hash = None
 
     @property
     def m(self) -> int:
@@ -204,24 +211,34 @@ class SimpleGraph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges))
         return self._hash
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
+def _elements(group: GainGroup, exps) -> tuple[GainExponent, ...]:
+    """``GainExponent``s for exponents in [0, k), one object per distinct exponent."""
+    made = {t: GainExponent(group, t) for t in set(exps)}
+    return tuple(map(made.__getitem__, exps))
+
+
 class GainGraph:
     """A ``SimpleGraph`` together with a unit gain on each oriented edge.
 
-    The gain is stored for the canonical orientation u < v; querying the
-    reverse orientation returns the conjugate, so the Hermitian symmetry
-    gain(v, u) == conj(gain(u, v)) cannot be violated by construction.
+    Gains are stored as integer exponents in ``exps``, one per edge id, for
+    the canonical orientation u < v; querying the reverse orientation returns
+    the conjugate, so the Hermitian symmetry gain(v, u) == conj(gain(u, v))
+    cannot be violated by construction.  ``GainExponent`` objects are built
+    only where a value is handed out: ``gains``, ``gain`` and ``gain_by_id``.
 
     ``mixed_mode`` marks the graph as a mixed graph: the group must have
     order 4 and every stored gain must lie in {1, i, -i}.
     """
 
-    __slots__ = ("graph", "group", "gains", "mixed_mode", "_hash")
+    __slots__ = ("graph", "group", "exps", "mixed_mode", "_hash")
 
     def __init__(self, graph: SimpleGraph, group: GainGroup, gains, mixed_mode: bool = False) -> None:
         gains = tuple(gains)
@@ -232,28 +249,55 @@ class GainGraph:
                 raise ValidationError(f"gain {g!r} is not a GainExponent")
             if g.group != group:
                 raise ValidationError("gain group mismatch")
+        self._store(graph, group, tuple(g.exp for g in gains), mixed_mode)
+
+    @classmethod
+    def _from_exps(cls, graph: SimpleGraph, group: GainGroup, exps, mixed_mode: bool = False) -> "GainGraph":
+        """The integer constructor: ``exps`` holds one exponent in [0, k) per edge id."""
+        exps = tuple(exps)
+        if len(exps) != graph.m:
+            raise ValidationError(f"expected {graph.m} gains, got {len(exps)}")
+        k = group.order
+        # map(type, ...) is exact, so bools (and any other int subclass) fail.
+        if exps and not ({*map(type, exps)} == {int} and min(exps) >= 0 and max(exps) < k):
+            for t in exps:
+                if type(t) is not int:
+                    raise ValidationError(f"exponent {t!r} is not an int")
+                if not 0 <= t < k:
+                    raise ValidationError(f"exponent {t} out of range for group of order {k}")
+        g = object.__new__(cls)
+        g._store(graph, group, exps, mixed_mode)
+        return g
+
+    def _store(self, graph: SimpleGraph, group: GainGroup, exps: tuple, mixed_mode: bool) -> None:
         if mixed_mode:
             if group.order != 4:
                 raise ValidationError("mixed graphs require the k = 4 gain group")
-            for g in gains:
-                if g.exp not in MIXED_EXPONENTS:
-                    raise ValidationError(
-                        "mixed graphs allow only gains 1, i, -i; got -1 on an edge"
-                    )
+            if 2 in exps:
+                raise ValidationError("mixed graphs allow only gains 1, i, -i; got -1 on an edge")
         self.graph = graph
         self.group = group
-        self.gains = gains
+        self.exps = exps
         self.mixed_mode = mixed_mode
-        self._hash = hash((graph, group, gains, mixed_mode))
+        self._hash = None
+
+    @property
+    def gains(self) -> tuple[GainExponent, ...]:
+        """The gains as ``GainExponent``s, in edge-id order (built on each access)."""
+        return _elements(self.group, self.exps)
+
+    def exponent(self, u: int, v: int) -> int:
+        """Exponent of the gain of the oriented edge u -> v."""
+        t = self.exps[self.graph.edge_id(u, v)]
+        return t if u < v else (-t) % self.group.order
 
     def gain(self, u: int, v: int) -> GainExponent:
         """Gain of the oriented edge u -> v (conjugated when u > v)."""
-        g = self.gains[self.graph.edge_id(u, v)]
-        return g if u < v else g.conj()
+        return GainExponent(self.group, self.exponent(u, v))
 
     def gain_by_id(self, edge_id: int) -> GainExponent:
         """Gain of the edge with the given id, in canonical (u < v) orientation."""
-        return self.gains[edge_id]
+        return GainExponent(self.group, self.exps[edge_id])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GainGraph):
@@ -261,11 +305,13 @@ class GainGraph:
         return (
             self.graph == other.graph
             and self.group == other.group
-            and self.gains == other.gains
+            and self.exps == other.exps
             and self.mixed_mode == other.mixed_mode
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.graph, self.group, self.exps, self.mixed_mode))
         return self._hash
 
     def __repr__(self) -> str:
@@ -314,29 +360,32 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
     ``group`` or a plain exponent in [0, k).  At most one of (u, v)/(v, u)
     may appear per vertex pair.
     """
+    k = group.order
     pair_exp: dict[tuple[int, int], int] = {}
-    edges = []
-    for u, v, t in directed_gains:
+    for entry in directed_gains:
+        try:
+            u, v, t = entry
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge entry {entry!r} is not a (u, v, gain) triple") from None
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
-        if isinstance(t, GainExponent):
-            if t.group != group:
-                raise ValidationError("gain group mismatch")
-            exp = t.exp
-        elif isinstance(t, int) and not isinstance(t, bool):
-            if not 0 <= t < group.order:
-                raise ValidationError(f"exponent {t} out of range for group of order {group.order}")
-            exp = t
-        else:
-            raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
+        if type(t) is not int:
+            if isinstance(t, GainExponent):
+                if t.group != group:
+                    raise ValidationError("gain group mismatch")
+                t = t.exp
+            elif isinstance(t, int) and not isinstance(t, bool):
+                t = int(t)
+            else:
+                raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
+        if not 0 <= t < k:
+            raise ValidationError(f"exponent {t} out of range for group of order {k}")
         key = (u, v) if u < v else (v, u)
         if key in pair_exp:
             raise ValidationError(f"both orientations (or a repeat) given for pair {key}")
-        pair_exp[key] = exp if u < v else (-exp) % group.order
-        edges.append(key)
-    graph = SimpleGraph(n, edges)
-    gains = tuple(GainExponent(group, pair_exp[e]) for e in graph.edges)
-    return GainGraph(graph, group, gains, mixed_mode=mixed_mode)
+        pair_exp[key] = t if u < v else -t % k
+    graph = SimpleGraph(n, pair_exp)
+    return GainGraph._from_exps(graph, group, map(pair_exp.__getitem__, graph.edges), mixed_mode)
 
 
 def hermitian_matrix(g: GainGraph) -> np.ndarray:
@@ -348,8 +397,9 @@ def hermitian_matrix(g: GainGraph) -> np.ndarray:
     """
     n = g.graph.n
     h = np.zeros((n, n), dtype=complex)
-    for (u, v), gain in zip(g.graph.edges, g.gains):
-        val = gain.value
+    values = {t: GainExponent(g.group, t).value for t in set(g.exps)}
+    for (u, v), t in zip(g.graph.edges, g.exps):
+        val = values[t]
         h[u - 1, v - 1] = val
         h[v - 1, u - 1] = val.conjugate()
     return h
@@ -357,7 +407,7 @@ def hermitian_matrix(g: GainGraph) -> np.ndarray:
 
 def underlying(g: GainGraph) -> GainGraph:
     """The same graph with every gain set to 1."""
-    return GainGraph(g.graph, g.group, (g.group.one,) * g.graph.m, mixed_mode=g.mixed_mode)
+    return GainGraph._from_exps(g.graph, g.group, (0,) * g.graph.m, g.mixed_mode)
 
 
 def negate(g: GainGraph) -> GainGraph:
@@ -370,8 +420,7 @@ def negate(g: GainGraph) -> GainGraph:
     if k % 2 != 0:
         raise ValidationError("negation needs -1 in the gain group (even order)")
     half = k // 2
-    gains = tuple(GainExponent(g.group, (x.exp + half) % k) for x in g.gains)
-    return GainGraph(g.graph, g.group, gains, mixed_mode=False)
+    return GainGraph._from_exps(g.graph, g.group, [(t + half) % k for t in g.exps])
 
 
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}
@@ -401,6 +450,7 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
         f <v1> ... <vl>    optional inner face, clockwise vertex cycle
     """
     k: int | None = None
+    aliases: dict[str, int] = {}
     mixed = False
     n: int | None = None
     entries: list[tuple[int, int, int]] = []
@@ -412,10 +462,21 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
         parts = line.split()
         tag = parts[0]
         try:
-            if tag == "gg":
+            if tag == "e":  # the commonest line; plain digits skip _integer
+                if k is None or n is None:
+                    raise ValidationError("e line before gg/n header")
+                _, su, sv, tok = parts
+                if line.isascii() and su.isdigit() and sv.isdigit():
+                    u, v = int(su), int(sv)
+                else:
+                    u, v = _integer(su), _integer(sv)
+                entries.append((u, v, aliases[tok] if tok in aliases else _integer(tok)))
+            elif tag == "gg":
                 if k is not None:
                     raise ValidationError("repeated gg header")
                 k = _integer(parts[1])
+                if k == 4:
+                    aliases = _MIXED_TOKEN
                 if len(parts) == 3:
                     if parts[2] != "mixed":
                         raise ValidationError(f"unknown header flag {parts[2]!r}")
@@ -427,16 +488,6 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
                     raise ValidationError("repeated n line")
                 _, count = parts
                 n = _integer(count)
-            elif tag == "e":
-                if k is None or n is None:
-                    raise ValidationError("e line before gg/n header")
-                _, su, sv, tok = parts
-                u, v = _integer(su), _integer(sv)
-                if k == 4 and tok in _MIXED_TOKEN:
-                    t = _MIXED_TOKEN[tok]
-                else:
-                    t = _integer(tok)
-                entries.append((u, v, t))
             elif tag == "f":
                 if n is None:
                     raise ValidationError("f line before n header")
@@ -471,9 +522,8 @@ def format_gg(g: GainGraph, faces=()) -> str:
     # For k = 4 the parser reads a bare "1" as the alias for gain 1, so the
     # exponent 1 must be written as its token "i" to round-trip.
     tokens = {exp: tok for tok, exp in _MIXED_TOKEN.items()} if g.group.order == 4 else None
-    for (u, v), gain in zip(g.graph.edges, g.gains):
-        tok = tokens[gain.exp] if tokens else str(gain.exp)
-        lines.append(f"e {u} {v} {tok}")
+    for (u, v), t in zip(g.graph.edges, g.exps):
+        lines.append(f"e {u} {v} {tokens[t] if tokens else t}")
     for face in faces:
         lines.append("f " + " ".join(str(v) for v in face))
     return "\n".join(lines) + "\n"

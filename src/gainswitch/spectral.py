@@ -193,8 +193,7 @@ def _coefficients(g: GainGraph, max_vertices: int, covers_only: bool = False) ->
     def add(order: int, term, _edges, _cycles) -> None:
         totals[order] += term
 
-    exps = [x.exp for x in g.gains]
-    _elementary(g.graph, exps, _cycle_weights(g.group), n, max_vertices, add, covers_only)
+    _elementary(g.graph, g.exps, _cycle_weights(g.group), n, max_vertices, add, covers_only)
     return totals
 
 
@@ -374,11 +373,11 @@ def cartesian_product(a: GainGraph, b: GainGraph) -> GainGraph:
     entries = []
     for x in range(1, a.graph.n + 1):
         base = (x - 1) * nb
-        for (u, v), gain in zip(b.graph.edges, b.gains):
-            entries.append((base + u, base + v, gain))
-    for (x, y), gain in zip(a.graph.edges, a.gains):
+        for (u, v), t in zip(b.graph.edges, b.exps):
+            entries.append((base + u, base + v, t))
+    for (x, y), t in zip(a.graph.edges, a.exps):
         for u in range(1, nb + 1):
-            entries.append(((x - 1) * nb + u, (y - 1) * nb + u, gain))
+            entries.append(((x - 1) * nb + u, (y - 1) * nb + u, t))
     return build_gain_graph(
         a.graph.n * nb,
         a.group,

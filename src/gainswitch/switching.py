@@ -19,6 +19,7 @@ from .gaincore import (
     GainGraph,
     SimpleGraph,
     SwitchingFunction,
+    _elements,
 )
 
 __all__ = [
@@ -134,6 +135,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     depth = [0] * (n + 1)
     order: list[int] = []
     is_chord = [True] * g.m
+    index = g.edge_index
     seen = [False] * (n + 1)
     for s in by_rank(range(1, n + 1)):
         if seen[s]:
@@ -151,7 +153,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
                     root[w] = s
                     depth[w] = depth[v] + 1
                     order.append(w)
-                    is_chord[g.edge_id(v, w)] = False
+                    is_chord[index[(v, w) if v < w else (w, v)]] = False
                     queue.append(w)
     return SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), tuple(is_chord))
 
@@ -203,10 +205,9 @@ def walk_gain(g: GainGraph, walk) -> GainExponent:
     if not walk:
         raise ValidationError("empty walk")
     acc = 0
-    k = g.group.order
     for a, b in zip(walk, walk[1:]):
-        acc += g.gain(a, b).exp
-    return GainExponent(g.group, acc % k)
+        acc += g.exponent(a, b)
+    return g.group.element(acc)
 
 
 def cycle_gain(g: GainGraph, cycle) -> GainExponent:
@@ -231,12 +232,9 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     if theta.values and theta.group != g.group:
         raise ValidationError("gain group mismatch")
     k = g.group.order
-    gains = []
-    for (u, v), gain in zip(g.graph.edges, g.gains):
-        exp = (gain.exp - theta(u).exp + theta(v).exp) % k
-        gains.append(GainExponent(g.group, exp))
-    mixed = g.mixed_mode and all(x.exp in (0, 1, 3) for x in gains)
-    return GainGraph(g.graph, g.group, tuple(gains), mixed_mode=mixed)
+    th = [0] + [x.exp for x in theta.values]
+    exps = tuple((t - th[u] + th[v]) % k for (u, v), t in zip(g.graph.edges, g.exps))
+    return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
 
 def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int, ...]]:
@@ -247,15 +245,15 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int,
     gain of its fundamental cycle.
     """
     k = g.group.order
+    exps, index = g.exps, g.graph.edge_index
     pot = [0] * (g.graph.n + 1)
     for v in f.bfs_order:
         p = f.parent[v]
         if p:
-            x = g.gains[g.graph.edge_id(v, p)].exp
-            pot[v] = (pot[p] + (x if v < p else -x)) % k
+            pot[v] = (pot[p] + exps[index[v, p]] if v < p else pot[p] - exps[index[p, v]]) % k
     chords = tuple(
-        (x.exp + pot[v] - pot[u]) % k
-        for (u, v), x in compress(zip(g.graph.edges, g.gains), f.is_chord)
+        (x + pot[v] - pot[u]) % k
+        for (u, v), x in compress(zip(g.graph.edges, exps), f.is_chord)
     )
     return pot, chords
 
@@ -271,7 +269,7 @@ def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
     if f is None:
         f = spanning_forest(g.graph)
     pot, _ = _normal_form(g, f)
-    theta = SwitchingFunction(tuple(g.group.element(x) for x in pot[1:]))
+    theta = SwitchingFunction(_elements(g.group, pot[1:]))
     return apply_switching(g, theta), theta
 
 
@@ -293,10 +291,10 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
         return None
     k = a.group.order
     shift = [(x - y) % k for x, y in zip(pot_a, pot_b)]
-    for (u, v), x, y in zip(a.graph.edges, a.gains, b.gains):  # exact check; cannot fail
-        if (x.exp - shift[u] + shift[v]) % k != y.exp:
+    for (u, v), x, y in zip(a.graph.edges, a.exps, b.exps):  # exact check; cannot fail
+        if (x - shift[u] + shift[v]) % k != y:
             raise AssertionError("internal error: switching witness failed to verify")
-    return SwitchingFunction(tuple(a.group.element(x) for x in shift[1:]))
+    return SwitchingFunction(_elements(a.group, shift[1:]))
 
 
 def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest | None = None):

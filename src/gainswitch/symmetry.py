@@ -130,8 +130,19 @@ def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGro
     return AutGroup(g.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
 
 
+def _moved_exps(f: VertexPermutation, g: GainGraph):
+    """Yield, per edge (u, v) of g, the exponent of g's gain on f(u) -> f(v).
+
+    f must be an automorphism of g's underlying graph.
+    """
+    exps, index, k, image = g.exps, g.graph.edge_index, g.group.order, f.image
+    for u, v in g.graph.edges:
+        x, y = image[u - 1], image[v - 1]
+        yield exps[index[x, y]] if x < y else -exps[index[y, x]] % k
+
+
 def _preserves_gains(f: VertexPermutation, g: GainGraph) -> bool:
-    return all(g.gain(f(u), f(v)) == g.gain(u, v) for u, v in g.graph.edges)
+    return all(map(int.__eq__, _moved_exps(f, g), g.exps))
 
 
 def _gain_subgroup(aut: AutGroup, g: GainGraph) -> AutGroup:
@@ -156,8 +167,8 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     if not g.mixed_mode:
         raise ValidationError("the decomposition is defined for mixed graphs")
     n = g.graph.n
-    directed = [(u, v, gain) for (u, v), gain in zip(g.graph.edges, g.gains) if not gain.is_one()]
-    undirected = [(u, v) for (u, v), gain in zip(g.graph.edges, g.gains) if gain.is_one()]
+    directed = [(u, v, t) for (u, v), t in zip(g.graph.edges, g.exps) if t]
+    undirected = [e for e, t in zip(g.graph.edges, g.exps) if not t]
     aut_g = automorphisms(g.graph, max_vertices)
     aut_s = gain_automorphisms(
         build_gain_graph(n, g.group, directed, mixed_mode=True), max_vertices
@@ -179,12 +190,11 @@ def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
     """
     if f.n != g.graph.n:
         raise ValidationError("permutation acts on a different vertex set")
-    gains = []
-    for u, v in g.graph.edges:
-        if not g.graph.has_edge(f(u), f(v)):
-            raise ValidationError("permutation is not an automorphism of the underlying graph")
-        gains.append(g.gain(f(u), f(v)))
-    return GainGraph(g.graph, g.group, tuple(gains), mixed_mode=g.mixed_mode)
+    try:
+        exps = tuple(_moved_exps(f, g))
+    except KeyError:
+        raise ValidationError("permutation is not an automorphism of the underlying graph") from None
+    return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode)
 
 
 def switching_isomorphic(a: GainGraph, b: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):

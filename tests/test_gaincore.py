@@ -8,6 +8,13 @@ Claims covered:
     - SimpleGraph validates and canonicalizes its edge list
     - hermitian_matrix output is bit-exactly Hermitian with zero diagonal
     - parse/format round-trips every valid gain graph, including k = 4 aliases
+    - a graph built by any route (objects, ints, .gg text, identity switching,
+      identity automorphism, product with one vertex) is equal, hashes equal,
+      and hits the same spectrum cache entry
+    - the integer constructor rejects everything the object route rejects
+    - building, serialising, parsing and deciding on integers allocate no
+      GainExponent; only the values handed to callers are built
+    - adjacency tuples come out sorted without a per-vertex sort
 """
 
 import cmath
@@ -19,6 +26,8 @@ import pytest
 
 import gainswitch as gs
 from gainswitch.errors import ValidationError
+
+from gainswitch.spectral import _spectrum_cached
 
 from conftest import G4, all_ones, complete_graph, arc_triangle, mixed, random_connected_graph, random_gains
 
@@ -261,3 +270,130 @@ def test_gain_graph_equality_and_hash():
     c = mixed(3, [(1, 2, 3), (2, 3, 0), (3, 1, 0)])
     assert a != c
     assert a != gs.GainGraph(a.graph, G4, a.gains, mixed_mode=False)
+
+
+def test_every_route_builds_the_same_graph(rng):
+    one_vertex = gs.GainGraph(gs.SimpleGraph(1, []), G4, (), mixed_mode=True)
+    for _ in range(10):
+        graph = random_connected_graph(rng, n_lo=3, n_hi=7)
+        g = random_gains(rng, graph, mixed_mode=True)
+        arcs = [(u, v, t) for (u, v), t in zip(graph.edges, g.exps)]
+        routes = [
+            gs.GainGraph(graph, G4, [G4.element(t) for t in g.exps], mixed_mode=True),
+            gs.build_gain_graph(graph.n, G4, arcs, mixed_mode=True),
+            gs.build_gain_graph(graph.n, G4, [(v, u, G4.element(-t)) for u, v, t in arcs], mixed_mode=True),
+            gs.parse_gg(gs.format_gg(g))[0],
+            gs.apply_switching(g, gs.SwitchingFunction.identity(G4, graph.n)),
+            gs.act(gs.VertexPermutation.identity(graph.n), g),
+            gs.cartesian_product(one_vertex, g),
+            gs.cartesian_product(g, one_vertex),
+        ]
+        for h in routes:
+            assert h == g and hash(h) == hash(g)
+            assert h.exps == g.exps and h.gains == g.gains
+        _spectrum_cached.cache_clear()
+        gs.spectrum(routes[0])
+        for h in routes[1:]:
+            hits = _spectrum_cached.cache_info().hits
+            gs.spectrum(h)
+            assert _spectrum_cached.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["exponent -1", "exponent k", "bool exponent", "gain count", "group mismatch", "-1 on a mixed edge",
+     "mixed with k != 4"],
+)
+def test_integer_route_rejects_what_the_object_route_rejects(case):
+    g3, g6 = gs.GainGroup(3), gs.GainGroup(6)
+    edge = gs.SimpleGraph(2, [(1, 2)])
+    # Per case: the object route, build_gain_graph, parse_gg and the integer constructor.
+    routes = {
+        "exponent -1": (
+            lambda: gs.GainGraph(edge, g6, [gs.GainExponent(g6, -1)]),
+            lambda: gs.build_gain_graph(2, g6, [(2, 1, -1)]),
+            "gg 6\nn 2\ne 2 1 -1\n",
+            lambda: gs.GainGraph._from_exps(edge, g6, (-1,)),
+        ),
+        "exponent k": (
+            lambda: gs.GainGraph(edge, g6, [gs.GainExponent(g6, 6)]),
+            lambda: gs.build_gain_graph(2, g6, [(1, 2, 6)]),
+            "gg 6\nn 2\ne 1 2 6\n",
+            lambda: gs.GainGraph._from_exps(edge, g6, (6,)),
+        ),
+        "bool exponent": (
+            lambda: gs.GainGraph(edge, g6, [True]),
+            lambda: gs.build_gain_graph(2, g6, [(1, 2, True)]),
+            "gg 6\nn 2\ne 1 2 True\n",
+            lambda: gs.GainGraph._from_exps(edge, g6, (True,)),
+        ),
+        "gain count": (
+            lambda: gs.GainGraph(edge, g6, []),
+            lambda: gs.build_gain_graph(2, g6, [(1, 2)]),
+            "gg 6\nn 2\ne 1 2\n",
+            lambda: gs.GainGraph._from_exps(edge, g6, (0, 0)),
+        ),
+        "group mismatch": (
+            lambda: gs.GainGraph(edge, g6, [g3.one]),
+            lambda: gs.build_gain_graph(2, g6, [(1, 2, g3.one)]),
+            "gg 6\nn 2\ne 1 2 i\n",  # a k = 4 alias in a k = 6 file
+            lambda: gs.GainGraph._from_exps(edge, g3, (5,)),  # a k = 6 exponent under k = 3
+        ),
+        "-1 on a mixed edge": (
+            lambda: gs.GainGraph(edge, G4, [G4.element(2)], mixed_mode=True),
+            lambda: gs.build_gain_graph(2, G4, [(1, 2, 2)], mixed_mode=True),
+            "gg 4 mixed\nn 2\ne 1 2 -1\n",
+            lambda: gs.GainGraph._from_exps(edge, G4, (2,), mixed_mode=True),
+        ),
+        "mixed with k != 4": (
+            lambda: gs.GainGraph(edge, g3, [g3.one], mixed_mode=True),
+            lambda: gs.build_gain_graph(2, g3, [(1, 2, 0)], mixed_mode=True),
+            "gg 3 mixed\nn 2\ne 1 2 0\n",
+            lambda: gs.GainGraph._from_exps(edge, g3, (0,), mixed_mode=True),
+        ),
+    }
+    by_object, by_build, text, by_exps = routes[case]
+    for build in (by_object, by_build, lambda: gs.parse_gg(text), by_exps):
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_integer_paths_build_no_gain_exponents(monkeypatch):
+    rng = random.Random(61)
+    n, k = 1000, 6
+    group = gs.GainGroup(k)
+    edges = {(v - rng.randint(1, min(v - 1, 30)), v) for v in range(2, n + 1)}
+    while len(edges) < 2 * n:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        edges.add((u, v))
+    arcs_a = [(u, v, rng.randrange(k)) for u, v in sorted(edges)]
+    arcs_b = [(u, v, (t + 1) % k if i == len(arcs_a) - 1 else t) for i, (u, v, t) in enumerate(arcs_a)]
+    built = []
+    original = gs.GainExponent.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(gs.GainExponent, "__post_init__", counting)
+    a = gs.build_gain_graph(n, group, arcs_a)
+    b = gs.build_gain_graph(n, group, [(v, u, -t % k) for u, v, t in arcs_b])
+    a2, _ = gs.parse_gg(gs.format_gg(a))
+    assert a2 == a
+    assert not gs.is_balanced(a2)
+    assert gs.switching_equivalent(a2, b) is None
+    assert built == []
+    _, gain_a, gain_b = gs.first_profile_difference(a2, b)
+    assert gain_a != gain_b
+    assert len(built) == 2
+
+
+def test_adjacency_is_sorted(rng):
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+        graph = gs.SimpleGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen])
+        for v in range(1, n + 1):
+            assert list(graph.adjacency[v]) == sorted(graph.adjacency[v])
+            assert set(graph.adjacency[v]) == {w for e in chosen if v in e for w in e if w != v}
