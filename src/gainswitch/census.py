@@ -306,12 +306,11 @@ class Block:
     vertices: tuple[int, ...]
 
 
-def block_decompose(g: SimpleGraph) -> list[Block]:
-    """Biconnected blocks (cut edges appear as single-edge blocks).
+def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
+    """The edge ids of each biconnected block, in the order the search closes them.
 
     Standard low-link search with an edge stack, on an explicit DFS stack so
-    deep trees need no recursion; blocks are returned sorted by their
-    smallest original vertex, then by edge lists.
+    deep trees need no recursion.
     """
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
@@ -348,9 +347,17 @@ def block_decompose(g: SimpleGraph) -> list[Block]:
                         while block[-1] != parent_edge:
                             block.append(edge_stack.pop())
                         raw_blocks.append(block)
+    return raw_blocks
 
+
+def block_decompose(g: SimpleGraph) -> list[Block]:
+    """Biconnected blocks (cut edges appear as single-edge blocks).
+
+    Blocks are returned sorted by their smallest original vertex, then by
+    edge lists.
+    """
     blocks = []
-    for edge_ids in raw_blocks:
+    for edge_ids in _block_edge_ids(g):
         edges = [g.edges[e] for e in edge_ids]
         verts = tuple(sorted({v for e in edges for v in e}))
         local = {v: i + 1 for i, v in enumerate(verts)}
@@ -374,13 +381,17 @@ def cut_edge_lower_bound(g: SimpleGraph) -> int:
     Gains on cut edges never affect cycle gains, so each of their 3^s mixed
     assignments stays inside the same class.
     """
-    s = sum(1 for b in block_decompose(g) if b.graph.m == 1)
+    s = sum(len(ids) == 1 for ids in _block_edge_ids(g))
     return 3**s
 
 
 def is_cactus(g: SimpleGraph) -> bool:
     """True when every block is a single edge or a cycle."""
-    return all(b.graph.m == 1 or b.graph.m == b.graph.n for b in block_decompose(g))
+    edges = g.edges
+    return all(
+        len(ids) == 1 or len(ids) == len({v for e in ids for v in edges[e]})
+        for ids in _block_edge_ids(g)
+    )
 
 
 def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> int:

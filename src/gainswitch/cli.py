@@ -244,10 +244,10 @@ def cmd_aut(args) -> tuple[dict, int]:
     g, _ = _load(args.file)
     max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
     if g.mixed_mode:
-        aut_under, aut_s, aut_u = symmetry.mixed_aut_decomposition(g, max_aut)
+        aut_under, aut_s, aut_u, aut_gain = symmetry._mixed_aut_parts(g, max_aut)
     else:
         aut_under = symmetry.automorphisms(g.graph, max_aut)
-    aut_gain = symmetry._gain_subgroup(aut_under, g)
+        aut_gain = symmetry._gain_subgroup(aut_under, g)
     result = {
         "underlying_order": aut_under.order,
         "underlying_generators": [list(p.image) for p in symmetry.generating_set(aut_under)],

@@ -119,12 +119,21 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
                     rec(order + 2, v + 1, -term)
                     edges_acc.pop()
                     avail[w] = True
-            # or grow a cycle anchored at v
+            # or grow a cycle anchored at v through a second vertex y: it can
+            # only close on a free neighbor of v above y, so grow while one is left
             if order + 3 <= max_order:
-                grow([v], 0, order, v + 1, term)
+                nbrs = out[v]
+                for y, x in nbrs.items():
+                    if avail[y]:
+                        left = sum(avail[z] for z in nbrs if z > y)
+                        if left:
+                            avail[y] = False
+                            grow([v, y], x, order, v + 1, term, left)
+                            avail[y] = True
         avail[v] = True
 
-    def grow(path: list[int], t: int, order: int, resume: int, term) -> None:
+    def grow(path: list[int], t: int, order: int, resume: int, term, left: int) -> None:
+        # left: the free neighbors of the anchor path[0] above path[1]
         last = path[-1]
         if len(path) >= 3 and path[1] < last:
             closing = out[last].get(path[0])
@@ -132,12 +141,13 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
                 cycles_acc.append(tuple(path))
                 rec(order + len(path), resume, -term * weights[(t + closing) % k])
                 cycles_acc.pop()
-        if order + len(path) < max_order:
+        if left and order + len(path) < max_order:
+            anchor, second = out[path[0]], path[1]
             for y, x in out[last].items():
                 if avail[y]:
                     avail[y] = False
                     path.append(y)
-                    grow(path, t + x, order, resume, term)
+                    grow(path, t + x, order, resume, term, left - (y > second and y in anchor))
                     path.pop()
                     avail[y] = True
 

@@ -8,7 +8,7 @@ switching isomorphic exactly when their classes lie in the same orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
@@ -75,13 +75,16 @@ class AutGroup:
 
     n: int
     elements: tuple[VertexPermutation, ...]
+    _members: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, f: VertexPermutation) -> bool:
-        return f in set(self.elements)
+        if self._members is None:
+            object.__setattr__(self, "_members", frozenset(self.elements))
+        return f in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -90,8 +93,12 @@ class AutGroup:
 def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str):
     """Yield every isomorphism from a onto b, in increasing order of image tuples.
 
-    Backtracking on the vertices of a with degree pruning; automorphisms are
-    the case a = b.
+    Backtracking on the vertices of a, one level per vertex on an explicit
+    stack; automorphisms are the case a = b.  Vertex w of b is bit w - 1.
+    A level's candidates are one int: the images of v's degree class, minus
+    the used ones, ANDed over each earlier vertex u with the neighbors of
+    u's image when u and v are adjacent and with their complement when not.
+    Candidates are taken lowest bit first.
     """
     if a.n > max_vertices:
         raise InstanceTooLargeError(
@@ -102,27 +109,45 @@ def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str
     deg_b = [b.degree(w) for w in range(b.n + 1)]
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return
-    adj_b = [set(b.neighbors(w)) for w in range(n + 1)]
-    earlier = [[(u, a.has_edge(u, v)) for u in range(1, v)] for v in range(n + 1)]
+    if n == 0:
+        yield VertexPermutation(())
+        return
+    nbmask_b = [0] * (n + 1)
+    for u, v in b.edges:
+        nbmask_b[u] |= 1 << (v - 1)
+        nbmask_b[v] |= 1 << (u - 1)
+    full = (1 << n) - 1
+    nonmask_b = [full ^ x for x in nbmask_b]
+    degree_class = [sum(1 << (w - 1) for w in range(1, n + 1) if deg_b[w] == d) for d in deg_a]
+    # per level v: (u, mask table) for each earlier vertex u
+    earlier = [
+        [(u, nbmask_b if a.has_edge(u, v) else nonmask_b) for u in range(1, v)]
+        for v in range(n + 1)
+    ]
     image = [0] * (n + 1)
-    used = [False] * (n + 1)
-
-    def rec(v: int):
-        if v > n:
+    cands = [0] * (n + 1)
+    cands[1] = degree_class[1]
+    used = 0
+    v = 1
+    while v:
+        c = cands[v]
+        if not c:  # level exhausted: free the previous level's image
+            v -= 1
+            if v:
+                used ^= 1 << (image[v] - 1)
+            continue
+        low = c & -c
+        cands[v] = c ^ low
+        image[v] = low.bit_length()
+        if v == n:
             yield VertexPermutation(tuple(image[1:]))
-            return
-        for w in range(1, n + 1):
-            if used[w] or deg_a[v] != deg_b[w]:
-                continue
-            nbrs = adj_b[w]
-            if any((image[u] in nbrs) != adjacent for u, adjacent in earlier[v]):
-                continue
-            image[v] = w
-            used[w] = True
-            yield from rec(v + 1)
-            used[w] = False
-
-    yield from rec(1)
+            continue
+        used |= low
+        v += 1
+        c = degree_class[v] & ~used
+        for u, table in earlier[v]:
+            c &= table[image[u]]
+        cands[v] = c
 
 
 def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
@@ -164,6 +189,11 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     automorphisms of g equal the intersection of the first two groups and
     also the intersection of the last two; both identities are verified here.
     """
+    return _mixed_aut_parts(g, max_vertices)[:3]
+
+
+def _mixed_aut_parts(g: GainGraph, max_vertices: int):
+    """``mixed_aut_decomposition``'s three groups, then g's gain automorphisms."""
     if not g.mixed_mode:
         raise ValidationError("the decomposition is defined for mixed graphs")
     n = g.graph.n
@@ -174,12 +204,13 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
         build_gain_graph(n, g.group, directed, mixed_mode=True), max_vertices
     )
     aut_u = automorphisms(SimpleGraph(n, undirected), max_vertices)
-    aut_mixed = {f.image for f in _gain_subgroup(aut_g, g)}
+    aut_gain = _gain_subgroup(aut_g, g)
+    aut_mixed = {f.image for f in aut_gain}
     inter_gs = {f.image for f in aut_g} & {f.image for f in aut_s}
     inter_su = {f.image for f in aut_s} & {f.image for f in aut_u}
     if aut_mixed != inter_gs or aut_mixed != inter_su:
         raise AssertionError("internal error: automorphism intersection identities failed")
-    return aut_g, aut_s, aut_u
+    return aut_g, aut_s, aut_u, aut_gain
 
 
 def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
@@ -251,20 +282,29 @@ def underlying_isomorphism(a: SimpleGraph, b: SimpleGraph, max_vertices: int = D
 
 
 def generating_set(group: AutGroup) -> list[VertexPermutation]:
-    """A small generating set, grown greedily from the element list."""
-    closure = {tuple(range(1, group.n + 1))}
+    """A small generating set, grown greedily from the element list.
+
+    The closure grows by left cosets: when a generator joins, the old closure
+    H is a group, and a breadth-first search over coset representatives x
+    (from the identity) adds the whole coset y∘H for each y = s∘x, s a
+    generator, that the closure lacks.
+    """
+    identity = tuple(range(1, group.n + 1))
+    closure = {identity}
     gens: list[tuple[int, ...]] = []
+    lookups = []  # per generator s, w -> s(w)
     for f in group.elements:
         if f.image in closure:
             continue
         gens.append(f.image)
-        closure.add(f.image)
-        frontier = list(closure)
-        while frontier:
-            h = frontier.pop()
-            for gen in gens:
-                c = tuple(gen[w - 1] for w in h)
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
+        lookups.append(((0,) + f.image).__getitem__)
+        old = list(closure)
+        reps = [identity]
+        for x in reps:
+            for s in lookups:
+                y = tuple(map(s, x))
+                if y not in closure:
+                    y_of = ((0,) + y).__getitem__
+                    closure.update(tuple(map(y_of, h)) for h in old)
+                    reps.append(y)
     return [VertexPermutation(img) for img in gens]

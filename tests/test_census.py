@@ -287,6 +287,20 @@ def test_is_cactus():
     assert not gs.is_cactus(diamond)
 
 
+def test_is_cactus_and_cut_edges_match_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    graphs = [random_cactus(rng) for _ in range(20)]
+    graphs += [random_connected_graph(rng, n_hi=10, m_cap=14) for _ in range(20)]
+    graphs.append(gs.SimpleGraph(7, [(1, 2), (1, 3), (2, 3), (5, 6)]))  # isolated vertices too
+    for graph in graphs:
+        oracle = nx.Graph(graph.edges)
+        blocks = list(nx.biconnected_component_edges(oracle))
+        cactus = all(len(b) == 1 or len(b) == len({v for e in b for v in e}) for b in blocks)
+        assert gs.is_cactus(graph) == cactus
+        assert gs.cut_edge_lower_bound(graph) == 3 ** sum(len(b) == 1 for b in blocks)
+    assert sum(gs.is_cactus(graph) for graph in graphs[20:]) < 20  # not all cacti
+
+
 # -- class sizes over blocks -------------------------------------------------
 
 

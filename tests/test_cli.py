@@ -243,6 +243,23 @@ def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
     assert len(searched) == 3 and searched.count(g.graph) == 1
 
 
+def test_aut_filters_the_input_for_gain_automorphisms_once(monkeypatch, capsys):
+    filtered = []
+    gain_subgroup = symmetry._gain_subgroup
+
+    def counting(aut, g):
+        filtered.append(g)
+        return gain_subgroup(aut, g)
+
+    monkeypatch.setattr(symmetry, "_gain_subgroup", counting)
+    code, report = run(capsys, "aut", BOWTIE_MINUS)
+    assert code == 0 and report["result"]["gain_order"] == 1
+    g, _ = gs.load_gg(BOWTIE_MINUS)
+    # once on the file's graph (shared by the decomposition and the report),
+    # once on the directed part
+    assert len(filtered) == 2 and filtered.count(g) == 1
+
+
 def test_census_and_classify_on_a_long_path(tmp_path, capsys):
     # a DFS tree 1600 vertices deep once overflowed the block decomposition
     mixed_path = tmp_path / "mixed_path.gg"
