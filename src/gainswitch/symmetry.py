@@ -8,7 +8,7 @@ switching isomorphic exactly when their classes lie in the same orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
@@ -75,16 +75,13 @@ class AutGroup:
 
     n: int
     elements: tuple[VertexPermutation, ...]
-    _members: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, f: VertexPermutation) -> bool:
-        if self._members is None:
-            object.__setattr__(self, "_members", frozenset(self.elements))
-        return f in self._members
+        return f in self.elements
 
     def __iter__(self):
         return iter(self.elements)
