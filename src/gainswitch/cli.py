@@ -9,6 +9,7 @@ configured caps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -308,8 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use (not at import) and reused by every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = [getattr(args, name) for name in ("file", "file_a", "file_b") if hasattr(args, name)]
     report = {"command": args.command, "inputs": inputs, "result": {}, "diagnostics": []}
     try:

@@ -132,7 +132,7 @@ class SimpleGraph:
     cycle bases, censuses).  Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "adjacency", "_hash")
+    __slots__ = ("n", "edges", "edge_index", "adjacency", "_hash", "_forest")
 
     def __init__(self, n: int, edges) -> None:
         if n < 0:
@@ -161,6 +161,7 @@ class SimpleGraph:
         # first (from (w, v) edges), then larger ones (from (v, w) edges).
         self.adjacency = tuple(map(tuple, adj))
         self._hash = None
+        self._forest = None  # the default spanning forest, kept by switching.spanning_forest
 
     @property
     def m(self) -> int:

@@ -11,6 +11,7 @@ an implementation shortcut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -271,9 +272,10 @@ def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_
     from |h_pq| and the diagonal difference, times the phase h_pq / |h_pq|;
     a pair with h_pq = 0 (or subnormal) gets the identity.  The pairs of one
     round of ``_round_robin`` are disjoint, so their rotations commute and
-    are applied at once, as one unitary J with A <- J A J^H.  Sweeps run
-    until the off-diagonal Frobenius norm drops below tol * ||H||; hitting
-    the sweep cap raises NumericError.
+    are applied at once, as one unitary J with A <- J A J^H.  A round holds
+    at most n / 2 pairs, so its angles are plain float arithmetic on the
+    entries read out once.  Sweeps run until the off-diagonal Frobenius norm
+    drops below tol * ||H||; hitting the sweep cap raises NumericError.
     """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
@@ -289,27 +291,38 @@ def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_
         if off <= target:
             return sorted(a.real.diagonal().tolist())
         for _, _, read, write, clear in rounds:
-            apq, app, aqq = a.take(read)
-            r = np.abs(apq)
-            diff = (aqq - app).real
-            # A subnormal h_pq has neither an accurate modulus nor a phase
-            # (1 / r overflows), so it counts as zero and is cleared.
-            zero = r < _NORMAL_MIN
-            # Where big, theta = diff / 2r would overflow, so it is formed
-            # from 0 instead and t is the large-|theta| limit r / diff,
-            # exact to double precision there.
-            big = r * 1e150 < np.abs(diff)
-            safe_r = r + zero  # 1 on zero pairs, whose t is set to 0
-            theta = diff * ~big / (2.0 * safe_r)
-            t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t[theta < 0.0] *= -1.0
-            np.divide(r, diff, out=t, where=big)
-            t[zero] = 0.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            phase = apq / safe_r + zero
+            rows = a.take(read)
+            # numpy's modulus: abs() of a Python complex rounds differently
+            moduli = np.abs(rows[0]).tolist()
+            cs, ss, pqs, qqs = [], [], [], []
+            for apq, app, aqq, r in zip(*rows.tolist(), moduli):
+                if r < _NORMAL_MIN:
+                    # A subnormal h_pq has neither an accurate modulus nor a
+                    # phase (1 / r overflows), so it counts as zero: identity.
+                    c, s, zero = 1.0, 0.0, 1.0
+                else:
+                    diff = aqq.real - app.real
+                    if r * 1e150 < abs(diff):
+                        # theta = diff / 2r would overflow; r / diff is the
+                        # large-|theta| limit of t, exact to double precision.
+                        t = r / diff
+                    else:
+                        theta = diff / (2.0 * r)
+                        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                        if theta < 0.0:
+                            t = -t
+                    c = 1.0 / math.sqrt(t * t + 1.0)
+                    s = t * c
+                    zero = 0.0
+                # adding zero (0.0 or 1.0) also clears a -0.0 part, which fixes
+                # the signs of zeros in J and so in the eigenvalues
+                phase = apq * (1.0 / (r + zero)) + zero
+                cs.append(c)
+                ss.append(s)
+                pqs.append(-s * phase)
+                qqs.append(c * phase)
             j = eye.copy()
-            j.put(write, np.concatenate((c, -s * phase, s, c * phase)))
+            j.put(write, cs + pqs + ss + qqs)
             a = j @ a @ j.conj().T
             a.put(clear, 0.0)
     raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")

@@ -114,10 +114,14 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
 
     ``vertex_order`` optionally re-ranks the vertices (a permutation of 1..n)
     to obtain a different forest of the same graph; roots and neighbor visits
-    then follow that ranking instead of the numeric one.
+    then follow that ranking instead of the numeric one.  The default forest
+    is built once per graph and the same object is returned on every call.
     """
     n = g.n
     if vertex_order is None:
+        if g._forest is not None:
+            return g._forest
+
         def by_rank(vertices):  # vertex lists and adjacency tuples are already sorted
             return vertices
     else:
@@ -155,7 +159,10 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
                     order.append(w)
                     is_chord[index[(v, w) if v < w else (w, v)]] = False
                     queue.append(w)
-    return SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), tuple(is_chord))
+    forest = SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), tuple(is_chord))
+    if vertex_order is None:
+        g._forest = forest
+    return forest
 
 
 def _tree_path(f: SpanningForest, u: int, v: int) -> list[int]:

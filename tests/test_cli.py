@@ -7,7 +7,10 @@ large for the configured caps.
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import gainswitch as gs
 from gainswitch import cli, symmetry
@@ -291,3 +294,35 @@ def test_json_pretty_flag(capsys):
     plain = capsys.readouterr().out
     assert code == 0 and "\n" not in plain.strip()
     assert json.loads(pretty) == json.loads(plain)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "spectrum", ARC_TRIANGLE)[0] == 0
+        assert run(capsys, "classify", ARC_TRIANGLE)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys):
+    # flags and subcommands change from call to call; none may leak into the next
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gs.__file__).resolve().parents[1]))
+    for argv in (
+        ["spectrum", "--json-pretty", ARC_TRIANGLE],
+        ["census", "--faces", DIAMOND],
+        ["spectrum", "--tol", "1e-4", BOWTIE_I],
+        ["census", DIAMOND],
+        ["classify", "--tol", "1e-2", ARC_TRIANGLE],
+        ["spectrum", ARC_TRIANGLE],
+    ):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gainswitch.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)

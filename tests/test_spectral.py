@@ -9,6 +9,9 @@ Claims covered:
       == to those of the unpruned recursion for k 1-8
     - the round-robin schedule meets every pair once per sweep, in rounds
       of disjoint pairs
+    - the scalar-angle Jacobi kernel returns the eigenvalues of the
+      whole-array round it replaced bit for bit, up to n 48 and at every
+      guard (subnormal, exact zero and overflowing-theta pairs)
     - spectrum matches numpy.linalg.eigvalsh within 1e-9, and within
       tol * ||H||_F up to n 48, on graphs with isolated vertices and several
       components, and at loose tol without ever raising; the sweep cap raises
@@ -19,6 +22,7 @@ Claims covered:
     - Cartesian products realize the Kronecker-sum identity
 """
 
+import collections
 import itertools
 import math
 import random
@@ -276,6 +280,95 @@ def test_round_robin_schedule():
             assert (p < q).all() and len(p) == n // 2
             met += zip(p.tolist(), q.tolist())
         assert sorted(met) == list(itertools.combinations(range(n), 2))
+
+
+def vectorized_jacobi(h, tol, hits=None):
+    """The Jacobi kernel with each round's angles as whole-array numpy operations.
+
+    Same schedule, stop rule and J as ``spectral._jacobi_eigenvalues``; kept
+    as the oracle of its scalar angles.  ``hits`` counts the rounds in which
+    each guard fired.
+    """
+    a = np.array(h, dtype=complex)
+    n = a.shape[0]
+    target = tol * float(np.sqrt(np.vdot(a, a).real))
+    eye = np.eye(n, dtype=complex)
+    for _ in range(gs.spectral.JACOBI_MAX_SWEEPS):
+        strict = a - np.diag(np.diag(a))
+        if float(np.sqrt(np.vdot(strict, strict).real)) <= target:
+            return sorted(a.real.diagonal().tolist())
+        for _, _, read, write, clear in gs.spectral._round_robin(n):
+            apq, app, aqq = a.take(read)
+            r = np.abs(apq)
+            diff = (aqq - app).real
+            zero = r < np.finfo(float).tiny
+            big = r * 1e150 < np.abs(diff)
+            if hits is not None:
+                guards = {"exact_zero": r == 0, "subnormal": zero & (r > 0), "big": big & ~zero}
+                hits.update(name for name, fired in guards.items() if fired.any())
+            safe_r = r + zero
+            theta = diff * ~big / (2.0 * safe_r)
+            t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[theta < 0.0] *= -1.0
+            np.divide(r, diff, out=t, where=big)
+            t[zero] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            phase = apq / safe_r + zero
+            j = eye.copy()
+            j.put(write, np.concatenate((c, -s * phase, s, c * phase)))
+            a = j @ a @ j.conj().T
+            a.put(clear, 0.0)
+    raise NumericError("no convergence")
+
+
+def assert_same_eigenvalues(h, tol, hits=None):
+    got = gs.spectral._jacobi_eigenvalues(h, tol)
+    want = vectorized_jacobi(h, tol, hits)
+    assert got == want
+    assert np.array(got).tobytes() == np.array(want).tobytes()  # signs of zeros too
+
+
+JACOBI_TOLS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2)
+
+
+def test_scalar_angles_match_the_vectorized_round_on_graphs():
+    rng = random.Random(2024)
+    for n in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 24, 25, 47, 48):
+        for k in range(1, 9):
+            graph = random_connected_graph(rng, n_lo=n, n_hi=n, m_cap=2 * n) if n else gs.SimpleGraph(0, [])
+            h = gs.hermitian_matrix(random_gains(rng, graph, k=k))
+            for tol in JACOBI_TOLS if n <= 17 else JACOBI_TOLS[k % 6 : k % 6 + 1]:
+                assert_same_eigenvalues(h, tol)
+
+
+def test_scalar_angles_match_the_vectorized_round_on_scattered_graphs():
+    rng = random.Random(2025)
+    for n in (20, 21, 27, 32, 33, 47, 48):
+        for k in (2, 3, 4, 6):
+            h = gs.hermitian_matrix(random_gains(rng, _scattered_graph(rng, n), k=k))
+            for tol in (1e-9, 1e-13):
+                assert_same_eigenvalues(h, tol)
+
+
+def test_scalar_angles_match_the_vectorized_round_at_every_guard():
+    rng = np.random.default_rng(7)
+    hits = collections.Counter()
+    for n in (3, 4, 5, 6, 9):
+        for _ in range(8):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = x + x.conj().T
+            h[rng.random((n, n)) < 0.3] = 0.0  # exact zero pairs
+            tiny = rng.random((n, n)) < 0.3
+            h[tiny] = 1e-310 * (rng.standard_normal(tiny.sum()) + 1j * rng.standard_normal(tiny.sum()))
+            # a far-split diagonal pair with a small coupling: |a_qq - a_pp| > 1e150 |a_pq|
+            h[0, 0], h[1, 1], h[0, 1] = 1e150, -1e150, 1e-10 - 3e-11j
+            h[n - 2, n - 1] = 1e149  # keeps the off-diagonal norm above tol * ||H||
+            h = np.triu(h) + np.triu(h, 1).conj().T
+            np.fill_diagonal(h, h.diagonal().real)
+            for tol in (1e-14, 1e-9, 1e-4):
+                assert_same_eigenvalues(h, tol, hits)
+    assert hits["exact_zero"] and hits["subnormal"] and hits["big"], hits
 
 
 def test_jacobi_sweep_cap_raises():

@@ -109,6 +109,27 @@ def test_identity_vertex_order_gives_the_default_forest(rng):
             assert gs.spanning_forest(graph) == gs.spanning_forest(graph, range(1, graph.n + 1))
 
 
+def test_default_forest_is_built_once_per_graph(monkeypatch):
+    built = []
+    real = gs.switching.SpanningForest
+    monkeypatch.setattr(gs.switching, "SpanningForest", lambda *fields: built.append(1) or real(*fields))
+    graph = complete_graph(5)
+    g = all_ones(graph)
+    chord = graph.edge_id(2, 3)  # the forest is the star at 1
+    h = gs.GainGraph._from_exps(graph, G4, [int(e == chord) for e in range(graph.m)], True)
+    assert gs.switching_equivalent(g, h) is None
+    assert gs.first_profile_difference(g, h) is not None
+    assert gs.is_balanced(g) and not gs.is_balanced(h)
+    assert len(built) == 1
+    assert gs.spanning_forest(graph) is gs.spanning_forest(graph)
+    # a vertex order neither reads nor replaces the kept default forest
+    ranked = gs.spanning_forest(graph, range(1, graph.n + 1))
+    assert ranked == gs.spanning_forest(graph) and ranked is not gs.spanning_forest(graph)
+    assert gs.spanning_forest(graph, [5, 4, 3, 2, 1]).root[1] == 5
+    assert gs.spanning_forest(graph).root[1] == 1
+    assert len(built) == 3
+
+
 def test_vertex_order_changes_root():
     graph = cycle_graph(4)
     f = gs.spanning_forest(graph, vertex_order=[3, 4, 1, 2])
