@@ -127,9 +127,10 @@ def cmd_census(args) -> tuple[dict, int]:
         }
         methods += 1
 
+    edges = graph.edges
     blocks_ok = g.mixed_mode and all(
-        b.graph.m == 1 or b.graph.m == b.graph.n or b.graph.m <= cap
-        for b in census_mod.block_decompose(graph)
+        len(ids) == 1 or len(ids) == len({v for e in ids for v in edges[e]}) or len(ids) <= cap
+        for ids in census_mod._block_edge_ids(graph)
     )
     if blocks_ok:
         result["block_product_size"] = census_mod.class_size_by_blocks(g, cap)
@@ -248,7 +249,7 @@ def cmd_aut(args) -> tuple[dict, int]:
         aut_under, aut_s, aut_u, aut_gain = symmetry._mixed_aut_parts(g, max_aut)
     else:
         aut_under = symmetry.automorphisms(g.graph, max_aut)
-        aut_gain = symmetry._gain_subgroup(aut_under, g)
+        aut_gain = symmetry.gain_automorphisms(g, max_aut)
     result = {
         "underlying_order": aut_under.order,
         "underlying_generators": [list(p.image) for p in symmetry.generating_set(aut_under)],

@@ -42,6 +42,13 @@ class VertexPermutation:
         if sorted(self.image) != list(range(1, n + 1)):
             raise ValidationError("image is not a permutation of 1..n")
 
+    @classmethod
+    def _unchecked(cls, image: tuple[int, ...]) -> "VertexPermutation":
+        """Wrap an image known to be a permutation of 1..n, skipping the check."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "image", image)
+        return f
+
     def __call__(self, v: int) -> int:
         return self.image[v - 1]
 
@@ -87,16 +94,20 @@ class AutGroup:
         return iter(self.elements)
 
 
-def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str):
+def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
     """Yield every isomorphism from a onto b, in increasing order of image tuples.
 
-    Backtracking on the vertices of a, one level per vertex on an explicit
-    stack; automorphisms are the case a = b.  Vertex w of b is bit w - 1.
-    A level's candidates are one int: the images of v's degree class, minus
-    the used ones, ANDed over each earlier vertex u with the neighbors of
-    u's image when u and v are adjacent and with their complement when not.
-    Candidates are taken lowest bit first.
+    a and b are both simple graphs (k = 1, every exponent 0) or both gain
+    graphs over one group.  Backtracking on a's vertices, one level per vertex
+    on an explicit stack; vertex w of b is bit w - 1.  A level's candidates are
+    one int: v's degree class minus the used images, ANDed over each earlier u
+    with masks[t] at u's image, t = exp_a(u -> v) (k if not adjacent), and
+    taken lowest bit first.
     """
+    if isinstance(a, GainGraph):
+        k, exps_a, exps_b, a, b = a.group.order, a.exps, b.exps, a.graph, b.graph
+    else:
+        k, exps_a, exps_b = 1, (0,) * a.m, (0,) * b.m
     if a.n > max_vertices:
         raise InstanceTooLargeError(
             f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
@@ -107,20 +118,17 @@ def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return
     if n == 0:
-        yield VertexPermutation(())
+        yield VertexPermutation._unchecked(())
         return
-    nbmask_b = [0] * (n + 1)
-    for u, v in b.edges:
-        nbmask_b[u] |= 1 << (v - 1)
-        nbmask_b[v] |= 1 << (u - 1)
-    full = (1 << n) - 1
-    nonmask_b = [full ^ x for x in nbmask_b]
+    masks = [[0] * (n + 1) for _ in range(k)]  # masks[t][x]: the w with exp_b(x -> w) = t
+    for (x, w), t in zip(b.edges, exps_b):
+        masks[t][x] |= 1 << (w - 1)
+        masks[-t % k][w] |= 1 << (x - 1)
+    masks.append([(1 << n) - 1 - sum(col) for col in zip(*masks)])  # masks[k]: the non-neighbors
     degree_class = [sum(1 << (w - 1) for w in range(1, n + 1) if deg_b[w] == d) for d in deg_a]
     # per level v: (u, mask table) for each earlier vertex u
-    earlier = [
-        [(u, nbmask_b if a.has_edge(u, v) else nonmask_b) for u in range(1, v)]
-        for v in range(n + 1)
-    ]
+    exp_a = dict(zip(a.edges, exps_a))
+    earlier = [[(u, masks[exp_a.get((u, v), k)]) for u in range(1, v)] for v in range(n + 1)]
     image = [0] * (n + 1)
     cands = [0] * (n + 1)
     cands[1] = degree_class[1]
@@ -137,7 +145,7 @@ def _isomorphisms(a: SimpleGraph, b: SimpleGraph, max_vertices: int, search: str
         cands[v] = c ^ low
         image[v] = low.bit_length()
         if v == n:
-            yield VertexPermutation(tuple(image[1:]))
+            yield VertexPermutation._unchecked(tuple(image[1:]))
             continue
         used |= low
         v += 1
@@ -163,18 +171,9 @@ def _moved_exps(f: VertexPermutation, g: GainGraph):
         yield exps[index[x, y]] if x < y else -exps[index[y, x]] % k
 
 
-def _preserves_gains(f: VertexPermutation, g: GainGraph) -> bool:
-    return all(map(int.__eq__, _moved_exps(f, g), g.exps))
-
-
-def _gain_subgroup(aut: AutGroup, g: GainGraph) -> AutGroup:
-    """The elements of aut, a group of g's underlying graph, that preserve every gain."""
-    return AutGroup(aut.n, tuple(f for f in aut.elements if _preserves_gains(f, g)))
-
-
 def gain_automorphisms(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """The subgroup of graph automorphisms that preserve every gain exactly."""
-    return _gain_subgroup(automorphisms(g.graph, max_vertices), g)
+    """The graph automorphisms that preserve every gain exactly, by one gain-pruned search."""
+    return AutGroup(g.graph.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
 
 
 def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
@@ -201,7 +200,7 @@ def _mixed_aut_parts(g: GainGraph, max_vertices: int):
         build_gain_graph(n, g.group, directed, mixed_mode=True), max_vertices
     )
     aut_u = automorphisms(SimpleGraph(n, undirected), max_vertices)
-    aut_gain = _gain_subgroup(aut_g, g)
+    aut_gain = gain_automorphisms(g, max_vertices)
     aut_mixed = {f.image for f in aut_gain}
     inter_gs = {f.image for f in aut_g} & {f.image for f in aut_s}
     inter_su = {f.image for f in aut_s} & {f.image for f in aut_u}

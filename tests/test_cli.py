@@ -230,7 +230,8 @@ def test_aut_bowtie(capsys):
     assert gens and all(not f.is_identity() for f in gens)
 
 
-def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
+def _count_searches(monkeypatch) -> list:
+    """Record the first graph of every ``_isomorphisms`` call."""
     searched = []
     search = symmetry._isomorphisms
 
@@ -239,28 +240,33 @@ def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
         return search(a, b, *rest)
 
     monkeypatch.setattr(symmetry, "_isomorphisms", counting)
+    return searched
+
+
+def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
+    searched = _count_searches(monkeypatch)
     code, report = run(capsys, "aut", BOWTIE_MINUS)
     assert code == 0 and report["result"]["underlying_order"] == 8
     g, _ = gs.load_gg(BOWTIE_MINUS)
-    # the underlying graph, then the directed and the undirected part
-    assert len(searched) == 3 and searched.count(g.graph) == 1
+    # the underlying graph, the directed part, the undirected part, then the
+    # file's gain graph; a SimpleGraph never equals a GainGraph
+    assert len(searched) == 4 and searched.count(g.graph) == 1 and searched.count(g) == 1
 
 
-def test_aut_filters_the_input_for_gain_automorphisms_once(monkeypatch, capsys):
-    filtered = []
-    gain_subgroup = symmetry._gain_subgroup
-
-    def counting(aut, g):
-        filtered.append(g)
-        return gain_subgroup(aut, g)
-
-    monkeypatch.setattr(symmetry, "_gain_subgroup", counting)
-    code, report = run(capsys, "aut", BOWTIE_MINUS)
-    assert code == 0 and report["result"]["gain_order"] == 1
-    g, _ = gs.load_gg(BOWTIE_MINUS)
-    # once on the file's graph (shared by the decomposition and the report),
-    # once on the directed part
-    assert len(filtered) == 2 and filtered.count(g) == 1
+def test_aut_searches_the_input_for_gain_automorphisms_once(monkeypatch, capsys):
+    searched = _count_searches(monkeypatch)
+    tested = []
+    monkeypatch.setattr(symmetry, "_moved_exps", lambda f, g: tested.append(f) or iter(()))
+    for path, searches, gain_order in ((BOWTIE_MINUS, 4, 1), (SIGNED_TRI, 2, 2)):
+        searched.clear()
+        code, report = run(capsys, "aut", path)
+        assert code == 0 and report["result"]["gain_order"] == gain_order
+        g, _ = gs.load_gg(path)
+        # mixed: the three parts and the input; signed: the underlying graph and the input
+        assert len(searched) == searches and searched.count(g) == 1 and searched.count(g.graph) == 1
+    # the gain groups come from their own searches: no element of an
+    # underlying group is tested for gains
+    assert tested == []
 
 
 def test_census_and_classify_on_a_long_path(tmp_path, capsys):

@@ -6,6 +6,10 @@ Claims covered here:
   * gain automorphisms are the gain-preserving subgroup, and for mixed
     graphs they are the intersection of the groups of the directed and the
     undirected parts;
+  * the gain-pruned search lists gain automorphisms in the order of a
+    gain-checking filter over itertools.permutations, and decides and counts
+    gain isomorphisms as networkx's DiGraphMatcher does, on 210 seeded gain
+    graphs with n 0-8 and k 1-8;
   * act is a group action on gain graphs and descends to switching classes:
     its Hermitian matrix is the conjugated one, and equivalent inputs stay
     equivalent;
@@ -307,6 +311,81 @@ def test_gain_automorphisms_match_oracle(rng):
         assert {f.image for f in gs.gain_automorphisms(g)} == want
 
 
+def seeded_gain_graph(rng, graph):
+    """Gains on graph: k 1-8, mixed or not, from a pool of 1-3 exponents so
+    that gain automorphism groups stay nontrivial."""
+    if rng.random() < 0.3:
+        k, pool, mixed_mode = 4, gs.MIXED_EXPONENTS, True
+    else:
+        k, mixed_mode = rng.randint(1, 8), False
+        pool = range(k)
+    pool = rng.sample(list(pool), min(len(pool), rng.randint(1, 3)))
+    exps = [rng.choice(pool) for _ in range(graph.m)]
+    return gs.GainGraph._from_exps(graph, gs.GainGroup(k), exps, mixed_mode)
+
+
+def gain_isomorphisms_by_permutations(a, b):
+    """Yield every gain isomorphism a -> b as an image tuple, in itertools.permutations order."""
+    if a.graph.n == b.graph.n and a.graph.m == b.graph.m:
+        arcs = list(zip(a.graph.edges, a.exps))
+        for img in itertools.permutations(range(1, a.graph.n + 1)):
+            if all(
+                b.graph.has_edge(img[u - 1], img[v - 1]) and b.exponent(img[u - 1], img[v - 1]) == t
+                for (u, v), t in arcs
+            ):
+                yield img
+
+
+def test_gain_automorphisms_match_a_permutation_filter():
+    rng = random.Random(7102)
+    orders = []
+    for graph in seeded_graphs():
+        g = seeded_gain_graph(rng, graph)
+        got = [f.image for f in gs.gain_automorphisms(g).elements]
+        assert got == list(gain_isomorphisms_by_permutations(g, g))
+        orders.append(len(got))
+    assert sum(order > 1 for order in orders) >= 100  # nontrivial groups are common
+
+
+def test_gain_isomorphism_search_matches_networkx():
+    """DiGraphMatcher on both orientations of each edge, matched on exponents."""
+    nx = pytest.importorskip("networkx")
+    iso = nx.algorithms.isomorphism
+    rng = random.Random(7103)
+
+    def digraph(g):
+        d = nx.DiGraph()
+        d.add_nodes_from(range(1, g.graph.n + 1))
+        k = g.group.order
+        for (u, v), t in zip(g.graph.edges, g.exps):
+            d.add_edge(u, v, t=t)
+            d.add_edge(v, u, t=-t % k)
+        return d
+
+    verdicts = []
+    for graph in seeded_graphs():
+        a = seeded_gain_graph(rng, graph)
+        labels = list(range(1, graph.n + 1))
+        rng.shuffle(labels)
+        exps = list(a.exps)
+        k = a.group.order
+        if exps and k > 1 and rng.random() < 0.5:  # one gain changed: often not isomorphic
+            e = rng.randrange(len(exps))
+            pool = gs.MIXED_EXPONENTS if a.mixed_mode else range(k)
+            exps[e] = rng.choice([t for t in pool if t != exps[e]])
+        arcs = [(labels[u - 1], labels[v - 1], t) for (u, v), t in zip(graph.edges, exps)]
+        b = gs.build_gain_graph(graph.n, a.group, arcs, mixed_mode=a.mixed_mode)
+        matcher = iso.DiGraphMatcher(digraph(a), digraph(b), edge_match=lambda x, y: x["t"] == y["t"])
+        found = list(symmetry._isomorphisms(a, b, symmetry.DEFAULT_AUT_CAP, "isomorphism"))
+        assert bool(found) == matcher.is_isomorphic()
+        for f in found:
+            assert all(b.exponent(f(u), f(v)) == t for (u, v), t in zip(a.graph.edges, a.exps))
+        if graph.n <= 6:
+            assert len(found) == sum(1 for _ in matcher.isomorphisms_iter())
+        verdicts.append(bool(found))
+    assert verdicts.count(False) >= 30 and verdicts.count(True) >= 100
+
+
 def test_mixed_aut_decomposition_star():
     g = mixed(4, [(1, 2, 1), (1, 3, 0), (1, 4, 0)])
     aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
@@ -325,7 +404,7 @@ def test_mixed_aut_decomposition_all_undirected():
         gs.mixed_aut_decomposition(all_ones(cycle_graph(4), mixed_mode=False))
 
 
-def test_mixed_aut_decomposition_searches_three_graphs(monkeypatch):
+def test_mixed_aut_decomposition_searches_four_graphs(monkeypatch):
     g = bowtie_minus()
     undirected = gs.SimpleGraph(5, [e for e, x in zip(g.graph.edges, g.gains) if x.is_one()])
     searched = []
@@ -335,15 +414,28 @@ def test_mixed_aut_decomposition_searches_three_graphs(monkeypatch):
         searched.append(a)
         return search(a, b, *rest)
 
+    tested = []
     monkeypatch.setattr(symmetry, "_isomorphisms", counting)
+    monkeypatch.setattr(symmetry, "_moved_exps", lambda f, h: tested.append(f) or iter(()))
     aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
     assert (aut_g.order, aut_s.order, aut_u.order) == (8, 1, 8)
-    assert len(searched) == 3 and searched.count(g.graph) == 1
+    # the underlying graph, the directed part, the undirected part and g itself,
+    # each once; no automorphism of the underlying graph is tested for gains
+    assert len(searched) == 4 and searched.count(g.graph) == 1 and searched.count(g) == 1
+    assert searched.count(undirected) == 1 and tested == []
 
     def losing_the_undirected_part(a, b, *rest):
         return iter(()) if a == undirected else search(a, b, *rest)
 
     monkeypatch.setattr(symmetry, "_isomorphisms", losing_the_undirected_part)
+    with pytest.raises(AssertionError, match="intersection identities"):
+        gs.mixed_aut_decomposition(g)
+
+    # g's gain automorphisms come from their own search, which the identities check
+    def losing_the_gain_search(a, b, *rest):
+        return iter(()) if a == g else search(a, b, *rest)
+
+    monkeypatch.setattr(symmetry, "_isomorphisms", losing_the_gain_search)
     with pytest.raises(AssertionError, match="intersection identities"):
         gs.mixed_aut_decomposition(g)
 
