@@ -245,20 +245,22 @@ def cmd_product(args) -> tuple[dict, int]:
 def cmd_aut(args) -> tuple[dict, int]:
     g, _ = _load(args.file)
     max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
+    under = symmetry._automorphism_chain(g.graph, max_aut)
     if g.mixed_mode:
-        aut_under, aut_s, aut_u, aut_gain = symmetry._mixed_aut_parts(g, max_aut)
+        aut_s, chain_u, aut_gain = symmetry._mixed_aut_report(g, under, max_aut)
+        gain_order, gain_gens = aut_gain.order, symmetry.generating_set(aut_gain)
     else:
-        aut_under = symmetry.automorphisms(g.graph, max_aut)
-        aut_gain = symmetry.gain_automorphisms(g, max_aut)
+        gain = symmetry._automorphism_chain(g, max_aut)
+        gain_order, gain_gens = gain.order, gain.generators
     result = {
-        "underlying_order": aut_under.order,
-        "underlying_generators": [list(p.image) for p in symmetry.generating_set(aut_under)],
-        "gain_order": aut_gain.order,
-        "gain_generators": [list(p.image) for p in symmetry.generating_set(aut_gain)],
+        "underlying_order": under.order,
+        "underlying_generators": [list(p.image) for p in under.generators],
+        "gain_order": gain_order,
+        "gain_generators": [list(p.image) for p in gain_gens],
     }
     if g.mixed_mode:
         result["directed_part_order"] = aut_s.order
-        result["undirected_part_order"] = aut_u.order
+        result["undirected_part_order"] = chain_u.order
     return result, 0
 
 

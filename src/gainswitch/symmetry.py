@@ -9,6 +9,7 @@ switching isomorphic exactly when their classes lie in the same orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
@@ -94,15 +95,14 @@ class AutGroup:
         return iter(self.elements)
 
 
-def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
-    """Yield every isomorphism from a onto b, in increasing order of image tuples.
+def _tables(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
+    """The search tables for isomorphisms a -> b, or None when the degree sequences differ.
 
     a and b are both simple graphs (k = 1, every exponent 0) or both gain
-    graphs over one group.  Backtracking on a's vertices, one level per vertex
-    on an explicit stack; vertex w of b is bit w - 1.  A level's candidates are
-    one int: v's degree class minus the used images, ANDed over each earlier u
-    with masks[t] at u's image, t = exp_a(u -> v) (k if not adjacent), and
-    taken lowest bit first.
+    graphs over one group; vertex w of b is bit w - 1.  Returns
+    ``(n, degree_class, earlier)``: ``degree_class[v]`` holds the vertices
+    of b of v's degree, and ``earlier[v]`` pairs each u < v with the mask
+    table of t = exp_a(u -> v), k if u and v are not adjacent.
     """
     if isinstance(a, GainGraph):
         k, exps_a, exps_b, a, b = a.group.order, a.exps, b.exps, a.graph, b.graph
@@ -113,32 +113,52 @@ def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_ve
             f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
         )
     n = a.n
-    deg_a = [a.degree(v) for v in range(n + 1)]
-    deg_b = [b.degree(w) for w in range(b.n + 1)]
+    deg_a = list(map(len, a.adjacency))
+    deg_b = list(map(len, b.adjacency))
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
-        return
-    if n == 0:
-        yield VertexPermutation._unchecked(())
-        return
+        return None
     masks = [[0] * (n + 1) for _ in range(k)]  # masks[t][x]: the w with exp_b(x -> w) = t
     for (x, w), t in zip(b.edges, exps_b):
         masks[t][x] |= 1 << (w - 1)
         masks[-t % k][w] |= 1 << (x - 1)
     masks.append([(1 << n) - 1 - sum(col) for col in zip(*masks)])  # masks[k]: the non-neighbors
-    degree_class = [sum(1 << (w - 1) for w in range(1, n + 1) if deg_b[w] == d) for d in deg_a]
+    of_degree: dict[int, int] = {}
+    for w in range(1, n + 1):
+        of_degree[deg_b[w]] = of_degree.get(deg_b[w], 0) | 1 << (w - 1)
+    degree_class = [of_degree.get(d, 0) for d in deg_a]
     # per level v: (u, mask table) for each earlier vertex u
     exp_a = dict(zip(a.edges, exps_a))
     earlier = [[(u, masks[exp_a.get((u, v), k)]) for u in range(1, v)] for v in range(n + 1)]
-    image = [0] * (n + 1)
+    return n, degree_class, earlier
+
+
+def _search(tables, pinned: tuple[int, ...] = (), restrict: int = -1):
+    """Yield the isomorphisms of ``tables`` that extend ``pinned``, in increasing order of image tuples.
+
+    ``pinned`` holds the images of vertices 1..i-1 (fewer than n of them,
+    and a partial isomorphism) and level i takes only images in the bitmask
+    ``restrict``.  Backtracking on levels i..n on an explicit stack: a
+    level's candidates are one int, v's degree class minus the used images,
+    ANDed over each earlier u with its mask table at u's image, and taken
+    lowest bit first.
+    """
+    n, degree_class, earlier = tables
+    if n == 0:
+        yield VertexPermutation._unchecked(())
+        return
+    image = [0, *pinned] + [0] * (n - len(pinned))
+    used = sum(map((1).__lshift__, pinned)) >> 1  # bit w - 1 per pinned image w
+    top = v = len(pinned) + 1
+    c = degree_class[v] & ~used & restrict
+    for u, table in earlier[v]:
+        c &= table[image[u]]
     cands = [0] * (n + 1)
-    cands[1] = degree_class[1]
-    used = 0
-    v = 1
-    while v:
+    cands[v] = c
+    while v >= top:
         c = cands[v]
         if not c:  # level exhausted: free the previous level's image
             v -= 1
-            if v:
+            if v >= top:
                 used ^= 1 << (image[v] - 1)
             continue
         low = c & -c
@@ -153,6 +173,13 @@ def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_ve
         for u, table in earlier[v]:
             c &= table[image[u]]
         cands[v] = c
+
+
+def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
+    """Yield every isomorphism from a onto b, in increasing order of image tuples."""
+    tables = _tables(a, b, max_vertices, search)
+    if tables is not None:
+        yield from _search(tables)
 
 
 def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
@@ -176,6 +203,96 @@ def gain_automorphisms(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> Aut
     return AutGroup(g.graph.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """An automorphism group as a stabiliser chain with base 1..n (Sims 1970).
+
+    ``cosets[i - 1]`` maps each point j of the orbit of i under the
+    pointwise stabiliser of 1..i-1 to the inverse of one element u_j of that
+    stabiliser with u_j(i) = j, as a 0-prefixed image tuple.  ``generators``
+    are the strong generators in the order found.
+    """
+
+    generators: tuple[VertexPermutation, ...]
+    cosets: tuple[dict[int, tuple[int, ...]], ...]
+
+    @property
+    def order(self) -> int:
+        return prod(len(orbit) for orbit in self.cosets)
+
+    def sifts(self, image: tuple[int, ...]) -> bool:
+        """Whether the permutation with this image lies in the group: strip u_j level by level."""
+        for i, orbit in enumerate(self.cosets, start=1):
+            j = image[i - 1]
+            if j != i:
+                if j not in orbit:
+                    return False
+                image = tuple(map(orbit[j].__getitem__, image))
+        return True
+
+
+def _automorphism_chain(g: SimpleGraph | GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> _Chain:
+    """Aut(g) as a stabiliser chain, from first-solution runs of one search.
+
+    Levels i = n, ..., 1: while some automorphism fixes 1..i-1 and maps i
+    outside the orbit of i under the generators so far, the first one found
+    joins them and the orbit grows by BFS.  That is the least element outside
+    the group generated so far, so the generators equal
+    ``generating_set(automorphisms(g))``, in order; the order is the product
+    of the orbit sizes.
+    """
+    tables = _tables(g, g, max_vertices, "automorphism")
+    n, degree_class, _ = tables
+    gens: list[VertexPermutation] = []
+    inverses: list[tuple[int, ...]] = []
+    cosets: list[dict[int, tuple[int, ...]]] = []
+    for i in range(n, 0, -1):
+        pinned = tuple(range(1, i))
+        orbit = {i: tuple(range(n + 1))}
+        outside = (1 << n) - (1 << i)  # i+1..n less the orbit; 1..i-1 are pinned
+        queue = [i]
+        while True:
+            for p in queue:  # BFS: u_q^-1 = u_p^-1 after s^-1, for q = s(p)
+                for s, inv in zip(gens, inverses):
+                    q = s.image[p - 1]
+                    if q not in orbit:
+                        orbit[q] = (0, *map(orbit[p].__getitem__, inv))
+                        outside ^= 1 << (q - 1)
+                        queue.append(q)
+            if not outside & degree_class[i]:
+                break
+            f = next(_search(tables, pinned, outside), None)
+            if f is None:
+                break
+            gens.append(f)
+            inverses.append(f.inverse().image)
+            queue = list(orbit)
+        cosets.append(orbit)
+    return _Chain(tuple(gens), tuple(reversed(cosets)))
+
+
+def _mixed_parts(g: GainGraph) -> tuple[GainGraph, SimpleGraph]:
+    """A mixed graph's directed part (gain != 1, with gains) and undirected part (gain 1, plain)."""
+    if not g.mixed_mode:
+        raise ValidationError("the decomposition is defined for mixed graphs")
+    n = g.graph.n
+    directed = [(u, v, t) for (u, v), t in zip(g.graph.edges, g.exps) if t]
+    undirected = [e for e, t in zip(g.graph.edges, g.exps) if not t]
+    return build_gain_graph(n, g.group, directed, mixed_mode=True), SimpleGraph(n, undirected)
+
+
+def _check_intersections(aut_gain: AutGroup, aut_s: AutGroup, in_g, in_u) -> None:
+    """Check Aut(gains) = Aut(G) ∩ Aut(directed) = Aut(directed) ∩ Aut(undirected).
+
+    ``in_g`` and ``in_u`` decide membership of an image tuple in the
+    underlying graph's and the undirected part's groups.
+    """
+    aut_mixed = {f.image for f in aut_gain}
+    if (aut_mixed != {f.image for f in aut_s if in_g(f.image)}
+            or aut_mixed != {f.image for f in aut_s if in_u(f.image)}):
+        raise AssertionError("internal error: automorphism intersection identities failed")
+
+
 def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     """Automorphism groups of a mixed graph, its directed part, and its undirected part.
 
@@ -185,28 +302,30 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     automorphisms of g equal the intersection of the first two groups and
     also the intersection of the last two; both identities are verified here.
     """
-    return _mixed_aut_parts(g, max_vertices)[:3]
-
-
-def _mixed_aut_parts(g: GainGraph, max_vertices: int):
-    """``mixed_aut_decomposition``'s three groups, then g's gain automorphisms."""
-    if not g.mixed_mode:
-        raise ValidationError("the decomposition is defined for mixed graphs")
-    n = g.graph.n
-    directed = [(u, v, t) for (u, v), t in zip(g.graph.edges, g.exps) if t]
-    undirected = [e for e, t in zip(g.graph.edges, g.exps) if not t]
+    directed, undirected = _mixed_parts(g)
     aut_g = automorphisms(g.graph, max_vertices)
-    aut_s = gain_automorphisms(
-        build_gain_graph(n, g.group, directed, mixed_mode=True), max_vertices
-    )
-    aut_u = automorphisms(SimpleGraph(n, undirected), max_vertices)
+    aut_s = gain_automorphisms(directed, max_vertices)
+    aut_u = automorphisms(undirected, max_vertices)
     aut_gain = gain_automorphisms(g, max_vertices)
-    aut_mixed = {f.image for f in aut_gain}
-    inter_gs = {f.image for f in aut_g} & {f.image for f in aut_s}
-    inter_su = {f.image for f in aut_s} & {f.image for f in aut_u}
-    if aut_mixed != inter_gs or aut_mixed != inter_su:
-        raise AssertionError("internal error: automorphism intersection identities failed")
-    return aut_g, aut_s, aut_u, aut_gain
+    _check_intersections(
+        aut_gain, aut_s, {f.image for f in aut_g}.__contains__, {f.image for f in aut_u}.__contains__
+    )
+    return aut_g, aut_s, aut_u
+
+
+def _mixed_aut_report(g: GainGraph, chain_g: _Chain, max_vertices: int):
+    """``gainswitch aut``'s mixed groups: the directed part's, the undirected part's chain, g's.
+
+    The directed part and g are listed, since their elements enter the
+    identities; membership in the underlying graph's group (``chain_g``) and
+    the undirected part's is decided by sifting through their chains.
+    """
+    directed, undirected = _mixed_parts(g)
+    aut_s = gain_automorphisms(directed, max_vertices)
+    chain_u = _automorphism_chain(undirected, max_vertices)
+    aut_gain = gain_automorphisms(g, max_vertices)
+    _check_intersections(aut_gain, aut_s, chain_g.sifts, chain_u.sifts)
+    return aut_s, chain_u, aut_gain
 
 
 def act(f: VertexPermutation, g: GainGraph) -> GainGraph:

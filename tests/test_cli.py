@@ -11,6 +11,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+
+import pytest
 
 import gainswitch as gs
 from gainswitch import cli, symmetry
@@ -230,43 +233,109 @@ def test_aut_bowtie(capsys):
     assert gens and all(not f.is_identity() for f in gens)
 
 
-def _count_searches(monkeypatch) -> list:
-    """Record the first graph of every ``_isomorphisms`` call."""
-    searched = []
-    search = symmetry._isomorphisms
+def test_aut_reaches_signed_k10_without_listing_it(tmp_path, capsys):
+    # the negative edges form a perfect matching: its group has 2^5 * 5! elements
+    matching = {(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)}
+    edges = [(u, v, int((u, v) in matching)) for u in range(1, 10) for v in range(u + 1, 11)]
+    k10 = tmp_path / "signed_k10.gg"
+    gs.save_gg(gs.build_gain_graph(10, gs.GainGroup(2), edges), k10)
+    start = time.process_time()
+    code, report = run(capsys, "aut", str(k10), "--max-aut", "10")
+    elapsed = time.process_time() - start
+    res = report["result"]
+    assert code == 0 and res["underlying_order"] == math.factorial(10) and res["gain_order"] == 3840
+    swaps = []
+    for i in range(9, 0, -1):
+        image = list(range(1, 11))
+        image[i - 1], image[i] = i + 1, i
+        swaps.append(image)
+    assert res["underlying_generators"] == swaps
+    assert elapsed < 1.0  # listing signed K9's group alone took about 1 s
+
+
+def _count_tables(monkeypatch) -> list:
+    """Record (graph, tables) of every ``_tables`` call: one per graph searched."""
+    built = []
+    build = symmetry._tables
 
     def counting(a, b, *rest):
-        searched.append(a)
-        return search(a, b, *rest)
+        built.append((a, build(a, b, *rest)))
+        return built[-1][1]
 
-    monkeypatch.setattr(symmetry, "_isomorphisms", counting)
-    return searched
+    monkeypatch.setattr(symmetry, "_tables", counting)
+    return built
+
+
+def _forbid(monkeypatch, name: str) -> list:
+    """Record every call of ``symmetry.<name>``, which must not be made."""
+    calls = []
+    monkeypatch.setattr(symmetry, name, lambda *args: calls.append(args) or iter(()))
+    return calls
 
 
 def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
-    searched = _count_searches(monkeypatch)
-    code, report = run(capsys, "aut", BOWTIE_MINUS)
-    assert code == 0 and report["result"]["underlying_order"] == 8
-    g, _ = gs.load_gg(BOWTIE_MINUS)
-    # the underlying graph, the directed part, the undirected part, then the
-    # file's gain graph; a SimpleGraph never equals a GainGraph
-    assert len(searched) == 4 and searched.count(g.graph) == 1 and searched.count(g) == 1
+    built = _count_tables(monkeypatch)
+    listed = _forbid(monkeypatch, "automorphisms")
+    runs = []  # (tables, restrict) of every search run
+    search = symmetry._search
+
+    def recording(tables, pinned=(), restrict=-1):
+        runs.append((tables, restrict))
+        return search(tables, pinned, restrict)
+
+    monkeypatch.setattr(symmetry, "_search", recording)
+    for path, graphs in ((BOWTIE_MINUS, 4), (SIGNED_TRI, 2)):
+        built.clear()
+        runs.clear()
+        code, report = run(capsys, "aut", path)
+        assert code == 0
+        g, _ = gs.load_gg(path)
+        # mixed: the underlying graph, the directed part, the undirected part
+        # and the input; signed: the underlying graph and the input.  Each
+        # graph's tables are built once; a SimpleGraph never equals a GainGraph.
+        searched = [a for a, _ in built]
+        assert len(searched) == len(set(searched)) == graphs
+        assert searched.count(g.graph) == 1 and searched.count(g) == 1
+        # the underlying group is never listed: every run on its tables is a
+        # chain level's first-solution search, restricted to points off the orbit
+        of_g = next(tables for a, tables in built if a == g.graph)
+        restricts = [r for tables, r in runs if tables is of_g]
+        assert restricts and -1 not in restricts
+    assert report["result"]["underlying_order"] == 6 and listed == []
 
 
-def test_aut_searches_the_input_for_gain_automorphisms_once(monkeypatch, capsys):
-    searched = _count_searches(monkeypatch)
-    tested = []
-    monkeypatch.setattr(symmetry, "_moved_exps", lambda f, g: tested.append(f) or iter(()))
-    for path, searches, gain_order in ((BOWTIE_MINUS, 4, 1), (SIGNED_TRI, 2, 2)):
-        searched.clear()
+def test_aut_searches_the_input_for_gain_automorphisms_once(monkeypatch, capsys, tmp_path):
+    built = _count_tables(monkeypatch)
+    tested = _forbid(monkeypatch, "_moved_exps")
+    for path, graphs, gain_order in ((BOWTIE_MINUS, 4, 1), (SIGNED_TRI, 2, 2)):
+        built.clear()
         code, report = run(capsys, "aut", path)
         assert code == 0 and report["result"]["gain_order"] == gain_order
         g, _ = gs.load_gg(path)
-        # mixed: the three parts and the input; signed: the underlying graph and the input
-        assert len(searched) == searches and searched.count(g) == 1 and searched.count(g.graph) == 1
+        searched = [a for a, _ in built]
+        assert len(searched) == graphs and searched.count(g) == 1
     # the gain groups come from their own searches: no element of an
     # underlying group is tested for gains
     assert tested == []
+
+    # an arc 1 -> 2 and undirected edges 1-3, 1-4: swapping 3 and 4 preserves
+    # every gain, and the undirected part's chain must hold it
+    star = tmp_path / "star.gg"
+    gs.save_gg(gs.build_gain_graph(4, gs.GainGroup(4), [(1, 2, 1), (1, 3, 0), (1, 4, 0)], True), star)
+    built.clear()
+    code, report = run(capsys, "aut", str(star))
+    assert code == 0 and report["result"]["gain_order"] == report["result"]["undirected_part_order"] == 2
+    undirected = gs.SimpleGraph(4, [(1, 3), (1, 4)])
+    assert [a for a, _ in built].count(undirected) == 1
+    search = symmetry._search
+
+    def losing_a_generator_of_u(tables, *rest):
+        of_u = [t for a, t in built if a == undirected]
+        return iter(()) if tables is of_u[-1] else search(tables, *rest)
+
+    monkeypatch.setattr(symmetry, "_search", losing_a_generator_of_u)
+    with pytest.raises(AssertionError, match="intersection identities"):
+        cli.main(["aut", str(star)])
 
 
 def test_census_and_classify_on_a_long_path(tmp_path, capsys):
