@@ -245,23 +245,27 @@ def cmd_product(args) -> tuple[dict, int]:
 def cmd_aut(args) -> tuple[dict, int]:
     g, _ = _load(args.file)
     max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
-    under = symmetry._automorphism_chain(g.graph, max_aut)
-    if g.mixed_mode:
-        aut_s, chain_u, aut_gain = symmetry._mixed_aut_report(g, under, max_aut)
-        gain_order, gain_gens = aut_gain.order, symmetry.generating_set(aut_gain)
-    else:
-        gain = symmetry._automorphism_chain(g, max_aut)
-        gain_order, gain_gens = gain.order, gain.generators
+    under, *parts, gain = symmetry._aut_chains(g, max_aut)
     result = {
         "underlying_order": under.order,
         "underlying_generators": [list(p.image) for p in under.generators],
-        "gain_order": gain_order,
-        "gain_generators": [list(p.image) for p in gain_gens],
+        "gain_order": gain.order,
+        "gain_generators": [list(p.image) for p in gain.generators],
     }
-    if g.mixed_mode:
-        result["directed_part_order"] = aut_s.order
-        result["undirected_part_order"] = chain_u.order
+    if parts:
+        result["directed_part_order"], result["undirected_part_order"] = (c.order for c in parts)
     return result, 0
+
+
+def _cap(text: str) -> int:
+    """A cap option's value: an integer, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
-    common.add_argument("--max-enum", type=int, default=None, help="override enumeration caps")
-    common.add_argument("--max-aut", type=int, default=None, help="override the automorphism cap")
+    common.add_argument("--max-enum", type=_cap, default=None, help="override enumeration caps")
+    common.add_argument("--max-aut", type=_cap, default=None, help="override the automorphism cap")
     common.add_argument("--json-pretty", action="store_true", help="indent the JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -343,8 +343,8 @@ def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     tol * ||H||_F, which by Weyl's inequality bounds every eigenvalue's
     error.  Results are cached on the (immutable) graph.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValidationError("tol must be positive and finite")
     return _spectrum_cached(g, tol)
 
 

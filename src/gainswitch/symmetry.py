@@ -71,7 +71,7 @@ class VertexPermutation:
         inv = [0] * self.n
         for v, w in enumerate(self.image, start=1):
             inv[w - 1] = v
-        return VertexPermutation(tuple(inv))
+        return VertexPermutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.image, start=1))
@@ -231,17 +231,25 @@ class _Chain:
         return True
 
 
-def _automorphism_chain(g: SimpleGraph | GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> _Chain:
-    """Aut(g) as a stabiliser chain, from first-solution runs of one search.
+def _meet(s, t):
+    """The tables of Aut(graph of s) ∩ Aut(graph of t), for automorphism tables on one vertex set.
+
+    A permutation passes them iff it passes s and t: degree classes ANDed, ``earlier`` lists joined.
+    """
+    (n, class_s, earlier_s), (_, class_t, earlier_t) = s, t
+    return n, list(map(int.__and__, class_s, class_t)), list(map(list.__add__, earlier_s, earlier_t))
+
+
+def _automorphism_chain(tables) -> _Chain:
+    """The automorphisms of search tables as a stabiliser chain, from first-solution runs of one search.
 
     Levels i = n, ..., 1: while some automorphism fixes 1..i-1 and maps i
     outside the orbit of i under the generators so far, the first one found
     joins them and the orbit grows by BFS.  That is the least element outside
-    the group generated so far, so the generators equal
-    ``generating_set(automorphisms(g))``, in order; the order is the product
-    of the orbit sizes.
+    the group generated so far, so the generators equal ``generating_set`` of
+    the listed group, in order (equal groups, equal generators); the order is
+    the product of the orbit sizes.
     """
-    tables = _tables(g, g, max_vertices, "automorphism")
     n, degree_class, _ = tables
     gens: list[VertexPermutation] = []
     inverses: list[tuple[int, ...]] = []
@@ -281,16 +289,24 @@ def _mixed_parts(g: GainGraph) -> tuple[GainGraph, SimpleGraph]:
     return build_gain_graph(n, g.group, directed, mixed_mode=True), SimpleGraph(n, undirected)
 
 
-def _check_intersections(aut_gain: AutGroup, aut_s: AutGroup, in_g, in_u) -> None:
-    """Check Aut(gains) = Aut(G) ∩ Aut(directed) = Aut(directed) ∩ Aut(undirected).
+def _aut_chains(g: GainGraph, max_vertices: int) -> list[_Chain]:
+    """Chains of the underlying graph, the directed and undirected parts if g is mixed, and g.
 
-    ``in_g`` and ``in_u`` decide membership of an image tuple in the
-    underlying graph's and the undirected part's groups.
+    For a mixed graph, checks Aut(g) = Aut(G) ∩ Aut(directed) = Aut(directed)
+    ∩ Aut(undirected): both meets' chains have g's chain's generators, and
+    each of those sifts through the chains of G and both parts.
     """
-    aut_mixed = {f.image for f in aut_gain}
-    if (aut_mixed != {f.image for f in aut_s if in_g(f.image)}
-            or aut_mixed != {f.image for f in aut_s if in_u(f.image)}):
-        raise AssertionError("internal error: automorphism intersection identities failed")
+    graphs = (g.graph, *_mixed_parts(g), g) if g.mixed_mode else (g.graph, g)
+    tables = [_tables(h, h, max_vertices, "automorphism") for h in graphs]
+    chains = list(map(_automorphism_chain, tables))
+    if g.mixed_mode:
+        t_g, t_s, t_u, _ = tables
+        gens = chains[-1].generators
+        if (_automorphism_chain(_meet(t_g, t_s)).generators != gens
+                or _automorphism_chain(_meet(t_s, t_u)).generators != gens
+                or not all(c.sifts(f.image) for c in chains[:3] for f in gens)):
+            raise AssertionError("internal error: automorphism intersection identities failed")
+    return chains
 
 
 def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
@@ -300,32 +316,13 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     directed part keeps the edges with gain != 1 (with their gains) and the
     undirected part keeps the gain-1 edges as a plain graph.  The gain
     automorphisms of g equal the intersection of the first two groups and
-    also the intersection of the last two; both identities are verified here.
+    also the intersection of the last two; both identities are verified on
+    stabiliser chains before the groups are listed.
     """
     directed, undirected = _mixed_parts(g)
-    aut_g = automorphisms(g.graph, max_vertices)
-    aut_s = gain_automorphisms(directed, max_vertices)
-    aut_u = automorphisms(undirected, max_vertices)
-    aut_gain = gain_automorphisms(g, max_vertices)
-    _check_intersections(
-        aut_gain, aut_s, {f.image for f in aut_g}.__contains__, {f.image for f in aut_u}.__contains__
-    )
-    return aut_g, aut_s, aut_u
-
-
-def _mixed_aut_report(g: GainGraph, chain_g: _Chain, max_vertices: int):
-    """``gainswitch aut``'s mixed groups: the directed part's, the undirected part's chain, g's.
-
-    The directed part and g are listed, since their elements enter the
-    identities; membership in the underlying graph's group (``chain_g``) and
-    the undirected part's is decided by sifting through their chains.
-    """
-    directed, undirected = _mixed_parts(g)
-    aut_s = gain_automorphisms(directed, max_vertices)
-    chain_u = _automorphism_chain(undirected, max_vertices)
-    aut_gain = gain_automorphisms(g, max_vertices)
-    _check_intersections(aut_gain, aut_s, chain_g.sifts, chain_u.sifts)
-    return aut_s, chain_u, aut_gain
+    _aut_chains(g, max_vertices)
+    return (automorphisms(g.graph, max_vertices), gain_automorphisms(directed, max_vertices),
+            automorphisms(undirected, max_vertices))
 
 
 def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
@@ -367,20 +364,24 @@ def orbit_of_class(
 ):
     """Representatives of the orbit of [g] under the automorphism action.
 
-    One gain graph per distinct switching class reachable as act(f, g),
-    keyed by basis gain profile and sorted by it for determinism.
+    One gain graph act(f, g) per switching class in the orbit, by BFS over the
+    underlying chain's generators, keyed by basis gain profile and sorted by it.
     """
     if g.graph.m > max_edges:
         raise InstanceTooLargeError(
             f"orbit computation capped at {max_edges} edges, graph has {g.graph.m}"
         )
     forest = spanning_forest(g.graph)
-    reps: dict[tuple[int, ...], GainGraph] = {}
-    for f in automorphisms(g.graph, max_vertices):
-        moved = act(f, g)
-        _, key = _normal_form(moved, forest)
-        if key not in reps:
-            reps[key] = moved
+    generators = _automorphism_chain(_tables(g.graph, g.graph, max_vertices, "automorphism")).generators
+    reps = {_normal_form(g, forest)[1]: g}
+    queue = [g]
+    for h in queue:  # BFS over the classes: act(s, h) is act(f∘s, g) for h = act(f, g)
+        for s in generators:
+            moved = act(s, h)
+            key = _normal_form(moved, forest)[1]
+            if key not in reps:
+                reps[key] = moved
+                queue.append(moved)
     return [reps[key] for key in sorted(reps)]
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import gainswitch as gs
 from gainswitch import cli, symmetry
-from conftest import all_ones, cycle_graph, path_graph
+from conftest import all_ones, complete_graph, cycle_graph, path_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 ARC_TRIANGLE = str(DATA / "arc_triangle.gg")
@@ -105,6 +105,26 @@ def test_spectrum_cap_keeps_eigenvalues(capsys):
     assert len(res["eigenvalues"]) == 5
     assert "coefficients" not in res
     assert report["diagnostics"][0].startswith("characteristic polynomial skipped")
+
+
+def test_non_finite_tol_is_a_validation_error(capsys):
+    # an infinite tol stops Jacobi at once (the unbalanced arc triangle would
+    # look spectrally balanced) and would print "tol": Infinity, not JSON
+    for command, path in (("spectrum", DIAMOND), ("spectrum", ARC_TRIANGLE), ("classify", ARC_TRIANGLE)):
+        for tol in ("inf", "nan"):
+            code, report = run(capsys, command, path, "--tol", tol)
+            assert code == 2 and report["result"] == {}
+            assert report["diagnostics"] == ["error: tol must be positive and finite"]
+
+
+@pytest.mark.parametrize("option, command", [("--max-enum", "census"), ("--max-aut", "aut")])
+def test_negative_caps_are_usage_errors(capsys, option, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, option, "-1", DIAMOND])
+    assert exit_.value.code == 2
+    assert f"argument {option}: must be at least 0, got -1" in capsys.readouterr().err
+    code, _ = run(capsys, command, option, "0", DIAMOND)  # 0 stays a cap, not a usage error
+    assert code == 3
 
 
 def test_census_diamond_with_faces(capsys):
@@ -253,6 +273,21 @@ def test_aut_reaches_signed_k10_without_listing_it(tmp_path, capsys):
     assert elapsed < 1.0  # listing signed K9's group alone took about 1 s
 
 
+def test_aut_reaches_all_undirected_mixed_k10(tmp_path, capsys):
+    # with no arcs all four groups are S10, and no element of one is listed
+    k10 = tmp_path / "mixed_k10.gg"
+    gs.save_gg(all_ones(complete_graph(10)), k10)
+    start = time.process_time()
+    code, report = run(capsys, "aut", str(k10), "--max-aut", "10")
+    elapsed = time.process_time() - start
+    res = report["result"]
+    assert code == 0
+    orders = ("underlying_order", "gain_order", "directed_part_order", "undirected_part_order")
+    assert [res[key] for key in orders] == [math.factorial(10)] * 4
+    assert res["gain_generators"] == res["underlying_generators"]
+    assert elapsed < 1.0
+
+
 def _count_tables(monkeypatch) -> list:
     """Record (graph, tables) of every ``_tables`` call: one per graph searched."""
     built = []
@@ -275,7 +310,8 @@ def _forbid(monkeypatch, name: str) -> list:
 
 def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
     built = _count_tables(monkeypatch)
-    listed = _forbid(monkeypatch, "automorphisms")
+    listing = ("automorphisms", "gain_automorphisms", "_isomorphisms", "generating_set")
+    listed = [_forbid(monkeypatch, name) for name in listing]
     runs = []  # (tables, restrict) of every search run
     search = symmetry._search
 
@@ -301,7 +337,7 @@ def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
         of_g = next(tables for a, tables in built if a == g.graph)
         restricts = [r for tables, r in runs if tables is of_g]
         assert restricts and -1 not in restricts
-    assert report["result"]["underlying_order"] == 6 and listed == []
+    assert report["result"]["underlying_order"] == 6 and listed == [[]] * 4
 
 
 def test_aut_searches_the_input_for_gain_automorphisms_once(monkeypatch, capsys, tmp_path):

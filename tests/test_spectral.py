@@ -395,6 +395,9 @@ def test_spectrum_tol_validation():
         gs.spectrum(arc_triangle(), tol=0.0)
     with pytest.raises(ValidationError):
         gs.spectrum(arc_triangle(), tol=-1e-9)
+    for tol in (math.inf, math.nan):  # an infinite tol stops Jacobi at once; NaN never stops it
+        with pytest.raises(ValidationError):
+            gs.spectrum(arc_triangle(), tol=tol)
 
 
 def test_spectrum_empty_and_single():

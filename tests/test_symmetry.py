@@ -5,7 +5,11 @@ Claims covered here:
     permutations (checked against an all-permutations oracle up to n = 6);
   * gain automorphisms are the gain-preserving subgroup, and for mixed
     graphs they are the intersection of the groups of the directed and the
-    undirected parts;
+    undirected parts; the identities are checked on chains, and a chain of
+    either part or of the gain graph that loses a generator trips them;
+  * the chain of the meet of two graphs' search tables has the generators of
+    the set intersection of their listed groups, in order, on 210 seeded
+    mixed graphs (n 0-8: no arcs, only arcs, disconnected, isolated vertices);
   * the gain-pruned search lists gain automorphisms in the order of a
     gain-checking filter over itertools.permutations, and decides and counts
     gain isomorphisms as networkx's DiGraphMatcher does, on 210 seeded gain
@@ -13,6 +17,8 @@ Claims covered here:
   * act is a group action on gain graphs and descends to switching classes:
     its Hermitian matrix is the conjugated one, and equivalent inputs stay
     equivalent;
+  * orbit_of_class's BFS over the chain's generators finds the classes of
+    act(f, g) over every automorphism f, for k 2/3/4/6;
   * switching isomorphism holds exactly when the classes share an orbit,
     with the two cospectral bowtie orientations as the negative witness;
   * underlying_isomorphism aligns relabeled graphs and rejects impostors;
@@ -37,7 +43,7 @@ import numpy as np
 import pytest
 
 import gainswitch as gs
-from gainswitch import symmetry
+from gainswitch import switching, symmetry
 from conftest import (
     G4,
     all_ones,
@@ -429,16 +435,24 @@ def listed_group(g):
     return gs.automorphisms(g) if isinstance(g, gs.SimpleGraph) else gs.gain_automorphisms(g)
 
 
+def aut_tables(g):
+    return symmetry._tables(g, g, symmetry.DEFAULT_AUT_CAP, "automorphism")
+
+
+def chain_of(g):
+    return symmetry._automorphism_chain(aut_tables(g))
+
+
 def test_chain_order_and_generators_match_the_listed_group():
     orders = []
     for g in chain_graphs():
         listed = listed_group(g)
-        chain = symmetry._automorphism_chain(g)
+        chain = chain_of(g)
         assert chain.order == listed.order
         assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(listed)]
         orders.append(listed.order)
     assert orders.count(1) >= 40 and sum(order >= 24 for order in orders) >= 40
-    assert symmetry._automorphism_chain(chain_graphs()[0]).order == 1  # the rigid tree
+    assert chain_of(chain_graphs()[0]).order == 1  # the rigid tree
 
 
 def test_sifting_agrees_with_group_membership():
@@ -446,7 +460,7 @@ def test_sifting_agrees_with_group_membership():
     hits = 0
     for g in chain_graphs():
         listed = listed_group(g)
-        chain = symmetry._automorphism_chain(g)
+        chain = chain_of(g)
         n = listed.n
         if n <= 6:
             images = itertools.permutations(range(1, n + 1))
@@ -468,7 +482,7 @@ def test_chain_orders_match_networkx():
     nx = pytest.importorskip("networkx")
     for graph, order in ((petersen_graph(), 120), (complete_bipartite_graph(3, 3), 72), (prism_graph(4), 48)):
         vf2 = nx.algorithms.isomorphism.GraphMatcher(nx.Graph(graph.edges), nx.Graph(graph.edges))
-        assert symmetry._automorphism_chain(graph).order == sum(1 for _ in vf2.isomorphisms_iter()) == order
+        assert chain_of(graph).order == sum(1 for _ in vf2.isomorphisms_iter()) == order
 
 
 def test_mixed_aut_decomposition_star():
@@ -490,39 +504,68 @@ def test_mixed_aut_decomposition_all_undirected():
 
 
 def test_mixed_aut_decomposition_searches_four_graphs(monkeypatch):
-    g = bowtie_minus()
-    undirected = gs.SimpleGraph(5, [e for e, x in zip(g.graph.edges, g.gains) if x.is_one()])
-    searched = []
-    search = symmetry._isomorphisms
+    # an arc 1 -> 2 and undirected edges 1-3, 1-4: swapping 3 and 4 preserves every gain
+    g = mixed(4, [(1, 2, 1), (1, 3, 0), (1, 4, 0)])
+    directed = mixed(4, [(1, 2, 1)])
+    undirected = gs.SimpleGraph(4, [(1, 3), (1, 4)])
+    built = []
+    build = symmetry._tables
 
-    def counting(a, b, *rest):
-        searched.append(a)
-        return search(a, b, *rest)
+    def recording(a, b, *rest):
+        built.append((a, build(a, b, *rest)))
+        return built[-1][1]
 
     tested = []
-    monkeypatch.setattr(symmetry, "_isomorphisms", counting)
+    monkeypatch.setattr(symmetry, "_tables", recording)
     monkeypatch.setattr(symmetry, "_moved_exps", lambda f, h: tested.append(f) or iter(()))
     aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
-    assert (aut_g.order, aut_s.order, aut_u.order) == (8, 1, 8)
-    # the underlying graph, the directed part, the undirected part and g itself,
-    # each once; no automorphism of the underlying graph is tested for gains
-    assert len(searched) == 4 and searched.count(g.graph) == 1 and searched.count(g) == 1
-    assert searched.count(undirected) == 1 and tested == []
+    assert (aut_g.order, aut_s.order, aut_u.order) == (6, 2, 2)
+    # the identities build the tables of the underlying graph, the directed
+    # part, the undirected part and g itself, once each; then the three
+    # returned groups are listed.  No automorphism is tested for gains.
+    searched = [a for a, _ in built]
+    assert searched[:4] == [g.graph, directed, undirected, g] and len(searched) == 7
+    assert tested == []
+    search = symmetry._search
 
-    def losing_the_undirected_part(a, b, *rest):
-        return iter(()) if a == undirected else search(a, b, *rest)
+    # a chain that loses its generator trips the identities: the undirected
+    # part's and the directed part's no longer hold g's generator (3 4), and
+    # g's own no longer matches the chains of the two meets
+    for lost in (undirected, directed, g):
+        built.clear()
 
-    monkeypatch.setattr(symmetry, "_isomorphisms", losing_the_undirected_part)
-    with pytest.raises(AssertionError, match="intersection identities"):
-        gs.mixed_aut_decomposition(g)
+        def losing(tables, *rest):
+            return iter(()) if any(tables is t for a, t in built if a == lost) else search(tables, *rest)
 
-    # g's gain automorphisms come from their own search, which the identities check
-    def losing_the_gain_search(a, b, *rest):
-        return iter(()) if a == g else search(a, b, *rest)
+        monkeypatch.setattr(symmetry, "_search", losing)
+        with pytest.raises(AssertionError, match="intersection identities"):
+            gs.mixed_aut_decomposition(g)
 
-    monkeypatch.setattr(symmetry, "_isomorphisms", losing_the_gain_search)
-    with pytest.raises(AssertionError, match="intersection identities"):
-        gs.mixed_aut_decomposition(g)
+
+def seeded_mixed_graphs():
+    """Mixed graphs on the seeded graphs (n 0-8): no arcs, only arcs, and arcs at random."""
+    rng = random.Random(7105)
+    graphs = []
+    for graph, mode in zip(seeded_graphs(), itertools.cycle(("none", "all", "some", "some"))):
+        pool = {"none": (0,), "all": (1, 3), "some": gs.MIXED_EXPONENTS}[mode]
+        exps = [rng.choice(pool) for _ in range(graph.m)]
+        graphs.append(gs.GainGraph._from_exps(graph, G4, exps, True))
+    return graphs
+
+
+def test_meet_chains_match_the_listed_intersections():
+    kinds = set()
+    for g in seeded_mixed_graphs():
+        directed, undirected = symmetry._mixed_parts(g)
+        t_s, aut_s = aut_tables(directed), gs.gain_automorphisms(directed)
+        for h in (g.graph, undirected):
+            members = {f.image for f in gs.automorphisms(h)}
+            meet = gs.AutGroup(g.graph.n, tuple(f for f in aut_s if f.image in members))
+            chain = symmetry._automorphism_chain(symmetry._meet(aut_tables(h), t_s))
+            assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(meet)]
+            assert chain.order == meet.order
+        kinds.add((directed.graph.m == 0, undirected.m == 0, g.graph.num_components > 1))
+    assert len(kinds) >= 6
 
 
 def test_mixed_aut_decomposition_random(rng):
@@ -639,6 +682,26 @@ def test_orbit_sizes_divide_group_order(rng):
         g = random_gains(rng, graph, mixed_mode=True)
         orbit = gs.orbit_of_class(g)
         assert gs.automorphisms(graph).order % len(orbit) == 0
+
+
+def test_orbit_matches_the_walk_over_every_automorphism():
+    # the BFS over the chain's generators reaches the classes of act(f, g) for
+    # every automorphism f, and of nothing else
+    rng = random.Random(7106)
+    graphs = [complete_graph(5), cycle_graph(6), prism_graph(3), prism_graph(4), complete_bipartite_graph(3, 3)]
+    graphs += [random_connected_graph(rng, n_lo=4, n_hi=7) for _ in range(6)]
+    sizes = []
+    for graph, k in itertools.product(graphs, (2, 3, 4, 6)):
+        mixed_mode = k == 4 and rng.random() < 0.5
+        pool = gs.MIXED_EXPONENTS if mixed_mode else range(k)
+        g = gs.GainGraph._from_exps(graph, gs.GainGroup(k), [rng.choice(pool) for _ in range(graph.m)], mixed_mode)
+        forest = gs.spanning_forest(graph)
+        orbit = gs.orbit_of_class(g)
+        walked = {switching._normal_form(gs.act(f, g), forest)[1] for f in gs.automorphisms(graph)}
+        assert [switching._normal_form(rep, forest)[1] for rep in orbit] == sorted(walked)
+        assert all(rep.mixed_mode == mixed_mode for rep in orbit)
+        sizes.append(len(orbit))
+    assert max(sizes) >= 20 and sizes.count(1) < len(sizes) // 2
 
 
 def test_orbit_cap():
