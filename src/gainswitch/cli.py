@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -327,6 +328,8 @@ def main(argv=None) -> int:
     inputs = [getattr(args, name) for name in ("file", "file_a", "file_b") if hasattr(args, name)]
     report = {"command": args.command, "inputs": inputs, "result": {}, "diagnostics": []}
     try:
+        if not 0 < args.tol < math.inf:  # spectral.spectrum's check, made for every command
+            raise ValidationError("tol must be positive and finite")
         payload, code = args.func(args)
     except (ValidationError, NumericError) as exc:
         report["diagnostics"] = [f"error: {exc}"]

@@ -95,19 +95,18 @@ class AutGroup:
         return iter(self.elements)
 
 
-def _tables(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
-    """The search tables for isomorphisms a -> b, or None when the degree sequences differ.
+def _masks(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
+    """``(degree_class, masks)`` for searches a -> b, or None when the degree sequences differ.
 
     a and b are both simple graphs (k = 1, every exponent 0) or both gain
-    graphs over one group; vertex w of b is bit w - 1.  Returns
-    ``(n, degree_class, earlier)``: ``degree_class[v]`` holds the vertices
-    of b of v's degree, and ``earlier[v]`` pairs each u < v with the mask
-    table of t = exp_a(u -> v), k if u and v are not adjacent.
+    graphs over one group; vertex w of b is bit w - 1.  ``degree_class[v]``
+    holds the vertices of b of v's degree, ``masks[t][x]`` (t < k) the w
+    with exp_b(x -> w) = t, and ``masks[k][x]`` the non-neighbours of x.
     """
     if isinstance(a, GainGraph):
-        k, exps_a, exps_b, a, b = a.group.order, a.exps, b.exps, a.graph, b.graph
+        k, exps_b, a, b = a.group.order, b.exps, a.graph, b.graph
     else:
-        k, exps_a, exps_b = 1, (0,) * a.m, (0,) * b.m
+        k, exps_b = 1, (0,) * b.m
     if a.n > max_vertices:
         raise InstanceTooLargeError(
             f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
@@ -117,17 +116,32 @@ def _tables(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices
     deg_b = list(map(len, b.adjacency))
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return None
-    masks = [[0] * (n + 1) for _ in range(k)]  # masks[t][x]: the w with exp_b(x -> w) = t
+    masks = [[0] * (n + 1) for _ in range(k)]
     for (x, w), t in zip(b.edges, exps_b):
         masks[t][x] |= 1 << (w - 1)
         masks[-t % k][w] |= 1 << (x - 1)
-    masks.append([(1 << n) - 1 - sum(col) for col in zip(*masks)])  # masks[k]: the non-neighbors
+    masks.append([(1 << n) - 1 - sum(col) for col in zip(*masks)])
     of_degree: dict[int, int] = {}
     for w in range(1, n + 1):
         of_degree[deg_b[w]] = of_degree.get(deg_b[w], 0) | 1 << (w - 1)
-    degree_class = [of_degree.get(d, 0) for d in deg_a]
+    return [of_degree.get(d, 0) for d in deg_a], masks
+
+
+def _tables(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
+    """The search tables for isomorphisms a -> b, or None when the degree sequences differ.
+
+    Returns ``(n, degree_class, earlier)`` with ``degree_class`` as in
+    ``_masks``; ``earlier[v]`` pairs each u < v with the mask table of
+    t = exp_a(u -> v), k if u and v are not adjacent.
+    """
+    found = _masks(a, b, max_vertices, search)
+    if found is None:
+        return None
+    degree_class, masks = found
+    graph, exps_a = (a.graph, a.exps) if isinstance(a, GainGraph) else (a, (0,) * a.m)
+    n, k = graph.n, len(masks) - 1
     # per level v: (u, mask table) for each earlier vertex u
-    exp_a = dict(zip(a.edges, exps_a))
+    exp_a = dict(zip(graph.edges, exps_a))
     earlier = [[(u, masks[exp_a.get((u, v), k)]) for u in range(1, v)] for v in range(n + 1)]
     return n, degree_class, earlier
 
@@ -340,21 +354,146 @@ def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
     return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode)
 
 
+def _switching_levels(g: SimpleGraph, exps_b: tuple[int, ...]):
+    """Per level v of the switching search: v's earlier non-neighbours, and its groups.
+
+    The earlier neighbours u of v are grouped by the component of the graph
+    induced on 1..v-1 that holds them, in order of their least member.  A
+    group is ``(u0, e0, rest, members)``: its first neighbour u0 with
+    e0 = exp_b(u0 -> v), the other ``(u, exp_b(u -> v))``, and the vertices
+    of its component, which shift with v's theta when v merges the component
+    into the first group's.
+    """
+    index, adjacency = g.edge_index, g.adjacency
+    root = list(range(g.n + 1))
+    members = [[v] for v in range(g.n + 1)]
+    levels = [((), ())]
+    for v in range(1, g.n + 1):
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for u in adjacency[v]:
+            if u < v:
+                groups.setdefault(root[u], []).append((u, exps_b[index[u, v]]))
+        near = set(adjacency[v])
+        levels.append((
+            [u for u in range(1, v) if u not in near],
+            [(*pairs[0], pairs[1:], members[r]) for r, pairs in groups.items()],
+        ))
+        merged = [v]
+        for r in groups:
+            merged += members[r]
+        for u in merged:
+            root[u] = v
+        members[v] = merged
+    return levels
+
+
+def _switching_search(a: GainGraph, b: GainGraph, max_vertices: int) -> tuple[int, ...] | None:
+    """The least image tuple of an automorphism f of the shared underlying graph
+    with act(f, a) switching equivalent to b, or None.
+
+    act(f, a) switched by theta equals b iff exp_a(f(u) -> f(v)) =
+    exp_b(u -> v) + theta(u) - theta(v) on every edge.  One backtracking
+    search over f(1), ..., f(n), lowest image first, carries theta on the
+    processed prefix with one free constant per prefix component.  A level's
+    candidates are v's degree class minus the used images, ANDed with the
+    non-neighbours of each earlier non-neighbour's image and, per group of
+    earlier neighbours in one component, with the union over s = theta(v)
+    (relative to that component) of the AND of ``masks[exp_b(u -> v) +
+    theta(u) - s][f(u)]`` over the group.  The chosen image fixes s for each
+    group; theta(v) takes the first group's, and every later group's
+    component is shifted to agree, which merges it.  The search never
+    branches over s, so the first leaf is the least such f.
+    """
+    degree_class, masks = _masks(b, a, max_vertices, "automorphism")  # one graph: never None
+    n, k = a.graph.n, a.group.order
+    if n == 0:
+        return ()
+    outside = masks[k]
+    exp_a = [[0] * (n + 1) for _ in range(n + 1)]  # exp_a[x][w]: exp_a(x -> w)
+    for (x, w), t in zip(a.graph.edges, a.exps):
+        exp_a[x][w], exp_a[w][x] = t, -t % k
+    levels = _switching_levels(a.graph, b.exps)
+    image = [0] * (n + 1)
+    theta = [0] * (n + 1)
+    shifted: list = [()] * (n + 1)  # per level: the (members, delta) its image applied
+    cands = [0] * (n + 1)
+    used = 0
+    v = 1
+    cands[1] = degree_class[1]
+    while v:
+        if shifted[v]:  # undo the merges of the level's previous image
+            for members, delta in shifted[v]:
+                for u in members:
+                    theta[u] = (theta[u] - delta) % k
+            shifted[v] = ()
+        c = cands[v]
+        if not c:  # level exhausted: free the previous level's image
+            v -= 1
+            if v:
+                used ^= 1 << (image[v] - 1)
+            continue
+        low = c & -c
+        cands[v] = c ^ low
+        w = image[v] = low.bit_length()
+        if v == n:
+            return tuple(image[1:])
+        groups = levels[v][1]
+        if groups:
+            u0, e0, _, _ = groups[0]
+            s = theta[v] = (e0 + theta[u0] - exp_a[image[u0]][w]) % k
+            if len(groups) > 1:
+                shifts = []
+                for u0, e0, _, members in groups[1:]:
+                    delta = (s - e0 - theta[u0] + exp_a[image[u0]][w]) % k
+                    if delta:
+                        for u in members:
+                            theta[u] = (theta[u] + delta) % k
+                        shifts.append((members, delta))
+                shifted[v] = shifts
+        else:
+            theta[v] = 0
+        used |= low
+        v += 1
+        nonadjacent, groups = levels[v]
+        c = degree_class[v] & ~used
+        for u in nonadjacent:
+            c &= outside[image[u]]
+        for u0, e0, rest, _ in groups:
+            if not c:
+                break
+            x0, base, union = image[u0], e0 + theta[u0], 0
+            for t in range(k):  # t = exp_a(f(u0) -> w), so s = base - t
+                hit = c & masks[t][x0]
+                if hit:
+                    s = base - t
+                    for u, e in rest:
+                        hit &= masks[(e + theta[u] - s) % k][image[u]]
+                    union |= hit
+            c = union
+        cands[v] = c
+    return None
+
+
 def switching_isomorphic(a: GainGraph, b: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     """Search for (f, theta) with ``apply_switching(act(f, a), theta) == b``.
 
     The underlying graphs must coincide (relabel beforehand if they are
-    merely isomorphic).  Returns None when no automorphism works; switching
-    isomorphic graphs are exactly those whose classes share an orbit.
+    merely isomorphic).  f is the least automorphism of the underlying graph
+    (by image tuple) that works, found by one search that carries theta; theta
+    is ``switching_equivalent``'s witness for act(f, a) and b.  Returns None
+    when no automorphism works; switching isomorphic graphs are exactly those
+    whose classes share an orbit.
     """
     if a.graph != b.graph or a.group != b.group:
         raise ValidationError("inputs do not share an underlying graph")
-    forest = spanning_forest(a.graph)
-    for f in _isomorphisms(a.graph, a.graph, max_vertices, "automorphism"):
-        theta = switching_equivalent(act(f, a), b, forest=forest)
-        if theta:
-            return f, theta
-    return None
+    image = _switching_search(a, b, max_vertices)
+    if image is None:
+        return None
+    f = VertexPermutation._unchecked(image)
+    theta = switching_equivalent(act(f, a), b)
+    if not theta:
+        raise AssertionError("internal error: switching isomorphism failed to verify")
+    return f, theta
 
 
 def orbit_of_class(

@@ -107,14 +107,24 @@ def test_spectrum_cap_keeps_eigenvalues(capsys):
     assert report["diagnostics"][0].startswith("characteristic polynomial skipped")
 
 
-def test_non_finite_tol_is_a_validation_error(capsys):
+def test_non_finite_tol_is_a_validation_error(capsys, tmp_path):
     # an infinite tol stops Jacobi at once (the unbalanced arc triangle would
-    # look spectrally balanced) and would print "tol": Infinity, not JSON
-    for command, path in (("spectrum", DIAMOND), ("spectrum", ARC_TRIANGLE), ("classify", ARC_TRIANGLE)):
-        for tol in ("inf", "nan"):
-            code, report = run(capsys, command, path, "--tol", tol)
+    # look spectrally balanced) and would print "tol": Infinity, not JSON.
+    # Every command checks --tol before it runs, also those that ignore it,
+    # and a tol of 0 or below fails as in spectral.spectrum.
+    product = tmp_path / "product.gg"
+    runs = (
+        ("spectrum", DIAMOND), ("spectrum", ARC_TRIANGLE), ("classify", ARC_TRIANGLE),
+        ("classify", SIGNED_TRI), ("equiv", SIGNED_TRI, SIGNED_TRI), ("census", DIAMOND),
+        ("iso", BOWTIE_MINUS, RELABELED), ("product", DIAMOND, SIGNED_DIA, "-o", str(product)),
+        ("aut", DIAMOND),
+    )
+    for argv in runs:
+        for tol in ("inf", "nan", "0", "-1"):
+            code, report = run(capsys, *argv, "--tol", tol)
             assert code == 2 and report["result"] == {}
             assert report["diagnostics"] == ["error: tol must be positive and finite"]
+    assert not product.exists()
 
 
 @pytest.mark.parametrize("option, command", [("--max-enum", "census"), ("--max-aut", "aut")])
@@ -212,6 +222,43 @@ def test_iso_bowtie_orientations_differ(capsys):
     assert code == 1
     assert report["result"]["isomorphic"] is False
     assert report["result"]["relabeling"] is None
+
+
+def _signed_complete(n: int, negative) -> gs.GainGraph:
+    edges = [(u, v, int((u, v) in negative)) for u in range(1, n) for v in range(u + 1, n + 1)]
+    return gs.build_gain_graph(n, gs.GainGroup(2), edges)
+
+
+def test_iso_decides_signed_k10_with_one_search(monkeypatch, tmp_path, capsys):
+    # two disjoint negative edges against two adjacent ones: 16 and 14 negative
+    # triangles, a count that switching and relabelling keep.  A walk over the
+    # 10! automorphisms of K10, calling switching_equivalent on each, takes
+    # minutes.
+    paths = {}
+    for name, negative in (("disjoint", {(1, 2), (3, 4)}), ("adjacent", {(1, 2), (2, 3)}),
+                           ("adjacent_moved", {(5, 9), (9, 10)})):
+        paths[name] = str(tmp_path / f"{name}.gg")
+        gs.save_gg(_signed_complete(10, negative), paths[name])
+    start = time.process_time()
+    code, report = run(capsys, "iso", paths["disjoint"], paths["adjacent"])
+    elapsed = time.process_time() - start
+    assert code == 1 and report["result"] == {"isomorphic": False, "relabeling": None}
+    assert elapsed < 1.0
+
+    calls = []
+    equivalent = symmetry.switching_equivalent
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return equivalent(*args, **kwargs)
+
+    monkeypatch.setattr(symmetry, "switching_equivalent", counting)
+    pairs = [(paths["disjoint"], paths["adjacent"]), (paths["adjacent"], paths["adjacent_moved"]),
+             (BOWTIE_MINUS, RELABELED), (BOWTIE_MINUS, BOWTIE_I), (SIGNED_DIA, SIGNED_DIA)]
+    for a, b in pairs:
+        calls.clear()
+        code, _ = run(capsys, "iso", a, b)
+        assert len(calls) == (code == 0)  # the search's hit is verified once; a miss is never tried
 
 
 def test_iso_non_isomorphic_underlying(capsys):
