@@ -29,7 +29,14 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainExponent, GainGraph, SimpleGraph
-from .switching import _normal_form, canonical_basis, cycle_gain, spanning_forest
+from .switching import (
+    _chord_cycles_disjoint,
+    _normal_form,
+    canonical_basis,
+    cycle_gain,
+    fundamental_cycles,
+    spanning_forest,
+)
 
 __all__ = [
     "ClassCountVector",
@@ -182,14 +189,16 @@ class Census:
             raise ValidationError(f"profile {profile} is not attained by any orientation") from None
 
 
-def _basis_incidence(g: SimpleGraph, basis) -> list[list[int]]:
-    """``sigma[e][j]`` is +1 or -1 when basis cycle j runs along edge e upward
-    (smaller to larger vertex) or downward, and 0 when it avoids e."""
-    sigma = [[0] * len(basis) for _ in range(g.m)]
-    for j, cyc in enumerate(basis.cycles):
+def _basis_incidence(g: SimpleGraph, cycles, edge_ids) -> list[list[int]]:
+    """``sigma[i][j]`` is +1 or -1 when cycle j runs along edge ``edge_ids[i]``
+    upward (smaller to larger vertex) or downward, and 0 when it avoids it.
+    Every edge of the cycles must be listed in ``edge_ids``."""
+    row = {e: i for i, e in enumerate(edge_ids)}
+    sigma = [[0] * len(cycles) for _ in row]
+    for j, cyc in enumerate(cycles):
         closed = list(cyc) + [cyc[0]]
         for a, b in zip(closed, closed[1:]):
-            sigma[g.edge_id(a, b)][j] = 1 if a < b else -1
+            sigma[row[g.edge_id(a, b)]][j] = 1 if a < b else -1
     return sigma
 
 
@@ -219,7 +228,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     def add(a, b):  # field-wise sum mod 4 of packed keys
         return a ^ b ^ ((a & b & low_bits) << 1)
 
-    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, basis)]
+    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, basis.cycles, range(g.m))]
     dense = r <= _MAX_DENSE_DIM
     low = min(g.m, _LOW_DIGITS)
     keys = np.zeros(1, dtype=np.uint32 if dense else np.uint64)
@@ -277,20 +286,6 @@ def _convolve(d: int, steps) -> np.ndarray:
                 del term  # before the next roll allocates
         w = out
     return w
-
-
-def _profile_counts(g: SimpleGraph) -> np.ndarray:
-    """Number of mixed orientations per basis profile, as a (4,)*r array.
-
-    One convolution step per edge: gain 1, i or -i shifts the profile by
-    0, +sigma_e or -sigma_e.
-    """
-    _, basis = canonical_basis(g)
-    zero = (0,) * len(basis)
-    return _convolve(
-        len(basis),
-        ([(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)] for s in _basis_incidence(g, basis)),
-    )
 
 
 @dataclass(frozen=True)
@@ -386,41 +381,52 @@ def cut_edge_lower_bound(g: SimpleGraph) -> int:
 
 
 def is_cactus(g: SimpleGraph) -> bool:
-    """True when every block is a single edge or a cycle."""
-    edges = g.edges
-    return all(
-        len(ids) == 1 or len(ids) == len({v for e in ids for v in edges[e]})
-        for ids in _block_edge_ids(g)
-    )
+    """True when every block is a single edge or a cycle.
+
+    That is when the default forest's fundamental cycles share no edge.
+    """
+    return _chord_cycles_disjoint(g, spanning_forest(g))
 
 
 def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> int:
     """Class size as a product over blocks.
 
-    Cut edges contribute 3, cycle blocks contribute the alpha component of
-    their cycle gain, and any other block contributes the number of its
-    orientations sharing its basis profile, counted by a convolution over
-    Z_4^r with one step per block edge (blocks above ``max_edges`` edges
-    are refused).  The input must be mixed.
+    A forest path between two vertices of a block never leaves the block,
+    so the default forest meets each block in a spanning tree of it, and
+    each block's chords give a fundamental basis of that block.  A block
+    with no chord is a cut edge and contributes 3; a block with one chord
+    is a cycle and contributes the alpha component of its cycle gain; any
+    other block contributes the number of its orientations sharing its
+    chord profile, counted by a convolution over Z_4^r with one step per
+    block edge (blocks above ``max_edges`` edges are refused).  The input
+    must be mixed.
     """
     if not g.mixed_mode:
         raise ValidationError("block class sizes apply to mixed graphs")
+    graph = g.graph
+    forest = spanning_forest(graph)
+    _, profile = _normal_form(g, forest)
+    column = {e: j for j, e in enumerate(itertools.compress(range(graph.m), forest.is_chord))}
+    cycles = None  # the fundamental cycles, listed once a block needs them
     size = 1
-    for block in block_decompose(g.graph):
-        if block.graph.m == 1:
+    for ids in _block_edge_ids(graph):
+        cols = [column[e] for e in ids if e in column]
+        if not cols:
             size *= 3
-            continue
-        profile = mixed_basis_profile(induced_gain_graph(g, block))
-        if block.graph.m == block.graph.n:
-            # The one chord's gain is the cycle gain in one direction; alpha
+        elif len(cols) == 1:
+            # The chord's exponent is the cycle gain in one direction; alpha
             # counts a gain and its conjugate alike, so the direction is moot.
-            size *= alpha_closed_form(block.graph.n).component(g.group.element(profile[0]))
+            size *= alpha_closed_form(len(ids)).component(g.group.element(profile[cols[0]]))
         else:
-            if block.graph.m > max_edges:
-                raise InstanceTooLargeError(
-                    f"census capped at {max_edges} edges, block has {block.graph.m}"
-                )
-            size *= int(_profile_counts(block.graph)[profile])
+            if len(ids) > max_edges:
+                raise InstanceTooLargeError(f"census capped at {max_edges} edges, block has {len(ids)}")
+            if cycles is None:
+                cycles = fundamental_cycles(graph, forest).cycles
+            sigma = _basis_incidence(graph, [cycles[j] for j in cols], ids)
+            zero = (0,) * len(cols)
+            # one step per block edge: gain 1, i or -i shifts the profile by 0, +sigma_e or -sigma_e
+            steps = [[(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)] for s in sigma]
+            size *= int(_convolve(len(cols), steps)[tuple(profile[j] for j in cols)])
     return size
 
 
@@ -428,10 +434,11 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
 class FaceStructure:
     """Validated inner faces of a 2-connected plane graph.
 
-    ``arcs[p - 1]`` maps each edge id of face p to its directed traversal
-    (a, b); shared edges are guaranteed to be traversed oppositely by their
-    two faces.  ``cells`` partitions the edge ids: cell (p, q) with p <= q
-    holds the edges shared by faces p and q (only on face p when p = q).
+    ``arcs[p - 1]`` holds one ``(edge_id, a, b)`` triple per edge of face p,
+    in the face's order, for its directed traversal a -> b; shared edges are
+    guaranteed to be traversed oppositely by their two faces.  ``cells``
+    partitions the edge ids: cell (p, q) with p <= q holds the edges shared
+    by faces p and q (only on face p when p = q).
     """
 
     graph: SimpleGraph
@@ -447,16 +454,11 @@ class FaceStructure:
     def _cell_map(self) -> dict[tuple[int, int], tuple[int, ...]]:
         return {pq: edges for pq, edges in self.cells}
 
-    @cached_property
-    def _arc_maps(self) -> tuple[dict[int, tuple[int, int]], ...]:
-        return tuple({e: (a, b) for e, a, b in face} for face in self.arcs)
-
     def nonempty_cells(self) -> tuple[tuple[int, int], ...]:
         return tuple(pq for pq, _ in self.cells)
 
     def n_pq(self, p: int, q: int) -> int:
-        key = (p, q) if p <= q else (q, p)
-        return len(self._cell_map.get(key, ()))
+        return len(self.cell_edges(p, q))
 
     def cell_edges(self, p: int, q: int) -> tuple[int, ...]:
         key = (p, q) if p <= q else (q, p)
@@ -469,18 +471,18 @@ def face_gains(g: GainGraph, fs: FaceStructure) -> tuple[GainExponent, ...]:
 
 
 def parse_face_structure(g: GainGraph, faces) -> FaceStructure:
-    """Validate user-supplied inner faces against the graph and its gains.
+    """Validate user-supplied inner faces against the graph.
 
     Checks: the underlying graph is 2-connected; exactly m - n + 1 faces;
     every face is a simple cycle; every edge lies on one or two faces, and
     edges on two faces are traversed in opposite directions (clockwise
-    consistency).  On top of the structural checks, the symmetric-difference
-    gain law is asserted for every adjacent face pair whose oriented
-    difference forms a single closed cycle.
+    consistency).  Opposite traversals make the gain law
+    zeta(C_p delta C_q) = zeta(C_p) zeta(C_q) of adjacent faces hold for
+    every gain assignment, so no gain is checked.
     """
     graph = g.graph
-    blocks = block_decompose(graph)
-    covered = {v for b in blocks for v in b.vertices}
+    blocks = _block_edge_ids(graph)
+    covered = {v for ids in blocks for e in ids for v in graph.edges[e]}
     if graph.n < 3 or len(blocks) != 1 or len(covered) != graph.n:
         raise ValidationError("face structures require a 2-connected graph")
     faces = tuple(tuple(face) for face in faces)
@@ -489,7 +491,7 @@ def parse_face_structure(g: GainGraph, faces) -> FaceStructure:
         raise ValidationError(f"expected {expected} inner faces, got {len(faces)}")
 
     arcs = []
-    edge_faces: dict[int, list[int]] = {}
+    traversals: dict[int, list[tuple[int, int, int]]] = {}  # edge id -> (face, a, b) per face on it
     for p, face in enumerate(faces, start=1):
         if len(face) < 3:
             raise ValidationError(f"face {p} has fewer than 3 vertices")
@@ -500,82 +502,27 @@ def parse_face_structure(g: GainGraph, faces) -> FaceStructure:
         for a, b in zip(closed, closed[1:]):
             e = graph.edge_id(a, b)  # raises if not an edge
             face_arcs.append((e, a, b))
-            edge_faces.setdefault(e, []).append(p)
+            traversals.setdefault(e, []).append((p, a, b))
         arcs.append(tuple(face_arcs))
 
     for e in range(graph.m):
-        owners = edge_faces.get(e, [])
-        if not 1 <= len(owners) <= 2:
+        owners = len(traversals.get(e, ()))
+        if not 1 <= owners <= 2:
             raise ValidationError(
-                f"edge {graph.edges[e]} lies on {len(owners)} faces; every edge needs 1 or 2"
+                f"edge {graph.edges[e]} lies on {owners} faces; every edge needs 1 or 2"
             )
 
-    arc_maps = [{e: (a, b) for e, a, b in face} for face in arcs]
     cells_map: dict[tuple[int, int], list[int]] = {}
-    for e, owners in edge_faces.items():
-        if len(owners) == 2:
-            p, q = owners
-            if arc_maps[p - 1][e] != arc_maps[q - 1][e][::-1]:
-                raise ValidationError(
-                    f"faces {p} and {q} traverse edge {graph.edges[e]} in the same "
-                    "direction; inner faces must all be clockwise"
-                )
-            key = (p, q) if p <= q else (q, p)
-        else:
-            key = (owners[0], owners[0])
-        cells_map.setdefault(key, []).append(e)
-    cells = tuple((pq, tuple(sorted(es))) for pq, es in sorted(cells_map.items()))
-
-    fs = FaceStructure(graph=graph, faces=faces, arcs=tuple(arcs), cells=cells)
-    _assert_symmetric_difference_law(g, fs)
-    return fs
-
-
-def _assert_symmetric_difference_law(g: GainGraph, fs: FaceStructure) -> None:
-    """Check zeta(C_p delta C_q) = zeta(C_p) * zeta(C_q) on concrete gains.
-
-    Applied whenever the private arcs of an adjacent face pair, each side
-    keeping its own face's direction, close up into a single directed cycle.
-    """
-    k = g.group.order
-    y = face_gains(g, fs)
-    for p, q in itertools.combinations(range(1, fs.k + 1), 2):
-        if fs.n_pq(p, q) == 0:
-            continue
-        shared = set(fs.cell_edges(p, q))
-        arcs = [
-            (a, b)
-            for face_idx in (p, q)
-            for e, a, b in fs.arcs[face_idx - 1]
-            if e not in shared
-        ]
-        nxt = {}
-        ok = True
-        for a, b in arcs:
-            if a in nxt:
-                ok = False
-                break
-            nxt[a] = b
-        if not ok or len(nxt) != len(arcs) or not arcs:
-            continue
-        start = arcs[0][0]
-        exp, cur, steps = 0, start, 0
-        while True:
-            if cur not in nxt:
-                ok = False
-                break
-            new = nxt[cur]
-            exp = (exp + g.exponent(cur, new)) % k
-            cur = new
-            steps += 1
-            if cur == start:
-                break
-        if not ok or steps != len(arcs):
-            continue
-        if exp != (y[p - 1].exp + y[q - 1].exp) % k:
+    for e, walks in traversals.items():
+        (p, a, b), (q, c, d) = walks[0], walks[-1]  # faces in increasing order: p <= q
+        if p != q and (a, b) != (d, c):
             raise ValidationError(
-                f"faces {p} and {q} violate the symmetric-difference gain law"
+                f"faces {p} and {q} traverse edge {graph.edges[e]} in the same "
+                "direction; inner faces must all be clockwise"
             )
+        cells_map.setdefault((p, q), []).append(e)
+    cells = tuple((pq, tuple(sorted(es))) for pq, es in sorted(cells_map.items()))
+    return FaceStructure(graph=graph, faces=faces, arcs=tuple(arcs), cells=cells)
 
 
 @dataclass(frozen=True)

@@ -393,18 +393,47 @@ def is_balanced(g: GainGraph) -> bool:
     return not any(chords)
 
 
-def gain_character(g: GainGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> str:
+def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
+    """True when the fundamental cycles of f share no edge: exactly when g is a cactus.
+
+    In a cactus each chord's cycle is the one cycle of its block.
+    Conversely, when the cycles are disjoint every cycle of g, a sum of
+    them, is one of them, so no block holds a theta (whose third cycle is
+    the sum of the other two).  Only forest edges can be shared; each is
+    named by its child end, and the walk up each chord's two forest paths
+    stops at the first edge met twice, so it takes at most n steps.
+    """
+    used = [False] * (g.n + 1)
+    for a, b in compress(g.edges, f.is_chord):
+        while a != b:
+            if f.depth[a] < f.depth[b]:
+                a, b = b, a
+            if used[a]:
+                return False
+            used[a] = True
+            a = f.parent[a]
+    return True
+
+
+def gain_character(g: GainGraph) -> str:
     """Classify the multiset of cycle gains.
 
     Returns ``"balanced"`` (every cycle gain 1; acyclic graphs count as
     balanced), ``"negative"`` (every cycle gain -1), ``"imaginary"`` (every
-    cycle gain i or -i), or ``"mixed-profile"``.  Balance is decided from the
-    fundamental basis alone and needs no cap; the other verdicts require full
-    cycle enumeration and refuse graphs above ``max_vertices``.
+    cycle gain i or -i), or ``"mixed-profile"``.  Decided from the chord
+    exponents of the default forest, with no cycle listing: when the
+    fundamental cycles are disjoint they are all the cycles; otherwise some
+    block holds a theta with path exponents a, b, c between two vertices,
+    whose cycle gains a - b, b - c and a - c are neither all -1 nor all
+    +-i, so an unbalanced graph is mixed-profile.
     """
-    if is_balanced(g):
+    f = spanning_forest(g.graph)
+    _, chords = _normal_form(g, f)
+    if not any(chords):
         return BALANCED
-    gains = [cycle_gain(g, c) for c in enumerate_cycles(g.graph, max_vertices)]
+    if not _chord_cycles_disjoint(g.graph, f):
+        return MIXED_PROFILE
+    gains = _elements(g.group, chords)
     if all(x.is_minus_one() for x in gains):
         return NEGATIVE
     if all(x.is_imaginary_unit() for x in gains):

@@ -5,21 +5,27 @@ Claims covered here:
     components count 3^n words exactly;
   * the chunked numpy census agrees with a pure-Python complex-arithmetic
     oracle and with the closed forms on cycles;
-  * class sizes multiply over biconnected blocks (checked on hand-built and
-    random cacti against the exhaustive census);
+  * class sizes multiply over biconnected blocks, each sized from the
+    default forest's chords inside it (checked on hand-built and random
+    cacti against the exhaustive census, and on a 3000-triangle cactus
+    against the product of its alpha factors), with no graph built per
+    block;
   * face structures of 2-connected plane graphs validate correctly, their
     gamma matrices match hand-enumerated sets, and the face-sum formula
     reproduces exhaustive class sizes and counts across a plane catalog;
-  * adjacent faces obey the symmetric-difference gain law;
-  * the chunked scan, the cycle-space convolution and a character-sum
-    formula give the same census, block sizes by convolution match the scan
-    on random mixed graphs, the face-cell convolution matches gamma-matrix
+  * adjacent faces obey the symmetric-difference gain law (an identity of
+    any gains once the faces are clockwise, checked here on its own);
+  * the chunked scan, the whole-graph cycle-space convolution and a
+    character-sum formula give the same census, block sizes by convolution
+    match the scan on random mixed graphs (with non-cycle blocks through
+    one cut vertex and isolated vertices), the face-cell convolution matches gamma-matrix
     enumeration for every face-gain vector (a seeded sample on the
     5-face prism), and the convolutions stay exact past 2^63.
 """
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -566,8 +572,15 @@ def test_symmetric_difference_law(rng):
 
 
 def dp_census(graph):
-    """Nonzero profile counts of the cycle-space convolution, as a dict."""
-    counts = census_mod._profile_counts(graph)
+    """Nonzero profile counts of the whole graph's cycle-space convolution,
+    one step per edge over the default basis, as a dict."""
+    _, basis = gs.canonical_basis(graph)
+    zero = (0,) * len(basis)
+    steps = [
+        [(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)]  # gain 1, i, -i on edge e
+        for s in census_mod._basis_incidence(graph, basis.cycles, range(graph.m))
+    ]
+    counts = census_mod._convolve(len(basis), steps)
     return {
         tuple(int(x) for x in p): int(counts[p])
         for p in itertools.product(range(4), repeat=counts.ndim)
@@ -597,18 +610,78 @@ def random_mixed_graph(rng, m_cap=11):
             return random_gains(rng, gs.SimpleGraph(n, sorted(edges)), mixed_mode=True)
 
 
+def glued_non_cycle_blocks(rng):
+    """Two non-cycle blocks through one cut vertex, randomly labelled, with
+    an optional pendant edge and up to two isolated vertices."""
+    theta = [(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)]
+    diamond = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+    shapes = [(4, diamond), (4, list(complete_graph(4).edges)), (5, theta)]
+    (n1, e1), (n2, e2) = rng.choice(shapes), rng.choice(shapes)
+    cut = rng.randint(1, n1)
+    second = {v: cut if v == 1 else n1 + v - 1 for v in range(1, n2 + 1)}
+    edges = e1 + [(second[u], second[v]) for u, v in e2]
+    n = n1 + n2 - 1
+    if len(edges) < 12 and rng.random() < 0.5:
+        n += 1
+        edges.append((rng.randint(1, n - 1), n))
+    n += rng.randint(0, 2)
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    edges = sorted({tuple(sorted((label[u - 1], label[v - 1]))) for u, v in edges})
+    return random_gains(rng, gs.SimpleGraph(n, edges), mixed_mode=True)
+
+
 def test_block_convolution_matches_census_on_random_mixed_graphs():
     rng = random.Random(4004)
-    several_components = with_bridges = non_cycle_blocks = 0
-    for _ in range(220):
-        g = random_mixed_graph(rng)
+    several_components = with_bridges = non_cycle_blocks = shared_cut = isolated = 0
+    graphs = [random_mixed_graph(rng) for _ in range(220)]
+    graphs += [glued_non_cycle_blocks(rng) for _ in range(30)]
+    for g in graphs:
         census = gs.brute_force_census(g.graph)
         assert gs.class_size_by_blocks(g) == census.size_of(gs.mixed_basis_profile(g))
         blocks = gs.block_decompose(g.graph)
         several_components += g.graph.num_components > 1
         with_bridges += any(b.graph.m == 1 for b in blocks)
-        non_cycle_blocks += any(b.graph.m > b.graph.n for b in blocks)
-    assert several_components >= 50 and with_bridges >= 100 and non_cycle_blocks >= 50
+        non_cycle = [set(b.vertices) for b in blocks if b.graph.m > b.graph.n]
+        non_cycle_blocks += bool(non_cycle)
+        shared_cut += any(p & q for p, q in itertools.combinations(non_cycle, 2))
+        isolated += any(g.graph.degree(v) == 0 for v in range(1, g.graph.n + 1))
+    assert several_components >= 50 and with_bridges >= 100 and non_cycle_blocks >= 80
+    assert shared_cut >= 30 and isolated >= 15
+
+
+def test_block_sizes_reach_a_3000_triangle_cactus():
+    """One chord per triangle: the product of alpha factors, with no convolution."""
+    triangles = [(2 * j + 1, 2 * j + 2, 2 * j + 3) for j in range(3000)]
+    graph = gs.SimpleGraph(6001, [e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))])
+    g = random_gains(random.Random(3000), graph, mixed_mode=True)
+    start = time.process_time()
+    size = gs.class_size_by_blocks(g)
+    assert time.process_time() - start < 1.0
+    alpha = gs.alpha_closed_form(3)
+    want = 1
+    for triangle in triangles:
+        want *= alpha.component(gs.cycle_gain(g, triangle))
+    assert size == want
+
+
+def test_block_sizes_and_face_parsing_build_no_graphs(monkeypatch):
+    """Both read the host graph's own edge ids: no SimpleGraph per block."""
+    graph, faces = prism_structure(5)
+    plane = random_gains(random.Random(5), graph, mixed_mode=True)
+    inputs = (plane, glued_non_cycle_blocks(random.Random(6)), bowtie_minus())
+    built = []
+    init = gs.SimpleGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gs.SimpleGraph, "__init__", counting_init)
+    for g in inputs:
+        gs.class_size_by_blocks(g)
+    gs.parse_face_structure(plane, faces)
+    assert built == []
 
 
 def test_scan_over_several_chunks_matches_convolution_census():

@@ -207,6 +207,17 @@ def test_classify_balanced(tmp_path, capsys):
     assert res["spectral_balance"] is True and res["spectral_balance_agrees"] is True
 
 
+def test_classify_needs_no_cycle_cap(tmp_path, capsys):
+    """A 13-cycle with one arc: one vertex past the old enumeration cap."""
+    path = tmp_path / "arc_13_cycle.gg"
+    arcs = [(v, v % 13 + 1, 1 if v == 1 else 0) for v in range(1, 14)]
+    gs.save_gg(gs.build_gain_graph(13, gs.GainGroup(4), arcs, mixed_mode=True), path)
+    for caps in ([], ["--max-enum", "0"]):
+        code, report = run(capsys, "classify", *caps, str(path))
+        assert code == 0
+        assert report["result"]["character"] == "imaginary" and report["result"]["cactus"] is True
+
+
 def test_iso_relabeled_bowtie(capsys):
     code, report = run(capsys, "iso", BOWTIE_MINUS, RELABELED)
     assert code == 0

@@ -9,7 +9,8 @@ Claims covered:
     - verdicts are forest-independent and chordless-agreement holds
     - two witnesses differ by one constant per connected component
     - agreement on every non-cut edge is sufficient for equivalence
-    - balance, gain character, and the bipartite negation criterion
+    - balance, gain character (against every cycle's gain, thetas included),
+      and the bipartite negation criterion
 """
 
 import itertools
@@ -30,6 +31,7 @@ from conftest import (
     bowtie_minus,
     mixed,
     path_graph,
+    random_cactus,
     random_connected_graph,
     random_gains,
     random_switching,
@@ -435,6 +437,53 @@ def test_gain_character_invariant_under_switching(rng):
         g = random_gains(rng, graph, k=4)
         h = gs.apply_switching(g, random_switching(rng, g))
         assert gs.gain_character(g) == gs.gain_character(h)
+
+
+def random_theta(rng):
+    """Three internally disjoint paths between vertices 1 and 2, at most one
+    of them a single edge, with the vertices relabelled at random."""
+    n, edges = 2, []
+    for j in range(3):
+        inner = list(range(n + 1, n + 1 + rng.randint(1 if j else 0, 3)))
+        n += len(inner)
+        path = [1] + inner + [2]
+        edges += zip(path, path[1:])
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return gs.SimpleGraph(n, sorted(tuple(sorted((label[u - 1], label[v - 1]))) for u, v in edges))
+
+
+def test_gain_character_matches_cycle_enumeration():
+    """The chord-based verdict against every cycle's gain, on 2400 graphs:
+    thetas, cacti, cycles and random connected graphs."""
+    rng = random.Random(1313)
+    verdicts = {gs.BALANCED: 0, gs.NEGATIVE: 0, gs.IMAGINARY: 0, gs.MIXED_PROFILE: 0}
+    for t in range(2400):
+        if t % 4 == 0:
+            graph = random_theta(rng)
+        elif t % 4 == 1:
+            graph = random_cactus(rng, m_cap=10)
+        elif t % 4 == 2:
+            graph = cycle_graph(rng.randint(3, 9))
+        else:
+            graph = random_connected_graph(rng, n_hi=9)
+        k = rng.choice((1, 2, 3, 4, 4, 5, 6, 7, 8, 8))
+        pools = [range(k), [0, k // 2], [0, k // 4, 3 * k // 4], [k // 2], [k // 4, 3 * k // 4]]
+        pool = rng.choice(pools[: 5 if k % 4 == 0 else 2 if k % 2 == 0 else 1])
+        group = gs.GainGroup(k)
+        g = gs.GainGraph(graph, group, [gs.GainExponent(group, rng.choice(pool)) for _ in graph.edges])
+        gains = [gs.cycle_gain(g, c) for c in gs.enumerate_cycles(graph)]
+        if all(x.exp == 0 for x in gains):
+            want = gs.BALANCED
+        elif all(x.is_minus_one() for x in gains):
+            want = gs.NEGATIVE
+        elif all(x.is_imaginary_unit() for x in gains):
+            want = gs.IMAGINARY
+        else:
+            want = gs.MIXED_PROFILE
+        assert gs.gain_character(g) == want, (graph.edges, g.exps)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 80, verdicts
 
 
 def test_bipartition():
