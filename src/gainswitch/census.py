@@ -30,11 +30,11 @@ import numpy as np
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainExponent, GainGraph, SimpleGraph
 from .switching import (
+    SpanningForest,
     _chord_cycles_disjoint,
+    _chord_walk,
     _normal_form,
-    canonical_basis,
     cycle_gain,
-    fundamental_cycles,
     spanning_forest,
 )
 
@@ -131,28 +131,22 @@ def cycle_class_size(n: int, zeta: GainExponent) -> int:
     return alpha_closed_form(n).component(zeta)
 
 
-def _cycle_edge_ids(g: SimpleGraph, cycle: tuple[int, ...]) -> list[int]:
-    closed = list(cycle) + [cycle[0]]
-    return [g.edge_id(a, b) for a, b in zip(closed, closed[1:])]
-
-
 def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
     """Bounds on the number of classes, plus a tightness certificate.
 
     Returns ``(3^(m-n+c), 4^(m-n+c), upper_tight)`` where ``upper_tight`` is
-    True when every fundamental cycle of the default basis has at least two
-    edges private to it; in that case the upper bound is attained.
+    True when every fundamental cycle of the default forest has at least two
+    edges private to it; in that case the upper bound is attained.  A chord
+    is private to its own cycle, so each chord's forest path (edges named by
+    their child ends) needs one edge that no other chord's path uses.
     """
-    _, basis = canonical_basis(g)
-    r = len(basis)
-    use = [0] * g.m
-    per_cycle = []
-    for cyc in basis.cycles:
-        ids = _cycle_edge_ids(g, cyc)
-        for e in ids:
-            use[e] += 1
-        per_cycle.append(ids)
-    tight = all(sum(1 for e in ids if use[e] == 1) >= 2 for ids in per_cycle)
+    f = spanning_forest(g)
+    paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in itertools.compress(g.edges, f.is_chord)]
+    use = [0] * (g.n + 1)
+    for x in itertools.chain.from_iterable(paths):
+        use[x] += 1
+    tight = all(any(use[x] == 1 for x in path) for path in paths)
+    r = len(paths)
     return 3**r, 4**r, tight
 
 
@@ -189,16 +183,20 @@ class Census:
             raise ValidationError(f"profile {profile} is not attained by any orientation") from None
 
 
-def _basis_incidence(g: SimpleGraph, cycles, edge_ids) -> list[list[int]]:
-    """``sigma[i][j]`` is +1 or -1 when cycle j runs along edge ``edge_ids[i]``
-    upward (smaller to larger vertex) or downward, and 0 when it avoids it.
-    Every edge of the cycles must be listed in ``edge_ids``."""
+def _basis_incidence(g: SimpleGraph, f: SpanningForest, chords, edge_ids) -> list[list[int]]:
+    """``sigma[i][j]`` is +1 or -1 when the fundamental cycle of chord
+    ``chords[j]`` in f, run from the chord's smaller end to its larger end,
+    crosses edge ``edge_ids[i]`` upward (smaller to larger vertex) or
+    downward, and 0 when it avoids it; a forest edge is crossed upward when
+    the cycle climbs it from a smaller child.  Every edge of the cycles must
+    be listed in ``edge_ids``."""
     row = {e: i for i, e in enumerate(edge_ids)}
-    sigma = [[0] * len(cycles) for _ in row]
-    for j, cyc in enumerate(cycles):
-        closed = list(cyc) + [cyc[0]]
-        for a, b in zip(closed, closed[1:]):
-            sigma[row[g.edge_id(a, b)]][j] = 1 if a < b else -1
+    sigma = [[0] * len(chords) for _ in row]
+    for j, e in enumerate(chords):
+        sigma[row[e]][j] = 1
+        u, v = g.edges[e]
+        for x, climbs in _chord_walk(f, u, v):
+            sigma[row[f.parent_edge[x]]][j] = 1 if (x < f.parent[x]) == climbs else -1
     return sigma
 
 
@@ -218,8 +216,9 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     """
     if g.m > max_edges:
         raise InstanceTooLargeError(f"census capped at {max_edges} edges, graph has {g.m}")
-    _, basis = canonical_basis(g)
-    r = len(basis)
+    f = spanning_forest(g)
+    chords = tuple(itertools.compress(range(g.m), f.is_chord))
+    r = len(chords)
     low_bits = sum(1 << 2 * j for j in range(r))
 
     def pack(shift) -> int:
@@ -228,7 +227,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     def add(a, b):  # field-wise sum mod 4 of packed keys
         return a ^ b ^ ((a & b & low_bits) << 1)
 
-    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, basis.cycles, range(g.m))]
+    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, f, chords, range(g.m))]
     dense = r <= _MAX_DENSE_DIM
     low = min(g.m, _LOW_DIGITS)
     keys = np.zeros(1, dtype=np.uint32 if dense else np.uint64)
@@ -252,7 +251,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     fields = [((packed >> (2 * j)) & 3).tolist() for j in range(r)]
     profiles = zip(*fields) if r else [()]  # a forest has the one empty profile
     classes = tuple(zip(profiles, sizes))
-    return Census(total=3**g.m, classes=classes, chords=basis.chords)
+    return Census(total=3**g.m, classes=classes, chords=chords)
 
 
 def _convolve(d: int, steps) -> np.ndarray:
@@ -407,26 +406,23 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
     forest = spanning_forest(graph)
     _, profile = _normal_form(g, forest)
     column = {e: j for j, e in enumerate(itertools.compress(range(graph.m), forest.is_chord))}
-    cycles = None  # the fundamental cycles, listed once a block needs them
     size = 1
     for ids in _block_edge_ids(graph):
-        cols = [column[e] for e in ids if e in column]
-        if not cols:
+        chords = [e for e in ids if e in column]
+        if not chords:
             size *= 3
-        elif len(cols) == 1:
+        elif len(chords) == 1:
             # The chord's exponent is the cycle gain in one direction; alpha
             # counts a gain and its conjugate alike, so the direction is moot.
-            size *= alpha_closed_form(len(ids)).component(g.group.element(profile[cols[0]]))
+            size *= alpha_closed_form(len(ids)).component(g.group.element(profile[column[chords[0]]]))
         else:
             if len(ids) > max_edges:
                 raise InstanceTooLargeError(f"census capped at {max_edges} edges, block has {len(ids)}")
-            if cycles is None:
-                cycles = fundamental_cycles(graph, forest).cycles
-            sigma = _basis_incidence(graph, [cycles[j] for j in cols], ids)
-            zero = (0,) * len(cols)
+            sigma = _basis_incidence(graph, forest, chords, ids)
+            zero = (0,) * len(chords)
             # one step per block edge: gain 1, i or -i shifts the profile by 0, +sigma_e or -sigma_e
             steps = [[(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)] for s in sigma]
-            size *= int(_convolve(len(cols), steps)[tuple(profile[j] for j in cols)])
+            size *= int(_convolve(len(chords), steps)[tuple(profile[column[e]] for e in chords)])
     return size
 
 
@@ -466,7 +462,9 @@ class FaceStructure:
 
 
 def face_gains(g: GainGraph, fs: FaceStructure) -> tuple[GainExponent, ...]:
-    """Gain of each face cycle, traversed in its stated (clockwise) order."""
+    """Gain of each face cycle, traversed in its stated (clockwise) order; fs must be of g's graph."""
+    if fs.graph != g.graph:
+        raise ValidationError("face structure belongs to a different graph")
     return tuple(cycle_gain(g, face) for face in fs.faces)
 
 

@@ -124,6 +124,21 @@ class GainExponent:
         return f"w^{t}"
 
 
+def _malformed_graph(n, edges) -> str:
+    """Name the vertex count, or else the first edge, that is not made of integers."""
+    try:
+        what = f"vertex count {n!r} is not an integer"
+        operator.index(n)
+        what = f"edges {edges!r} are not an iterable of vertex pairs"
+        for edge in edges:
+            what = f"edge {edge!r} is not a pair of integer vertices"
+            u, v = edge
+            operator.index(u), operator.index(v)
+    except (TypeError, ValueError):
+        return what
+    return "edges must be pairs of integer vertices"
+
+
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n with a canonical edge order.
 
@@ -135,28 +150,33 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "edge_index", "adjacency", "_hash", "_forest")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 0:
-            raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        edges = list(edges)
-        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-        if canon:
-            low, high = zip(*canon)
-            if low[0] < 1 or max(high) > n or any(map(operator.eq, low, high)):
-                for u, v in edges:  # name the first bad edge
-                    if not (1 <= u <= n and 1 <= v <= n):
-                        raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
-                    if u == v:
-                        raise ValidationError(f"self-loop at vertex {u}")
-        self.n = n
-        self.edges = tuple(canon)
-        self.edge_index = dict(zip(self.edges, range(len(canon))))
-        if len(self.edge_index) < len(canon):
-            dup = next(cur for prev, cur in zip(canon, canon[1:]) if prev == cur)
-            raise ValidationError(f"duplicate edge {dup}")
-        adj = [[] for _ in range(n + 1)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            if n < 0:
+                raise ValidationError(f"vertex count must be nonnegative, got {n}")
+            edges = list(edges)
+            canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+            if canon:
+                low, high = zip(*canon)
+                if low[0] < 1 or max(high) > n or any(map(operator.eq, low, high)):
+                    for u, v in edges:  # name the first bad edge
+                        if not (1 <= u <= n and 1 <= v <= n):
+                            raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
+                        if u == v:
+                            raise ValidationError(f"self-loop at vertex {u}")
+            self.n = n
+            self.edges = tuple(canon)
+            self.edge_index = dict(zip(self.edges, range(len(canon))))
+            if len(self.edge_index) < len(canon):
+                dup = next(cur for prev, cur in zip(canon, canon[1:]) if prev == cur)
+                raise ValidationError(f"duplicate edge {dup}")
+            adj = [[] for _ in range(n + 1)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError):  # a count or vertex that is not an integer
+            raise ValidationError(_malformed_graph(n, edges)) from None
         # The edges are sorted, so each list already is: smaller neighbours
         # first (from (w, v) edges), then larger ones (from (v, w) edges).
         self.adjacency = tuple(map(tuple, adj))
@@ -366,8 +386,9 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
     for entry in directed_gains:
         try:
             u, v, t = entry
+            forward = u < v
         except (TypeError, ValueError):
-            raise ValidationError(f"edge entry {entry!r} is not a (u, v, gain) triple") from None
+            raise ValidationError(f"edge entry {entry!r} is not a (u, v, gain) triple of integer vertices") from None
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
         if type(t) is not int:
@@ -381,10 +402,10 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
                 raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
         if not 0 <= t < k:
             raise ValidationError(f"exponent {t} out of range for group of order {k}")
-        key = (u, v) if u < v else (v, u)
+        key = (u, v) if forward else (v, u)
         if key in pair_exp:
             raise ValidationError(f"both orientations (or a repeat) given for pair {key}")
-        pair_exp[key] = t if u < v else -t % k
+        pair_exp[key] = t if forward else -t % k
     graph = SimpleGraph(n, pair_exp)
     return GainGraph._from_exps(graph, group, map(pair_exp.__getitem__, graph.edges), mixed_mode)
 

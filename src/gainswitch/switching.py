@@ -80,13 +80,18 @@ DIFFERENT_GRAPH = _DifferentGraphType()
 
 @dataclass(frozen=True)
 class SpanningForest:
-    """A breadth-first spanning forest; index 0 of each per-vertex tuple is unused."""
+    """A breadth-first spanning forest; index 0 of each per-vertex tuple is unused.
+
+    Each forest edge is named by its child end v: it joins v to
+    ``parent[v]`` and has edge id ``parent_edge[v]``.
+    """
 
     parent: tuple[int, ...]  # parent vertex, 0 at roots
     root: tuple[int, ...]
     depth: tuple[int, ...]
     bfs_order: tuple[int, ...]
     is_chord: tuple[bool, ...]  # per edge id: False on forest edges
+    parent_edge: tuple[int, ...]  # edge id of the forest edge to the parent, -1 at roots
 
     @property
     def forest_edges(self) -> frozenset[int]:
@@ -137,6 +142,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     parent = [0] * (n + 1)
     root = [0] * (n + 1)
     depth = [0] * (n + 1)
+    parent_edge = [-1] * (n + 1)
     order: list[int] = []
     is_chord = [True] * g.m
     index = g.edge_index
@@ -157,43 +163,45 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
                     root[w] = s
                     depth[w] = depth[v] + 1
                     order.append(w)
-                    is_chord[index[(v, w) if v < w else (w, v)]] = False
+                    e = parent_edge[w] = index[(v, w) if v < w else (w, v)]
+                    is_chord[e] = False
                     queue.append(w)
-    forest = SpanningForest(tuple(parent), tuple(root), tuple(depth), tuple(order), tuple(is_chord))
+    forest = SpanningForest(*map(tuple, (parent, root, depth, order, is_chord, parent_edge)))
     if vertex_order is None:
         g._forest = forest
     return forest
 
 
-def _tree_path(f: SpanningForest, u: int, v: int) -> list[int]:
-    """Vertex path from u to v inside the forest."""
-    if f.root[u] != f.root[v]:
-        raise ValidationError(f"vertices {u} and {v} lie in different components")
-    left, right = [u], [v]
-    a, b = u, v
-    while f.depth[a] > f.depth[b]:
-        a = f.parent[a]
-        left.append(a)
-    while f.depth[b] > f.depth[a]:
-        b = f.parent[b]
-        right.append(b)
-    while a != b:
-        a = f.parent[a]
-        left.append(a)
-        b = f.parent[b]
-        right.append(b)
-    return left + right[-2::-1]
+def _chord_walk(f: SpanningForest, u: int, v: int):
+    """The forest edges on the fundamental cycle of chord (u, v), u and v in one tree.
+
+    Yields ``(child, climbs)`` per forest edge, the edge named by its child
+    end; ``climbs`` is True when the cycle u -> v -> ... -> u runs that edge
+    from child to parent, which it does on v's side of the path.  Each side
+    is yielded bottom up, the deeper end stepping first.
+    """
+    depth, parent = f.depth, f.parent
+    while u != v:
+        if depth[v] >= depth[u]:
+            yield v, True
+            v = parent[v]
+        else:
+            yield u, False
+            u = parent[u]
+
+
+def _chord_cycle(f: SpanningForest, u: int, v: int) -> tuple[int, ...]:
+    """The fundamental cycle of chord (u, v) as a vertex sequence starting u, v."""
+    up, down = [], []
+    for x, climbs in _chord_walk(f, u, v):
+        (up if climbs else down).append(x)
+    return (u, v, *map(f.parent.__getitem__, up), *reversed(down))[:-1]  # drop the closing u
 
 
 def fundamental_cycles(g: SimpleGraph, f: SpanningForest) -> FundamentalCycleBasis:
     """The fundamental cycles of the non-forest edges, ordered by edge id."""
-    cycles = []
-    chords = []
-    for e, (u, v) in compress(enumerate(g.edges), f.is_chord):
-        path = _tree_path(f, v, u)  # v .. u through the forest
-        cycles.append((u,) + tuple(path[:-1]))
-        chords.append(e)
-    return FundamentalCycleBasis(tuple(cycles), tuple(chords))
+    chords = tuple(compress(range(g.m), f.is_chord))
+    return FundamentalCycleBasis(tuple(_chord_cycle(f, *g.edges[e]) for e in chords), chords)
 
 
 def canonical_basis(g: SimpleGraph) -> tuple[SpanningForest, FundamentalCycleBasis]:
@@ -252,12 +260,13 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int,
     gain of its fundamental cycle.
     """
     k = g.group.order
-    exps, index = g.exps, g.graph.edge_index
+    exps, parent_edge = g.exps, f.parent_edge
     pot = [0] * (g.graph.n + 1)
     for v in f.bfs_order:
         p = f.parent[v]
         if p:
-            pot[v] = (pot[p] + exps[index[v, p]] if v < p else pot[p] - exps[index[p, v]]) % k
+            x = exps[parent_edge[v]]
+            pot[v] = (pot[p] + x if v < p else pot[p] - x) % k
     chords = tuple(
         (x + pot[v] - pot[u]) % k
         for (u, v), x in compress(zip(g.graph.edges, exps), f.is_chord)
@@ -318,9 +327,7 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     chord_ids = compress(range(a.graph.m), f.is_chord)
     for e, x, y in zip(chord_ids, chords_a, chords_b):
         if x != y:
-            u, v = a.graph.edges[e]
-            cycle = (u,) + tuple(_tree_path(f, v, u)[:-1])
-            return cycle, GainExponent(a.group, x), GainExponent(a.group, y)
+            return _chord_cycle(f, *a.graph.edges[e]), GainExponent(a.group, x), GainExponent(a.group, y)
     return None
 
 
@@ -399,19 +406,16 @@ def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
     In a cactus each chord's cycle is the one cycle of its block.
     Conversely, when the cycles are disjoint every cycle of g, a sum of
     them, is one of them, so no block holds a theta (whose third cycle is
-    the sum of the other two).  Only forest edges can be shared; each is
-    named by its child end, and the walk up each chord's two forest paths
-    stops at the first edge met twice, so it takes at most n steps.
+    the sum of the other two).  Only forest edges can be shared; the walk
+    over the chords' cycles stops at the first forest edge met twice, so it
+    takes at most n steps.
     """
     used = [False] * (g.n + 1)
-    for a, b in compress(g.edges, f.is_chord):
-        while a != b:
-            if f.depth[a] < f.depth[b]:
-                a, b = b, a
-            if used[a]:
+    for u, v in compress(g.edges, f.is_chord):
+        for x, _ in _chord_walk(f, u, v):
+            if used[x]:
                 return False
-            used[a] = True
-            a = f.parent[a]
+            used[x] = True
     return True
 
 
@@ -442,24 +446,17 @@ def gain_character(g: GainGraph) -> str:
 
 
 def bipartition(g: SimpleGraph):
-    """A 2-coloring as ``(side0, side1)`` vertex sets, or ``None`` if odd cycles exist."""
-    color = [-1] * (g.n + 1)
-    for s in range(1, g.n + 1):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = {v for v in range(1, g.n + 1) if color[v] == 0}
-    side1 = {v for v in range(1, g.n + 1) if color[v] == 1}
-    return side0, side1
+    """A 2-coloring as ``(side0, side1)`` vertex sets, or ``None`` if odd cycles exist.
+
+    The sides are the depth parities in the default forest, a breadth-first
+    search from each component's smallest vertex; forest edges join
+    opposite parities, so the graph is bipartite iff every chord does too.
+    """
+    f = spanning_forest(g)
+    depth = f.depth
+    if any((depth[u] + depth[v]) % 2 == 0 for u, v in compress(g.edges, f.is_chord)):
+        return None
+    return tuple({v for v in range(1, g.n + 1) if depth[v] % 2 == side} for side in (0, 1))
 
 
 def equivalent_to_negation(g: GainGraph) -> bool:

@@ -3,6 +3,7 @@
 Random data is always drawn from a seeded random.Random so failures replay.
 """
 
+import itertools
 import random
 
 import pytest
@@ -70,6 +71,42 @@ def random_connected_graph(rng, n_lo=2, n_hi=8, m_cap=12):
     for e in rest[: rng.randint(0, max(budget, 0))]:
         edges.add(e)
     return gs.SimpleGraph(n, sorted(edges))
+
+
+def random_graph(rng, n_hi=9, m_cap=14):
+    """Random edge subset of K_n: forests and disconnected graphs included."""
+    n = rng.randint(1, n_hi)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return gs.SimpleGraph(n, rng.sample(pairs, rng.randint(0, min(m_cap, len(pairs)))))
+
+
+def tree_path_cycles(graph, f):
+    """Fundamental cycles of f built from vertex paths, as the package once did.
+
+    Each chord (u, v) is followed by the forest path from v back to u, found
+    by climbing both ends to their meeting vertex; the cycle omits the
+    repeated u.
+    """
+
+    def tree_path(u, v):
+        left, right = [u], [v]
+        while f.depth[u] > f.depth[v]:
+            u = f.parent[u]
+            left.append(u)
+        while f.depth[v] > f.depth[u]:
+            v = f.parent[v]
+            right.append(v)
+        while u != v:
+            u, v = f.parent[u], f.parent[v]
+            left.append(u)
+            right.append(v)
+        return left + right[-2::-1]
+
+    return tuple(
+        (u,) + tuple(tree_path(v, u)[:-1])
+        for e, (u, v) in enumerate(graph.edges)
+        if f.is_chord[e]
+    )
 
 
 def random_gains(rng, graph, k=4, mixed_mode=False):

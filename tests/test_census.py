@@ -5,14 +5,18 @@ Claims covered here:
     components count 3^n words exactly;
   * the chunked numpy census agrees with a pure-Python complex-arithmetic
     oracle and with the closed forms on cycles;
+  * class-count bounds and their tightness match the vertex-tuple cycles
+    mapped to edge ids, and bounds, census and block sizes list no cycle
+    basis;
   * class sizes multiply over biconnected blocks, each sized from the
     default forest's chords inside it (checked on hand-built and random
     cacti against the exhaustive census, and on a 3000-triangle cactus
     against the product of its alpha factors), with no graph built per
     block;
-  * face structures of 2-connected plane graphs validate correctly, their
-    gamma matrices match hand-enumerated sets, and the face-sum formula
-    reproduces exhaustive class sizes and counts across a plane catalog;
+  * face structures of 2-connected plane graphs validate correctly and are
+    refused for another graph's gains, their gamma matrices match
+    hand-enumerated sets, and the face-sum formula reproduces exhaustive
+    class sizes and counts across a plane catalog;
   * adjacent faces obey the symmetric-difference gain law (an identity of
     any gains once the faces are clockwise, checked here on its own);
   * the chunked scan, the whole-graph cycle-space convolution and a
@@ -43,6 +47,8 @@ from conftest import (
     random_cactus,
     random_connected_graph,
     random_gains,
+    random_graph,
+    tree_path_cycles,
 )
 
 I = 1j
@@ -152,6 +158,25 @@ def test_class_count_bounds_known_graphs():
     assert gs.class_count_bounds(complete_graph(4)) == (27, 64, False)
     diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     assert gs.class_count_bounds(diamond) == (9, 16, False)
+
+
+def test_class_count_bounds_match_cycle_edge_oracle():
+    """Bounds and tightness against the vertex-tuple cycles mapped to edge
+    ids: tight iff every cycle has two edges no other cycle uses."""
+    rng = random.Random(1515)
+    tight_seen = forests = several_components = 0
+    for t in range(1200):
+        graph = random_graph(rng, n_hi=10, m_cap=16) if t % 3 else random_cactus(rng, m_cap=12)
+        cycles = tree_path_cycles(graph, gs.spanning_forest(graph))
+        ids = [[graph.edge_id(a, b) for a, b in zip(c, c[1:] + c[:1])] for c in cycles]
+        use = [sum(e in cyc for cyc in ids) for e in range(graph.m)]
+        tight = all(sum(use[e] == 1 for e in cyc) >= 2 for cyc in ids)
+        r = graph.m - graph.n + graph.num_components
+        assert gs.class_count_bounds(graph) == (3**r, 4**r, tight)
+        tight_seen += tight and r > 0
+        forests += r == 0
+        several_components += graph.num_components > 1
+    assert tight_seen >= 300 and forests >= 100 and several_components >= 300
 
 
 def test_tight_upper_bound_is_attained():
@@ -533,6 +558,15 @@ def test_plane_count_C4_and_validation():
         gs.plane_class_count(d_graph, d_fs, max_faces=1)
     with pytest.raises(gs.ValidationError):
         gs.plane_class_size(all_ones(graph, mixed_mode=False), fs)
+    # the faces of C4 plus the chord 1-3 are checked against K4's graph, not
+    # read as K4's (they would size its all-ones class as 17; its census says 15)
+    chorded = gs.SimpleGraph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+    chorded_fs = gs.parse_face_structure(all_ones(chorded), [(1, 2, 3), (1, 3, 4)])
+    k4 = all_ones(complete_graph(4))
+    assert gs.brute_force_census(k4.graph).size_of(gs.mixed_basis_profile(k4)) == 15
+    for call in (gs.face_gains, gs.plane_class_size):
+        with pytest.raises(gs.ValidationError, match="different graph"):
+            call(k4, chorded_fs)
 
 
 def test_symmetric_difference_law(rng):
@@ -571,16 +605,29 @@ def test_symmetric_difference_law(rng):
 # -- convolution census and scan chunks --------------------------------------
 
 
+def cycle_incidence(graph):
+    """Signed incidence of each edge on the default basis cycles, walked as
+    vertex sequences: +1 (-1) where a cycle runs an edge from its smaller
+    (larger) end, 0 where it avoids the edge."""
+    _, basis = gs.canonical_basis(graph)
+    sigma = [[0] * len(basis) for _ in range(graph.m)]
+    for j, cyc in enumerate(basis.cycles):
+        closed = list(cyc) + [cyc[0]]
+        for a, b in zip(closed, closed[1:]):
+            sigma[graph.edge_id(a, b)][j] = 1 if a < b else -1
+    return sigma
+
+
 def dp_census(graph):
     """Nonzero profile counts of the whole graph's cycle-space convolution,
     one step per edge over the default basis, as a dict."""
-    _, basis = gs.canonical_basis(graph)
-    zero = (0,) * len(basis)
+    r = graph.m - graph.n + graph.num_components
+    zero = (0,) * r
     steps = [
         [(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)]  # gain 1, i, -i on edge e
-        for s in census_mod._basis_incidence(graph, basis.cycles, range(graph.m))
+        for s in cycle_incidence(graph)
     ]
-    counts = census_mod._convolve(len(basis), steps)
+    counts = census_mod._convolve(r, steps)
     return {
         tuple(int(x) for x in p): int(counts[p])
         for p in itertools.product(range(4), repeat=counts.ndim)
@@ -684,6 +731,22 @@ def test_block_sizes_and_face_parsing_build_no_graphs(monkeypatch):
     assert built == []
 
 
+def test_census_lists_no_fundamental_cycles(monkeypatch):
+    """Bounds, the scan and block sizes walk the forest; no cycle basis is built."""
+    built = []
+    real = gs.switching.FundamentalCycleBasis
+    monkeypatch.setattr(gs.switching, "FundamentalCycleBasis", lambda *fields: built.append(1) or real(*fields))
+    graph, _ = prism_structure(4)
+    inputs = (random_gains(random.Random(4), graph, mixed_mode=True), glued_non_cycle_blocks(random.Random(7)))
+    for g in inputs:
+        gs.class_count_bounds(g.graph)
+        gs.brute_force_census(g.graph)
+        gs.class_size_by_blocks(g)
+    assert built == []
+    gs.canonical_basis(graph)
+    assert built == [1]
+
+
 def test_scan_over_several_chunks_matches_convolution_census():
     rng = random.Random(1314)
     graphs = []
@@ -723,13 +786,8 @@ def character_sum_census(graph):
     each edge contributes 1 + i^a + i^-a for a = <chi, sigma_e>, which is
     3, 1, -1, 1 for a = 0, 1, 2, 3.
     """
-    _, basis = gs.canonical_basis(graph)
-    r = len(basis)
-    sigma = [[0] * r for _ in range(graph.m)]
-    for j, cyc in enumerate(basis.cycles):
-        closed = list(cyc) + [cyc[0]]
-        for a, b in zip(closed, closed[1:]):
-            sigma[graph.edge_id(a, b)][j] = 1 if a < b else -1
+    r = graph.m - graph.n + graph.num_components
+    sigma = cycle_incidence(graph)
     factor = (3, 1, -1, 1)
     product = {}
     for chi in itertools.product(range(4), repeat=r):
@@ -762,6 +820,11 @@ def test_census_matches_character_sums():
         want = character_sum_census(graph)
         assert dict(gs.brute_force_census(graph).classes) == want
         assert dp_census(graph) == want
+        # counts cannot see an edge's sign (its gains are symmetric), so the
+        # forest walk's signs are checked against the vertex walks directly
+        f = gs.spanning_forest(graph)
+        chords = [e for e in range(graph.m) if f.is_chord[e]]
+        assert census_mod._basis_incidence(graph, f, chords, range(graph.m)) == cycle_incidence(graph)
 
 
 def prism_structure(k):

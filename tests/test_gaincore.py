@@ -5,7 +5,9 @@ Claims covered:
     - conjugation is the inverse and an involution
     - quarter-turn gains have bit-exact complex values; others match cmath
     - mixed mode accepts only gains 1, i, -i
-    - SimpleGraph validates and canonicalizes its edge list
+    - SimpleGraph validates and canonicalizes its edge list; a count or
+      vertex that is not an integer raises ValidationError naming it, while
+      integer-like counts and vertices (numpy ints) stay accepted
     - hermitian_matrix output is bit-exactly Hermitian with zero diagonal
     - parse/format round-trips every valid gain graph, including k = 4 aliases
     - a graph built by any route (objects, ints, .gg text, identity switching,
@@ -107,6 +109,31 @@ def test_simple_graph_canonicalizes_and_validates():
         gs.SimpleGraph(3, [(1, 4)])
     with pytest.raises(ValidationError):
         gs.SimpleGraph(-1, [])
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        pytest.param(lambda: gs.SimpleGraph(3, [(1.5, 2)]), "(1.5, 2)", id="float-vertex"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(1, 2, 3)]), "(1, 2, 3)", id="triple-edge"),
+        pytest.param(lambda: gs.SimpleGraph(3, [("1", 2)]), "('1', 2)", id="str-vertex"),
+        pytest.param(lambda: gs.SimpleGraph(3.0, [(1, 2)]), "3.0", id="float-count"),
+        pytest.param(lambda: gs.SimpleGraph(3, 5), "5", id="edges-not-iterable"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1.5, 2, 0)]), "(1.5, 2)", id="gains-float-vertex"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [("1", 2, 0)]), "('1', 2, 0)", id="gains-str-vertex"),
+    ],
+)
+def test_malformed_graph_data_raises_validation_error(build, named):
+    with pytest.raises(ValidationError) as raised:
+        build()
+    assert named in str(raised.value)
+
+
+def test_integer_like_graph_data_is_accepted():
+    graph = gs.SimpleGraph(np.int64(3), [(np.int64(2), 1), (3, np.int64(2))])
+    assert graph.edges == ((1, 2), (2, 3)) and graph.n == 3
+    assert gs.SimpleGraph(3, iter([(1, 2)])).edges == ((1, 2),)
+    assert gs.SimpleGraph(3, {(2, 3): 0}).edges == ((2, 3),)
 
 
 def test_components():

@@ -1,16 +1,19 @@
 """Spanning forests, cycle bases, switching, and the equivalence decision.
 
 Claims covered:
-    - forests span every vertex with one root per component, acyclically;
-      the default forest equals the one for the identity vertex order
-    - the fundamental basis has m - n + c chord-first cycles
+    - forests span every vertex with one root per component, acyclically,
+      and name each forest edge's id at its child end; the default forest
+      equals the one for the identity vertex order
+    - the fundamental basis has m - n + c chord-first cycles, equal to the
+      vertex-path construction on default and re-ranked forests
     - switching preserves every cycle gain; witnesses verify exactly, and
       the equivalence verdict ignores the mixed flag
     - verdicts are forest-independent and chordless-agreement holds
     - two witnesses differ by one constant per connected component
     - agreement on every non-cut edge is sufficient for equivalence
     - balance, gain character (against every cycle's gain, thetas included),
-      and the bipartite negation criterion
+      the bipartition (against networkx and a breadth-first 2-coloring) and
+      the bipartite negation criterion
 """
 
 import itertools
@@ -33,8 +36,11 @@ from conftest import (
     path_graph,
     random_cactus,
     random_connected_graph,
+    random_bipartite_graph,
     random_gains,
+    random_graph,
     random_switching,
+    tree_path_cycles,
 )
 
 
@@ -88,10 +94,11 @@ def test_spanning_forest_shape():
         for v in range(1, graph.n + 1):
             p = f.parent[v]
             if p:
-                assert graph.has_edge(v, p)
+                assert graph.edges[f.parent_edge[v]] == (min(v, p), max(v, p))
                 assert f.depth[v] == f.depth[p] + 1
             else:
-                assert f.depth[v] == 0
+                assert f.depth[v] == 0 and f.parent_edge[v] == -1
+        assert sorted(f.parent_edge[1:]) == [-1] * graph.num_components + sorted(f.forest_edges)
         assert sorted(f.bfs_order) == list(range(1, graph.n + 1))
 
 
@@ -141,25 +148,29 @@ def test_vertex_order_changes_root():
 
 
 def test_fundamental_cycles_chord_first():
+    """Chord-first cycles, equal to the vertex-path construction, on default
+    and re-ranked forests of graphs with any number of components."""
     rng = random.Random(13)
-    for _ in range(30):
-        graph = random_connected_graph(rng, n_hi=9)
-        f = gs.spanning_forest(graph)
-        basis = gs.fundamental_cycles(graph, f)
-        assert len(basis) == graph.m - graph.n + graph.num_components
-        seen_chords = set()
-        for cycle, chord in zip(basis.cycles, basis.chords):
-            u, v = graph.edges[chord]
-            assert (cycle[0], cycle[1]) == (u, v)
-            assert chord not in seen_chords
-            seen_chords.add(chord)
-            walk = list(cycle) + [cycle[0]]
-            for a, b in zip(walk, walk[1:]):
-                assert graph.has_edge(a, b)
-            assert len(set(cycle)) == len(cycle)
-            # only the chord is a non-forest edge
-            ids = [graph.edge_id(a, b) for a, b in zip(walk, walk[1:])]
-            assert [e for e in ids if e not in f.forest_edges] == [chord]
+    several_components = 0
+    for t in range(400):
+        graph = random_graph(rng, n_hi=10, m_cap=16) if t % 4 else random_connected_graph(rng, n_hi=9)
+        order = list(range(1, graph.n + 1))
+        rng.shuffle(order)
+        for f in (gs.spanning_forest(graph), gs.spanning_forest(graph, order)):
+            basis = gs.fundamental_cycles(graph, f)
+            assert basis.cycles == tree_path_cycles(graph, f)
+            assert len(basis) == graph.m - graph.n + graph.num_components
+            assert basis.chords == tuple(e for e in range(graph.m) if f.is_chord[e])
+            for cycle, chord in zip(basis.cycles, basis.chords):
+                u, v = graph.edges[chord]
+                assert (cycle[0], cycle[1]) == (u, v)
+                walk = list(cycle) + [cycle[0]]
+                assert len(set(cycle)) == len(cycle)
+                # only the chord is a non-forest edge (edge_id raises on a non-edge)
+                ids = [graph.edge_id(a, b) for a, b in zip(walk, walk[1:])]
+                assert [e for e in ids if e not in f.forest_edges] == [chord]
+        several_components += graph.num_components > 1
+    assert several_components >= 100
 
 
 def test_walk_and_cycle_gain_match_complex_oracle():
@@ -486,13 +497,48 @@ def test_gain_character_matches_cycle_enumeration():
     assert min(verdicts.values()) >= 80, verdicts
 
 
+def bfs_two_coloring(graph):
+    """Sides of a breadth-first 2-coloring from each component's smallest
+    vertex, neighbours in increasing order; None at the first clash."""
+    color = [-1] * (graph.n + 1)
+    for s in range(1, graph.n + 1):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = [s]
+        for v in queue:
+            for w in graph.neighbors(v):
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return (
+        {v for v in range(1, graph.n + 1) if color[v] == 0},
+        {v for v in range(1, graph.n + 1) if color[v] == 1},
+    )
+
+
 def test_bipartition():
+    nx = pytest.importorskip("networkx")
     side = gs.bipartition(cycle_graph(4))
     assert side is not None
     u, v = set(side[0]), set(side[1])
     assert u | v == set(range(1, 5)) and not (u & v)
     assert gs.bipartition(cycle_graph(5)) is None
     assert gs.bipartition(path_graph(4)) is not None
+    rng = random.Random(2002)
+    bipartite = 0
+    for t in range(600):
+        graph = random_bipartite_graph(rng) if t % 2 else random_graph(rng, n_hi=10, m_cap=12)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(1, graph.n + 1))
+        oracle.add_edges_from(graph.edges)
+        sides = gs.bipartition(graph)
+        assert sides == bfs_two_coloring(graph)
+        assert (sides is not None) == nx.is_bipartite(oracle)
+        bipartite += sides is not None
+    assert 200 <= bipartite <= 500
 
 
 def test_negation_criterion(rng):
