@@ -6,14 +6,15 @@ basis.  Edge e with gain i adds its signed incidence sigma_e on the basis
 cycles to their exponents mod 4, and gain -i subtracts it.
 
 The brute-force census keys every one of the 3^m assignments by its basis
-gain profile: the keys of the low edges' settings are built once, and each
-setting of the high edges shifts that shared array to key one chunk.  The
-closed forms count without enumerating: cycles by their alpha vectors,
-other graphs by multiplying class sizes over blocks, where a block that is
-not a cycle is sized by a convolution over Z_4^r (one step per edge), and
+gain profile, one cache-sized chunk at a time: two small tables key the
+settings of the low edges once, each setting of the high edges shifts the
+smaller table, and the outer sum of the two keys one chunk.  The closed
+forms count without enumerating: cycles by their alpha vectors, other
+graphs by multiplying class sizes over blocks, where a block that is not a
+cycle is sized by a convolution over Z_4^r (one step per edge), and
 2-connected plane graphs by sums over gamma matrices attached to the inner
-faces, taken for every face-gain vector at once by a convolution over
-Z_4^k (one step per face cell).
+faces, taken for every face-gain vector at once by a convolution over Z_4^k
+(one step per face cell).
 
 All counts are exact Python integers.
 """
@@ -62,7 +63,7 @@ __all__ = [
     "plane_class_count",
 ]
 
-_LOW_DIGITS = 12  # the scan keys 3^12 orientations per chunk
+_LOW_DIGITS = 10  # least scan chunk width: 3^10 uint32 keys, about 231 KiB, sized for a core's cache
 _MAX_DENSE_DIM = 12  # largest (4,)*d int64 array built: 4^12 entries, 128 MiB
 
 DEFAULT_CENSUS_CAP = 16
@@ -204,15 +205,18 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     """Enumerate all 3^m mixed orientations and bucket them by basis profile.
 
     Orientation number sum_e d_e 3^e gives edge e the gain (1, i, -i)[d_e].
-    Its key packs the basis cycle exponents mod 4 into 2-bit fields, one per
-    cycle; digit d_e adds (0, sigma_e, -sigma_e)[d_e] to them, field by
-    field with no carry between fields.  The keys of all settings of the
-    low 12 digits are built once; each setting of the high digits adds its
-    own constant to that shared array, which keys one chunk of up to 3^12
-    orientations, and the chunk is binned: by ``np.bincount`` over the 4^r
-    profiles, or by ``np.unique`` above rank 12, where those bins would not
-    fit.  Every orientation thus gets its own key while memory stays at one
-    chunk.
+    Its key packs the basis cycle exponents mod 4 into 2-bit fields, chord 0
+    in the most significant one, so that key order is profile order; digit
+    d_e adds (0, sigma_e, -sigma_e)[d_e] to them, field by field with no
+    carry between fields.  A chunk is every setting of the low w digits for
+    one setting of the high digits, w being the least width from 10 up with
+    no fewer keys than the 4^r bins, 3^w >= 4^r (capped at m).  The keys of
+    the settings of the low w - 2 digits and of the next 2 digits are built
+    once as two tables; each setting of the high digits shifts the second
+    table, and the outer sum of the two keys its chunk.  The chunk is binned
+    by ``np.bincount`` over the 4^r profiles, or by ``np.unique`` above rank
+    12, where those bins would not fit (the width stays 10 there).  Every
+    orientation thus gets its own key while memory stays at one chunk.
     """
     if g.m > max_edges:
         raise InstanceTooLargeError(f"census capped at {max_edges} edges, graph has {g.m}")
@@ -221,35 +225,53 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     r = len(chords)
     low_bits = sum(1 << 2 * j for j in range(r))
 
-    def pack(shift) -> int:
-        return sum((x % 4) << 2 * j for j, x in enumerate(shift))
+    def pack(shift) -> int:  # chord 0 in the most significant field
+        return sum((x % 4) << 2 * (r - 1 - j) for j, x in enumerate(shift))
 
     def add(a, b):  # field-wise sum mod 4 of packed keys
         return a ^ b ^ ((a & b & low_bits) << 1)
 
-    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, f, chords, range(g.m))]
     dense = r <= _MAX_DENSE_DIM
-    low = min(g.m, _LOW_DIGITS)
-    keys = np.zeros(1, dtype=np.uint32 if dense else np.uint64)
-    for shifts in digits[:low]:  # digit e is the e-th least significant
-        keys = np.concatenate([add(keys, c) for c in shifts])
+    dtype = np.uint32 if dense else np.uint64
+
+    def table(digits) -> np.ndarray:  # the keys of every setting of these digits
+        keys = np.zeros(1, dtype)
+        for shifts in digits:
+            keys = add(np.array(shifts, dtype)[:, None], keys).ravel()
+        return keys
+
+    digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, f, chords, range(g.m))]
+    width = _LOW_DIGITS
+    while dense and 3**width < 4**r:  # no chunk shorter than the 4^r bins it is counted into
+        width += 1
+    width = min(g.m, width)
+    split = max(width - 2, 0)  # long rows of low keys, a few rows of mid keys
+    low, mid = table(digits[:split]), table(digits[split:width])
+    low_carries = (low & low_bits) << 1  # add(a, b) is a ^ b ^ (carries of a & carries of b)
     tally = np.zeros(4**r if dense else 0, dtype=np.int64)
     sparse: dict[int, int] = {}
-    for high in itertools.product(*digits[low:]):
-        chunk = add(keys, reduce(add, high, 0))
+    for high in itertools.product(*digits[width:]):
+        shifted = add(mid, reduce(add, high, 0))
+        chunk = shifted[:, None] ^ low  # add(shifted[:, None], low) in three passes
+        chunk ^= ((shifted & low_bits) << 1)[:, None] & low_carries
+        chunk = chunk.ravel()
         if dense:
             tally += np.bincount(chunk, minlength=4**r)
         else:
             for u, c in zip(*(a.tolist() for a in np.unique(chunk, return_counts=True))):
                 sparse[u] = sparse.get(u, 0) + c
-    if dense:
-        packed = np.flatnonzero(tally)
-        sizes = tally[packed].tolist()
+    if dense:  # key order is the lexicographic profile order
+        hit = tally != 0
+        profiles = list(itertools.compress(itertools.product(range(4), repeat=r), hit.tolist()))
+        sizes = tally[hit].tolist()
     else:
         packed = np.array(sorted(sparse), dtype=np.uint64)
         sizes = [sparse[u] for u in packed.tolist()]
-    fields = [((packed >> (2 * j)) & 3).tolist() for j in range(r)]
-    profiles = zip(*fields) if r else [()]  # a forest has the one empty profile
+        profiles = list(zip(*(((packed >> 2 * (r - 1 - j)) & 3).tolist() for j in range(r))))
+    # Profiles are listed before they are paired, so that the collector finds
+    # each new pair's profile already untracked and untracks the pair too;
+    # pairs made along with their profiles stayed tracked and set off full
+    # collections (16 at rank 10, most of the time spent building classes).
     classes = tuple(zip(profiles, sizes))
     return Census(total=3**g.m, classes=classes, chords=chords)
 

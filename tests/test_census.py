@@ -19,6 +19,8 @@ Claims covered here:
     class sizes and counts across a plane catalog;
   * adjacent faces obey the symmetric-difference gain law (an identity of
     any gains once the faces are clockwise, checked here on its own);
+  * the chunked scan bins every orientation exactly once, in chunks no
+    shorter than its 4^r bins, and lists the profiles in sorted order;
   * the chunked scan, the whole-graph cycle-space convolution and a
     character-sum formula give the same census, block sizes by convolution
     match the scan on random mixed graphs (with non-cycle blocks through
@@ -31,6 +33,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import gainswitch as gs
@@ -747,16 +750,21 @@ def test_census_lists_no_fundamental_cycles(monkeypatch):
     assert built == [1]
 
 
+def connected_graph_with_m_edges(rng, m, n_lo, n_hi):
+    graph = random_connected_graph(rng, n_lo=n_lo, n_hi=n_hi, m_cap=m)
+    while graph.m != m:
+        graph = random_connected_graph(rng, n_lo=n_lo, n_hi=n_hi, m_cap=m)
+    return graph
+
+
 def test_scan_over_several_chunks_matches_convolution_census():
     rng = random.Random(1314)
-    graphs = []
-    for m in (13, 13, 14, 14):
-        graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=m)
-        while graph.m != m:
-            graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=m)
-        graphs.append(graph)
+    graphs = [connected_graph_with_m_edges(rng, m, 6, 9) for m in (13, 13, 14, 14)]
     assert sorted(graph.m for graph in graphs) == [13, 13, 14, 14]
-    for graph in graphs:  # 3 or 9 chunks of 3^12 orientations
+    # ranks 8 and 9: chunks wider than 10 digits, and the high digits still iterate
+    graphs += [connected_graph_with_m_edges(rng, 15, 7, 7), connected_graph_with_m_edges(rng, 16, 8, 8)]
+    assert max(graph.m - graph.n + 1 for graph in graphs) == 9
+    for graph in graphs:  # 27 to 81 chunks of 3^10 to 3^12 orientations
         census = gs.brute_force_census(graph)
         assert census.total == 3**graph.m
         assert dict(census.classes) == dp_census(graph)
@@ -773,6 +781,64 @@ def test_scan_paths_for_small_chunks_and_sparse_tallies(monkeypatch):
     for graph, census in zip(graphs, want):
         assert gs.brute_force_census(graph) == census
         assert dict(census.classes) == oracle_census(graph)
+
+
+def test_census_profiles_come_out_sorted(monkeypatch):
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    graphs = [diamond, bowtie_minus().graph, complete_graph(4), complete_graph(5)]
+    census = gs.brute_force_census(diamond)
+    assert [p for p, _ in census.classes] == list(itertools.product(range(4), repeat=2))
+    forest = gs.brute_force_census(path_graph(4))  # rank 0: the one empty profile
+    assert forest.classes == (((), 27),)
+    for dense_cap in (census_mod._MAX_DENSE_DIM, 0):  # bins by np.bincount, then by np.unique
+        monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", dense_cap)
+        for graph in graphs:
+            profiles = [p for p, _ in gs.brute_force_census(graph).classes]
+            assert profiles == sorted(profiles)
+            assert len(set(profiles)) == len(profiles)
+
+
+class RecordingNumpy:
+    """numpy for the census module, recording the length of every key array
+    it bins (by ``np.bincount`` or ``np.unique``)."""
+
+    def __init__(self):
+        self.binned = []  # (function name, keys binned)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, keys, *args, **kwargs):
+        self.binned.append(("bincount", len(keys)))
+        return np.bincount(keys, *args, **kwargs)
+
+    def unique(self, keys, *args, **kwargs):
+        self.binned.append(("unique", len(keys)))
+        return np.unique(keys, *args, **kwargs)
+
+
+def test_scan_bins_every_orientation_once_in_wide_chunks(monkeypatch):
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    rng = random.Random(77)
+    graphs = [path_graph(4), cycle_graph(5), diamond, complete_graph(4),
+              connected_graph_with_m_edges(rng, 13, 7, 7), connected_graph_with_m_edges(rng, 14, 7, 7),
+              connected_graph_with_m_edges(rng, 15, 6, 6)]
+    assert [graph.m - graph.n + 1 for graph in graphs] == [0, 1, 2, 3, 7, 8, 10]
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(census_mod, "np", recorder)
+    for graph in graphs:
+        r = graph.m - graph.n + 1
+        # small chunks and np.unique (which merges every distinct key in Python) on small graphs only
+        for low_digits, dense_cap in ((10, 12), (2, 12), (10, 0), (2, 0))[: 1 if graph.m > 6 else 4]:
+            monkeypatch.setattr(census_mod, "_LOW_DIGITS", low_digits)
+            monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", dense_cap)
+            recorder.binned.clear()
+            gs.brute_force_census(graph)
+            kinds = {kind for kind, _ in recorder.binned}
+            assert kinds == ({"bincount"} if r <= dense_cap else {"unique"})
+            assert sum(n for _, n in recorder.binned) == 3**graph.m
+            if r <= dense_cap:  # no chunk shorter than the 4^r bins
+                assert min(n for _, n in recorder.binned) >= min(3**graph.m, 4**r)
 
 
 # Exponent k of i^k as a Gaussian integer (re, im).
