@@ -8,13 +8,14 @@ cycles to their exponents mod 4, and gain -i subtracts it.
 The brute-force census keys every one of the 3^m assignments by its basis
 gain profile, one cache-sized chunk at a time: two small tables key the
 settings of the low edges once, each setting of the high edges shifts the
-smaller table, and the outer sum of the two keys one chunk.  The closed
-forms count without enumerating: cycles by their alpha vectors, other
-graphs by multiplying class sizes over blocks, where a block that is not a
-cycle is sized by a convolution over Z_4^r (one step per edge), and
-2-connected plane graphs by sums over gamma matrices attached to the inner
-faces, taken for every face-gain vector at once by a convolution over Z_4^k
-(one step per face cell).
+smaller table, and the outer sum of the two keys one chunk.  The census is
+the tally itself, a weight array over Z_4^r.  The closed forms count
+without enumerating: cycles by their alpha vectors, other graphs by
+multiplying class sizes over blocks, where a block that is not a cycle is
+sized by a convolution over Z_4^r (one step per edge), and 2-connected
+plane graphs by sums over gamma matrices attached to the inner faces, taken
+for every face-gain vector at once by a convolution over Z_4^k (one step
+per face cell).
 
 All counts are exact Python integers.
 """
@@ -42,7 +43,6 @@ from .switching import (
 __all__ = [
     "ClassCountVector",
     "Census",
-    "Block",
     "FaceStructure",
     "GammaMatrix",
     "alpha_vector",
@@ -52,8 +52,6 @@ __all__ = [
     "mixed_basis_profile",
     "brute_force_census",
     "cut_edge_lower_bound",
-    "block_decompose",
-    "induced_gain_graph",
     "class_size_by_blocks",
     "is_cactus",
     "parse_face_structure",
@@ -156,32 +154,48 @@ def mixed_basis_profile(g: GainGraph) -> tuple[int, ...]:
     return _normal_form(g, spanning_forest(g.graph))[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Census:
     """Exhaustive class census of the mixed orientations of one graph.
 
-    ``classes`` pairs each basis gain profile (exponents mod 4, ordered by
-    chord edge id) with the number of orientations carrying it; profiles are
-    sorted.  ``chords`` records which edge ids the profile positions refer to.
+    The census is one weight array over Z_4^r: ``weights`` is a read-only
+    (4,)*r int64 array whose entry at a basis gain profile p (exponents mod
+    4, ordered by chord edge id) counts the orientations carrying p, so each
+    nonzero entry is one class.  ``chords`` records which edge ids the
+    profile positions refer to.  ``classes`` pairs each attained profile
+    with its size, profiles sorted; it is built on first use only.
     """
 
     total: int
-    classes: tuple[tuple[tuple[int, ...], int], ...]
+    weights: np.ndarray
     chords: tuple[int, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, Census):
+            return NotImplemented
+        return (self.total, self.chords) == (other.total, other.chords) and np.array_equal(
+            self.weights, other.weights
+        )
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return int(np.count_nonzero(self.weights))
 
     @cached_property
-    def _by_profile(self) -> dict[tuple[int, ...], int]:
-        return {profile: size for profile, size in self.classes}
+    def classes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        w = self.weights
+        # argwhere lists the nonzero entries in sorted profile order; at rank 0
+        # it has no columns to zip, and the one class has the empty profile.
+        profiles = list(zip(*np.argwhere(w).T.tolist())) or [()]
+        return tuple(zip(profiles, w[w != 0].tolist()))
 
     def size_of(self, profile: tuple[int, ...]) -> int:
-        try:
-            return self._by_profile[tuple(profile)]
-        except KeyError:
-            raise ValidationError(f"profile {profile} is not attained by any orientation") from None
+        p = tuple(profile)
+        if len(p) == len(self.chords) and all(isinstance(x, (int, np.integer)) and 0 <= x < 4 for x in p):
+            size = int(self.weights[p])
+            if size:
+                return size
+        raise ValidationError(f"profile {profile} is not attained by any orientation")
 
 
 def _basis_incidence(g: SimpleGraph, f: SpanningForest, chords, edge_ids) -> list[list[int]]:
@@ -202,7 +216,7 @@ def _basis_incidence(g: SimpleGraph, f: SpanningForest, chords, edge_ids) -> lis
 
 
 def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> Census:
-    """Enumerate all 3^m mixed orientations and bucket them by basis profile.
+    """Enumerate all 3^m mixed orientations and tally them by basis profile.
 
     Orientation number sum_e d_e 3^e gives edge e the gain (1, i, -i)[d_e].
     Its key packs the basis cycle exponents mod 4 into 2-bit fields, chord 0
@@ -213,16 +227,19 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     no fewer keys than the 4^r bins, 3^w >= 4^r (capped at m).  The keys of
     the settings of the low w - 2 digits and of the next 2 digits are built
     once as two tables; each setting of the high digits shifts the second
-    table, and the outer sum of the two keys its chunk.  The chunk is binned
-    by ``np.bincount`` over the 4^r profiles, or by ``np.unique`` above rank
-    12, where those bins would not fit (the width stays 10 there).  Every
-    orientation thus gets its own key while memory stays at one chunk.
+    table, and the outer sum of the two keys its chunk.  Every chunk is
+    binned by ``np.bincount`` into the 4^r profiles, so every orientation
+    gets its own key while memory stays at one chunk and the tally; the
+    tally, reshaped to (4,)*r, is the census's weight array.  Graphs of
+    rank above 12, whose tally would not fit, are refused before the scan.
     """
     if g.m > max_edges:
         raise InstanceTooLargeError(f"census capped at {max_edges} edges, graph has {g.m}")
     f = spanning_forest(g)
     chords = tuple(itertools.compress(range(g.m), f.is_chord))
     r = len(chords)
+    if r > _MAX_DENSE_DIM:
+        raise InstanceTooLargeError(f"census capped at rank {_MAX_DENSE_DIM}, graph has rank {r}")
     low_bits = sum(1 << 2 * j for j in range(r))
 
     def pack(shift) -> int:  # chord 0 in the most significant field
@@ -231,49 +248,28 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     def add(a, b):  # field-wise sum mod 4 of packed keys
         return a ^ b ^ ((a & b & low_bits) << 1)
 
-    dense = r <= _MAX_DENSE_DIM
-    dtype = np.uint32 if dense else np.uint64
-
     def table(digits) -> np.ndarray:  # the keys of every setting of these digits
-        keys = np.zeros(1, dtype)
+        keys = np.zeros(1, np.uint32)
         for shifts in digits:
-            keys = add(np.array(shifts, dtype)[:, None], keys).ravel()
+            keys = add(np.array(shifts, np.uint32)[:, None], keys).ravel()
         return keys
 
     digits = [(0, pack(s), pack(-x for x in s)) for s in _basis_incidence(g, f, chords, range(g.m))]
     width = _LOW_DIGITS
-    while dense and 3**width < 4**r:  # no chunk shorter than the 4^r bins it is counted into
+    while 3**width < 4**r:  # no chunk shorter than the 4^r bins it is counted into
         width += 1
     width = min(g.m, width)
     split = max(width - 2, 0)  # long rows of low keys, a few rows of mid keys
     low, mid = table(digits[:split]), table(digits[split:width])
     low_carries = (low & low_bits) << 1  # add(a, b) is a ^ b ^ (carries of a & carries of b)
-    tally = np.zeros(4**r if dense else 0, dtype=np.int64)
-    sparse: dict[int, int] = {}
+    tally = np.zeros(4**r, dtype=np.int64)
     for high in itertools.product(*digits[width:]):
         shifted = add(mid, reduce(add, high, 0))
         chunk = shifted[:, None] ^ low  # add(shifted[:, None], low) in three passes
         chunk ^= ((shifted & low_bits) << 1)[:, None] & low_carries
-        chunk = chunk.ravel()
-        if dense:
-            tally += np.bincount(chunk, minlength=4**r)
-        else:
-            for u, c in zip(*(a.tolist() for a in np.unique(chunk, return_counts=True))):
-                sparse[u] = sparse.get(u, 0) + c
-    if dense:  # key order is the lexicographic profile order
-        hit = tally != 0
-        profiles = list(itertools.compress(itertools.product(range(4), repeat=r), hit.tolist()))
-        sizes = tally[hit].tolist()
-    else:
-        packed = np.array(sorted(sparse), dtype=np.uint64)
-        sizes = [sparse[u] for u in packed.tolist()]
-        profiles = list(zip(*(((packed >> 2 * (r - 1 - j)) & 3).tolist() for j in range(r))))
-    # Profiles are listed before they are paired, so that the collector finds
-    # each new pair's profile already untracked and untracks the pair too;
-    # pairs made along with their profiles stayed tracked and set off full
-    # collections (16 at rank 10, most of the time spent building classes).
-    classes = tuple(zip(profiles, sizes))
-    return Census(total=3**g.m, classes=classes, chords=chords)
+        tally += np.bincount(chunk.ravel(), minlength=4**r)
+    tally.flags.writeable = False  # and so its (4,)*r view
+    return Census(total=3**g.m, weights=tally.reshape((4,) * r), chords=chords)
 
 
 def _convolve(d: int, steps) -> np.ndarray:
@@ -307,19 +303,6 @@ def _convolve(d: int, steps) -> np.ndarray:
                 del term  # before the next roll allocates
         w = out
     return w
-
-
-@dataclass(frozen=True)
-class Block:
-    """A biconnected block, relabeled to local vertices 1..size.
-
-    ``vertices[i - 1]`` is the original label of local vertex i; local labels
-    follow the sorted order of the originals, so canonical edge orientations
-    agree between the block and its host graph.
-    """
-
-    graph: SimpleGraph
-    vertices: tuple[int, ...]
 
 
 def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
@@ -364,31 +347,6 @@ def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
                             block.append(edge_stack.pop())
                         raw_blocks.append(block)
     return raw_blocks
-
-
-def block_decompose(g: SimpleGraph) -> list[Block]:
-    """Biconnected blocks (cut edges appear as single-edge blocks).
-
-    Blocks are returned sorted by their smallest original vertex, then by
-    edge lists.
-    """
-    blocks = []
-    for edge_ids in _block_edge_ids(g):
-        edges = [g.edges[e] for e in edge_ids]
-        verts = tuple(sorted({v for e in edges for v in e}))
-        local = {v: i + 1 for i, v in enumerate(verts)}
-        local_edges = [(local[u], local[v]) for u, v in edges]
-        blocks.append(Block(SimpleGraph(len(verts), local_edges), verts))
-    blocks.sort(key=lambda b: (b.vertices[0], b.vertices, b.graph.edges))
-    return blocks
-
-
-def induced_gain_graph(g: GainGraph, block: Block) -> GainGraph:
-    """The gain graph g restricted to one of its blocks, on local labels."""
-    verts, index = block.vertices, g.graph.edge_index
-    # a < b implies u < v: orientations agree
-    exps = [g.exps[index[verts[a - 1], verts[b - 1]]] for a, b in block.graph.edges]
-    return GainGraph._from_exps(block.graph, g.group, exps, g.mixed_mode)
 
 
 def cut_edge_lower_bound(g: SimpleGraph) -> int:

@@ -97,11 +97,18 @@ def cmd_census(args) -> tuple[dict, int]:
 
     cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_CENSUS_CAP
     brute = None
-    if graph.m <= cap:
-        brute = census_mod.brute_force_census(graph, cap)
+    if graph.m > cap:
+        diagnostics.append(f"brute-force census skipped: {graph.m} edges exceed the cap {cap}")
+    else:
+        try:
+            brute = census_mod.brute_force_census(graph, cap)
+        except InstanceTooLargeError as exc:  # a rank above the tally's cap
+            diagnostics.append(f"brute-force census skipped: {exc}")
+    if brute is not None:
+        weights = brute.weights
         entry: dict = {
             "class_count": brute.num_classes,
-            "sizes": sorted((size for _, size in brute.classes), reverse=True),
+            "sizes": sorted(weights[weights != 0].tolist(), reverse=True),
             "total": brute.total,
         }
         if g.mixed_mode:
@@ -109,8 +116,6 @@ def cmd_census(args) -> tuple[dict, int]:
             entry["input_class_size"] = brute.size_of(profile)
         result["brute_force"] = entry
         methods += 1
-    else:
-        diagnostics.append(f"brute-force census skipped: {graph.m} edges exceed the cap {cap}")
 
     is_cycle = (
         graph.n >= 3
@@ -154,7 +159,7 @@ def cmd_census(args) -> tuple[dict, int]:
 
     checks: dict = {}
     if brute is not None:
-        checks["sizes_sum_to_total"] = sum(s for _, s in brute.classes) == brute.total
+        checks["sizes_sum_to_total"] = int(brute.weights.sum()) == brute.total
         if "block_product_size" in result and g.mixed_mode:
             checks["brute_vs_blocks"] = (
                 result["block_product_size"] == result["brute_force"]["input_class_size"]

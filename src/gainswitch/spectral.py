@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, NumericError, ValidationError
 from .gaincore import GainGraph, GainGroup, SimpleGraph, build_gain_graph, hermitian_matrix, underlying
-from .switching import cycle_gain, enumerate_cycles
+from .switching import DEFAULT_CYCLE_CAP, cycle_gain, enumerate_cycles
 
 __all__ = [
     "ElementarySubgraph",
     "CharPoly",
     "Spectrum",
     "enumerate_elementary",
-    "real_cycle_gain",
     "char_poly_elementary",
     "determinant",
     "spectrum",
@@ -371,7 +370,7 @@ def is_balanced_spectrally(g: GainGraph, tol: float = 1e-8) -> bool:
     return cospectral(g, underlying(g), tol)
 
 
-def cycle_real_gain_sums(g: GainGraph, max_vertices: int = 12) -> dict[int, float]:
+def cycle_real_gain_sums(g: GainGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> dict[int, float]:
     """Sum of real cycle gains per cycle length, over every simple cycle.
 
     Lengths with no cycles are omitted.  These sums are the cycle data that

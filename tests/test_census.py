@@ -21,6 +21,10 @@ Claims covered here:
     any gains once the faces are clockwise, checked here on its own);
   * the chunked scan bins every orientation exactly once, in chunks no
     shorter than its 4^r bins, and lists the profiles in sorted order;
+    its census is one read-only weight array over Z_4^r, which
+    ``num_classes`` and ``size_of`` read without building the class list,
+    ``size_of`` refusing profiles of the wrong length or outside 0..3, and
+    ranks above the tally's cap are refused before any chunk is binned;
   * the chunked scan, the whole-graph cycle-space convolution and a
     character-sum formula give the same census, block sizes by convolution
     match the scan on random mixed graphs (with non-cycle blocks through
@@ -244,31 +248,29 @@ def test_census_profile_lookup_round_trip(rng):
 # -- blocks ------------------------------------------------------------------
 
 
+def blocks_of(graph):
+    """Each block's edges as sorted vertex pairs, blocks sorted."""
+    return sorted(sorted(graph.edges[e] for e in ids) for ids in census_mod._block_edge_ids(graph))
+
+
 def test_block_decompose_bowtie():
-    blocks = gs.block_decompose(bowtie_minus().graph)
-    assert [(b.vertices, b.graph.m) for b in blocks] == [((1, 2, 3), 3), ((2, 4, 5), 3)]
+    assert blocks_of(bowtie_minus().graph) == [[(1, 2), (1, 3), (2, 3)], [(2, 4), (2, 5), (4, 5)]]
 
 
 def test_block_decompose_shapes():
-    assert [b.vertices for b in gs.block_decompose(path_graph(4))] == [
-        (1, 2),
-        (2, 3),
-        (3, 4),
-    ]
-    assert [b.graph.m for b in gs.block_decompose(complete_graph(4))] == [6]
+    assert blocks_of(path_graph(4)) == [[(1, 2)], [(2, 3)], [(3, 4)]]
+    assert blocks_of(complete_graph(4)) == [list(complete_graph(4).edges)]
     scattered = gs.SimpleGraph(5, [(1, 2), (3, 4), (4, 5)])
-    assert [b.vertices for b in gs.block_decompose(scattered)] == [(1, 2), (3, 4), (4, 5)]
+    assert blocks_of(scattered) == [[(1, 2)], [(3, 4)], [(4, 5)]]
 
 
 def test_blocks_partition_the_edges():
     graph = gs.SimpleGraph(
         8, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]
     )
-    seen = []
-    for b in gs.block_decompose(graph):
-        for u, v in b.graph.edges:
-            seen.append((b.vertices[u - 1], b.vertices[v - 1]))
-    assert sorted(seen) == list(graph.edges)
+    ids = sorted(e for block in census_mod._block_edge_ids(graph) for e in block)
+    assert ids == list(range(graph.m))
+    assert blocks_of(graph) == [[(1, 2), (1, 3), (2, 3)], [(3, 4)], [(4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]]
 
 
 def test_block_decompose_deep_graphs_match_networkx():
@@ -283,26 +285,12 @@ def test_block_decompose_deep_graphs_match_networkx():
         u, v = order[i], order[i + rng.randint(2, 9)]
         sparse.add((min(u, v), max(u, v)))
     for graph in [path_graph(3000), gs.SimpleGraph(3000, sorted(sparse))]:
-        got = sorted(
-            sorted((b.vertices[u - 1], b.vertices[v - 1]) for u, v in b.graph.edges)
-            for b in gs.block_decompose(graph)
-        )
         oracle = nx.Graph(graph.edges)
         want = sorted(
             sorted(tuple(sorted(e)) for e in comp)
             for comp in nx.biconnected_component_edges(oracle)
         )
-        assert got == want
-
-
-def test_induced_gain_graph_keeps_gains():
-    phi = bowtie_minus()
-    tri = gs.block_decompose(phi.graph)[0]
-    sub = gs.induced_gain_graph(phi, tri)
-    assert sub.mixed_mode
-    for a, b in sub.graph.edges:
-        u, v = tri.vertices[a - 1], tri.vertices[b - 1]
-        assert sub.gain(a, b) == phi.gain(u, v)
+        assert blocks_of(graph) == want
 
 
 def test_cut_edge_lower_bound():
@@ -689,10 +677,10 @@ def test_block_convolution_matches_census_on_random_mixed_graphs():
     for g in graphs:
         census = gs.brute_force_census(g.graph)
         assert gs.class_size_by_blocks(g) == census.size_of(gs.mixed_basis_profile(g))
-        blocks = gs.block_decompose(g.graph)
+        blocks = [({v for e in ids for v in g.graph.edges[e]}, len(ids)) for ids in census_mod._block_edge_ids(g.graph)]
         several_components += g.graph.num_components > 1
-        with_bridges += any(b.graph.m == 1 for b in blocks)
-        non_cycle = [set(b.vertices) for b in blocks if b.graph.m > b.graph.n]
+        with_bridges += any(m == 1 for _, m in blocks)
+        non_cycle = [verts for verts, m in blocks if m > len(verts)]
         non_cycle_blocks += bool(non_cycle)
         shared_cut += any(p & q for p, q in itertools.combinations(non_cycle, 2))
         isolated += any(g.graph.degree(v) == 0 for v in range(1, g.graph.n + 1))
@@ -770,51 +758,42 @@ def test_scan_over_several_chunks_matches_convolution_census():
         assert dict(census.classes) == dp_census(graph)
 
 
-def test_scan_paths_for_small_chunks_and_sparse_tallies(monkeypatch):
+def test_scan_in_small_chunks_matches_wide_chunks(monkeypatch):
     diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     graphs = [path_graph(4), cycle_graph(5), diamond, bowtie_minus().graph, complete_graph(4)]
     want = [gs.brute_force_census(graph) for graph in graphs]
     monkeypatch.setattr(census_mod, "_LOW_DIGITS", 2)  # many high-digit chunks
     for graph, census in zip(graphs, want):
         assert gs.brute_force_census(graph) == census
-    monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", 0)  # tallies by np.unique
-    for graph, census in zip(graphs, want):
-        assert gs.brute_force_census(graph) == census
         assert dict(census.classes) == oracle_census(graph)
 
 
-def test_census_profiles_come_out_sorted(monkeypatch):
+def test_census_profiles_come_out_sorted():
     diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     graphs = [diamond, bowtie_minus().graph, complete_graph(4), complete_graph(5)]
     census = gs.brute_force_census(diamond)
     assert [p for p, _ in census.classes] == list(itertools.product(range(4), repeat=2))
     forest = gs.brute_force_census(path_graph(4))  # rank 0: the one empty profile
     assert forest.classes == (((), 27),)
-    for dense_cap in (census_mod._MAX_DENSE_DIM, 0):  # bins by np.bincount, then by np.unique
-        monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", dense_cap)
-        for graph in graphs:
-            profiles = [p for p, _ in gs.brute_force_census(graph).classes]
-            assert profiles == sorted(profiles)
-            assert len(set(profiles)) == len(profiles)
+    for graph in graphs:
+        profiles = [p for p, _ in gs.brute_force_census(graph).classes]
+        assert profiles == sorted(profiles)
+        assert len(set(profiles)) == len(profiles)
 
 
 class RecordingNumpy:
     """numpy for the census module, recording the length of every key array
-    it bins (by ``np.bincount`` or ``np.unique``)."""
+    it bins by ``np.bincount``."""
 
     def __init__(self):
-        self.binned = []  # (function name, keys binned)
+        self.binned = []  # keys binned, per call
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def bincount(self, keys, *args, **kwargs):
-        self.binned.append(("bincount", len(keys)))
+        self.binned.append(len(keys))
         return np.bincount(keys, *args, **kwargs)
-
-    def unique(self, keys, *args, **kwargs):
-        self.binned.append(("unique", len(keys)))
-        return np.unique(keys, *args, **kwargs)
 
 
 def test_scan_bins_every_orientation_once_in_wide_chunks(monkeypatch):
@@ -828,17 +807,52 @@ def test_scan_bins_every_orientation_once_in_wide_chunks(monkeypatch):
     monkeypatch.setattr(census_mod, "np", recorder)
     for graph in graphs:
         r = graph.m - graph.n + 1
-        # small chunks and np.unique (which merges every distinct key in Python) on small graphs only
-        for low_digits, dense_cap in ((10, 12), (2, 12), (10, 0), (2, 0))[: 1 if graph.m > 6 else 4]:
+        for low_digits in (10, 2)[: 1 if graph.m > 6 else 2]:  # small chunks on small graphs only
             monkeypatch.setattr(census_mod, "_LOW_DIGITS", low_digits)
-            monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", dense_cap)
             recorder.binned.clear()
             gs.brute_force_census(graph)
-            kinds = {kind for kind, _ in recorder.binned}
-            assert kinds == ({"bincount"} if r <= dense_cap else {"unique"})
-            assert sum(n for _, n in recorder.binned) == 3**graph.m
-            if r <= dense_cap:  # no chunk shorter than the 4^r bins
-                assert min(n for _, n in recorder.binned) >= min(3**graph.m, 4**r)
+            assert sum(recorder.binned) == 3**graph.m
+            assert min(recorder.binned) >= min(3**graph.m, 4**r)  # no chunk shorter than the 4^r bins
+
+
+def test_census_above_the_rank_cap_is_refused_before_the_scan(monkeypatch):
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    recorder = RecordingNumpy()
+    monkeypatch.setattr(census_mod, "np", recorder)
+    monkeypatch.setattr(census_mod, "_MAX_DENSE_DIM", 1)
+    with pytest.raises(gs.InstanceTooLargeError, match="rank"):
+        gs.brute_force_census(diamond)
+    assert recorder.binned == []
+    assert gs.brute_force_census(cycle_graph(5)).num_classes == 4  # rank 1 is still scanned
+    assert recorder.binned != []
+
+
+def test_census_is_its_weight_array():
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    census = gs.brute_force_census(diamond)
+    w = census.weights
+    assert w.shape == (4, 4) and w.dtype == np.int64 and not w.flags.writeable
+    assert int(w.sum()) == census.total == 3**5
+    assert census.num_classes == np.count_nonzero(w) == 16
+    assert census.size_of((0, 0)) == census.size_of(np.array([0, 0])) == w[0, 0] == 17
+    assert "classes" not in vars(census)  # num_classes and size_of read the array
+    assert dict(census.classes) == {p: int(w[p]) for p in itertools.product(range(4), repeat=2)}
+    assert census == gs.brute_force_census(diamond) and census != gs.brute_force_census(cycle_graph(5))
+    with pytest.raises(ValueError):
+        w[0, 0] = 0
+    forest = gs.brute_force_census(path_graph(3))  # rank 0: a 0-d array
+    assert forest.weights.shape == () and forest.size_of(()) == 9 and forest.num_classes == 1
+
+
+def test_size_of_rejects_malformed_profiles():
+    census = gs.brute_force_census(gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]))
+    assert census.size_of((3, 3)) >= 1
+    for bad in [(0,), (0, 0, 0), (), (4, 0), (0, 4), (-1, 0), (0, -1), (0.0, 0), (1.5, 0), ("0", 0), (None, 0)]:
+        with pytest.raises(gs.ValidationError):
+            census.size_of(bad)
+    triangle = gs.brute_force_census(cycle_graph(3))
+    with pytest.raises(gs.ValidationError):
+        triangle.size_of((-2,))  # would wrap to the attained W[2]
 
 
 # Exponent k of i^k as a Gaussian integer (re, im).

@@ -158,6 +158,27 @@ def test_census_diamond_with_faces(capsys):
     }
 
 
+def test_census_report_builds_no_class_tuples(monkeypatch, capsys):
+    made = []
+    scan = gs.census.brute_force_census
+    monkeypatch.setattr(gs.census, "brute_force_census", lambda *args: made.append(scan(*args)) or made[-1])
+    code, report = run(capsys, "census", "--faces", DIAMOND)
+    assert code == 0 and report["result"]["brute_force"]["class_count"] == 16
+    assert len(made) == 1 and "classes" not in vars(made[0])
+
+
+def test_census_above_the_rank_cap_reports_the_other_methods(monkeypatch, capsys):
+    # The bowtie has rank 2 and two triangle blocks: the block product needs no
+    # convolution, so it still applies under a rank cap of 1.
+    monkeypatch.setattr(gs.census, "_MAX_DENSE_DIM", 1)
+    code, report = run(capsys, "census", BOWTIE_MINUS)
+    assert code == 0
+    assert report["diagnostics"] == ["brute-force census skipped: census capped at rank 1, graph has rank 2"]
+    res = report["result"]
+    assert "brute_force" not in res and "cross_checks" not in res
+    assert res["block_product_size"] == gs.census.class_size_by_blocks(gs.load_gg(BOWTIE_MINUS)[0])
+
+
 def test_census_cycle_closed_form(capsys):
     code, report = run(capsys, "census", SIGNED_TRI)
     assert code == 0

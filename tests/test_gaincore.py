@@ -17,6 +17,8 @@ Claims covered:
     - building, serialising, parsing and deciding on integers allocate no
       GainExponent; only the values handed to callers are built
     - adjacency tuples come out sorted without a per-vertex sort
+    - the package exports exactly its five layer modules' ``__all__`` and
+      the four error types
 """
 
 import cmath
@@ -424,3 +426,11 @@ def test_adjacency_is_sorted(rng):
         for v in range(1, n + 1):
             assert list(graph.adjacency[v]) == sorted(graph.adjacency[v])
             assert set(graph.adjacency[v]) == {w for e in chosen if v in e for w in e if w != v}
+
+
+def test_package_exports_the_layer_modules_and_the_errors():
+    layers = (gs.census, gs.gaincore, gs.spectral, gs.switching, gs.symmetry)
+    errors = {"GainGraphError", "InstanceTooLargeError", "NumericError", "ValidationError"}
+    assert sorted(gs.__all__) == sorted(set().union(*(m.__all__ for m in layers)) | errors)
+    for module in layers:
+        assert all(getattr(gs, name) is getattr(module, name) for name in module.__all__)
