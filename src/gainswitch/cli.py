@@ -149,13 +149,17 @@ def cmd_census(args) -> tuple[dict, int]:
         face_cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_FACE_CAP
         # One face-cell convolution gives both: the count of nonzero entries
         # (plane_class_count) and the entry at the input's face gains (plane_class_size).
-        weights = census_mod._face_weights(fs, face_cap)
-        plane: dict = {"class_count": int(np.count_nonzero(weights))}
-        if g.mixed_mode:
-            y = tuple(x.exp for x in census_mod.face_gains(g, fs))
-            plane["input_class_size"] = int(weights[y])
-        result["plane"] = plane
-        methods += 1
+        try:
+            weights = census_mod._face_weights(fs, face_cap)
+        except InstanceTooLargeError as exc:  # more faces than the cap
+            diagnostics.append(f"plane census skipped: {exc}")
+        else:
+            plane: dict = {"class_count": int(np.count_nonzero(weights))}
+            if g.mixed_mode:
+                y = tuple(x.exp for x in census_mod.face_gains(g, fs))
+                plane["input_class_size"] = int(weights[y])
+            result["plane"] = plane
+            methods += 1
 
     checks: dict = {}
     if brute is not None:
@@ -213,7 +217,7 @@ def cmd_iso(args) -> tuple[dict, int]:
         sigma = symmetry.underlying_isomorphism(a.graph, b.graph, max_aut)
         if sigma is None:
             return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, 1
-        exps = [b.exponent(sigma(u), sigma(v)) for u, v in a.graph.edges]
+        exps = [b.exponent(sigma(u), sigma(v)) for u, v in zip(a.graph.tails, a.graph.heads)]
         b = GainGraph._from_exps(a.graph, b.group, exps, b.mixed_mode)
         relabeling = list(sigma.image)
     hit = symmetry.switching_isomorphic(a, b, max_aut)

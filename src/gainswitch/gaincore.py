@@ -13,6 +13,7 @@ The module also owns the ``.gg`` text format (see ``parse_gg``/``format_gg``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -139,53 +140,143 @@ def _malformed_graph(n, edges) -> str:
     return "edges must be pairs of integer vertices"
 
 
+def _checked_edges(n, edges) -> tuple[int, list[tuple[int, int]]]:
+    """The per-edge check behind ``SimpleGraph``'s bulk pass.
+
+    Raises for the first fault, looking for them in this order: a negative
+    count, an edge out of range or a self-loop (in input order), a repeated
+    edge (in sorted order), and a count or vertex that is not an integer.
+    Otherwise returns the count and the edges as exact ints.
+    """
+    try:
+        if n < 0:
+            raise ValidationError(f"vertex count must be nonnegative, got {n}")
+        edges = list(edges)
+        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {u}")
+        for prev, cur in zip(canon, canon[1:]):
+            if prev == cur:
+                raise ValidationError(f"duplicate edge {cur}")
+        return operator.index(n), [(operator.index(u), operator.index(v)) for u, v in edges]
+    except ValidationError:
+        raise
+    except (TypeError, ValueError):  # a count or vertex that is not an integer
+        raise ValidationError(_malformed_graph(n, edges)) from None
+
+
+def _edge_columns(n: int, pairs: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Tails and heads of sorted pair keys u * (n + 1) + v, or None when a key repeats."""
+    if any(map(operator.eq, pairs, pairs[1:])):
+        return None
+    w = n + 1
+    return tuple([x // w for x in pairs]), tuple([x % w for x in pairs])
+
+
+def _pair_columns(n, edges) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The bulk pass of ``SimpleGraph``: edge columns, or None when any edge is
+    not a pair of exact ints in 1..n, is a self-loop or repeats."""
+    if type(n) is not int or n < 0:
+        return None
+    w = n + 1
+    try:
+        # A self-loop or a vertex out of range keys as None; a float vertex as a float.
+        keys = [u * w + v if 0 < u < v <= n else v * w + u if 0 < v < u <= n else None for u, v in edges]
+    except (TypeError, ValueError):
+        return None
+    if keys and {*map(type, keys)} != {int}:
+        return None
+    keys.sort()
+    return _edge_columns(n, keys)
+
+
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n with a canonical edge order.
 
-    Edges are stored sorted lexicographically; the position of an edge in
-    ``edges`` is its edge id, used wherever ids matter (spanning forests,
-    cycle bases, censuses).  Instances are immutable by convention.
+    The edges are stored as two int columns: edge id e joins ``tails[e]`` <
+    ``heads[e]``, and the ids follow lexicographic edge order.  The id is
+    what names an edge wherever ids matter (spanning forests, cycle bases,
+    censuses).  ``edges`` (the pairs), ``edge_index`` (pair -> id),
+    ``adjacency`` (each vertex's sorted neighbours) and ``incidence`` (their
+    edge ids, parallel to ``adjacency``) are views built from the columns
+    on first use.  Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "adjacency", "_hash", "_forest")
+    __slots__ = ("n", "tails", "heads", "_edges", "_edge_index", "_adjacency", "_incidence", "_hash", "_forest")
 
     def __init__(self, n: int, edges) -> None:
         try:
-            if n < 0:
-                raise ValidationError(f"vertex count must be nonnegative, got {n}")
             edges = list(edges)
-            canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-            if canon:
-                low, high = zip(*canon)
-                if low[0] < 1 or max(high) > n or any(map(operator.eq, low, high)):
-                    for u, v in edges:  # name the first bad edge
-                        if not (1 <= u <= n and 1 <= v <= n):
-                            raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
-                        if u == v:
-                            raise ValidationError(f"self-loop at vertex {u}")
-            self.n = n
-            self.edges = tuple(canon)
-            self.edge_index = dict(zip(self.edges, range(len(canon))))
-            if len(self.edge_index) < len(canon):
-                dup = next(cur for prev, cur in zip(canon, canon[1:]) if prev == cur)
-                raise ValidationError(f"duplicate edge {dup}")
-            adj = [[] for _ in range(n + 1)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-        except ValidationError:
-            raise
-        except (TypeError, ValueError):  # a count or vertex that is not an integer
-            raise ValidationError(_malformed_graph(n, edges)) from None
-        # The edges are sorted, so each list already is: smaller neighbours
-        # first (from (w, v) edges), then larger ones (from (v, w) edges).
-        self.adjacency = tuple(map(tuple, adj))
+        except (TypeError, ValueError):
+            pass  # named by _checked_edges
+        columns = _pair_columns(n, edges)
+        if columns is None:  # name the first bad edge, or convert integer-likes
+            n, edges = _checked_edges(n, edges)
+            columns = _pair_columns(n, edges)
+        self._init(n, *columns)
+
+    @classmethod
+    def _from_columns(cls, n: int, tails: tuple[int, ...], heads: tuple[int, ...]) -> "SimpleGraph":
+        """A graph from already checked columns (sorted pairs, tails < heads)."""
+        g = object.__new__(cls)
+        g._init(n, tails, heads)
+        return g
+
+    def _init(self, n: int, tails: tuple[int, ...], heads: tuple[int, ...]) -> None:
+        self.n = n
+        self.tails = tails
+        self.heads = heads
+        self._edges = self._edge_index = self._adjacency = self._incidence = None
         self._hash = None
         self._forest = None  # the default spanning forest, kept by switching.spanning_forest
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) pairs, u < v, in edge-id order."""
+        if self._edges is None:
+            self._edges = tuple(zip(self.tails, self.heads))
+        return self._edges
+
+    @property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Edge id of each (u, v) pair, u < v."""
+        if self._edge_index is None:
+            self._edge_index = dict(zip(self.edges, range(self.m)))
+        return self._edge_index
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbours of each vertex; index 0 is unused."""
+        if self._adjacency is None:
+            self._build_adjacency()
+        return self._adjacency
+
+    @property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Edge ids of each vertex's edges, parallel to ``adjacency``."""
+        if self._incidence is None:
+            self._build_adjacency()
+        return self._incidence
+
+    def _build_adjacency(self) -> None:
+        adj = [[] for _ in range(self.n + 1)]
+        inc = [[] for _ in range(self.n + 1)]
+        # The edges are sorted, so each list comes out sorted: smaller
+        # neighbours first (from (w, v) edges), then larger ones (from (v, w) edges).
+        for e, u, v in zip(itertools.count(), self.tails, self.heads):
+            adj[u].append(v)
+            inc[u].append(e)
+            adj[v].append(u)
+            inc[v].append(e)
+        self._adjacency = tuple(map(tuple, adj))
+        self._incidence = tuple(map(tuple, inc))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -229,11 +320,11 @@ class SimpleGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.tails == other.tails and self.heads == other.heads
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self.edges))
+            self._hash = hash((self.n, self.tails, self.heads))
         return self._hash
 
     def __repr__(self) -> str:
@@ -373,17 +464,18 @@ class SwitchingFunction:
         return all(v.is_one() for v in self.values)
 
 
-def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool = False) -> GainGraph:
-    """Build a gain graph from oriented edge data.
+def _checked_arcs(n, group: GainGroup, arcs):
+    """The per-entry check behind ``build_gain_graph``'s bulk pass.
 
-    ``directed_gains`` is an iterable of (u, v, gain) triples where the gain
-    applies to the orientation u -> v and is either a ``GainExponent`` of
-    ``group`` or a plain exponent in [0, k).  At most one of (u, v)/(v, u)
-    may appear per vertex pair.
+    Raises for the first bad entry (not a triple, a self-loop, a gain that
+    is not an exponent in [0, k) or a ``GainExponent`` of ``group``, or a
+    pair given twice), then lets ``_checked_edges`` name a bad count or
+    vertex.  Otherwise returns the count and the arcs as exact-int columns,
+    each arc in canonical orientation.
     """
     k = group.order
     pair_exp: dict[tuple[int, int], int] = {}
-    for entry in directed_gains:
+    for entry in arcs:
         try:
             u, v, t = entry
             forward = u < v
@@ -406,8 +498,68 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
         if key in pair_exp:
             raise ValidationError(f"both orientations (or a repeat) given for pair {key}")
         pair_exp[key] = t if forward else -t % k
-    graph = SimpleGraph(n, pair_exp)
-    return GainGraph._from_exps(graph, group, map(pair_exp.__getitem__, graph.edges), mixed_mode)
+    n, pairs = _checked_edges(n, pair_exp)
+    return n, (*zip(*pairs), tuple(pair_exp.values())) if pairs else ((), (), ())
+
+
+def _arc_columns(n, k: int, us, vs, ts):
+    """The bulk pass of ``build_gain_graph``: arcs u -> v with exponent t,
+    given as columns, sorted into the graph's (tails, heads, exps).
+
+    Each arc becomes one int key (a * (n + 1) + b) * k + x, where a < b is
+    its pair and x its exponent on a -> b, so sorting the keys sorts the
+    edges and carries their exponents along.  Returns None when any vertex
+    or exponent is not an exact int, a vertex lies outside 1..n, an exponent
+    outside [0, k), or a pair is a self-loop or repeats.
+    """
+    if type(n) is not int or n < 0:
+        return None
+    if ts and not ({*map(type, ts)} == {int} and min(ts) >= 0 and max(ts) < k):
+        return None
+    w = n + 1
+    try:
+        # A self-loop or a vertex out of range keys as None; a float vertex as a float.
+        keys = [
+            (u * w + v) * k + t if 0 < u < v <= n else (v * w + u) * k + (-t) % k if 0 < v < u <= n else None
+            for u, v, t in zip(us, vs, ts)
+        ]
+    except (TypeError, ValueError):
+        return None
+    if keys and {*map(type, keys)} != {int}:
+        return None
+    keys.sort()
+    columns = _edge_columns(n, [x // k for x in keys])
+    return columns and (*columns, tuple([x % k for x in keys]))
+
+
+def _gain_graph(n, group: GainGroup, columns, arcs, mixed_mode: bool) -> GainGraph:
+    """Build from arc columns (u, v, t), or, when those are missing or the bulk
+    pass refuses them, from what ``_checked_arcs`` makes of ``arcs``."""
+    built = columns and _arc_columns(n, group.order, *columns)
+    if not built:  # name the first bad entry, or convert integer-likes and GainExponents
+        n, columns = _checked_arcs(n, group, arcs)
+        built = _arc_columns(n, group.order, *columns)
+    tails, heads, exps = built
+    g = object.__new__(GainGraph)
+    g._store(SimpleGraph._from_columns(n, tails, heads), group, exps, mixed_mode)
+    return g
+
+
+def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool = False) -> GainGraph:
+    """Build a gain graph from oriented edge data.
+
+    ``directed_gains`` is an iterable of (u, v, gain) triples where the gain
+    applies to the orientation u -> v and is either a ``GainExponent`` of
+    ``group`` or a plain exponent in [0, k).  At most one of (u, v)/(v, u)
+    may appear per vertex pair.
+    """
+    arcs = list(directed_gains)
+    try:
+        triples = {*map(len, arcs)} <= {3}  # zip would cut longer entries short
+    except TypeError:  # an entry without a length
+        triples = False
+    columns = (tuple(zip(*arcs)) or ((), (), ())) if triples else None
+    return _gain_graph(n, group, columns, arcs, mixed_mode)
 
 
 def hermitian_matrix(g: GainGraph) -> np.ndarray:
@@ -420,7 +572,7 @@ def hermitian_matrix(g: GainGraph) -> np.ndarray:
     n = g.graph.n
     h = np.zeros((n, n), dtype=complex)
     values = {t: GainExponent(g.group, t).value for t in set(g.exps)}
-    for (u, v), t in zip(g.graph.edges, g.exps):
+    for u, v, t in zip(g.graph.tails, g.graph.heads, g.exps):
         val = values[t]
         h[u - 1, v - 1] = val
         h[v - 1, u - 1] = val.conjugate()
@@ -447,6 +599,9 @@ def negate(g: GainGraph) -> GainGraph:
 
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
+# Every k = 4 gain token: the aliases, and the plain exponents they leave free.
+_QUARTER_TOKEN = {"0": 0, "2": 2, "3": 3, **_MIXED_TOKEN}
+
 
 def _integer(token: str) -> int:
     """An ASCII decimal integer, ``-?[0-9]+``; bare ``int`` would also take
@@ -454,6 +609,43 @@ def _integer(token: str) -> int:
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValidationError(f"expected an integer, got {token!r}")
     return int(token)
+
+
+def _e_columns(us: list[str], vs: list[str], ts: list[str], k: int):
+    """The bulk pass over the fields of the ``e`` lines: (us, vs, ts) int
+    columns, or None unless every vertex is ASCII digits and every gain a
+    k = 4 token or, for other k, ASCII digits."""
+    digits = "".join(us) + "".join(vs)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if k == 4:
+        exps = tuple(map(_QUARTER_TOKEN.get, ts))
+        if None in exps:
+            return None
+    else:
+        gains = "".join(ts)
+        if not (gains.isascii() and gains.isdigit()):
+            return None
+        exps = tuple(map(int, ts))
+    return tuple(map(int, us)), tuple(map(int, vs)), exps
+
+
+def _e_rescan(lines: list[str], aliases: dict[str, int]):
+    """Convert the fields of the ``e`` lines among ``lines``, which the line
+    loop found to have four fields each, one line at a time, naming the line
+    of the first bad field."""
+    us, vs, ts = [], [], []
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.partition("#")[0].split()
+        if parts and parts[0] == "e":
+            _, su, sv, tok = parts
+            try:
+                us.append(_integer(su))
+                vs.append(_integer(sv))
+                ts.append(aliases[tok] if tok in aliases else _integer(tok))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
+    return us, vs, ts
 
 
 def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
@@ -470,29 +662,34 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
                            for k = 4 the tokens 1, -1, i, -i are accepted
                            as aliases for t = 0, 2, 1, 3
         f <v1> ... <vl>    optional inner face, clockwise vertex cycle
+
+    The line loop collects the fields of the ``e`` lines as text; they are
+    converted together after it.  Only when that fails, or when a later line
+    is bad, are they converted again one line at a time, so that the first
+    bad line is the one named.
     """
     k: int | None = None
     aliases: dict[str, int] = {}
     mixed = False
     n: int | None = None
-    entries: list[tuple[int, int, int]] = []
+    us: list[str] = []
+    vs: list[str] = []
+    ts: list[str] = []
     faces: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         try:
-            if tag == "e":  # the commonest line; plain digits skip _integer
+            if tag == "e":  # the commonest line
                 if k is None or n is None:
                     raise ValidationError("e line before gg/n header")
                 _, su, sv, tok = parts
-                if line.isascii() and su.isdigit() and sv.isdigit():
-                    u, v = int(su), int(sv)
-                else:
-                    u, v = _integer(su), _integer(sv)
-                entries.append((u, v, aliases[tok] if tok in aliases else _integer(tok)))
+                us.append(su)
+                vs.append(sv)
+                ts.append(tok)
             elif tag == "gg":
                 if k is not None:
                     raise ValidationError("repeated gg header")
@@ -522,15 +719,16 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
                 faces.append(face)
             else:
                 raise ValidationError(f"unknown directive {tag!r}")
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"line {lineno}: malformed {tag!r} line ({exc})") from None
+        except (ValidationError, IndexError, ValueError) as exc:
+            _e_rescan(lines[: lineno - 1], aliases)  # a bad e line above this one comes first
+            what = exc if isinstance(exc, ValidationError) else f"malformed {tag!r} line ({exc})"
+            raise ValidationError(f"line {lineno}: {what}") from None
     if k is None:
         raise ValidationError("missing gg header")
     if n is None:
         raise ValidationError("missing n line")
-    graph = build_gain_graph(n, GainGroup(k), entries, mixed_mode=mixed)
+    columns = _e_columns(us, vs, ts, k) or _e_rescan(lines, aliases)
+    graph = _gain_graph(n, GainGroup(k), columns, zip(*columns), mixed)
     return graph, tuple(faces)
 
 
@@ -544,10 +742,9 @@ def format_gg(g: GainGraph, faces=()) -> str:
     # For k = 4 the parser reads a bare "1" as the alias for gain 1, so the
     # exponent 1 must be written as its token "i" to round-trip.
     tokens = {exp: tok for tok, exp in _MIXED_TOKEN.items()} if g.group.order == 4 else None
-    for (u, v), t in zip(g.graph.edges, g.exps):
-        lines.append(f"e {u} {v} {tokens[t] if tokens else t}")
-    for face in faces:
-        lines.append("f " + " ".join(str(v) for v in face))
+    gains = map(tokens.__getitem__, g.exps) if tokens else g.exps
+    lines += [f"e {u} {v} {t}" for u, v, t in zip(g.graph.tails, g.graph.heads, gains)]
+    lines += ["f " + " ".join(map(str, face)) for face in faces]
     return "\n".join(lines) + "\n"
 
 

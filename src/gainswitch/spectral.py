@@ -93,7 +93,7 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
         )
     k = len(weights)
     out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
-    for (u, v), x in zip(g.edges, exps):
+    for u, v, x in zip(g.tails, g.heads, exps):
         out[u][v] = x
         out[v][u] = -x
     avail = [True] * (n + 1)
@@ -395,9 +395,9 @@ def cartesian_product(a: GainGraph, b: GainGraph) -> GainGraph:
     entries = []
     for x in range(1, a.graph.n + 1):
         base = (x - 1) * nb
-        for (u, v), t in zip(b.graph.edges, b.exps):
+        for u, v, t in zip(b.graph.tails, b.graph.heads, b.exps):
             entries.append((base + u, base + v, t))
-    for (x, y), t in zip(a.graph.edges, a.exps):
+    for x, y, t in zip(a.graph.tails, a.graph.heads, a.exps):
         for u in range(1, nb + 1):
             entries.append(((x - 1) * nb + u, (y - 1) * nb + u, t))
     return build_gain_graph(

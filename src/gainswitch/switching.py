@@ -9,7 +9,6 @@ spanning forest decides equivalence outright.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
@@ -123,49 +122,45 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     is built once per graph and the same object is returned on every call.
     """
     n = g.n
-    if vertex_order is None:
-        if g._forest is not None:
-            return g._forest
-
-        def by_rank(vertices):  # vertex lists and adjacency tuples are already sorted
-            return vertices
-    else:
-        vertex_order = list(vertex_order)
-        if sorted(vertex_order) != list(range(1, n + 1)):
+    if vertex_order is None and g._forest is not None:
+        return g._forest
+    adjacency, incidence = g.adjacency, g.incidence  # neighbours sorted, and their edge ids
+    roots = range(1, n + 1)
+    if vertex_order is not None:
+        roots = list(vertex_order)
+        if sorted(roots) != list(range(1, n + 1)):
             raise ValidationError("vertex_order must be a permutation of 1..n")
         rank = [0] * (n + 1)
-        for pos, v in enumerate(vertex_order):
+        for pos, v in enumerate(roots):
             rank[v] = pos
 
-        def by_rank(vertices):
-            return sorted(vertices, key=rank.__getitem__)
+        def by_rank(v):
+            arcs = sorted(zip(adjacency[v], incidence[v]), key=lambda arc: rank[arc[0]])
+            return [w for w, _ in arcs], [e for _, e in arcs]
+
+        adjacency, incidence = zip(*map(by_rank, range(n + 1)))
     parent = [0] * (n + 1)
-    root = [0] * (n + 1)
+    root = [0] * (n + 1)  # 0 until the vertex is reached
     depth = [0] * (n + 1)
     parent_edge = [-1] * (n + 1)
     order: list[int] = []
     is_chord = [True] * g.m
-    index = g.edge_index
-    seen = [False] * (n + 1)
-    for s in by_rank(range(1, n + 1)):
-        if seen[s]:
+    for s in roots:
+        if root[s]:
             continue
-        seen[s] = True
         root[s] = s
-        order.append(s)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in by_rank(g.neighbors(v)):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
+        tree = [s]  # grows while it is walked: the breadth-first queue
+        for v in tree:
+            d = depth[v] + 1
+            for w, e in zip(adjacency[v], incidence[v]):
+                if not root[w]:
                     root[w] = s
-                    depth[w] = depth[v] + 1
-                    order.append(w)
-                    e = parent_edge[w] = index[(v, w) if v < w else (w, v)]
+                    parent[w] = v
+                    depth[w] = d
+                    parent_edge[w] = e
                     is_chord[e] = False
-                    queue.append(w)
+                    tree.append(w)
+        order += tree
     forest = SpanningForest(*map(tuple, (parent, root, depth, order, is_chord, parent_edge)))
     if vertex_order is None:
         g._forest = forest
@@ -201,7 +196,7 @@ def _chord_cycle(f: SpanningForest, u: int, v: int) -> tuple[int, ...]:
 def fundamental_cycles(g: SimpleGraph, f: SpanningForest) -> FundamentalCycleBasis:
     """The fundamental cycles of the non-forest edges, ordered by edge id."""
     chords = tuple(compress(range(g.m), f.is_chord))
-    return FundamentalCycleBasis(tuple(_chord_cycle(f, *g.edges[e]) for e in chords), chords)
+    return FundamentalCycleBasis(tuple(_chord_cycle(f, g.tails[e], g.heads[e]) for e in chords), chords)
 
 
 def canonical_basis(g: SimpleGraph) -> tuple[SpanningForest, FundamentalCycleBasis]:
@@ -248,7 +243,7 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
         raise ValidationError("gain group mismatch")
     k = g.group.order
     th = [0] + [x.exp for x in theta.values]
-    exps = tuple((t - th[u] + th[v]) % k for (u, v), t in zip(g.graph.edges, g.exps))
+    exps = tuple((t - th[u] + th[v]) % k for u, v, t in zip(g.graph.tails, g.graph.heads, g.exps))
     return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
 
@@ -269,7 +264,7 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int,
             pot[v] = (pot[p] + x if v < p else pot[p] - x) % k
     chords = tuple(
         (x + pot[v] - pot[u]) % k
-        for (u, v), x in compress(zip(g.graph.edges, exps), f.is_chord)
+        for u, v, x in compress(zip(g.graph.tails, g.graph.heads, exps), f.is_chord)
     )
     return pot, chords
 
@@ -307,7 +302,7 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
         return None
     k = a.group.order
     shift = [(x - y) % k for x, y in zip(pot_a, pot_b)]
-    for (u, v), x, y in zip(a.graph.edges, a.exps, b.exps):  # exact check; cannot fail
+    for u, v, x, y in zip(a.graph.tails, a.graph.heads, a.exps, b.exps):  # exact check; cannot fail
         if (x - shift[u] + shift[v]) % k != y:
             raise AssertionError("internal error: switching witness failed to verify")
     return SwitchingFunction(_elements(a.group, shift[1:]))
@@ -327,7 +322,8 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     chord_ids = compress(range(a.graph.m), f.is_chord)
     for e, x, y in zip(chord_ids, chords_a, chords_b):
         if x != y:
-            return _chord_cycle(f, *a.graph.edges[e]), GainExponent(a.group, x), GainExponent(a.group, y)
+            cycle = _chord_cycle(f, a.graph.tails[e], a.graph.heads[e])
+            return cycle, GainExponent(a.group, x), GainExponent(a.group, y)
     return None
 
 
@@ -411,7 +407,7 @@ def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
     takes at most n steps.
     """
     used = [False] * (g.n + 1)
-    for u, v in compress(g.edges, f.is_chord):
+    for u, v in compress(zip(g.tails, g.heads), f.is_chord):
         for x, _ in _chord_walk(f, u, v):
             if used[x]:
                 return False
@@ -454,7 +450,7 @@ def bipartition(g: SimpleGraph):
     """
     f = spanning_forest(g)
     depth = f.depth
-    if any((depth[u] + depth[v]) % 2 == 0 for u, v in compress(g.edges, f.is_chord)):
+    if any((depth[u] + depth[v]) % 2 == 0 for u, v in compress(zip(g.tails, g.heads), f.is_chord)):
         return None
     return tuple({v for v in range(1, g.n + 1) if depth[v] % 2 == side} for side in (0, 1))
 

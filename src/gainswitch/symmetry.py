@@ -117,7 +117,7 @@ def _masks(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices:
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return None
     masks = [[0] * (n + 1) for _ in range(k)]
-    for (x, w), t in zip(b.edges, exps_b):
+    for x, w, t in zip(b.tails, b.heads, exps_b):
         masks[t][x] |= 1 << (w - 1)
         masks[-t % k][w] |= 1 << (x - 1)
     masks.append([(1 << n) - 1 - sum(col) for col in zip(*masks)])
@@ -207,7 +207,7 @@ def _moved_exps(f: VertexPermutation, g: GainGraph):
     f must be an automorphism of g's underlying graph.
     """
     exps, index, k, image = g.exps, g.graph.edge_index, g.group.order, f.image
-    for u, v in g.graph.edges:
+    for u, v in zip(g.graph.tails, g.graph.heads):
         x, y = image[u - 1], image[v - 1]
         yield exps[index[x, y]] if x < y else -exps[index[y, x]] % k
 
@@ -298,8 +298,9 @@ def _mixed_parts(g: GainGraph) -> tuple[GainGraph, SimpleGraph]:
     if not g.mixed_mode:
         raise ValidationError("the decomposition is defined for mixed graphs")
     n = g.graph.n
-    directed = [(u, v, t) for (u, v), t in zip(g.graph.edges, g.exps) if t]
-    undirected = [e for e, t in zip(g.graph.edges, g.exps) if not t]
+    arcs = list(zip(g.graph.tails, g.graph.heads, g.exps))
+    directed = [(u, v, t) for u, v, t in arcs if t]
+    undirected = [(u, v) for u, v, t in arcs if not t]
     return build_gain_graph(n, g.group, directed, mixed_mode=True), SimpleGraph(n, undirected)
 
 
@@ -364,15 +365,15 @@ def _switching_levels(g: SimpleGraph, exps_b: tuple[int, ...]):
     of its component, which shift with v's theta when v merges the component
     into the first group's.
     """
-    index, adjacency = g.edge_index, g.adjacency
+    adjacency, incidence = g.adjacency, g.incidence
     root = list(range(g.n + 1))
     members = [[v] for v in range(g.n + 1)]
     levels = [((), ())]
     for v in range(1, g.n + 1):
         groups: dict[int, list[tuple[int, int]]] = {}
-        for u in adjacency[v]:
+        for u, e in zip(adjacency[v], incidence[v]):
             if u < v:
-                groups.setdefault(root[u], []).append((u, exps_b[index[u, v]]))
+                groups.setdefault(root[u], []).append((u, exps_b[e]))
         near = set(adjacency[v])
         levels.append((
             [u for u in range(1, v) if u not in near],
@@ -410,7 +411,7 @@ def _switching_search(a: GainGraph, b: GainGraph, max_vertices: int) -> tuple[in
         return ()
     outside = masks[k]
     exp_a = [[0] * (n + 1) for _ in range(n + 1)]  # exp_a[x][w]: exp_a(x -> w)
-    for (x, w), t in zip(a.graph.edges, a.exps):
+    for x, w, t in zip(a.graph.tails, a.graph.heads, a.exps):
         exp_a[x][w], exp_a[w][x] = t, -t % k
     levels = _switching_levels(a.graph, b.exps)
     image = [0] * (n + 1)

@@ -202,6 +202,23 @@ def test_census_no_method_under_tiny_cap(capsys):
     assert "bounds" in report["result"]
 
 
+def test_census_faces_over_the_cap_keeps_the_report(tmp_path, capsys):
+    spokes = 14  # hub 1, rim 2..15: 14 triangular inner faces, above the 12-face cap
+    rim = list(range(2, spokes + 2))
+    lines = ["gg 4 mixed", f"n {spokes + 1}"]
+    lines += [f"e 1 {r} i" for r in rim]
+    lines += [f"e {r} {s} 1" for r, s in zip(rim, rim[1:] + rim[:1])]
+    lines += [f"f 1 {r} {s}" for r, s in zip(rim, rim[1:] + rim[:1])]
+    path = tmp_path / "wheel14.gg"
+    path.write_text("\n".join(lines) + "\n")
+    code, report = run(capsys, "census", "--faces", str(path))
+    assert code == 3  # no method applies: 28 edges, rank 14, 14 faces
+    assert report["result"]["bounds"] == {"lower": 3**14, "upper": 4**14, "upper_tight": False}
+    assert "plane census skipped: class counting capped at 12 faces, got 14" in report["diagnostics"]
+    assert any("no census method applies" in d for d in report["diagnostics"])
+    assert "plane" not in report["result"]
+
+
 def test_classify_arc_triangle(capsys):
     code, report = run(capsys, "classify", ARC_TRIANGLE)
     assert code == 0

@@ -16,7 +16,15 @@ Claims covered:
     - the integer constructor rejects everything the object route rejects
     - building, serialising, parsing and deciding on integers allocate no
       GainExponent; only the values handed to callers are built
-    - adjacency tuples come out sorted without a per-vertex sort
+    - adjacency tuples come out sorted without a per-vertex sort, and
+      ``incidence`` lists the edge id of each of them
+    - malformed graph data raises the per-entry check's message, and names
+      the same entry, whichever of several entries are bad
+    - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
+      f lines, and names the first bad line even when a later one is bad too
+    - build, .gg round trip, equivalence, first difference, balance,
+      negation, bounds and the cactus test build no ``edges`` or
+      ``edge_index`` view
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
@@ -123,6 +131,45 @@ def test_simple_graph_canonicalizes_and_validates():
         pytest.param(lambda: gs.SimpleGraph(3, 5), "5", id="edges-not-iterable"),
         pytest.param(lambda: gs.build_gain_graph(3, G4, [(1.5, 2, 0)]), "(1.5, 2)", id="gains-float-vertex"),
         pytest.param(lambda: gs.build_gain_graph(3, G4, [("1", 2, 0)]), "('1', 2, 0)", id="gains-str-vertex"),
+        # The bulk pass names nothing itself: every message below, and which of
+        # several bad entries it names, comes from the per-entry check.
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (2, 2, 1)]),
+                     "self-loop at vertex 2", id="self-loop"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(1, 2), (3, 3)]), "self-loop at vertex 3", id="simple-self-loop"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (3, 1, 1), (2, 1, 1)]),
+                     "both orientations (or a repeat) given for pair (1, 2)", id="both-orientations"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(2, 3, 0), (1, 2, 1), (2, 3, 0)]),
+                     "both orientations (or a repeat) given for pair (2, 3)", id="repeat"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(3, 2), (1, 2), (2, 3)]), "duplicate edge (2, 3)", id="simple-repeat"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (4, 1, 0)]),
+                     "edge (1,4) out of range 1..3", id="out-of-range"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(0, 2)]), "edge (0,2) out of range 1..3", id="simple-out-of-range"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (2, 3, True)]),
+                     "gain True is neither a GainExponent nor an exponent", id="bool-gain"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 1.0)]),
+                     "gain 1.0 is neither a GainExponent nor an exponent", id="float-gain"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 4)]),
+                     "exponent 4 out of range for group of order 4", id="gain-out-of-range"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, gs.GainGroup(3).element(1))]),
+                     "gain group mismatch", id="other-group-gain"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (1, 3)]),
+                     "edge entry (1, 3) is not a (u, v, gain) triple of integer vertices", id="non-triple"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 2, 0), (2, 3.0, 1)]),
+                     "edge (2, 3.0) is not a pair of integer vertices", id="gains-float-vertex-named"),
+        pytest.param(lambda: gs.build_gain_graph(-1, G4, [(1, 2, 0)]),
+                     "vertex count must be nonnegative, got -1", id="negative-count"),
+        # Entry faults come before vertex ranges, which come before repeats
+        # (SimpleGraph) and vertices that are not integers.
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 5, 0), (2, 2, 0)]),
+                     "self-loop at vertex 2", id="self-loop-before-range"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1, 7, 0), (3, 2, 9)]),
+                     "exponent 9 out of range for group of order 4", id="gain-before-range"),
+        pytest.param(lambda: gs.build_gain_graph(3, G4, [(1.5, 2, 0), (1, 4, 0)]),
+                     "edge (1,4) out of range 1..3", id="range-before-float"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(1, 2), (2, 1), (1, 4)]),
+                     "edge (1,4) out of range 1..3", id="simple-range-before-repeat"),
+        pytest.param(lambda: gs.SimpleGraph(3, [(1.5, 2), (2, 3), (3, 2)]),
+                     "duplicate edge (2, 3)", id="simple-repeat-before-float"),
     ],
 )
 def test_malformed_graph_data_raises_validation_error(build, named):
@@ -263,6 +310,47 @@ def test_parse_gg_error_lines():
         gs.parse_gg("gg 4\nn 3\nf 1 2 +3\n")
     with pytest.raises(ValidationError, match="line 3"):
         gs.parse_gg("gg 4\nn 3\nf\n")
+
+
+def test_parse_gg_reads_non_canonical_text():
+    canonical = "gg 4 mixed\nn 4\ne 1 2 i\ne 1 4 i\ne 2 3 1\ne 3 4 -i\nf 1 2 3 4\n"
+    g, faces = gs.parse_gg(canonical)
+    assert gs.format_gg(g, faces) == canonical
+    messy = (
+        "# a comment line\r\n"
+        "gg\t4   mixed  # header\r\n"
+        "\r\n"
+        "n 4\r\n"
+        "e 2\t1 -i\r\n"  # the reverse orientation, conjugated
+        "   \r\n"
+        "f 1 2 3 4\r\n"
+        "e 3 2 1 # gain 1\r\n"
+        "\te 4 3 i\r\n"
+        "e 004 1 3\r\n"  # leading zeros; exponent 3 is -i on 4 -> 1
+    )
+    assert gs.parse_gg(messy) == (g, faces)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("gg 4 mixed\nn 4\n# c\ne 1 2 i\ne 2 3 1\n\ne 3 4 x\ne 1 4 -i\nf 1 2 3\n",
+                     "line 7: expected an integer, got 'x'", id="bad-token-line-7-of-9"),
+        pytest.param("gg 4 mixed\nn 4\n# c\ne 1 2 i\ne 2 3 1\n\ne 3 4 x\ne 1 4 -i\nq 1\n",
+                     "line 7: expected an integer, got 'x'", id="bad-token-before-bad-directive"),
+        pytest.param("gg 4\nn 3\ne 1 2 0\ne 2 3\n",
+                     "line 4: malformed 'e' line (not enough values to unpack (expected 4, got 3))", id="short-e-line"),
+        pytest.param("gg 6\nn 3\ne 1 2 0\ne 1 +3 0\ne 2 3 7\n",
+                     "line 4: expected an integer, got '+3'", id="signed-vertex"),
+        pytest.param("gg 6\nn 3\ne 1 2 0\ne 2 3 7\n",
+                     "exponent 7 out of range for group of order 6", id="exponent-out-of-range"),
+        pytest.param("gg 4\r\nn 3\r\ne 1 2 0\r\ne 3 3 1\r\n", "self-loop at vertex 3", id="crlf-self-loop"),
+    ],
+)
+def test_parse_gg_names_the_first_bad_line(text, message):
+    with pytest.raises(ValidationError) as raised:
+        gs.parse_gg(text)
+    assert str(raised.value) == message
 
 
 def test_round_trip_random(rng):
@@ -415,6 +503,33 @@ def test_integer_paths_build_no_gain_exponents(monkeypatch):
     _, gain_a, gain_b = gs.first_profile_difference(a2, b)
     assert gain_a != gain_b
     assert len(built) == 2
+
+
+def test_decision_path_builds_no_edge_views():
+    rng = random.Random(67)
+    n, k = 300, 4
+    edges = {(v - rng.randint(1, min(v - 1, 20)), v) for v in range(2, n + 1)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    arcs = [(u, v, rng.choice(gs.MIXED_EXPONENTS)) for u, v in edges]
+    a = gs.build_gain_graph(n, G4, arcs, mixed_mode=True)
+    b = gs.build_gain_graph(n, G4, [(v, u, t) for u, v, t in arcs])  # conjugated: unbalanced difference
+    a2, _ = gs.parse_gg(gs.format_gg(a))
+    assert a2 == a and hash(a2) == hash(a)
+    assert gs.switching_equivalent(a2, b) is None
+    assert gs.first_profile_difference(a2, b) is not None
+    gs.is_balanced(a2), gs.equivalent_to_negation(a2), gs.class_count_bounds(a2.graph), gs.is_cactus(a2.graph)
+    for graph in (a.graph, a2.graph, b.graph):
+        assert graph._edges is None and graph._edge_index is None
+
+
+def test_incidence_is_parallel_to_adjacency(rng):
+    for _ in range(20):
+        graph = random_connected_graph(rng, n_hi=12)
+        for v in range(graph.n + 1):
+            assert len(graph.incidence[v]) == len(graph.adjacency[v])
+            for w, e in zip(graph.adjacency[v], graph.incidence[v]):
+                assert graph.edges[e] == (min(v, w), max(v, w))
 
 
 def test_adjacency_is_sorted(rng):
