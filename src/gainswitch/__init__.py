@@ -6,179 +6,22 @@ spectra. Mixed graphs are the order-4 case with gains restricted to
 1, i, and -i.
 """
 
-from .census import (
-    Census,
-    ClassCountVector,
-    FaceStructure,
-    GammaMatrix,
-    alpha_closed_form,
-    alpha_vector,
-    brute_force_census,
-    class_count_bounds,
-    class_size_by_blocks,
-    cut_edge_lower_bound,
-    cycle_class_size,
-    enumerate_gamma,
-    face_gains,
-    is_cactus,
-    mixed_basis_profile,
-    parse_face_structure,
-    plane_class_count,
-    plane_class_size,
-)
-from .errors import GainGraphError, InstanceTooLargeError, NumericError, ValidationError
-from .gaincore import (
-    MIXED_EXPONENTS,
-    GainExponent,
-    GainGraph,
-    GainGroup,
-    SimpleGraph,
-    SwitchingFunction,
-    build_gain_graph,
-    format_gg,
-    hermitian_matrix,
-    load_gg,
-    negate,
-    parse_gg,
-    save_gg,
-    underlying,
-)
-from .spectral import (
-    CharPoly,
-    ElementarySubgraph,
-    Spectrum,
-    cartesian_product,
-    char_poly_elementary,
-    cospectral,
-    cycle_real_gain_sums,
-    determinant,
-    enumerate_elementary,
-    is_balanced_spectrally,
-    spectrum,
-)
-from .switching import (
-    BALANCED,
-    DIFFERENT_GRAPH,
-    IMAGINARY,
-    MIXED_PROFILE,
-    NEGATIVE,
-    FundamentalCycleBasis,
-    SpanningForest,
-    apply_switching,
-    basis_gain_profile,
-    bipartition,
-    canonical_basis,
-    cycle_gain,
-    cycle_gains_equal_chordless,
-    enumerate_chordless_cycles,
-    enumerate_cycles,
-    equivalent_to_negation,
-    first_profile_difference,
-    fundamental_cycles,
-    gain_character,
-    is_balanced,
-    negation_witness,
-    normalize_to_forest,
-    spanning_forest,
-    switching_equivalent,
-    walk_gain,
-)
-from .symmetry import (
-    AutGroup,
-    VertexPermutation,
-    act,
-    automorphisms,
-    gain_automorphisms,
-    generating_set,
-    mixed_aut_decomposition,
-    orbit_of_class,
-    switching_isomorphic,
-    underlying_isomorphism,
-)
+from . import census, errors, gaincore, spectral, switching, symmetry
+from .census import *
+from .errors import *
+from .gaincore import *
+from .spectral import *
+from .switching import *
+from .symmetry import *
 
 __version__ = "0.1.0"
 
+# Republished: the public names are the layer modules' __all__ and the errors.
 __all__ = [
-    "BALANCED",
-    "DIFFERENT_GRAPH",
-    "IMAGINARY",
-    "MIXED_EXPONENTS",
-    "MIXED_PROFILE",
-    "NEGATIVE",
-    "AutGroup",
-    "Census",
-    "CharPoly",
-    "ClassCountVector",
-    "ElementarySubgraph",
-    "FaceStructure",
-    "FundamentalCycleBasis",
-    "GainExponent",
-    "GainGraph",
-    "GainGraphError",
-    "GainGroup",
-    "GammaMatrix",
-    "InstanceTooLargeError",
-    "NumericError",
-    "SimpleGraph",
-    "SpanningForest",
-    "Spectrum",
-    "SwitchingFunction",
-    "ValidationError",
-    "VertexPermutation",
-    "act",
-    "alpha_closed_form",
-    "alpha_vector",
-    "apply_switching",
-    "automorphisms",
-    "basis_gain_profile",
-    "bipartition",
-    "brute_force_census",
-    "build_gain_graph",
-    "canonical_basis",
-    "cartesian_product",
-    "char_poly_elementary",
-    "class_count_bounds",
-    "class_size_by_blocks",
-    "cospectral",
-    "cut_edge_lower_bound",
-    "cycle_class_size",
-    "cycle_gain",
-    "cycle_gains_equal_chordless",
-    "cycle_real_gain_sums",
-    "determinant",
-    "enumerate_chordless_cycles",
-    "enumerate_cycles",
-    "enumerate_elementary",
-    "enumerate_gamma",
-    "equivalent_to_negation",
-    "face_gains",
-    "first_profile_difference",
-    "format_gg",
-    "fundamental_cycles",
-    "gain_automorphisms",
-    "gain_character",
-    "generating_set",
-    "hermitian_matrix",
-    "is_balanced",
-    "is_balanced_spectrally",
-    "is_cactus",
-    "load_gg",
-    "mixed_aut_decomposition",
-    "mixed_basis_profile",
-    "negate",
-    "negation_witness",
-    "normalize_to_forest",
-    "orbit_of_class",
-    "parse_face_structure",
-    "parse_gg",
-    "plane_class_count",
-    "plane_class_size",
-    "save_gg",
-    "spanning_forest",
-    "spectrum",
-    "switching_equivalent",
-    "switching_isomorphic",
-    "underlying",
-    "underlying_isomorphism",
-    "walk_gain",
+    *census.__all__,
+    *errors.__all__,
+    *gaincore.__all__,
+    *spectral.__all__,
+    *switching.__all__,
+    *symmetry.__all__,
 ]

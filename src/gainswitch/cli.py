@@ -50,8 +50,6 @@ def cmd_equiv(args) -> tuple[dict, int]:
     a, _ = _load(args.file_a)
     b, _ = _load(args.file_b)
     verdict = switching.switching_equivalent(a, b)
-    if verdict is switching.DIFFERENT_GRAPH:
-        raise ValidationError("different underlying graph (or gain group); equivalence undefined")
     if verdict is None:
         cycle, ga, gb = switching.first_profile_difference(a, b)
         result = {

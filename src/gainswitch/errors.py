@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GainGraphError", "ValidationError", "InstanceTooLargeError", "NumericError"]
+
 
 class GainGraphError(Exception):
     """Base class for every error raised by this package."""

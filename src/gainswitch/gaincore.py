@@ -152,8 +152,9 @@ def _checked_edges(n, edges) -> tuple[int, list[tuple[int, int]]]:
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
         edges = list(edges)
-        canon = sorted([(u, v) if u < v else (v, u) for u, v in edges])
-        for u, v in edges:
+        pairs = [(u, v) for u, v in edges]  # each entry read once: it may be an iterator
+        canon = sorted([(u, v) if u < v else (v, u) for u, v in pairs])
+        for u, v in pairs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
             if u == v:
@@ -161,7 +162,7 @@ def _checked_edges(n, edges) -> tuple[int, list[tuple[int, int]]]:
         for prev, cur in zip(canon, canon[1:]):
             if prev == cur:
                 raise ValidationError(f"duplicate edge {cur}")
-        return operator.index(n), [(operator.index(u), operator.index(v)) for u, v in edges]
+        return operator.index(n), [(operator.index(u), operator.index(v)) for u, v in pairs]
     except ValidationError:
         raise
     except (TypeError, ValueError):  # a count or vertex that is not an integer
@@ -174,23 +175,6 @@ def _edge_columns(n: int, pairs: list[int]) -> tuple[tuple[int, ...], tuple[int,
         return None
     w = n + 1
     return tuple([x // w for x in pairs]), tuple([x % w for x in pairs])
-
-
-def _pair_columns(n, edges) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The bulk pass of ``SimpleGraph``: edge columns, or None when any edge is
-    not a pair of exact ints in 1..n, is a self-loop or repeats."""
-    if type(n) is not int or n < 0:
-        return None
-    w = n + 1
-    try:
-        # A self-loop or a vertex out of range keys as None; a float vertex as a float.
-        keys = [u * w + v if 0 < u < v <= n else v * w + u if 0 < v < u <= n else None for u, v in edges]
-    except (TypeError, ValueError):
-        return None
-    if keys and {*map(type, keys)} != {int}:
-        return None
-    keys.sort()
-    return _edge_columns(n, keys)
 
 
 class SimpleGraph:
@@ -210,13 +194,14 @@ class SimpleGraph:
     def __init__(self, n: int, edges) -> None:
         try:
             edges = list(edges)
-        except (TypeError, ValueError):
-            pass  # named by _checked_edges
-        columns = _pair_columns(n, edges)
-        if columns is None:  # name the first bad edge, or convert integer-likes
+            pairs = {*map(len, edges)} <= {2}  # zip would cut longer entries short
+        except (TypeError, ValueError):  # named by _checked_edges
+            pairs = False
+        built = pairs and _arc_columns(n, 1, *(tuple(zip(*edges)) or ((), ())), (0,) * len(edges))
+        if not built:  # name the first bad edge, or convert integer-likes
             n, edges = _checked_edges(n, edges)
-            columns = _pair_columns(n, edges)
-        self._init(n, *columns)
+            built = _arc_columns(n, 1, *(tuple(zip(*edges)) or ((), ())), (0,) * len(edges))
+        self._init(n, *built[:2])
 
     @classmethod
     def _from_columns(cls, n: int, tails: tuple[int, ...], heads: tuple[int, ...]) -> "SimpleGraph":
@@ -503,8 +488,9 @@ def _checked_arcs(n, group: GainGroup, arcs):
 
 
 def _arc_columns(n, k: int, us, vs, ts):
-    """The bulk pass of ``build_gain_graph``: arcs u -> v with exponent t,
+    """The bulk pass of both constructors: arcs u -> v with exponent t,
     given as columns, sorted into the graph's (tails, heads, exps).
+    ``SimpleGraph`` passes k = 1 and every exponent 0.
 
     Each arc becomes one int key (a * (n + 1) + b) * k + x, where a < b is
     its pair and x its exponent on a -> b, so sorting the keys sorts the

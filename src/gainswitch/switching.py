@@ -22,7 +22,6 @@ from .gaincore import (
 )
 
 __all__ = [
-    "DIFFERENT_GRAPH",
     "SpanningForest",
     "FundamentalCycleBasis",
     "spanning_forest",
@@ -55,26 +54,6 @@ BALANCED = "balanced"
 NEGATIVE = "negative"
 IMAGINARY = "imaginary"
 MIXED_PROFILE = "mixed-profile"
-
-
-class _DifferentGraphType:
-    """Distinguished falsy result: the inputs do not share an underlying graph."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "DIFFERENT_GRAPH"
-
-
-DIFFERENT_GRAPH = _DifferentGraphType()
 
 
 @dataclass(frozen=True)
@@ -289,12 +268,11 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
 
     Returns a witness ``SwitchingFunction`` theta, checked to switch every
     gain of a to the gain of b, when the graphs are equivalent; ``None``
-    when they share the underlying graph but are inequivalent; and the falsy
-    sentinel ``DIFFERENT_GRAPH`` when they do not share it (or their groups
-    differ), so that case is never confused with a plain negative verdict.
+    when they share the underlying graph but are inequivalent.  Raises
+    ``ValidationError`` when they do not share it (or their groups differ).
     """
     if a.graph != b.graph or a.group != b.group:
-        return DIFFERENT_GRAPH
+        raise ValidationError("different underlying graph (or gain group); equivalence undefined")
     f = forest if forest is not None else spanning_forest(a.graph)
     pot_a, chords_a = _normal_form(a, f)
     pot_b, chords_b = _normal_form(b, f)

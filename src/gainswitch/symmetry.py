@@ -8,7 +8,8 @@ switching isomorphic exactly when their classes lie in the same orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .errors import InstanceTooLargeError, ValidationError
@@ -79,17 +80,42 @@ class VertexPermutation:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """An automorphism group given by its explicit element list (desk scale)."""
+    """An automorphism group as a stabiliser chain with base 1..n (Sims 1970).
+
+    ``cosets[i - 1]`` maps each point j of the orbit of i under the
+    pointwise stabiliser of 1..i-1 to the inverse of one element u_j of that
+    stabiliser with u_j(i) = j, as a 0-prefixed image tuple.  ``generators``
+    are the strong generators in the order found, and ``tables`` the search
+    tables the chain was built from.  Equal groups have equal generators, so
+    ``==`` and ``hash`` read n and the generators only.
+    """
 
     n: int
-    elements: tuple[VertexPermutation, ...]
+    generators: tuple[VertexPermutation, ...]
+    cosets: tuple[dict[int, tuple[int, ...]], ...] = field(compare=False, repr=False)
+    tables: tuple = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(map(len, self.cosets))
+
+    @cached_property
+    def elements(self) -> tuple[VertexPermutation, ...]:
+        """Every element in increasing order of image tuples, listed on first use."""
+        return tuple(_search(self.tables))
 
     def __contains__(self, f: VertexPermutation) -> bool:
-        return f in self.elements
+        """Sift f through the transversals: strip u_j level by level."""
+        if f.n != self.n:
+            return False
+        image = f.image
+        for i, orbit in enumerate(self.cosets, start=1):
+            j = image[i - 1]
+            if j != i:
+                if j not in orbit:
+                    return False
+                image = tuple(map(orbit[j].__getitem__, image))
+        return True
 
     def __iter__(self):
         return iter(self.elements)
@@ -197,8 +223,8 @@ def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_ve
 
 
 def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """All automorphisms of a simple graph, by backtracking with degree pruning."""
-    return AutGroup(g.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
+    """The automorphism group of a simple graph, as a stabiliser chain."""
+    return _automorphism_chain(_tables(g, g, max_vertices, "automorphism"))
 
 
 def _moved_exps(f: VertexPermutation, g: GainGraph):
@@ -213,36 +239,8 @@ def _moved_exps(f: VertexPermutation, g: GainGraph):
 
 
 def gain_automorphisms(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """The graph automorphisms that preserve every gain exactly, by one gain-pruned search."""
-    return AutGroup(g.graph.n, tuple(_isomorphisms(g, g, max_vertices, "automorphism")))
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """An automorphism group as a stabiliser chain with base 1..n (Sims 1970).
-
-    ``cosets[i - 1]`` maps each point j of the orbit of i under the
-    pointwise stabiliser of 1..i-1 to the inverse of one element u_j of that
-    stabiliser with u_j(i) = j, as a 0-prefixed image tuple.  ``generators``
-    are the strong generators in the order found.
-    """
-
-    generators: tuple[VertexPermutation, ...]
-    cosets: tuple[dict[int, tuple[int, ...]], ...]
-
-    @property
-    def order(self) -> int:
-        return prod(len(orbit) for orbit in self.cosets)
-
-    def sifts(self, image: tuple[int, ...]) -> bool:
-        """Whether the permutation with this image lies in the group: strip u_j level by level."""
-        for i, orbit in enumerate(self.cosets, start=1):
-            j = image[i - 1]
-            if j != i:
-                if j not in orbit:
-                    return False
-                image = tuple(map(orbit[j].__getitem__, image))
-        return True
+    """The graph automorphisms that preserve every gain exactly, as a chain of gain-pruned searches."""
+    return _automorphism_chain(_tables(g, g, max_vertices, "automorphism"))
 
 
 def _meet(s, t):
@@ -254,7 +252,7 @@ def _meet(s, t):
     return n, list(map(int.__and__, class_s, class_t)), list(map(list.__add__, earlier_s, earlier_t))
 
 
-def _automorphism_chain(tables) -> _Chain:
+def _automorphism_chain(tables) -> AutGroup:
     """The automorphisms of search tables as a stabiliser chain, from first-solution runs of one search.
 
     Levels i = n, ..., 1: while some automorphism fixes 1..i-1 and maps i
@@ -290,13 +288,11 @@ def _automorphism_chain(tables) -> _Chain:
             inverses.append(f.inverse().image)
             queue = list(orbit)
         cosets.append(orbit)
-    return _Chain(tuple(gens), tuple(reversed(cosets)))
+    return AutGroup(n, tuple(gens), tuple(reversed(cosets)), tables)
 
 
 def _mixed_parts(g: GainGraph) -> tuple[GainGraph, SimpleGraph]:
     """A mixed graph's directed part (gain != 1, with gains) and undirected part (gain 1, plain)."""
-    if not g.mixed_mode:
-        raise ValidationError("the decomposition is defined for mixed graphs")
     n = g.graph.n
     arcs = list(zip(g.graph.tails, g.graph.heads, g.exps))
     directed = [(u, v, t) for u, v, t in arcs if t]
@@ -304,22 +300,21 @@ def _mixed_parts(g: GainGraph) -> tuple[GainGraph, SimpleGraph]:
     return build_gain_graph(n, g.group, directed, mixed_mode=True), SimpleGraph(n, undirected)
 
 
-def _aut_chains(g: GainGraph, max_vertices: int) -> list[_Chain]:
-    """Chains of the underlying graph, the directed and undirected parts if g is mixed, and g.
+def _aut_chains(g: GainGraph, max_vertices: int) -> list[AutGroup]:
+    """Groups of the underlying graph, the directed and undirected parts if g is mixed, and g.
 
     For a mixed graph, checks Aut(g) = Aut(G) ∩ Aut(directed) = Aut(directed)
     ∩ Aut(undirected): both meets' chains have g's chain's generators, and
     each of those sifts through the chains of G and both parts.
     """
     graphs = (g.graph, *_mixed_parts(g), g) if g.mixed_mode else (g.graph, g)
-    tables = [_tables(h, h, max_vertices, "automorphism") for h in graphs]
-    chains = list(map(_automorphism_chain, tables))
+    chains = [_automorphism_chain(_tables(h, h, max_vertices, "automorphism")) for h in graphs]
     if g.mixed_mode:
-        t_g, t_s, t_u, _ = tables
+        t_g, t_s, t_u = (c.tables for c in chains[:3])
         gens = chains[-1].generators
         if (_automorphism_chain(_meet(t_g, t_s)).generators != gens
                 or _automorphism_chain(_meet(t_s, t_u)).generators != gens
-                or not all(c.sifts(f.image) for c in chains[:3] for f in gens)):
+                or not all(f in c for c in chains[:3] for f in gens)):
             raise AssertionError("internal error: automorphism intersection identities failed")
     return chains
 
@@ -332,12 +327,11 @@ def mixed_aut_decomposition(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP):
     undirected part keeps the gain-1 edges as a plain graph.  The gain
     automorphisms of g equal the intersection of the first two groups and
     also the intersection of the last two; both identities are verified on
-    stabiliser chains before the groups are listed.
+    the groups' stabiliser chains.
     """
-    directed, undirected = _mixed_parts(g)
-    _aut_chains(g, max_vertices)
-    return (automorphisms(g.graph, max_vertices), gain_automorphisms(directed, max_vertices),
-            automorphisms(undirected, max_vertices))
+    if not g.mixed_mode:
+        raise ValidationError("the decomposition is defined for mixed graphs")
+    return tuple(_aut_chains(g, max_vertices)[:3])
 
 
 def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
@@ -512,7 +506,7 @@ def orbit_of_class(
             f"orbit computation capped at {max_edges} edges, graph has {g.graph.m}"
         )
     forest = spanning_forest(g.graph)
-    generators = _automorphism_chain(_tables(g.graph, g.graph, max_vertices, "automorphism")).generators
+    generators = automorphisms(g.graph, max_vertices).generators
     reps = {_normal_form(g, forest)[1]: g}
     queue = [g]
     for h in queue:  # BFS over the classes: act(s, h) is act(f∘s, g) for h = act(f, g)

@@ -243,7 +243,7 @@ def test_switching_equivalent_positive(rng):
         theta = random_switching(rng, g)
         h = gs.apply_switching(g, theta)
         witness = gs.switching_equivalent(g, h)
-        assert witness is not None and witness is not gs.DIFFERENT_GRAPH
+        assert witness is not None
         assert gs.apply_switching(g, witness) == gs.GainGraph(
             graph, g.group, h.gains, mixed_mode=gs.apply_switching(g, witness).mixed_mode
         )
@@ -319,13 +319,15 @@ def test_potential_decisions_match_fundamental_cycle_walks(rng):
 
 
 def test_different_graph_sentinel():
+    """Inputs on different graphs or groups raise; no falsy sentinel stands in for the error."""
     a = all_ones(path_graph(3))
     b = all_ones(gs.SimpleGraph(3, [(1, 2), (1, 3)]))
-    verdict = gs.switching_equivalent(a, b)
-    assert verdict is gs.DIFFERENT_GRAPH
-    assert not verdict
+    undefined = "different underlying graph \\(or gain group\\); equivalence undefined"
+    with pytest.raises(ValidationError, match=undefined):
+        gs.switching_equivalent(a, b)
     c = gs.GainGraph(path_graph(3), gs.GainGroup(2), (gs.GainGroup(2).one,) * 2)
-    assert gs.switching_equivalent(a, c) is gs.DIFFERENT_GRAPH
+    with pytest.raises(ValidationError, match=undefined):
+        gs.switching_equivalent(a, c)
     with pytest.raises(ValidationError):
         gs.first_profile_difference(a, b)
 

@@ -33,15 +33,19 @@ Claims covered here:
     closure it replaced;
   * the stabiliser chain built from first-solution searches has the listed
     group's order and generating_set's generators, in order, on 524 seeded
-    simple and gain graphs with n 0-9 and k 1-8; sifting through it agrees
-    with AutGroup membership; and its orders match networkx's GraphMatcher
-    counts for the Petersen graph, K3,3 and the cube.
+    simple and gain graphs with n 0-9 and k 1-8; membership, decided by
+    sifting through it, agrees with the listed elements; and its orders
+    match networkx's GraphMatcher counts for the Petersen graph, K3,3 and
+    the cube;
+  * an AutGroup answers order and membership without listing its elements
+    (S10), and mixed_aut_decomposition returns its verified chains unlisted.
 """
 
 import functools
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -278,6 +282,17 @@ def test_aut_group_membership():
     assert gs.VertexPermutation((2, 1, 3)) not in gs.automorphisms(path_graph(3))
 
 
+def test_order_and_membership_list_no_elements():
+    # S10 has 3628800 elements; the chain answers without listing one of them
+    group = gs.automorphisms(complete_graph(10))
+    assert group.order == 3628800
+    assert gs.VertexPermutation((2, 3, 4, 5, 6, 7, 8, 9, 10, 1)) in group
+    assert gs.VertexPermutation.identity(9) not in group
+    path = gs.automorphisms(path_graph(10))
+    assert path.order == 2 and gs.VertexPermutation((2, 1, *range(3, 11))) not in path
+    assert "elements" not in vars(group) and "elements" not in vars(path)
+
+
 def test_generating_set_generates_the_group(rng):
     graphs = [path_graph(1), cycle_graph(5), complete_graph(5), bowtie_minus().graph]
     graphs += [random_connected_graph(rng, n_lo=3, n_hi=7) for _ in range(4)]
@@ -452,7 +467,7 @@ def test_chain_order_and_generators_match_the_listed_group():
     for g in chain_graphs():
         listed = listed_group(g)
         chain = chain_of(g)
-        assert chain.order == listed.order
+        assert chain.order == len(listed.elements)
         assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(listed)]
         orders.append(listed.order)
     assert orders.count(1) >= 40 and sum(order >= 24 for order in orders) >= 40
@@ -466,6 +481,7 @@ def test_sifting_agrees_with_group_membership():
         listed = listed_group(g)
         chain = chain_of(g)
         n = listed.n
+        elements = {f.image for f in listed.elements}
         if n <= 6:
             images = itertools.permutations(range(1, n + 1))
         else:  # random permutations, and each element with two points swapped
@@ -476,8 +492,8 @@ def test_sifting_agrees_with_group_membership():
                 img[i], img[j] = img[j], img[i]
                 images += [f.image, tuple(img)]
         for img in images:
-            member = gs.VertexPermutation(img) in listed
-            assert chain.sifts(img) == member
+            member = img in elements
+            assert (gs.VertexPermutation(img) in chain) == member
             hits += member
     assert hits >= 10000
 
@@ -525,10 +541,10 @@ def test_mixed_aut_decomposition_searches_four_graphs(monkeypatch):
     aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
     assert (aut_g.order, aut_s.order, aut_u.order) == (6, 2, 2)
     # the identities build the tables of the underlying graph, the directed
-    # part, the undirected part and g itself, once each; then the three
-    # returned groups are listed.  No automorphism is tested for gains.
-    searched = [a for a, _ in built]
-    assert searched[:4] == [g.graph, directed, undirected, g] and len(searched) == 7
+    # part, the undirected part and g itself, once each, and the first three
+    # chains are returned unlisted.  No automorphism is tested for gains.
+    assert [a for a, _ in built] == [g.graph, directed, undirected, g]
+    assert not any("elements" in vars(group) for group in (aut_g, aut_s, aut_u))
     assert tested == []
     search = symmetry._search
 
@@ -564,10 +580,10 @@ def test_meet_chains_match_the_listed_intersections():
         t_s, aut_s = aut_tables(directed), gs.gain_automorphisms(directed)
         for h in (g.graph, undirected):
             members = {f.image for f in gs.automorphisms(h)}
-            meet = gs.AutGroup(g.graph.n, tuple(f for f in aut_s if f.image in members))
+            meet = types.SimpleNamespace(n=g.graph.n, elements=[f for f in aut_s if f.image in members])
             chain = symmetry._automorphism_chain(symmetry._meet(aut_tables(h), t_s))
             assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(meet)]
-            assert chain.order == meet.order
+            assert chain.order == len(meet.elements)
         kinds.add((directed.graph.m == 0, undirected.m == 0, g.graph.num_components > 1))
     assert len(kinds) >= 6
 
