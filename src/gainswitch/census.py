@@ -12,10 +12,11 @@ smaller table, and the outer sum of the two keys one chunk.  The census is
 the tally itself, a weight array over Z_4^r.  The closed forms count
 without enumerating: cycles by their alpha vectors, other graphs by
 multiplying class sizes over blocks, where a block that is not a cycle is
-sized by a convolution over Z_4^r (one step per edge), and 2-connected
-plane graphs by sums over gamma matrices attached to the inner faces, taken
-for every face-gain vector at once by a convolution over Z_4^k (one step
-per face cell).
+sized by a convolution over Z_4^r, and 2-connected plane graphs by sums
+over gamma matrices attached to the inner faces, taken for every face-gain
+vector at once by a convolution over Z_4^k.  Both convolutions take one
+step per run of edges in series: a run of j edges shifts by x times one
+column with the weight alpha_x(j), the count of its words of product i^x.
 
 All counts are exact Python integers.
 """
@@ -65,7 +66,6 @@ _LOW_DIGITS = 10  # least scan chunk width: 3^10 uint32 keys, about 231 KiB, siz
 _MAX_DENSE_DIM = 12  # largest (4,)*d int64 array built: 4^12 entries, 128 MiB
 
 DEFAULT_CENSUS_CAP = 16
-DEFAULT_FACE_CAP = _MAX_DENSE_DIM  # the face convolution holds 4^k weights
 
 # Position of each k = 4 exponent inside an alpha vector (1, -1, i, -i).
 _ALPHA_POSITION = {0: 0, 2: 1, 1: 2, 3: 3}
@@ -111,6 +111,7 @@ def alpha_vector(n: int) -> ClassCountVector:
     return ClassCountVector(n, a1, am1, ai, ami)
 
 
+@lru_cache(maxsize=None)
 def alpha_closed_form(n: int) -> ClassCountVector:
     """Alpha vector in closed form, split on the parity of n."""
     if n < 0:
@@ -308,6 +309,14 @@ def _convolve(d: int, steps) -> np.ndarray:
     return w
 
 
+def _series_step(column, count: int) -> list:
+    """The ``_convolve`` step of ``count`` edges whose gain exponent x each
+    shifts W by x * column: shift x * column, weighted by alpha_x(count).
+    Zero-weight shifts (x = 2 on a single edge) are left out."""
+    alpha = alpha_closed_form(count).as_tuple()
+    return [(tuple(map(x.__mul__, column)), alpha[i]) for x, i in _ALPHA_POSITION.items() if alpha[i]]
+
+
 def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
     """The edge ids of each biconnected block, in the order the search closes them.
 
@@ -370,7 +379,7 @@ def is_cactus(g: SimpleGraph) -> bool:
     return _chord_cycles_disjoint(g, spanning_forest(g))
 
 
-def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> int:
+def class_size_by_blocks(g: GainGraph) -> int:
     """Class size as a product over blocks.
 
     A forest path between two vertices of a block never leaves the block,
@@ -379,9 +388,12 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
     with no chord is a cut edge and contributes 3; a block with one chord
     is a cycle and contributes the alpha component of its cycle gain; any
     other block contributes the number of its orientations sharing its
-    chord profile, counted by a convolution over Z_4^r with one step per
-    block edge (blocks above ``max_edges`` edges are refused).  The input
-    must be mixed.
+    chord profile, counted by a convolution over Z_4^r.  An edge with gain
+    1, i or -i shifts the profile by 0, +sigma_e or -sigma_e, a step that
+    sigma_e -> -sigma_e leaves alone, so the edges whose incidence columns
+    agree up to sign are one series step; a 2-connected block of rank r has
+    at most 3r - 3 of them, and the convolution's cap on r bounds the cost.
+    The input must be mixed.
     """
     if not g.mixed_mode:
         raise ValidationError("block class sizes apply to mixed graphs")
@@ -399,12 +411,11 @@ def class_size_by_blocks(g: GainGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> i
             # counts a gain and its conjugate alike, so the direction is moot.
             size *= alpha_closed_form(len(ids)).component(g.group.element(profile[column[chords[0]]]))
         else:
-            if len(ids) > max_edges:
-                raise InstanceTooLargeError(f"census capped at {max_edges} edges, block has {len(ids)}")
-            sigma = _basis_incidence(graph, forest, chords, ids)
-            zero = (0,) * len(chords)
-            # one step per block edge: gain 1, i or -i shifts the profile by 0, +sigma_e or -sigma_e
-            steps = [[(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)] for s in sigma]
+            runs: dict[tuple[int, ...], int] = {}
+            for s in _basis_incidence(graph, forest, chords, ids):
+                key = tuple(s) if next(filter(None, s)) > 0 else tuple(-x for x in s)
+                runs[key] = runs.get(key, 0) + 1
+            steps = [_series_step(s, count) for s, count in runs.items()]
             size *= int(_convolve(len(chords), steps)[tuple(profile[column[e]] for e in chords)])
     return size
 
@@ -581,28 +592,21 @@ def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
     return found
 
 
-def _face_weights(fs: FaceStructure, max_faces: int | None = None) -> np.ndarray:
+def _face_weights(fs: FaceStructure) -> np.ndarray:
     """The gamma-matrix sum of alpha products for every face-gain vector.
 
     A (4,)*k array: entry y sums, over the gamma matrices for face gains y,
     the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each cell
-    (p, q) is one convolution step: value x adds x to row sum p and, off the
-    diagonal, -x to row sum q, weighted by alpha_x(n_pq).  A single-edge
-    cell never carries -1 because alpha_{-1}(1) = 0.  Structures above
-    ``max_faces`` faces are refused; the kernel's own cap on k holds anyway.
+    (p, q) is one series step of n_pq edges: value x adds x to row sum p
+    and, off the diagonal, -x to row sum q.  A single-edge cell never
+    carries -1 because alpha_{-1}(1) = 0.
     """
-    if max_faces is not None and fs.k > max_faces:
-        raise InstanceTooLargeError(f"class counting capped at {max_faces} faces, got {fs.k}")
     steps = []
     for p, q in fs.nonempty_cells():
-        alpha = alpha_closed_form(fs.n_pq(p, q)).as_tuple()
-        step = []
-        for x in range(4):
-            shift = [0] * fs.k
-            shift[q - 1] = -x
-            shift[p - 1] = x  # on the diagonal this overwrites the -x
-            step.append((tuple(shift), alpha[_ALPHA_POSITION[x]]))
-        steps.append(step)
+        column = [0] * fs.k
+        column[q - 1] = -1
+        column[p - 1] = 1  # on the diagonal this overwrites the -1
+        steps.append(_series_step(column, fs.n_pq(p, q)))
     return _convolve(fs.k, steps)
 
 
@@ -619,7 +623,7 @@ def plane_class_size(g: GainGraph, fs: FaceStructure) -> int:
     return int(_face_weights(fs)[y])
 
 
-def plane_class_count(g: SimpleGraph, fs: FaceStructure, max_faces: int = DEFAULT_FACE_CAP) -> int:
+def plane_class_count(g: SimpleGraph, fs: FaceStructure) -> int:
     """Number of classes of a 2-connected plane graph.
 
     Counts the face-gain vectors y in {1, -1, i, -i}^k that admit at least
@@ -628,4 +632,4 @@ def plane_class_count(g: SimpleGraph, fs: FaceStructure, max_faces: int = DEFAUL
     """
     if fs.graph != g:
         raise ValidationError("face structure belongs to a different graph")
-    return int(np.count_nonzero(_face_weights(fs, max_faces)))
+    return int(np.count_nonzero(_face_weights(fs)))

@@ -133,9 +133,9 @@ def cmd_census(args) -> tuple[dict, int]:
 
     if g.mixed_mode:
         try:
-            result["block_product_size"] = census_mod.class_size_by_blocks(g, cap)
-        except InstanceTooLargeError:
-            pass  # a block above the caps: the block product does not apply
+            result["block_product_size"] = census_mod.class_size_by_blocks(g)
+        except InstanceTooLargeError as exc:  # a block's rank above the convolution's cap
+            diagnostics.append(f"block product skipped: {exc}")
         else:
             result["cactus"] = census_mod.is_cactus(graph)
             methods += 1
@@ -144,12 +144,11 @@ def cmd_census(args) -> tuple[dict, int]:
         if not faces:
             raise ValidationError("--faces given but the file has no f lines")
         fs = census_mod.parse_face_structure(g, faces)
-        face_cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_FACE_CAP
         # One face-cell convolution gives both: the count of nonzero entries
         # (plane_class_count) and the entry at the input's face gains (plane_class_size).
         try:
-            weights = census_mod._face_weights(fs, face_cap)
-        except InstanceTooLargeError as exc:  # more faces than the cap
+            weights = census_mod._face_weights(fs)
+        except InstanceTooLargeError as exc:  # more faces than the convolution's cap
             diagnostics.append(f"plane census skipped: {exc}")
         else:
             plane: dict = {"class_count": int(np.count_nonzero(weights))}
@@ -174,6 +173,8 @@ def cmd_census(args) -> tuple[dict, int]:
                 checks["brute_vs_plane_size"] = (
                     result["plane"]["input_class_size"] == result["brute_force"]["input_class_size"]
                 )
+    if "block_product_size" in result and "input_class_size" in result.get("plane", {}):
+        checks["blocks_vs_plane_size"] = result["block_product_size"] == result["plane"]["input_class_size"]
     if checks:
         result["cross_checks"] = checks
 

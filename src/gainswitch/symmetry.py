@@ -258,8 +258,8 @@ def _automorphism_chain(tables) -> AutGroup:
     Levels i = n, ..., 1: while some automorphism fixes 1..i-1 and maps i
     outside the orbit of i under the generators so far, the first one found
     joins them and the orbit grows by BFS.  That is the least element outside
-    the group generated so far, so the generators equal ``generating_set`` of
-    the listed group, in order (equal groups, equal generators); the order is
+    the group generated so far, so the generators are the greedy generating
+    set of the listed group, in order (equal groups, equal generators); the order is
     the product of the orbit sizes.
     """
     n, degree_class, _ = tables
@@ -532,29 +532,7 @@ def underlying_isomorphism(a: SimpleGraph, b: SimpleGraph, max_vertices: int = D
 
 
 def generating_set(group: AutGroup) -> list[VertexPermutation]:
-    """A small generating set, grown greedily from the element list.
-
-    The closure grows by left cosets: when a generator joins, the old closure
-    H is a group, and a breadth-first search over coset representatives x
-    (from the identity) adds the whole coset y∘H for each y = s∘x, s a
-    generator, that the closure lacks.
-    """
-    identity = tuple(range(1, group.n + 1))
-    closure = {identity}
-    gens: list[tuple[int, ...]] = []
-    lookups = []  # per generator s, w -> s(w)
-    for f in group.elements:
-        if f.image in closure:
-            continue
-        gens.append(f.image)
-        lookups.append(((0,) + f.image).__getitem__)
-        old = list(closure)
-        reps = [identity]
-        for x in reps:
-            for s in lookups:
-                y = tuple(map(s, x))
-                if y not in closure:
-                    y_of = ((0,) + y).__getitem__
-                    closure.update(tuple(map(y_of, h)) for h in old)
-                    reps.append(y)
-    return [VertexPermutation(img) for img in gens]
+    """The chain's strong generators: each is the least element outside the
+    group generated by those before it, so they form the greedy generating
+    set of the listed group, in order, and nothing is listed."""
+    return list(group.generators)

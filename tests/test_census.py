@@ -28,7 +28,9 @@ Claims covered here:
   * the chunked scan, the whole-graph cycle-space convolution and a
     character-sum formula give the same census, block sizes by convolution
     match the scan on random mixed graphs (with non-cycle blocks through
-    one cut vertex and isolated vertices), the face-cell convolution matches gamma-matrix
+    one cut vertex and isolated vertices), and block sizes taking one step
+    per run of edges in series match one step per edge and the scan on
+    subdivided graphs; the face-cell convolution matches gamma-matrix
     enumeration for every face-gain vector (a seeded sample on the
     5-face prism), and the convolutions stay exact past 2^63.
 """
@@ -543,10 +545,10 @@ def test_plane_count_C4_and_validation():
     assert gs.plane_class_count(graph, fs) == 4
     with pytest.raises(gs.ValidationError):
         gs.plane_class_count(cycle_graph(5), fs)
-    d_graph, d_faces = diamond_fixture()
-    d_fs = gs.parse_face_structure(all_ones(d_graph), d_faces)
-    with pytest.raises(gs.InstanceTooLargeError):
-        gs.plane_class_count(d_graph, d_fs, max_faces=1)
+    w_graph, w_faces = wheel_structure(14)
+    w_fs = gs.parse_face_structure(all_ones(w_graph), w_faces)
+    with pytest.raises(gs.InstanceTooLargeError, match="capped at d = 12, got d = 14"):
+        gs.plane_class_count(w_graph, w_fs)
     with pytest.raises(gs.ValidationError):
         gs.plane_class_size(all_ones(graph, mixed_mode=False), fs)
     # the faces of C4 plus the chord 1-3 are checked against K4's graph, not
@@ -686,6 +688,39 @@ def test_block_convolution_matches_census_on_random_mixed_graphs():
         isolated += any(g.graph.degree(v) == 0 for v in range(1, g.graph.n + 1))
     assert several_components >= 50 and with_bridges >= 100 and non_cycle_blocks >= 80
     assert shared_cut >= 30 and isolated >= 15
+
+
+def series_mixed_graph(rng):
+    """A random connected graph (n 4-5) with some of its edges, at least one,
+    subdivided into runs of 2-6 edges in series, and random mixed gains."""
+    base = random_connected_graph(rng, n_lo=4, n_hi=5, m_cap=8)
+    runs = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in base.edges]
+    runs[rng.randrange(len(runs))] = rng.randint(2, 6)
+    n, edges = base.n, []
+    for (u, v), length in zip(base.edges, runs):
+        path = [u, *range(n + 1, n + length), v]
+        n += length - 1
+        edges += [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+    return random_gains(rng, gs.SimpleGraph(n, sorted(edges)), mixed_mode=True)
+
+
+def test_block_series_steps_match_per_edge_steps():
+    """Edges in series take one alpha-weighted step: the block product equals
+    one 3-term step per edge over the whole graph, and the scan where m <= 16."""
+    rng = random.Random(4005)
+    scanned = in_series = 0
+    for _ in range(160):
+        g = series_mixed_graph(rng)
+        profile = gs.mixed_basis_profile(g)
+        size = gs.class_size_by_blocks(g)
+        assert size == dp_census(g.graph)[profile]
+        if g.graph.m <= 16:
+            assert size == gs.brute_force_census(g.graph).size_of(profile)
+            scanned += 1
+        blocks = [({v for e in ids for v in g.graph.edges[e]}, len(ids)) for ids in census_mod._block_edge_ids(g.graph)]
+        # a non-cycle block through a degree-2 vertex holds a run of edges in series
+        in_series += any(m > len(verts) and any(g.graph.degree(v) == 2 for v in verts) for verts, m in blocks)
+    assert scanned >= 40 and in_series >= 60, (scanned, in_series)
 
 
 def test_block_sizes_reach_a_3000_triangle_cactus():
@@ -1009,7 +1044,7 @@ def test_convolutions_stay_exact_past_int64(length):
             * alpha.component(G4.element(y2 + x))
             for x in range(4)
         )
-        assert gs.class_size_by_blocks(g, max_edges=50) == gs.plane_class_size(g, fs) == want
+        assert gs.class_size_by_blocks(g) == gs.plane_class_size(g, fs) == want
     if length == 16:
         assert want > 2**63  # an int64 accumulator would have wrapped
     assert gs.plane_class_count(graph, fs) == 16
@@ -1021,5 +1056,5 @@ def test_convolution_caps():
     assert census_mod._convolve(2, [[((1, 0), 2**62), ((0, 1), 2**62)]]).dtype == object
     with pytest.raises(gs.InstanceTooLargeError):  # Python-int weights: cap 10
         census_mod._convolve(11, [[((0,) * 11, 2**63)]])
-    with pytest.raises(gs.InstanceTooLargeError):
-        gs.class_size_by_blocks(all_ones(complete_graph(5)), max_edges=9)
+    with pytest.raises(gs.InstanceTooLargeError, match="capped at d = 12, got d = 15"):
+        gs.class_size_by_blocks(all_ones(complete_graph(7)))  # one block of rank 15

@@ -27,6 +27,7 @@ DIAMOND = str(DATA / "diamond.gg")
 RELABELED = str(DATA / "bowtie_minus_relabeled.gg")
 SIGNED_TRI = str(DATA / "signed_triangle.gg")
 SIGNED_DIA = str(DATA / "signed_diamond.gg")
+THETA = str(DATA / "theta_mixed.gg")
 
 LABEL_EXP = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
@@ -129,11 +130,13 @@ def test_non_finite_tol_is_a_validation_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("option, command", [("--max-enum", "census"), ("--max-aut", "aut")])
 def test_negative_caps_are_usage_errors(capsys, option, command):
+    # no census method on the signed diamond escapes --max-enum (it has no block product)
+    path = SIGNED_DIA if command == "census" else DIAMOND
     with pytest.raises(SystemExit) as exit_:
-        cli.main([command, option, "-1", DIAMOND])
+        cli.main([command, option, "-1", path])
     assert exit_.value.code == 2
     assert f"argument {option}: must be at least 0, got -1" in capsys.readouterr().err
-    code, _ = run(capsys, command, option, "0", DIAMOND)  # 0 stays a cap, not a usage error
+    code, _ = run(capsys, command, option, "0", path)  # 0 stays a cap, not a usage error
     assert code == 3
 
 
@@ -155,6 +158,7 @@ def test_census_diamond_with_faces(capsys):
         "brute_vs_blocks": True,
         "brute_count_vs_plane_count": True,
         "brute_vs_plane_size": True,
+        "blocks_vs_plane_size": True,
     }
 
 
@@ -214,9 +218,25 @@ def test_census_faces_over_the_cap_keeps_the_report(tmp_path, capsys):
     code, report = run(capsys, "census", "--faces", str(path))
     assert code == 3  # no method applies: 28 edges, rank 14, 14 faces
     assert report["result"]["bounds"] == {"lower": 3**14, "upper": 4**14, "upper_tight": False}
-    assert "plane census skipped: class counting capped at 12 faces, got 14" in report["diagnostics"]
+    assert "block product skipped: convolution over Z_4^d capped at d = 12, got d = 14" in report["diagnostics"]
+    assert "plane census skipped: convolution over Z_4^d capped at d = 12, got d = 14" in report["diagnostics"]
     assert any("no census method applies" in d for d in report["diagnostics"])
     assert "plane" not in report["result"]
+
+
+def test_census_theta_past_the_scan_cap(capsys):
+    # 18 edges in three series runs of 6: no scan, but the block product (rank 2)
+    # answers, and with --faces it is checked against the plane formula
+    code, report = run(capsys, "census", THETA)
+    assert code == 0
+    assert report["diagnostics"] == ["brute-force census skipped: 18 edges exceed the cap 16"]
+    size = report["result"]["block_product_size"]
+    assert size == gs.census.class_size_by_blocks(gs.load_gg(THETA)[0])
+    code, report = run(capsys, "census", "--faces", THETA)
+    assert code == 0
+    res = report["result"]
+    assert res["plane"] == {"class_count": 16, "input_class_size": size}
+    assert res["cross_checks"] == {"blocks_vs_plane_size": True}
 
 
 def test_classify_arc_triangle(capsys):

@@ -29,10 +29,10 @@ Claims covered here:
   * the bitmask backtracker lists automorphisms in the lexicographic order
     of a filter over itertools.permutations, and finds the lexicographically
     first isomorphism, on 200+ seeded graphs with n 0-8;
-  * generating_set's coset closure returns the generators of the frontier
-    closure it replaced;
+  * generating_set hands back the chain's generators, which are those of a
+    greedy frontier closure over the listed elements;
   * the stabiliser chain built from first-solution searches has the listed
-    group's order and generating_set's generators, in order, on 524 seeded
+    group's order and the frontier closure's generators, in order, on 524 seeded
     simple and gain graphs with n 0-9 and k 1-8; membership, decided by
     sifting through it, agrees with the listed elements; and its orders
     match networkx's GraphMatcher counts for the Petersen graph, K3,3 and
@@ -246,7 +246,8 @@ def test_underlying_isomorphism_is_the_lexicographically_first():
 
 
 def frontier_generating_set(group):
-    """The closure generating_set used before cosets: a frontier over every element."""
+    """Greedy generators of a listed group: each element outside the closure
+    so far joins them, and a frontier over every element grows the closure."""
     closure = {tuple(range(1, group.n + 1))}
     gens = []
     for f in group.elements:
@@ -468,7 +469,7 @@ def test_chain_order_and_generators_match_the_listed_group():
         listed = listed_group(g)
         chain = chain_of(g)
         assert chain.order == len(listed.elements)
-        assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(listed)]
+        assert [f.image for f in chain.generators] == frontier_generating_set(listed)
         orders.append(listed.order)
     assert orders.count(1) >= 40 and sum(order >= 24 for order in orders) >= 40
     assert chain_of(chain_graphs()[0]).order == 1  # the rigid tree
@@ -582,7 +583,7 @@ def test_meet_chains_match_the_listed_intersections():
             members = {f.image for f in gs.automorphisms(h)}
             meet = types.SimpleNamespace(n=g.graph.n, elements=[f for f in aut_s if f.image in members])
             chain = symmetry._automorphism_chain(symmetry._meet(aut_tables(h), t_s))
-            assert [f.image for f in chain.generators] == [f.image for f in gs.generating_set(meet)]
+            assert [f.image for f in chain.generators] == frontier_generating_set(meet)
             assert chain.order == len(meet.elements)
         kinds.add((directed.graph.m == 0, undirected.m == 0, g.graph.num_components > 1))
     assert len(kinds) >= 6
