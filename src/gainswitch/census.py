@@ -14,9 +14,10 @@ without enumerating: cycles by their alpha vectors, other graphs by
 multiplying class sizes over blocks, where a block that is not a cycle is
 sized by a convolution over Z_4^r, and 2-connected plane graphs by sums
 over gamma matrices attached to the inner faces, taken for every face-gain
-vector at once by a convolution over Z_4^k.  Both convolutions take one
-step per run of edges in series: a run of j edges shifts by x times one
-column with the weight alpha_x(j), the count of its words of product i^x.
+vector at once by a convolution over Z_4^k that the face structure
+keeps.  Both convolutions take one step per run of edges in series: a run
+of j edges shifts by x times one column with the weight alpha_x(j), the
+count of its words of product i^x.
 
 All counts are exact Python integers.
 """
@@ -195,8 +196,14 @@ class Census:
         return tuple(zip(profiles, w[attained].tolist()))
 
     def size_of(self, profile: tuple[int, ...]) -> int:
-        p = tuple(profile)
-        if len(p) == len(self.chords) and all(isinstance(x, (int, np.integer)) and 0 <= x < 4 for x in p):
+        try:
+            p = tuple(profile)
+        except TypeError:
+            raise ValidationError(f"profile {profile!r} is not a sequence of exponents") from None
+        # A bool is an int, but numpy would read it as a mask, not an index.
+        if len(p) == len(self.chords) and all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < 4 for x in p
+        ):
             size = int(self.weights[p])
             if size:
                 return size
@@ -428,7 +435,8 @@ class FaceStructure:
     in the face's order, for its directed traversal a -> b; shared edges are
     guaranteed to be traversed oppositely by their two faces.  ``cells``
     partitions the edge ids: cell (p, q) with p <= q holds the edges shared
-    by faces p and q (only on face p when p = q).
+    by faces p and q (only on face p when p = q).  ``weights``, the
+    face-cell convolution that both plane formulas read, is built once.
     """
 
     graph: SimpleGraph
@@ -453,6 +461,30 @@ class FaceStructure:
     def cell_edges(self, p: int, q: int) -> tuple[int, ...]:
         key = (p, q) if p <= q else (q, p)
         return self._cell_map.get(key, ())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The gamma-matrix sum of alpha products for every face-gain vector.
+
+        A read-only (4,)*k array (int64, or Python integers once the sums
+        outgrow int64): entry y sums, over the gamma matrices for face gains
+        y, the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each
+        cell (p, q) is one series step of n_pq edges: value x adds x to row
+        sum p and, off the diagonal, -x to row sum q.  A single-edge cell
+        never carries -1 because alpha_{-1}(1) = 0.  Built by one
+        convolution on first use and kept as long as the face structure; more
+        than 12 faces (10 past int64) raise ``InstanceTooLargeError`` on every
+        access.
+        """
+        steps = []
+        for p, q in self.nonempty_cells():
+            column = [0] * self.k
+            column[q - 1] = -1
+            column[p - 1] = 1  # on the diagonal this overwrites the -1
+            steps.append(_series_step(column, self.n_pq(p, q)))
+        w = _convolve(self.k, steps)
+        w.flags.writeable = False
+        return w
 
 
 def face_gains(g: GainGraph, fs: FaceStructure) -> tuple[GainExponent, ...]:
@@ -592,44 +624,26 @@ def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
     return found
 
 
-def _face_weights(fs: FaceStructure) -> np.ndarray:
-    """The gamma-matrix sum of alpha products for every face-gain vector.
-
-    A (4,)*k array: entry y sums, over the gamma matrices for face gains y,
-    the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each cell
-    (p, q) is one series step of n_pq edges: value x adds x to row sum p
-    and, off the diagonal, -x to row sum q.  A single-edge cell never
-    carries -1 because alpha_{-1}(1) = 0.
-    """
-    steps = []
-    for p, q in fs.nonempty_cells():
-        column = [0] * fs.k
-        column[q - 1] = -1
-        column[p - 1] = 1  # on the diagonal this overwrites the -1
-        steps.append(_series_step(column, fs.n_pq(p, q)))
-    return _convolve(fs.k, steps)
-
-
 def plane_class_size(g: GainGraph, fs: FaceStructure) -> int:
     """Class size of a mixed orientation of a 2-connected plane graph.
 
     Sums, over every gamma matrix for the face-gain vector of g, the product
-    of alpha components alpha_{x_pq}(n_pq) across the nonempty cells.  The
-    sum is read off the face-cell convolution, which holds 4^k integers.
+    of alpha components alpha_{x_pq}(n_pq) across the nonempty cells: the
+    entry of ``fs.weights`` at those face gains.
     """
     if not g.mixed_mode:
         raise ValidationError("plane class sizes apply to mixed graphs")
     y = tuple(x.exp for x in face_gains(g, fs))
-    return int(_face_weights(fs)[y])
+    return int(fs.weights[y])
 
 
 def plane_class_count(g: SimpleGraph, fs: FaceStructure) -> int:
     """Number of classes of a 2-connected plane graph.
 
     Counts the face-gain vectors y in {1, -1, i, -i}^k that admit at least
-    one gamma matrix, that is, whose face-cell convolution entry is nonzero;
-    each achievable y corresponds to exactly one class.
+    one gamma matrix, that is, the nonzero entries of ``fs.weights``; each
+    achievable y corresponds to exactly one class.
     """
     if fs.graph != g:
         raise ValidationError("face structure belongs to a different graph")
-    return int(np.count_nonzero(_face_weights(fs)))
+    return int(np.count_nonzero(fs.weights))

@@ -144,23 +144,23 @@ def cmd_census(args) -> tuple[dict, int]:
         if not faces:
             raise ValidationError("--faces given but the file has no f lines")
         fs = census_mod.parse_face_structure(g, faces)
-        # One face-cell convolution gives both: the count of nonzero entries
-        # (plane_class_count) and the entry at the input's face gains (plane_class_size).
         try:
-            weights = census_mod._face_weights(fs)
+            plane: dict = {"class_count": census_mod.plane_class_count(graph, fs)}
+            if g.mixed_mode:
+                plane["input_class_size"] = census_mod.plane_class_size(g, fs)
         except InstanceTooLargeError as exc:  # more faces than the convolution's cap
             diagnostics.append(f"plane census skipped: {exc}")
         else:
-            plane: dict = {"class_count": int(np.count_nonzero(weights))}
-            if g.mixed_mode:
-                y = tuple(x.exp for x in census_mod.face_gains(g, fs))
-                plane["input_class_size"] = int(weights[y])
             result["plane"] = plane
             methods += 1
 
     checks: dict = {}
     if brute is not None:
         checks["sizes_sum_to_total"] = int(brute.weights.sum()) == brute.total
+        if "cycle_class_sizes" in result:
+            checks["brute_vs_cycle_sizes"] = (
+                sorted(result["cycle_class_sizes"].values(), reverse=True) == result["brute_force"]["sizes"]
+            )
         if "block_product_size" in result and g.mixed_mode:
             checks["brute_vs_blocks"] = (
                 result["block_product_size"] == result["brute_force"]["input_class_size"]

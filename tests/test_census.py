@@ -23,8 +23,9 @@ Claims covered here:
     shorter than its 4^r bins, and lists the profiles in sorted order;
     its census is one read-only weight array over Z_4^r, which
     ``num_classes`` and ``size_of`` read without building the class list,
-    ``size_of`` refusing profiles of the wrong length or outside 0..3, and
-    ranks above the tally's cap are refused before any chunk is binned;
+    ``size_of`` refusing profiles of the wrong length, outside 0..3, with
+    bool entries or not iterable at all, and ranks above the tally's cap
+    are refused before any chunk is binned;
   * the chunked scan, the whole-graph cycle-space convolution and a
     character-sum formula give the same census, block sizes by convolution
     match the scan on random mixed graphs (with non-cycle blocks through
@@ -32,7 +33,9 @@ Claims covered here:
     per run of edges in series match one step per edge and the scan on
     subdivided graphs; the face-cell convolution matches gamma-matrix
     enumeration for every face-gain vector (a seeded sample on the
-    5-face prism), and the convolutions stay exact past 2^63.
+    5-face prism), it is the face structure's read-only ``weights``, built
+    by one convolution that both plane formulas read (a refusal keeps
+    nothing), and the convolutions stay exact past 2^63.
 """
 
 import itertools
@@ -882,12 +885,15 @@ def test_census_is_its_weight_array():
 def test_size_of_rejects_malformed_profiles():
     census = gs.brute_force_census(gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]))
     assert census.size_of((3, 3)) >= 1
-    for bad in [(0,), (0, 0, 0), (), (4, 0), (0, 4), (-1, 0), (0, -1), (0.0, 0), (1.5, 0), ("0", 0), (None, 0)]:
+    for bad in [(0,), (0, 0, 0), (), (4, 0), (0, 4), (-1, 0), (0, -1), (0.0, 0), (1.5, 0), ("0", 0), (None, 0),
+                (False, 1), 5]:
         with pytest.raises(gs.ValidationError):
             census.size_of(bad)
     triangle = gs.brute_force_census(cycle_graph(3))
-    with pytest.raises(gs.ValidationError):
-        triangle.size_of((-2,))  # would wrap to the attained W[2]
+    for bad in [(-2,), (True,), 5]:  # (-2,) would wrap to the attained W[2]; True would be a mask
+        with pytest.raises(gs.ValidationError):
+            triangle.size_of(bad)
+    assert triangle.size_of((np.int64(1),)) == 7
 
 
 # Exponent k of i^k as a Gaussian integer (re, im).
@@ -1000,7 +1006,7 @@ def gamma_sum(fs, y):
 def test_face_convolution_matches_gamma_enumeration(name, structure):
     graph, faces = structure
     fs = gs.parse_face_structure(all_ones(graph), faces)
-    weights = census_mod._face_weights(fs)
+    weights = fs.weights
     assert weights.shape == (4,) * fs.k and int(weights.sum()) == 3**graph.m
     vectors = list(itertools.product(range(4), repeat=fs.k))
     if name == "prism4":  # 531441 gamma matrices in all: check a seeded sample of y
@@ -1011,6 +1017,24 @@ def test_face_convolution_matches_gamma_enumeration(name, structure):
         assert bool(weights[y]) == found, (name, y)
     census = gs.brute_force_census(graph)
     assert gs.plane_class_count(graph, fs) == census.num_classes == int((weights != 0).sum())
+
+
+def test_face_weights_are_built_once(monkeypatch):
+    calls = []
+    convolve = census_mod._convolve
+    monkeypatch.setattr(census_mod, "_convolve", lambda *args: calls.append(args) or convolve(*args))
+    graph, faces = wheel_structure(4)
+    g = all_ones(graph)
+    fs = gs.parse_face_structure(g, faces)
+    assert gs.plane_class_count(graph, fs) == 4**4  # every face has a private rim edge
+    assert gs.plane_class_size(g, fs) == gs.brute_force_census(graph).size_of(gs.mixed_basis_profile(g))
+    assert len(calls) == 1 and not fs.weights.flags.writeable
+    wheel, faces = wheel_structure(13)  # 13 faces, above the convolution's cap
+    fs = gs.parse_face_structure(all_ones(wheel), faces)
+    for _ in range(2):
+        with pytest.raises(gs.InstanceTooLargeError):
+            gs.plane_class_count(wheel, fs)
+    assert "weights" not in vars(fs) and len(calls) == 3
 
 
 def theta_graph(length):

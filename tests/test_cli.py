@@ -191,6 +191,14 @@ def test_census_cycle_closed_form(capsys):
     assert res["brute_force"]["class_count"] == 4
     assert sorted(res["brute_force"]["sizes"], reverse=True) == [7, 7, 7, 6]
     assert "input_class_size" not in res["brute_force"]  # not a mixed graph
+    assert res["cross_checks"] == {"sizes_sum_to_total": True, "brute_vs_cycle_sizes": True}
+    code, report = run(capsys, "census", ARC_TRIANGLE)
+    assert code == 0
+    assert report["result"]["cross_checks"] == {
+        "sizes_sum_to_total": True,
+        "brute_vs_cycle_sizes": True,
+        "brute_vs_blocks": True,
+    }
 
 
 def test_census_faces_flag_requires_f_lines(capsys):
