@@ -330,7 +330,7 @@ def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
     Standard low-link search with an edge stack, on an explicit DFS stack so
     deep trees need no recursion.
     """
-    adjacency, incidence = g.adjacency, g.incidence
+    offsets, neighbours, edge_ids = g.csr
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     timer = 1
@@ -342,15 +342,16 @@ def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
             continue
         disc[s] = low[s] = timer
         timer += 1
-        stack = [(s, -1, zip(adjacency[s], incidence[s]))]
+        stack = [(s, -1, iter(range(offsets[s], offsets[s + 1])))]
         while stack:
             u, parent_edge, todo = stack[-1]
-            for w, e in todo:
+            for i in todo:
+                w, e = neighbours[i], edge_ids[i]
                 if disc[w] == 0:
                     edge_stack.append(e)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, e, zip(adjacency[w], incidence[w])))
+                    stack.append((w, e, iter(range(offsets[w], offsets[w + 1]))))
                     break
                 if e != parent_edge and disc[w] < disc[u]:
                     edge_stack.append(e)

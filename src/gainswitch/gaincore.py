@@ -169,38 +169,31 @@ def _checked_edges(n, edges) -> tuple[int, list[tuple[int, int]]]:
         raise ValidationError(_malformed_graph(n, edges)) from None
 
 
-def _edge_columns(n: int, pairs: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Tails and heads of sorted pair keys u * (n + 1) + v, or None when a key repeats."""
-    if any(map(operator.eq, pairs, pairs[1:])):
-        return None
-    w = n + 1
-    return tuple([x // w for x in pairs]), tuple([x % w for x in pairs])
-
-
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n with a canonical edge order.
 
     The edges are stored as two int columns: edge id e joins ``tails[e]`` <
     ``heads[e]``, and the ids follow lexicographic edge order.  The id is
     what names an edge wherever ids matter (spanning forests, cycle bases,
-    censuses).  ``edges`` (the pairs), ``edge_index`` (pair -> id),
+    censuses).  ``csr`` is the one neighbour structure, three flat int
+    tuples; ``edges`` (the pairs), ``edge_index`` (pair -> id),
     ``adjacency`` (each vertex's sorted neighbours) and ``incidence`` (their
-    edge ids, parallel to ``adjacency``) are views built from the columns
-    on first use.  Instances are immutable by convention.
+    edge ids, parallel to ``adjacency``) are views built on first use, the
+    last two as slices of ``csr``.  Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "tails", "heads", "_edges", "_edge_index", "_adjacency", "_incidence", "_hash", "_forest")
+    __slots__ = ("n", "tails", "heads", "_csr", "_edges", "_edge_index", "_adjacency", "_incidence", "_hash", "_forest")
 
     def __init__(self, n: int, edges) -> None:
         try:
             edges = list(edges)
-            pairs = {*map(len, edges)} <= {2}  # zip would cut longer entries short
-        except (TypeError, ValueError):  # named by _checked_edges
+            pairs = {*map(len, edges)} <= {2}  # sized entries: the checked pass may read them again
+        except TypeError:  # named by _checked_edges
             pairs = False
-        built = pairs and _arc_columns(n, 1, *(tuple(zip(*edges)) or ((), ())), (0,) * len(edges))
+        built = pairs and _arc_columns(n, 1, ((u, v, 0) for u, v in edges))
         if not built:  # name the first bad edge, or convert integer-likes
             n, edges = _checked_edges(n, edges)
-            built = _arc_columns(n, 1, *(tuple(zip(*edges)) or ((), ())), (0,) * len(edges))
+            built = _arc_columns(n, 1, ((u, v, 0) for u, v in edges))
         self._init(n, *built[:2])
 
     @classmethod
@@ -214,7 +207,7 @@ class SimpleGraph:
         self.n = n
         self.tails = tails
         self.heads = heads
-        self._edges = self._edge_index = self._adjacency = self._incidence = None
+        self._csr = self._edges = self._edge_index = self._adjacency = self._incidence = None
         self._hash = None
         self._forest = None  # the default spanning forest, kept by switching.spanning_forest
 
@@ -237,37 +230,60 @@ class SimpleGraph:
         return self._edge_index
 
     @property
+    def csr(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(offsets, neighbours, edge_ids)``: vertex v's sorted neighbours are
+        ``neighbours[offsets[v]:offsets[v + 1]]``, and ``edge_ids`` holds the
+        id of each of those edges at the same place.  Row 0 is empty."""
+        if self._csr is None:
+            n, tails, heads = self.n, self.tails, self.heads
+            degree = [0] * (n + 1)
+            for x in tails:
+                degree[x] += 1
+            for x in heads:
+                degree[x] += 1
+            offsets = [0, *itertools.accumulate(degree)]
+            free = offsets[:-1]  # next free place of each row
+            neighbours = [0] * (2 * len(tails))
+            edge_ids = neighbours[:]
+            # Placing the edges in id order fills each row sorted: smaller
+            # neighbours first (from (w, v) edges), then larger ones (from (v, w) edges).
+            for e, u, v in zip(itertools.count(), tails, heads):
+                i = free[u]
+                neighbours[i] = v
+                edge_ids[i] = e
+                free[u] = i + 1
+                i = free[v]
+                neighbours[i] = u
+                edge_ids[i] = e
+                free[v] = i + 1
+            self._csr = tuple(offsets), tuple(neighbours), tuple(edge_ids)
+        return self._csr
+
+    def _rows(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """``flat`` (a ``csr`` column) cut into its rows."""
+        offsets = self.csr[0]
+        return tuple(map(flat.__getitem__, map(slice, offsets, offsets[1:])))
+
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbours of each vertex; index 0 is unused."""
         if self._adjacency is None:
-            self._build_adjacency()
+            self._adjacency = self._rows(self.csr[1])
         return self._adjacency
 
     @property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Edge ids of each vertex's edges, parallel to ``adjacency``."""
         if self._incidence is None:
-            self._build_adjacency()
+            self._incidence = self._rows(self.csr[2])
         return self._incidence
-
-    def _build_adjacency(self) -> None:
-        adj = [[] for _ in range(self.n + 1)]
-        inc = [[] for _ in range(self.n + 1)]
-        # The edges are sorted, so each list comes out sorted: smaller
-        # neighbours first (from (w, v) edges), then larger ones (from (v, w) edges).
-        for e, u, v in zip(itertools.count(), self.tails, self.heads):
-            adj[u].append(v)
-            inc[u].append(e)
-            adj[v].append(u)
-            inc[v].append(e)
-        self._adjacency = tuple(map(tuple, adj))
-        self._incidence = tuple(map(tuple, inc))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        offsets = self.csr[0]
+        return offsets[v + 1] - offsets[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_index
@@ -281,6 +297,7 @@ class SimpleGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by smallest vertex."""
+        offsets, neighbours, _ = self.csr
         seen = [False] * (self.n + 1)
         out = []
         for s in range(1, self.n + 1):
@@ -291,7 +308,7 @@ class SimpleGraph:
             while queue:
                 v = queue.pop()
                 comp.append(v)
-                for w in self.adjacency[v]:
+                for w in neighbours[offsets[v] : offsets[v + 1]]:
                     if not seen[w]:
                         seen[w] = True
                         queue.append(w)
@@ -455,8 +472,8 @@ def _checked_arcs(n, group: GainGroup, arcs):
     Raises for the first bad entry (not a triple, a self-loop, a gain that
     is not an exponent in [0, k) or a ``GainExponent`` of ``group``, or a
     pair given twice), then lets ``_checked_edges`` name a bad count or
-    vertex.  Otherwise returns the count and the arcs as exact-int columns,
-    each arc in canonical orientation.
+    vertex.  Otherwise returns the count and the arcs as exact-int
+    (u, v, t) rows, each in canonical orientation.
     """
     k = group.order
     pair_exp: dict[tuple[int, int], int] = {}
@@ -484,47 +501,60 @@ def _checked_arcs(n, group: GainGroup, arcs):
             raise ValidationError(f"both orientations (or a repeat) given for pair {key}")
         pair_exp[key] = t if forward else -t % k
     n, pairs = _checked_edges(n, pair_exp)
-    return n, (*zip(*pairs), tuple(pair_exp.values())) if pairs else ((), (), ())
+    return n, [(u, v, t) for (u, v), t in zip(pairs, pair_exp.values())]
 
 
-def _arc_columns(n, k: int, us, vs, ts):
-    """The bulk pass of both constructors: arcs u -> v with exponent t,
-    given as columns, sorted into the graph's (tails, heads, exps).
-    ``SimpleGraph`` passes k = 1 and every exponent 0.
+def _arc_columns(n, k: int, arcs):
+    """The bulk pass of ``build_gain_graph``, ``parse_gg`` and ``SimpleGraph``:
+    arcs (u, v, t), u -> v with exponent t, sorted into the graph's (tails,
+    heads, exps).  ``SimpleGraph`` passes k = 1 and every exponent 0.
 
     Each arc becomes one int key (a * (n + 1) + b) * k + x, where a < b is
     its pair and x its exponent on a -> b, so sorting the keys sorts the
-    edges and carries their exponents along.  Returns None when any vertex
-    or exponent is not an exact int, a vertex lies outside 1..n, an exponent
-    outside [0, k), or a pair is a self-loop or repeats.
+    edges and carries their exponents along.  Returns None when the count,
+    a vertex or an exponent is not an exact int, a vertex lies outside
+    1..n, an exponent outside [0, k), or a pair is a self-loop or repeats.
     """
     if type(n) is not int or n < 0:
         return None
-    if ts and not ({*map(type, ts)} == {int} and min(ts) >= 0 and max(ts) < k):
-        return None
     w = n + 1
     try:
-        # A self-loop or a vertex out of range keys as None; a float vertex as a float.
+        # A bad exponent, a self-loop or a vertex out of range keys as None;
+        # a float vertex as a float.
         keys = [
-            (u * w + v) * k + t if 0 < u < v <= n else (v * w + u) * k + (-t) % k if 0 < v < u <= n else None
-            for u, v, t in zip(us, vs, ts)
+            None if type(t) is not int or not 0 <= t < k
+            else (u * w + v) * k + t if 0 < u < v <= n
+            else (v * w + u) * k + (-t) % k if 0 < v < u <= n
+            else None
+            for u, v, t in arcs
         ]
     except (TypeError, ValueError):
         return None
     if keys and {*map(type, keys)} != {int}:
         return None
+    # Every key is below (n + 1)^2 * k, so when that is below 2^63 the keys
+    # and k fit int64; otherwise the keys stay Python ints in an object
+    # array, which numpy sorts and divides exactly.
+    keys = np.array(keys, dtype=np.int64 if (n + 1) ** 2 * k < 1 << 63 else object)
     keys.sort()
-    columns = _edge_columns(n, [x // k for x in keys])
-    return columns and (*columns, tuple([x % k for x in keys]))
+    # At k = 1 (SimpleGraph's arcs) the keys are the pairs and every exponent
+    # is 0; skipping the two divisions saves their fixed numpy cost on tiny graphs.
+    if k == 1:
+        pairs, exps = keys, (0,) * len(keys)
+    else:
+        pairs, exps = keys // k, tuple((keys % k).tolist())
+    if np.count_nonzero(pairs[1:] == pairs[:-1]):  # a repeated pair
+        return None
+    return tuple((pairs // w).tolist()), tuple((pairs % w).tolist()), exps
 
 
-def _gain_graph(n, group: GainGroup, columns, arcs, mixed_mode: bool) -> GainGraph:
-    """Build from arc columns (u, v, t), or, when those are missing or the bulk
-    pass refuses them, from what ``_checked_arcs`` makes of ``arcs``."""
-    built = columns and _arc_columns(n, group.order, *columns)
+def _gain_graph(n, group: GainGroup, rows, arcs, mixed_mode: bool) -> GainGraph:
+    """Build from arc rows (u, v, t), or, when ``rows`` is None or the bulk
+    pass refuses it, from what ``_checked_arcs`` makes of ``arcs``."""
+    built = rows is not None and _arc_columns(n, group.order, rows)
     if not built:  # name the first bad entry, or convert integer-likes and GainExponents
-        n, columns = _checked_arcs(n, group, arcs)
-        built = _arc_columns(n, group.order, *columns)
+        n, rows = _checked_arcs(n, group, arcs)
+        built = _arc_columns(n, group.order, rows)
     tails, heads, exps = built
     g = object.__new__(GainGraph)
     g._store(SimpleGraph._from_columns(n, tails, heads), group, exps, mixed_mode)
@@ -541,11 +571,10 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
     """
     arcs = list(directed_gains)
     try:
-        triples = {*map(len, arcs)} <= {3}  # zip would cut longer entries short
+        triples = {*map(len, arcs)} <= {3}  # sized entries: the checked pass may read them again
     except TypeError:  # an entry without a length
         triples = False
-    columns = (tuple(zip(*arcs)) or ((), (), ())) if triples else None
-    return _gain_graph(n, group, columns, arcs, mixed_mode)
+    return _gain_graph(n, group, arcs if triples else None, arcs, mixed_mode)
 
 
 def hermitian_matrix(g: GainGraph) -> np.ndarray:
@@ -714,7 +743,7 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
     if n is None:
         raise ValidationError("missing n line")
     columns = _e_columns(us, vs, ts, k) or _e_rescan(lines, aliases)
-    graph = _gain_graph(n, GainGroup(k), columns, zip(*columns), mixed)
+    graph = _gain_graph(n, GainGroup(k), zip(*columns), zip(*columns), mixed)
     return graph, tuple(faces)
 
 

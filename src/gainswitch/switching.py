@@ -103,7 +103,7 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     n = g.n
     if vertex_order is None and g._forest is not None:
         return g._forest
-    adjacency, incidence = g.adjacency, g.incidence  # neighbours sorted, and their edge ids
+    offsets, neighbours, edge_ids = g.csr  # each row's neighbours sorted, and their edge ids
     roots = range(1, n + 1)
     if vertex_order is not None:
         roots = list(vertex_order)
@@ -112,12 +112,11 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
         rank = [0] * (n + 1)
         for pos, v in enumerate(roots):
             rank[v] = pos
-
-        def by_rank(v):
-            arcs = sorted(zip(adjacency[v], incidence[v]), key=lambda arc: rank[arc[0]])
-            return [w for w, _ in arcs], [e for _, e in arcs]
-
-        adjacency, incidence = zip(*map(by_rank, range(n + 1)))
+        # The same rows, each re-sorted by the rank of its neighbours.
+        places = [
+            i for v in range(n + 1) for i in sorted(range(offsets[v], offsets[v + 1]), key=lambda i: rank[neighbours[i]])
+        ]
+        neighbours, edge_ids = [neighbours[i] for i in places], [edge_ids[i] for i in places]
     parent = [0] * (n + 1)
     root = [0] * (n + 1)  # 0 until the vertex is reached
     depth = [0] * (n + 1)
@@ -131,8 +130,10 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
         tree = [s]  # grows while it is walked: the breadth-first queue
         for v in tree:
             d = depth[v] + 1
-            for w, e in zip(adjacency[v], incidence[v]):
+            for i in range(offsets[v], offsets[v + 1]):
+                w = neighbours[i]
                 if not root[w]:
+                    e = edge_ids[i]
                     root[w] = s
                     parent[w] = v
                     depth[w] = d

@@ -138,8 +138,8 @@ def _masks(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices:
             f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
         )
     n = a.n
-    deg_a = list(map(len, a.adjacency))
-    deg_b = list(map(len, b.adjacency))
+    deg_a = list(map(a.degree, range(n + 1)))
+    deg_b = list(map(b.degree, range(b.n + 1)))
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return None
     masks = [[0] * (n + 1) for _ in range(k)]
@@ -359,16 +359,18 @@ def _switching_levels(g: SimpleGraph, exps_b: tuple[int, ...]):
     of its component, which shift with v's theta when v merges the component
     into the first group's.
     """
-    adjacency, incidence = g.adjacency, g.incidence
+    offsets, neighbours, edge_ids = g.csr
     root = list(range(g.n + 1))
     members = [[v] for v in range(g.n + 1)]
     levels = [((), ())]
     for v in range(1, g.n + 1):
         groups: dict[int, list[tuple[int, int]]] = {}
-        for u, e in zip(adjacency[v], incidence[v]):
+        lo, hi = offsets[v], offsets[v + 1]
+        row = neighbours[lo:hi]
+        for u, e in zip(row, edge_ids[lo:hi]):
             if u < v:
                 groups.setdefault(root[u], []).append((u, exps_b[e]))
-        near = set(adjacency[v])
+        near = set(row)
         levels.append((
             [u for u in range(1, v) if u not in near],
             [(*pairs[0], pairs[1:], members[r]) for r, pairs in groups.items()],

@@ -8,6 +8,9 @@ Claims covered:
     - SimpleGraph validates and canonicalizes its edge list; a count or
       vertex that is not an integer raises ValidationError naming it, while
       integer-like counts and vertices (numpy ints) stay accepted
+    - graphs whose packed edge keys pass int64 (n = 2^63 + 5, or k = 2^62)
+      build and parse to exact columns equal to a plain sorted() reference,
+      and a repeated pair or both orientations raise the usual messages
     - hermitian_matrix output is bit-exactly Hermitian with zero diagonal
     - parse/format round-trips every valid gain graph, including k = 4 aliases
     - a graph built by any route (objects, ints, .gg text, identity switching,
@@ -23,15 +26,18 @@ Claims covered:
     - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
       f lines, and names the first bad line even when a later one is bad too
     - build, .gg round trip, equivalence, first difference, balance,
-      negation, bounds and the cactus test build no ``edges`` or
-      ``edge_index`` view
+      negation, bounds and the cactus test build no ``edges``,
+      ``edge_index``, ``adjacency`` or ``incidence`` view; the census's block
+      search and the symmetry searches build no ``adjacency`` or ``incidence``
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
 
 import cmath
+import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +47,7 @@ from gainswitch.errors import ValidationError
 
 from gainswitch.spectral import _spectrum_cached
 
-from conftest import G4, all_ones, complete_graph, arc_triangle, mixed, random_connected_graph, random_gains
+from conftest import G4, all_ones, arc_triangle, bowtie_i, bowtie_minus, complete_graph, mixed, random_connected_graph, random_gains
 
 
 def test_group_axioms_exhaustive():
@@ -197,6 +203,55 @@ def test_mixed_mode_rejects_minus_one():
         mixed(2, [(1, 2, 2)])
     with pytest.raises(ValidationError):
         gs.GainGraph(gs.SimpleGraph(2, [(1, 2)]), gs.GainGroup(3), (gs.GainGroup(3).one,), mixed_mode=True)
+
+
+def _sorted_reference(k, arcs):
+    """(tails, heads, exps) of arcs by sorted() over canonical (u, v, t) triples."""
+    rows = sorted((u, v, t) if u < v else (v, u, -t % k) for u, v, t in arcs)
+    return tuple(zip(*rows)) or ((), (), ())
+
+
+def _wide_arcs():
+    rng = random.Random(63)
+    k = 2**62
+    pairs = rng.sample(list(itertools.combinations(range(1, 51), 2)), 80)
+    arcs = [(u, v, rng.randrange(k)) if rng.random() < 0.5 else (v, u, rng.randrange(k)) for u, v in pairs]
+    return 50, k, arcs + [(50, 1, k - 1), (2, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "n, k, arcs",
+    [
+        (2**63 + 5, 4, [(2**63 + 5, 1, 1), (2, 2**63 + 4, 3)]),
+        _wide_arcs(),
+        (3, 2**59, [(3, 1, 2**59 - 1), (1, 2, 5), (2, 3, 0)]),
+        (0, 2**63, []),
+    ],
+    ids=["n-2^63+5", "k-2^62", "bound-2^63", "n-0-k-2^63"],
+)
+def test_keys_past_int64_stay_exact(n, k, arcs):
+    # The keys lie below (n + 1)^2 * k, which here does not fit int64; at
+    # n 0 the group order itself does not.
+    assert (n + 1) ** 2 * k >= 2**63
+    group = gs.GainGroup(k)
+    tails, heads, exps = _sorted_reference(k, arcs)
+    g = gs.build_gain_graph(n, group, arcs)
+    assert (g.graph.tails, g.graph.heads, g.exps) == (tails, heads, exps)
+    assert {type(x) for x in g.graph.tails + g.graph.heads + g.exps} <= {int}
+    assert gs.parse_gg(gs.format_gg(g)) == (g, ())
+    graph = gs.SimpleGraph(n, [(u, v) for u, v, _ in arcs])
+    assert (graph.tails, graph.heads) == (tails, heads)
+    if not arcs:
+        return
+    u, v, t = arcs[-1]
+    repeat = f"both orientations (or a repeat) given for pair {(min(u, v), max(u, v))}"
+    for extra in ((u, v, t), (v, u, -t % k)):
+        with pytest.raises(ValidationError, match=re.escape(repeat)):
+            gs.build_gain_graph(n, group, arcs + [extra])
+        with pytest.raises(ValidationError, match=re.escape(repeat)):
+            gs.parse_gg(gs.format_gg(g) + f"e {extra[0]} {extra[1]} {extra[2]}\n")
+        with pytest.raises(ValidationError, match=re.escape(f"duplicate edge {(min(u, v), max(u, v))}")):
+            gs.SimpleGraph(n, [(a, b) for a, b, _ in arcs] + [extra[:2]])
 
 
 def test_build_gain_graph_orientation_handling():
@@ -521,6 +576,14 @@ def test_decision_path_builds_no_edge_views():
     gs.is_balanced(a2), gs.equivalent_to_negation(a2), gs.class_count_bounds(a2.graph), gs.is_cactus(a2.graph)
     for graph in (a.graph, a2.graph, b.graph):
         assert graph._edges is None and graph._edge_index is None
+        assert graph._adjacency is None and graph._incidence is None
+
+
+def test_block_and_symmetry_searches_read_csr_only():
+    a, b = bowtie_minus(), bowtie_i()
+    gs.class_size_by_blocks(a), gs.automorphisms(a.graph), gs.switching_isomorphic(a, b)
+    for graph in (a.graph, b.graph):
+        assert graph._adjacency is None and graph._incidence is None
 
 
 def test_incidence_is_parallel_to_adjacency(rng):

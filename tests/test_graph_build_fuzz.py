@@ -2,13 +2,15 @@
 
 Claims covered:
     - ``build_gain_graph`` and ``SimpleGraph`` give the same ``edges``,
-      ``adjacency``, ``incidence``, ``edge_index``, ``exps`` and
-      ``mixed_mode`` as a plain per-edge reference (sorted canonical pairs),
-      for arcs in scrambled orientation and order, k 1..8, n 0..9, and
-      vertices and gains given as exact ints, numpy ints (vertices) and
-      ``GainExponent``s (gains)
+      ``adjacency``, ``incidence``, ``csr`` (those rows laid end to end),
+      ``edge_index``, ``exps`` and ``mixed_mode`` as a plain per-edge
+      reference (sorted canonical pairs), for arcs in scrambled orientation
+      and order, k 1..8, n 0..9, and vertices and gains given as exact
+      ints, numpy ints (vertices) and ``GainExponent``s (gains)
     - the columns hold exact ints whatever int-like type came in
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -65,6 +67,9 @@ def assert_views(graph, n, pairs):
     assert {type(x) for x in graph.tails + graph.heads} <= {int}
     assert graph.adjacency == adjacency
     assert graph.incidence == incidence
+    offsets, neighbours, edge_ids = graph.csr
+    assert offsets == (0, *itertools.accumulate(map(len, adjacency)))
+    assert neighbours == sum(adjacency, ()) and edge_ids == sum(incidence, ())
     assert graph.edge_index == index
 
 

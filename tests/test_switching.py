@@ -4,6 +4,10 @@ Claims covered:
     - forests span every vertex with one root per component, acyclically,
       and name each forest edge's id at its child end; the default forest
       equals the one for the identity vertex order
+    - every field of the default and of a re-ranked forest equals that of a
+      breadth-first walk over per-vertex neighbour lists built from
+      ``edges`` (disconnected graphs, isolated vertices, n 0 and 1), and
+      ``adjacency``/``incidence`` are the rows of ``csr``
     - the fundamental basis has m - n + c chord-first cycles, equal to the
       vertex-path construction on default and re-ranked forests
     - switching preserves every cycle gain; witnesses verify exactly, and
@@ -100,6 +104,67 @@ def test_spanning_forest_shape():
                 assert f.depth[v] == 0 and f.parent_edge[v] == -1
         assert sorted(f.parent_edge[1:]) == [-1] * graph.num_components + sorted(f.forest_edges)
         assert sorted(f.bfs_order) == list(range(1, graph.n + 1))
+
+
+def oracle_forest(graph, vertex_order=None):
+    """The breadth-first forest walked over per-vertex neighbour lists.
+
+    The lists are built from ``edges`` by appending, and each is sorted by
+    the rank of its neighbours in ``vertex_order`` (numeric order when it is
+    None); roots are taken in that order too.
+    """
+    n = graph.n
+    roots = list(range(1, n + 1) if vertex_order is None else vertex_order)
+    rank = {v: pos for pos, v in enumerate(roots)}
+    arcs = [[] for _ in range(n + 1)]
+    for e, (u, v) in enumerate(graph.edges):
+        arcs[u].append((v, e))
+        arcs[v].append((u, e))
+    for row in arcs:
+        row.sort(key=lambda arc: rank[arc[0]])
+    parent, root, depth, parent_edge = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [-1] * (n + 1)
+    order, is_chord = [], [True] * graph.m
+    for s in roots:
+        if root[s]:
+            continue
+        root[s] = s
+        tree = [s]
+        for v in tree:
+            for w, e in arcs[v]:
+                if not root[w]:
+                    root[w], parent[w], depth[w], parent_edge[w] = s, v, depth[v] + 1, e
+                    is_chord[e] = False
+                    tree.append(w)
+        order += tree
+    return gs.SpanningForest(*map(tuple, (parent, root, depth, order, is_chord, parent_edge)))
+
+
+def test_forests_match_the_neighbour_list_walk(rng):
+    """Default and re-ranked forests equal the oracle field by field, and the
+    neighbour views are the rows of the flat ``csr`` columns."""
+    graphs = [gs.SimpleGraph(0, []), gs.SimpleGraph(1, []), gs.SimpleGraph(2, []), gs.SimpleGraph(2, [(2, 1)])]
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        density = rng.choice((0.0, 0.1, 0.25, 0.5, 1.0))
+        graphs.append(gs.SimpleGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs if rng.random() < density]))
+    seen = {"several components": 0, "isolated vertex": 0, "n 0": 0, "n 1": 0}
+    for graph in graphs:
+        n = graph.n
+        seen["several components"] += graph.num_components > 1
+        seen["isolated vertex"] += any(graph.degree(v) == 0 for v in range(1, n + 1))
+        seen["n 0"] += n == 0
+        seen["n 1"] += n == 1
+        offsets, neighbours, edge_ids = graph.csr
+        assert len(offsets) == n + 2 and offsets[:2] == (0, 0) and offsets[-1] == len(neighbours) == 2 * graph.m
+        rows = [slice(offsets[v], offsets[v + 1]) for v in range(n + 1)]
+        assert graph.adjacency == tuple(neighbours[r] for r in rows)
+        assert graph.incidence == tuple(edge_ids[r] for r in rows)
+        assert gs.spanning_forest(graph) == oracle_forest(graph)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        assert gs.spanning_forest(graph, order) == oracle_forest(graph, order)
+    assert min(seen.values()) >= 1, seen
 
 
 def test_spanning_forest_disconnected_roots():
