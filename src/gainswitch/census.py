@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainExponent, GainGraph, SimpleGraph
+from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph
 from .switching import (
     SpanningForest,
     _chord_cycles_disjoint,
@@ -86,7 +86,7 @@ class ClassCountVector:
         return (self.one, self.minus_one, self.i, self.minus_i)
 
     def component(self, x: GainExponent) -> int:
-        if x.group.order != 4:
+        if not isinstance(x, GainExponent) or x.group.order != 4:
             raise ValidationError("alpha components are indexed by the k = 4 group")
         return self.as_tuple()[_ALPHA_POSITION[x.exp]]
 
@@ -574,11 +574,11 @@ def enumerate_gamma(fs: FaceStructure, y) -> list[GammaMatrix]:
     tried in increasing exponent order.
     """
     y = tuple(y)
-    group = y[0].group
-    if group.order != 4:
-        raise ValidationError("gamma matrices are defined over the k = 4 group")
     if len(y) != fs.k:
         raise ValidationError(f"expected {fs.k} face gains, got {len(y)}")
+    if not all(isinstance(x, GainExponent) and x.group.order == 4 for x in y):
+        raise ValidationError("gamma matrices are defined over the k = 4 group")
+    group = GainGroup(4)
     k = fs.k
     row_cells: list[list[tuple[int, int]]] = [[] for _ in range(k + 1)]
     for p, q in fs.nonempty_cells():

@@ -217,7 +217,7 @@ def cmd_iso(args) -> tuple[dict, int]:
         if sigma is None:
             return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, 1
         exps = [b.exponent(sigma(u), sigma(v)) for u, v in zip(a.graph.tails, a.graph.heads)]
-        b = GainGraph._from_exps(a.graph, b.group, exps, b.mixed_mode)
+        b = GainGraph(a.graph, b.group, exps, b.mixed_mode)
         relabeling = list(sigma.image)
     hit = symmetry.switching_isomorphic(a, b, max_aut)
     if hit is None:

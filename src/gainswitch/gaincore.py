@@ -176,13 +176,13 @@ class SimpleGraph:
     ``heads[e]``, and the ids follow lexicographic edge order.  The id is
     what names an edge wherever ids matter (spanning forests, cycle bases,
     censuses).  ``csr`` is the one neighbour structure, three flat int
-    tuples; ``edges`` (the pairs), ``edge_index`` (pair -> id),
-    ``adjacency`` (each vertex's sorted neighbours) and ``incidence`` (their
-    edge ids, parallel to ``adjacency``) are views built on first use, the
-    last two as slices of ``csr``.  Instances are immutable by convention.
+    tuples built on first use: vertex v's sorted neighbours and their edge
+    ids are its row slices.  ``edges`` (the pairs) and ``edge_index`` (pair
+    -> id) are views built on first use too.  Instances are immutable by
+    convention.
     """
 
-    __slots__ = ("n", "tails", "heads", "_csr", "_edges", "_edge_index", "_adjacency", "_incidence", "_hash", "_forest")
+    __slots__ = ("n", "tails", "heads", "_csr", "_edges", "_edge_index", "_hash", "_forest")
 
     def __init__(self, n: int, edges) -> None:
         try:
@@ -207,7 +207,7 @@ class SimpleGraph:
         self.n = n
         self.tails = tails
         self.heads = heads
-        self._csr = self._edges = self._edge_index = self._adjacency = self._incidence = None
+        self._csr = self._edges = self._edge_index = None
         self._hash = None
         self._forest = None  # the default spanning forest, kept by switching.spanning_forest
 
@@ -259,27 +259,10 @@ class SimpleGraph:
             self._csr = tuple(offsets), tuple(neighbours), tuple(edge_ids)
         return self._csr
 
-    def _rows(self, flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """``flat`` (a ``csr`` column) cut into its rows."""
-        offsets = self.csr[0]
-        return tuple(map(flat.__getitem__, map(slice, offsets, offsets[1:])))
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbours of each vertex; index 0 is unused."""
-        if self._adjacency is None:
-            self._adjacency = self._rows(self.csr[1])
-        return self._adjacency
-
-    @property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Edge ids of each vertex's edges, parallel to ``adjacency``."""
-        if self._incidence is None:
-            self._incidence = self._rows(self.csr[2])
-        return self._incidence
-
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        """v's sorted neighbours: its row of ``csr``."""
+        offsets, neighbours, _ = self.csr
+        return neighbours[offsets[v] : offsets[v + 1]]
 
     def degree(self, v: int) -> int:
         offsets = self.csr[0]
@@ -289,10 +272,9 @@ class SimpleGraph:
         return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
         try:
-            return self.edge_index[key]
-        except KeyError:
+            return self.edge_index[(u, v) if u < v else (v, u)]
+        except (KeyError, TypeError):  # TypeError: u and v do not compare, or a key is unhashable
             raise ValidationError(f"no edge between {u} and {v}") from None
 
     def components(self) -> list[list[int]]:
@@ -339,14 +321,32 @@ def _elements(group: GainGroup, exps) -> tuple[GainExponent, ...]:
     return tuple(map(made.__getitem__, exps))
 
 
+def _exponent(group: GainGroup, t) -> int:
+    """The exponent of one gain: a ``GainExponent`` of ``group``, or an int
+    (not a bool) in [0, k)."""
+    if isinstance(t, GainExponent):
+        if t.group != group:
+            raise ValidationError("gain group mismatch")
+        t = t.exp
+    if type(t) is not int:
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
+        t = int(t)
+    if not 0 <= t < group.order:
+        raise ValidationError(f"exponent {t} out of range for group of order {group.order}")
+    return t
+
+
 class GainGraph:
     """A ``SimpleGraph`` together with a unit gain on each oriented edge.
 
-    Gains are stored as integer exponents in ``exps``, one per edge id, for
-    the canonical orientation u < v; querying the reverse orientation returns
-    the conjugate, so the Hermitian symmetry gain(v, u) == conj(gain(u, v))
-    cannot be violated by construction.  ``GainExponent`` objects are built
-    only where a value is handed out: ``gains``, ``gain`` and ``gain_by_id``.
+    ``gains`` holds one gain per edge id, for the canonical orientation
+    u < v: an exponent in [0, k) or a ``GainExponent`` of ``group``.  They
+    are stored as integer exponents in ``exps``; querying the reverse
+    orientation returns the conjugate, so the Hermitian symmetry
+    gain(v, u) == conj(gain(u, v)) cannot be violated by construction.
+    ``GainExponent`` objects are built only where a value is handed out:
+    ``gains`` and ``gain``.
 
     ``mixed_mode`` marks the graph as a mixed graph: the group must have
     order 4 and every stored gain must lie in {1, i, -i}.
@@ -355,33 +355,13 @@ class GainGraph:
     __slots__ = ("graph", "group", "exps", "mixed_mode", "_hash")
 
     def __init__(self, graph: SimpleGraph, group: GainGroup, gains, mixed_mode: bool = False) -> None:
-        gains = tuple(gains)
-        if len(gains) != graph.m:
-            raise ValidationError(f"expected {graph.m} gains, got {len(gains)}")
-        for g in gains:
-            if not isinstance(g, GainExponent):
-                raise ValidationError(f"gain {g!r} is not a GainExponent")
-            if g.group != group:
-                raise ValidationError("gain group mismatch")
-        self._store(graph, group, tuple(g.exp for g in gains), mixed_mode)
-
-    @classmethod
-    def _from_exps(cls, graph: SimpleGraph, group: GainGroup, exps, mixed_mode: bool = False) -> "GainGraph":
-        """The integer constructor: ``exps`` holds one exponent in [0, k) per edge id."""
-        exps = tuple(exps)
+        exps = tuple(gains)
         if len(exps) != graph.m:
             raise ValidationError(f"expected {graph.m} gains, got {len(exps)}")
-        k = group.order
-        # map(type, ...) is exact, so bools (and any other int subclass) fail.
-        if exps and not ({*map(type, exps)} == {int} and min(exps) >= 0 and max(exps) < k):
-            for t in exps:
-                if type(t) is not int:
-                    raise ValidationError(f"exponent {t!r} is not an int")
-                if not 0 <= t < k:
-                    raise ValidationError(f"exponent {t} out of range for group of order {k}")
-        g = object.__new__(cls)
-        g._store(graph, group, exps, mixed_mode)
-        return g
+        # map(type, ...) is exact, so bools (and any other int subclass) take the per-gain rule.
+        if exps and not ({*map(type, exps)} == {int} and min(exps) >= 0 and max(exps) < group.order):
+            exps = tuple(_exponent(group, t) for t in exps)
+        self._store(graph, group, exps, mixed_mode)
 
     def _store(self, graph: SimpleGraph, group: GainGroup, exps: tuple, mixed_mode: bool) -> None:
         if mixed_mode:
@@ -408,10 +388,6 @@ class GainGraph:
     def gain(self, u: int, v: int) -> GainExponent:
         """Gain of the oriented edge u -> v (conjugated when u > v)."""
         return GainExponent(self.group, self.exponent(u, v))
-
-    def gain_by_id(self, edge_id: int) -> GainExponent:
-        """Gain of the edge with the given id, in canonical (u < v) orientation."""
-        return GainExponent(self.group, self.exps[edge_id])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GainGraph):
@@ -448,6 +424,8 @@ class SwitchingFunction:
 
     @property
     def group(self) -> GainGroup:
+        if not self.values:
+            raise ValidationError("a switching function on no vertices has no gain group")
         return self.values[0].group
 
     @staticmethod
@@ -485,17 +463,7 @@ def _checked_arcs(n, group: GainGroup, arcs):
             raise ValidationError(f"edge entry {entry!r} is not a (u, v, gain) triple of integer vertices") from None
         if u == v:
             raise ValidationError(f"self-loop at vertex {u}")
-        if type(t) is not int:
-            if isinstance(t, GainExponent):
-                if t.group != group:
-                    raise ValidationError("gain group mismatch")
-                t = t.exp
-            elif isinstance(t, int) and not isinstance(t, bool):
-                t = int(t)
-            else:
-                raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
-        if not 0 <= t < k:
-            raise ValidationError(f"exponent {t} out of range for group of order {k}")
+        t = _exponent(group, t)
         key = (u, v) if forward else (v, u)
         if key in pair_exp:
             raise ValidationError(f"both orientations (or a repeat) given for pair {key}")
@@ -596,7 +564,7 @@ def hermitian_matrix(g: GainGraph) -> np.ndarray:
 
 def underlying(g: GainGraph) -> GainGraph:
     """The same graph with every gain set to 1."""
-    return GainGraph._from_exps(g.graph, g.group, (0,) * g.graph.m, g.mixed_mode)
+    return GainGraph(g.graph, g.group, (0,) * g.graph.m, g.mixed_mode)
 
 
 def negate(g: GainGraph) -> GainGraph:
@@ -609,7 +577,7 @@ def negate(g: GainGraph) -> GainGraph:
     if k % 2 != 0:
         raise ValidationError("negation needs -1 in the gain group (even order)")
     half = k // 2
-    return GainGraph._from_exps(g.graph, g.group, [(t + half) % k for t in g.exps])
+    return GainGraph(g.graph, g.group, [(t + half) % k for t in g.exps])
 
 
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}

@@ -168,11 +168,6 @@ def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELE
     return found
 
 
-def real_cycle_gain(g: GainGraph, cycle) -> float:
-    """Real part of the cycle gain; in {-1, 0, 1} for mixed graphs."""
-    return cycle_gain(g, cycle).value.real
-
-
 @dataclass(frozen=True)
 class CharPoly:
     """Monic characteristic polynomial x^n + a_1 x^(n-1) + ... + a_n."""
@@ -373,12 +368,13 @@ def is_balanced_spectrally(g: GainGraph, tol: float = 1e-8) -> bool:
 def cycle_real_gain_sums(g: GainGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> dict[int, float]:
     """Sum of real cycle gains per cycle length, over every simple cycle.
 
-    Lengths with no cycles are omitted.  These sums are the cycle data that
-    the spectrum determines; they drive the cospectrality criteria.
+    Each real cycle gain lies in {-1, 0, 1} for mixed graphs.  Lengths with
+    no cycles are omitted.  These sums are the cycle data that the spectrum
+    determines; they drive the cospectrality criteria.
     """
     sums: dict[int, float] = {}
     for cyc in enumerate_cycles(g.graph, max_vertices):
-        sums[len(cyc)] = sums.get(len(cyc), 0.0) + real_cycle_gain(g, cyc)
+        sums[len(cyc)] = sums.get(len(cyc), 0.0) + cycle_gain(g, cyc).value.real
     return sums
 
 

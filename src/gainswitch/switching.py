@@ -9,6 +9,7 @@ spanning forest decides equivalence outright.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -71,10 +72,6 @@ class SpanningForest:
     is_chord: tuple[bool, ...]  # per edge id: False on forest edges
     parent_edge: tuple[int, ...]  # edge id of the forest edge to the parent, -1 at roots
 
-    @property
-    def forest_edges(self) -> frozenset[int]:
-        return frozenset(e for e, chord in enumerate(self.is_chord) if not chord)
-
 
 @dataclass(frozen=True)
 class FundamentalCycleBasis:
@@ -106,8 +103,11 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     offsets, neighbours, edge_ids = g.csr  # each row's neighbours sorted, and their edge ids
     roots = range(1, n + 1)
     if vertex_order is not None:
-        roots = list(vertex_order)
-        if sorted(roots) != list(range(1, n + 1)):
+        try:
+            roots = list(map(operator.index, vertex_order))
+        except TypeError:  # not iterable, or an entry that is not an integer
+            roots = None
+        if roots is None or sorted(roots) != list(range(1, n + 1)):
             raise ValidationError("vertex_order must be a permutation of 1..n")
         rank = [0] * (n + 1)
         for pos, v in enumerate(roots):
@@ -203,6 +203,8 @@ def walk_gain(g: GainGraph, walk) -> GainExponent:
 def cycle_gain(g: GainGraph, cycle) -> GainExponent:
     """Gain of a cycle given as a vertex sequence without the repeated start."""
     cycle = tuple(cycle)
+    if not cycle:
+        raise ValidationError("empty cycle")
     return walk_gain(g, cycle + (cycle[0],))
 
 
@@ -224,7 +226,7 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     k = g.group.order
     th = [0] + [x.exp for x in theta.values]
     exps = tuple((t - th[u] + th[v]) % k for u, v, t in zip(g.graph.tails, g.graph.heads, g.exps))
-    return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
+    return GainGraph(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
 
 def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int, ...]]:
@@ -319,12 +321,13 @@ def enumerate_cycles(g: SimpleGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> l
         )
     cycles: list[tuple[int, ...]] = []
     on_path = [False] * (g.n + 1)
+    offsets, neighbours, _ = g.csr
 
     def grow(path: list[int]) -> None:
         last = path[-1]
         if len(path) >= 3 and path[1] < last and g.has_edge(last, path[0]):
             cycles.append(tuple(path))
-        for y in g.neighbors(last):
+        for y in neighbours[offsets[last] : offsets[last + 1]]:
             if y > path[0] and not on_path[y]:
                 on_path[y] = True
                 path.append(y)

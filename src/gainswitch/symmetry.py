@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
+from operator import sub
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
@@ -26,7 +27,6 @@ __all__ = [
     "switching_isomorphic",
     "orbit_of_class",
     "underlying_isomorphism",
-    "generating_set",
 ]
 
 DEFAULT_AUT_CAP = 10
@@ -138,8 +138,9 @@ def _masks(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices:
             f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
         )
     n = a.n
-    deg_a = list(map(a.degree, range(n + 1)))
-    deg_b = list(map(b.degree, range(b.n + 1)))
+    offsets_a, offsets_b = a.csr[0], b.csr[0]
+    deg_a = list(map(sub, offsets_a[1:], offsets_a))
+    deg_b = list(map(sub, offsets_b[1:], offsets_b))
     if sorted(deg_a) != sorted(deg_b):  # also settles n and m
         return None
     masks = [[0] * (n + 1) for _ in range(k)]
@@ -165,10 +166,18 @@ def _tables(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices
         return None
     degree_class, masks = found
     graph, exps_a = (a.graph, a.exps) if isinstance(a, GainGraph) else (a, (0,) * a.m)
-    n, k = graph.n, len(masks) - 1
+    offsets, neighbours, edge_ids = graph.csr
+    n, outside = graph.n, masks[-1]
     # per level v: (u, mask table) for each earlier vertex u
-    exp_a = dict(zip(graph.edges, exps_a))
-    earlier = [[(u, masks[exp_a.get((u, v), k)]) for u in range(1, v)] for v in range(n + 1)]
+    earlier = [[]]
+    for v in range(1, n + 1):
+        row = [outside] * (v - 1)  # index u - 1
+        for i in range(offsets[v], offsets[v + 1]):
+            u = neighbours[i]
+            if u > v:  # the row is sorted: the earlier neighbours come first
+                break
+            row[u - 1] = masks[exps_a[edge_ids[i]]]
+        earlier.append(list(enumerate(row, start=1)))
     return n, degree_class, earlier
 
 
@@ -213,13 +222,6 @@ def _search(tables, pinned: tuple[int, ...] = (), restrict: int = -1):
         for u, table in earlier[v]:
             c &= table[image[u]]
         cands[v] = c
-
-
-def _isomorphisms(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices: int, search: str):
-    """Yield every isomorphism from a onto b, in increasing order of image tuples."""
-    tables = _tables(a, b, max_vertices, search)
-    if tables is not None:
-        yield from _search(tables)
 
 
 def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
@@ -346,7 +348,7 @@ def act(f: VertexPermutation, g: GainGraph) -> GainGraph:
         exps = tuple(_moved_exps(f, g))
     except KeyError:
         raise ValidationError("permutation is not an automorphism of the underlying graph") from None
-    return GainGraph._from_exps(g.graph, g.group, exps, g.mixed_mode)
+    return GainGraph(g.graph, g.group, exps, g.mixed_mode)
 
 
 def _switching_levels(g: SimpleGraph, exps_b: tuple[int, ...]):
@@ -530,11 +532,5 @@ def underlying_isomorphism(a: SimpleGraph, b: SimpleGraph, max_vertices: int = D
     """
     if a.n != b.n or a.m != b.m:
         return None
-    return next(_isomorphisms(a, b, max_vertices, "isomorphism"), None)
-
-
-def generating_set(group: AutGroup) -> list[VertexPermutation]:
-    """The chain's strong generators: each is the least element outside the
-    group generated by those before it, so they form the greedy generating
-    set of the listed group, in order, and nothing is listed."""
-    return list(group.generators)
+    tables = _tables(a, b, max_vertices, "isomorphism")
+    return None if tables is None else next(_search(tables), None)

@@ -16,19 +16,20 @@ Claims covered:
     - a graph built by any route (objects, ints, .gg text, identity switching,
       identity automorphism, product with one vertex) is equal, hashes equal,
       and hits the same spectrum cache entry
-    - the integer constructor rejects everything the object route rejects
+    - ``GainGraph(...)`` rejects the same bad gains whether they come as
+      ints or as ``GainExponent``s, as ``build_gain_graph`` and ``parse_gg`` do
     - building, serialising, parsing and deciding on integers allocate no
       GainExponent; only the values handed to callers are built
-    - adjacency tuples come out sorted without a per-vertex sort, and
-      ``incidence`` lists the edge id of each of them
+    - ``csr`` rows (``neighbors(v)``) come out sorted without a per-vertex
+      sort, and the parallel ``edge_ids`` row lists the edge id of each
     - malformed graph data raises the per-entry check's message, and names
       the same entry, whichever of several entries are bad
     - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
       f lines, and names the first bad line even when a later one is bad too
     - build, .gg round trip, equivalence, first difference, balance,
-      negation, bounds and the cactus test build no ``edges``,
-      ``edge_index``, ``adjacency`` or ``incidence`` view; the census's block
-      search and the symmetry searches build no ``adjacency`` or ``incidence``
+      negation, bounds and the cactus test build no ``edges`` or
+      ``edge_index`` view, and neither do ``automorphisms`` and
+      ``gain_automorphisms``
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
@@ -485,43 +486,43 @@ def test_integer_route_rejects_what_the_object_route_rejects(case):
             lambda: gs.GainGraph(edge, g6, [gs.GainExponent(g6, -1)]),
             lambda: gs.build_gain_graph(2, g6, [(2, 1, -1)]),
             "gg 6\nn 2\ne 2 1 -1\n",
-            lambda: gs.GainGraph._from_exps(edge, g6, (-1,)),
+            lambda: gs.GainGraph(edge, g6, (-1,)),
         ),
         "exponent k": (
             lambda: gs.GainGraph(edge, g6, [gs.GainExponent(g6, 6)]),
             lambda: gs.build_gain_graph(2, g6, [(1, 2, 6)]),
             "gg 6\nn 2\ne 1 2 6\n",
-            lambda: gs.GainGraph._from_exps(edge, g6, (6,)),
+            lambda: gs.GainGraph(edge, g6, (6,)),
         ),
         "bool exponent": (
             lambda: gs.GainGraph(edge, g6, [True]),
             lambda: gs.build_gain_graph(2, g6, [(1, 2, True)]),
             "gg 6\nn 2\ne 1 2 True\n",
-            lambda: gs.GainGraph._from_exps(edge, g6, (True,)),
+            lambda: gs.GainGraph(edge, g6, (True,)),
         ),
         "gain count": (
             lambda: gs.GainGraph(edge, g6, []),
             lambda: gs.build_gain_graph(2, g6, [(1, 2)]),
             "gg 6\nn 2\ne 1 2\n",
-            lambda: gs.GainGraph._from_exps(edge, g6, (0, 0)),
+            lambda: gs.GainGraph(edge, g6, (0, 0)),
         ),
         "group mismatch": (
             lambda: gs.GainGraph(edge, g6, [g3.one]),
             lambda: gs.build_gain_graph(2, g6, [(1, 2, g3.one)]),
             "gg 6\nn 2\ne 1 2 i\n",  # a k = 4 alias in a k = 6 file
-            lambda: gs.GainGraph._from_exps(edge, g3, (5,)),  # a k = 6 exponent under k = 3
+            lambda: gs.GainGraph(edge, g3, (5,)),  # a k = 6 exponent under k = 3
         ),
         "-1 on a mixed edge": (
             lambda: gs.GainGraph(edge, G4, [G4.element(2)], mixed_mode=True),
             lambda: gs.build_gain_graph(2, G4, [(1, 2, 2)], mixed_mode=True),
             "gg 4 mixed\nn 2\ne 1 2 -1\n",
-            lambda: gs.GainGraph._from_exps(edge, G4, (2,), mixed_mode=True),
+            lambda: gs.GainGraph(edge, G4, (2,), mixed_mode=True),
         ),
         "mixed with k != 4": (
             lambda: gs.GainGraph(edge, g3, [g3.one], mixed_mode=True),
             lambda: gs.build_gain_graph(2, g3, [(1, 2, 0)], mixed_mode=True),
             "gg 3 mixed\nn 2\ne 1 2 0\n",
-            lambda: gs.GainGraph._from_exps(edge, g3, (0,), mixed_mode=True),
+            lambda: gs.GainGraph(edge, g3, (0,), mixed_mode=True),
         ),
     }
     by_object, by_build, text, by_exps = routes[case]
@@ -576,22 +577,24 @@ def test_decision_path_builds_no_edge_views():
     gs.is_balanced(a2), gs.equivalent_to_negation(a2), gs.class_count_bounds(a2.graph), gs.is_cactus(a2.graph)
     for graph in (a.graph, a2.graph, b.graph):
         assert graph._edges is None and graph._edge_index is None
-        assert graph._adjacency is None and graph._incidence is None
 
 
 def test_block_and_symmetry_searches_read_csr_only():
     a, b = bowtie_minus(), bowtie_i()
     gs.class_size_by_blocks(a), gs.automorphisms(a.graph), gs.switching_isomorphic(a, b)
-    for graph in (a.graph, b.graph):
-        assert graph._adjacency is None and graph._incidence is None
+    g = bowtie_i()
+    gs.automorphisms(g.graph), gs.gain_automorphisms(g)
+    assert g.graph._edges is None and g.graph._edge_index is None
 
 
 def test_incidence_is_parallel_to_adjacency(rng):
     for _ in range(20):
         graph = random_connected_graph(rng, n_hi=12)
+        offsets, neighbours, edge_ids = graph.csr
         for v in range(graph.n + 1):
-            assert len(graph.incidence[v]) == len(graph.adjacency[v])
-            for w, e in zip(graph.adjacency[v], graph.incidence[v]):
+            row = slice(offsets[v], offsets[v + 1])
+            assert len(edge_ids[row]) == len(neighbours[row]) == len(graph.neighbors(v))
+            for w, e in zip(neighbours[row], edge_ids[row]):
                 assert graph.edges[e] == (min(v, w), max(v, w))
 
 
@@ -602,8 +605,8 @@ def test_adjacency_is_sorted(rng):
         chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
         graph = gs.SimpleGraph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen])
         for v in range(1, n + 1):
-            assert list(graph.adjacency[v]) == sorted(graph.adjacency[v])
-            assert set(graph.adjacency[v]) == {w for e in chosen if v in e for w in e if w != v}
+            assert list(graph.neighbors(v)) == sorted(graph.neighbors(v))
+            assert set(graph.neighbors(v)) == {w for e in chosen if v in e for w in e if w != v}
 
 
 def test_package_exports_the_layer_modules_and_the_errors():

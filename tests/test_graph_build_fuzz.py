@@ -2,8 +2,9 @@
 
 Claims covered:
     - ``build_gain_graph`` and ``SimpleGraph`` give the same ``edges``,
-      ``adjacency``, ``incidence``, ``csr`` (those rows laid end to end),
-      ``edge_index``, ``exps`` and ``mixed_mode`` as a plain per-edge
+      ``csr`` (its rows: each vertex's sorted neighbours, as ``neighbors``
+      gives them, and their edge ids), ``edge_index``, ``exps`` and
+      ``mixed_mode`` as a plain per-edge
       reference (sorted canonical pairs), for arcs in scrambled orientation
       and order, k 1..8, n 0..9, and vertices and gains given as exact
       ints, numpy ints (vertices) and ``GainExponent``s (gains)
@@ -65,9 +66,10 @@ def assert_views(graph, n, pairs):
     assert graph.edges == edges
     assert graph.tails == tuple(u for u, _ in edges) and graph.heads == tuple(v for _, v in edges)
     assert {type(x) for x in graph.tails + graph.heads} <= {int}
-    assert graph.adjacency == adjacency
-    assert graph.incidence == incidence
     offsets, neighbours, edge_ids = graph.csr
+    rows = [slice(offsets[v], offsets[v + 1]) for v in range(n + 1)]
+    assert tuple(neighbours[r] for r in rows) == tuple(map(graph.neighbors, range(n + 1))) == adjacency
+    assert tuple(edge_ids[r] for r in rows) == incidence
     assert offsets == (0, *itertools.accumulate(map(len, adjacency)))
     assert neighbours == sum(adjacency, ()) and edge_ids == sum(incidence, ())
     assert graph.edge_index == index

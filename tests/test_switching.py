@@ -7,7 +7,8 @@ Claims covered:
     - every field of the default and of a re-ranked forest equals that of a
       breadth-first walk over per-vertex neighbour lists built from
       ``edges`` (disconnected graphs, isolated vertices, n 0 and 1), and
-      ``adjacency``/``incidence`` are the rows of ``csr``
+      ``neighbors(v)`` is v's row of ``csr``, whose parallel ``edge_ids``
+      row holds the id of each of those edges
     - the fundamental basis has m - n + c chord-first cycles, equal to the
       vertex-path construction on default and re-ranked forests
     - switching preserves every cycle gain; witnesses verify exactly, and
@@ -18,6 +19,9 @@ Claims covered:
     - balance, gain character (against every cycle's gain, thetas included),
       the bipartition (against networkx and a breadth-first 2-coloring) and
       the bipartite negation criterion
+    - an empty cycle, a face or cycle gain that is not a k = 4
+      ``GainExponent``, the group of a switching function on no vertices,
+      and a vertex order or walk holding a string raise ValidationError
 """
 
 import itertools
@@ -94,7 +98,7 @@ def test_spanning_forest_shape():
         f = gs.spanning_forest(graph)
         roots = [v for v in range(1, graph.n + 1) if f.parent[v] == 0]
         assert len(roots) == graph.num_components
-        assert len(f.forest_edges) == graph.n - graph.num_components
+        assert f.is_chord.count(False) == graph.n - graph.num_components
         for v in range(1, graph.n + 1):
             p = f.parent[v]
             if p:
@@ -102,7 +106,7 @@ def test_spanning_forest_shape():
                 assert f.depth[v] == f.depth[p] + 1
             else:
                 assert f.depth[v] == 0 and f.parent_edge[v] == -1
-        assert sorted(f.parent_edge[1:]) == [-1] * graph.num_components + sorted(f.forest_edges)
+        assert sorted(f.parent_edge[1:]) == [-1] * graph.num_components + [e for e in range(graph.m) if not f.is_chord[e]]
         assert sorted(f.bfs_order) == list(range(1, graph.n + 1))
 
 
@@ -158,8 +162,8 @@ def test_forests_match_the_neighbour_list_walk(rng):
         offsets, neighbours, edge_ids = graph.csr
         assert len(offsets) == n + 2 and offsets[:2] == (0, 0) and offsets[-1] == len(neighbours) == 2 * graph.m
         rows = [slice(offsets[v], offsets[v + 1]) for v in range(n + 1)]
-        assert graph.adjacency == tuple(neighbours[r] for r in rows)
-        assert graph.incidence == tuple(edge_ids[r] for r in rows)
+        assert tuple(map(graph.neighbors, range(n + 1))) == tuple(neighbours[r] for r in rows)
+        assert all([graph.edge_id(v, w) for w in graph.neighbors(v)] == list(edge_ids[rows[v]]) for v in range(1, n + 1))
         assert gs.spanning_forest(graph) == oracle_forest(graph)
         order = list(range(1, n + 1))
         rng.shuffle(order)
@@ -190,7 +194,7 @@ def test_default_forest_is_built_once_per_graph(monkeypatch):
     graph = complete_graph(5)
     g = all_ones(graph)
     chord = graph.edge_id(2, 3)  # the forest is the star at 1
-    h = gs.GainGraph._from_exps(graph, G4, [int(e == chord) for e in range(graph.m)], True)
+    h = gs.GainGraph(graph, G4, [int(e == chord) for e in range(graph.m)], True)
     assert gs.switching_equivalent(g, h) is None
     assert gs.first_profile_difference(g, h) is not None
     assert gs.is_balanced(g) and not gs.is_balanced(h)
@@ -233,7 +237,7 @@ def test_fundamental_cycles_chord_first():
                 assert len(set(cycle)) == len(cycle)
                 # only the chord is a non-forest edge (edge_id raises on a non-edge)
                 ids = [graph.edge_id(a, b) for a, b in zip(walk, walk[1:])]
-                assert [e for e in ids if e not in f.forest_edges] == [chord]
+                assert [e for e in ids if f.is_chord[e]] == [chord]
         several_components += graph.num_components > 1
     assert several_components >= 100
 
@@ -293,12 +297,13 @@ def test_normalize_to_forest_clears_tree_edges(rng):
         assert gs.apply_switching(g, theta).gains == normalized.gains
         f = gs.spanning_forest(graph)
         basis = gs.fundamental_cycles(graph, f)
-        for e in f.forest_edges:
-            assert normalized.gain_by_id(e).is_one()
+        for e in range(graph.m):
+            if not f.is_chord[e]:
+                assert normalized.gains[e].is_one()
         # the remaining chord gain is exactly the basis cycle gain
         profile = gs.basis_gain_profile(g, basis)
         for chord, want in zip(basis.chords, profile):
-            assert normalized.gain_by_id(chord) == want
+            assert normalized.gains[chord] == want
 
 
 def test_switching_equivalent_positive(rng):
@@ -630,3 +635,27 @@ def test_negation_witness_odd_group():
     g = gs.build_gain_graph(2, gs.GainGroup(3), [(1, 2, 1)])
     with pytest.raises(ValidationError):
         gs.negation_witness(g)
+
+
+def square_face():
+    return gs.parse_face_structure(all_ones(cycle_graph(4)), [(1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gs.cycle_gain(arc_triangle(), []),
+        lambda: gs.enumerate_gamma(square_face(), ()),
+        lambda: gs.enumerate_gamma(square_face(), (0,)),
+        lambda: gs.cycle_class_size(4, 0),
+        lambda: gs.SwitchingFunction(()).group,
+        lambda: gs.negation_witness(all_ones(gs.SimpleGraph(0, []))).group,
+        lambda: gs.spanning_forest(cycle_graph(3), [1, "a", 3]),
+        lambda: gs.walk_gain(arc_triangle(), [1, "x"]),
+    ],
+    ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "empty-theta-group",
+         "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk"],
+)
+def test_malformed_arguments_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
