@@ -37,7 +37,7 @@ from .switching import (
     SpanningForest,
     _chord_cycles_disjoint,
     _chord_walk,
-    _normal_form,
+    _normal,
     cycle_gain,
     spanning_forest,
 )
@@ -154,7 +154,7 @@ def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
 
 def mixed_basis_profile(g: GainGraph) -> tuple[int, ...]:
     """Gain exponents of g over the canonical fundamental basis of its graph."""
-    return _normal_form(g, spanning_forest(g.graph))[1]
+    return _normal(g, spanning_forest(g.graph))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +407,7 @@ def class_size_by_blocks(g: GainGraph) -> int:
         raise ValidationError("block class sizes apply to mixed graphs")
     graph = g.graph
     forest = spanning_forest(graph)
-    _, profile = _normal_form(g, forest)
+    _, profile = _normal(g, forest)
     column = {e: j for j, e in enumerate(itertools.compress(range(graph.m), forest.is_chord))}
     size = 1
     for ids in _block_edge_ids(graph):

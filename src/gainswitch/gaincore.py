@@ -75,6 +75,13 @@ class GainExponent:
     exp: int
 
     def __post_init__(self) -> None:
+        if type(self.exp) is not int:  # numpy ints become ints; bools, floats and the rest are refused
+            try:
+                if isinstance(self.exp, bool):
+                    raise TypeError
+                object.__setattr__(self, "exp", operator.index(self.exp))
+            except TypeError:
+                raise ValidationError(f"exponent {self.exp!r} is not an integer") from None
         if not 0 <= self.exp < self.group.order:
             raise ValidationError(
                 f"exponent {self.exp} out of range for group of order {self.group.order}"
@@ -269,7 +276,10 @@ class SimpleGraph:
         return offsets[v + 1] - offsets[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
+        try:
+            return ((u, v) if u < v else (v, u)) in self.edge_index
+        except TypeError:  # u and v do not compare, or a key is unhashable
+            raise ValidationError(f"cannot look up an edge between {u!r} and {v!r}") from None
 
     def edge_id(self, u: int, v: int) -> int:
         try:
@@ -350,9 +360,13 @@ class GainGraph:
 
     ``mixed_mode`` marks the graph as a mixed graph: the group must have
     order 4 and every stored gain must lie in {1, i, -i}.
+
+    ``_normal`` keeps ``(forest, normal form)`` for the last spanning forest
+    the graph's normal form was asked on (see ``switching._normal``), so the
+    readers of one graph compute it once.
     """
 
-    __slots__ = ("graph", "group", "exps", "mixed_mode", "_hash")
+    __slots__ = ("graph", "group", "exps", "mixed_mode", "_hash", "_normal")
 
     def __init__(self, graph: SimpleGraph, group: GainGroup, gains, mixed_mode: bool = False) -> None:
         exps = tuple(gains)
@@ -374,6 +388,7 @@ class GainGraph:
         self.exps = exps
         self.mixed_mode = mixed_mode
         self._hash = None
+        self._normal = None
 
     @property
     def gains(self) -> tuple[GainExponent, ...]:
@@ -503,7 +518,12 @@ def _arc_columns(n, k: int, arcs):
     # Every key is below (n + 1)^2 * k, so when that is below 2^63 the keys
     # and k fit int64; otherwise the keys stay Python ints in an object
     # array, which numpy sorts and divides exactly.
-    keys = np.array(keys, dtype=np.int64 if (n + 1) ** 2 * k < 1 << 63 else object)
+    return _sorted_columns(np.array(keys, dtype=np.int64 if w * w * k < 1 << 63 else object), w, k)
+
+
+def _sorted_columns(keys: np.ndarray, w: int, k: int):
+    """(tails, heads, exps) from an array of arc keys (a * w + b) * k + x,
+    or None when a pair repeats."""
     keys.sort()
     # At k = 1 (SimpleGraph's arcs) the keys are the pairs and every exponent
     # is 0; skipping the two divisions saves their fixed numpy cost on tiny graphs.
@@ -516,10 +536,31 @@ def _arc_columns(n, k: int, arcs):
     return tuple((pairs // w).tolist()), tuple((pairs % w).tolist()), exps
 
 
-def _gain_graph(n, group: GainGroup, rows, arcs, mixed_mode: bool) -> GainGraph:
-    """Build from arc rows (u, v, t), or, when ``rows`` is None or the bulk
-    pass refuses it, from what ``_checked_arcs`` makes of ``arcs``."""
-    built = rows is not None and _arc_columns(n, group.order, rows)
+def _array_arc_columns(n: int, k: int, columns):
+    """``_arc_columns`` as array arithmetic, for ``parse_gg``'s (us, vs, ts)
+    columns of ASCII-digit vertex fields (or ints) and int exponents.
+
+    One int64 array holds the columns; the orientation, range, self-loop
+    and key steps run on whole columns.  Returns None where ``_arc_columns``
+    would, and also when a field or a key does not fit int64.
+    """
+    w = n + 1
+    if n < 0 or w * w * k >= 1 << 63:
+        return None
+    try:
+        us, vs, ts = np.array(columns, dtype=np.int64)
+    except OverflowError:  # a field past int64
+        return None
+    forward = us < vs
+    lo, hi = np.where(forward, us, vs), np.where(forward, vs, us)
+    if len(lo) and (lo.min() < 1 or hi.max() > n or ts.min() < 0 or ts.max() >= k or not (lo != hi).all()):
+        return None
+    return _sorted_columns((lo * w + hi) * k + np.where(forward, ts, -ts % k), w, k)
+
+
+def _gain_graph(n, group: GainGroup, built, arcs, mixed_mode: bool) -> GainGraph:
+    """Build from the bulk pass's (tails, heads, exps), or, when it refused
+    (``built`` is falsy), from what ``_checked_arcs`` makes of ``arcs``."""
     if not built:  # name the first bad entry, or convert integer-likes and GainExponents
         n, rows = _checked_arcs(n, group, arcs)
         built = _arc_columns(n, group.order, rows)
@@ -542,7 +583,7 @@ def build_gain_graph(n: int, group: GainGroup, directed_gains, mixed_mode: bool 
         triples = {*map(len, arcs)} <= {3}  # sized entries: the checked pass may read them again
     except TypeError:  # an entry without a length
         triples = False
-    return _gain_graph(n, group, arcs if triples else None, arcs, mixed_mode)
+    return _gain_graph(n, group, triples and _arc_columns(n, group.order, arcs), arcs, mixed_mode)
 
 
 def hermitian_matrix(g: GainGraph) -> np.ndarray:
@@ -582,6 +623,12 @@ def negate(g: GainGraph) -> GainGraph:
 
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
+# parse_gg keys its edges as arrays from this many on.  Below it the array
+# pass's fixed cost (some twenty numpy calls) outweighs its per-edge saving:
+# parsing took as long both ways at 60 edges, and 1.2-1.7x as long by arrays
+# at 7-30 edges.
+_ARRAY_PARSE_EDGES = 64
+
 # Every k = 4 gain token: the aliases, and the plain exponents they leave free.
 _QUARTER_TOKEN = {"0": 0, "2": 2, "3": 3, **_MIXED_TOKEN}
 
@@ -595,9 +642,10 @@ def _integer(token: str) -> int:
 
 
 def _e_columns(us: list[str], vs: list[str], ts: list[str], k: int):
-    """The bulk pass over the fields of the ``e`` lines: (us, vs, ts) int
-    columns, or None unless every vertex is ASCII digits and every gain a
-    k = 4 token or, for other k, ASCII digits."""
+    """The bulk check over the fields of the ``e`` lines: (us, vs, exps),
+    the vertex fields left as text and the gains as int exponents, or None
+    unless every vertex is ASCII digits and every gain a k = 4 token or, for
+    other k, ASCII digits."""
     digits = "".join(us) + "".join(vs)
     if not (digits.isascii() and digits.isdigit()):
         return None
@@ -610,7 +658,7 @@ def _e_columns(us: list[str], vs: list[str], ts: list[str], k: int):
         if not (gains.isascii() and gains.isdigit()):
             return None
         exps = tuple(map(int, ts))
-    return tuple(map(int, us)), tuple(map(int, vs)), exps
+    return us, vs, exps
 
 
 def _e_rescan(lines: list[str], aliases: dict[str, int]):
@@ -647,9 +695,12 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
         f <v1> ... <vl>    optional inner face, clockwise vertex cycle
 
     The line loop collects the fields of the ``e`` lines as text; they are
-    converted together after it.  Only when that fails, or when a later line
-    is bad, are they converted again one line at a time, so that the first
-    bad line is the one named.
+    checked and converted together after it, into one int64 array whose
+    columns are keyed and sorted as arrays when there are at least
+    ``_ARRAY_PARSE_EDGES`` of them.  Only when that fails, or when a later
+    line is bad, are they converted again one line at a time, so that the
+    first bad line is the one named; a refusal of the array pass (a field
+    past int64 among them) goes the same exact way as a small file.
     """
     k: int | None = None
     aliases: dict[str, int] = {}
@@ -711,8 +762,12 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
     if n is None:
         raise ValidationError("missing n line")
     columns = _e_columns(us, vs, ts, k) or _e_rescan(lines, aliases)
-    graph = _gain_graph(n, GainGroup(k), zip(*columns), zip(*columns), mixed)
-    return graph, tuple(faces)
+    group = GainGroup(k)
+    built = len(columns[2]) >= _ARRAY_PARSE_EDGES and _array_arc_columns(n, k, columns)
+    if not built:  # the exact route, as for build_gain_graph
+        columns = tuple(map(int, columns[0])), tuple(map(int, columns[1])), columns[2]
+        built = _arc_columns(n, k, zip(*columns))
+    return _gain_graph(n, group, built, zip(*columns), mixed), tuple(faces)
 
 
 def format_gg(g: GainGraph, faces=()) -> str:

@@ -229,12 +229,12 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     return GainGraph(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
 
-def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int, ...]]:
+def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex potentials on f, and the chord exponents of g normalised to f.
 
     ``pot[v]`` is the exponent of v's forest path to its root; switching by pot
     leaves chord (u, v), listed by edge id, with t_uv + pot[v] - pot[u]: the
-    gain of its fundamental cycle.
+    gain of its fundamental cycle.  Read it through ``_normal``, which keeps it.
     """
     k = g.group.order
     exps, parent_edge = g.exps, f.parent_edge
@@ -248,7 +248,21 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[list[int], tuple[int,
         (x + pot[v] - pot[u]) % k
         for u, v, x in compress(zip(g.graph.tails, g.graph.heads, exps), f.is_chord)
     )
-    return pot, chords
+    return tuple(pot), chords
+
+
+def _normal(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_normal_form(g, f)``, kept on g for the forest object f.
+
+    A decision, a balance test and a profile on one graph and forest then
+    share one pass.  Another forest (a ``forest=`` argument, a
+    ``vertex_order`` forest, or an equal graph's default forest) is a
+    different object and gets its own pass, which replaces the kept one.
+    """
+    kept = g._normal
+    if kept is None or kept[0] is not f:
+        kept = g._normal = (f, _normal_form(g, f))
+    return kept[1]
 
 
 def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
@@ -261,7 +275,7 @@ def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
     """
     if f is None:
         f = spanning_forest(g.graph)
-    pot, _ = _normal_form(g, f)
+    pot, _ = _normal(g, f)
     theta = SwitchingFunction(_elements(g.group, pot[1:]))
     return apply_switching(g, theta), theta
 
@@ -277,8 +291,8 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
     if a.graph != b.graph or a.group != b.group:
         raise ValidationError("different underlying graph (or gain group); equivalence undefined")
     f = forest if forest is not None else spanning_forest(a.graph)
-    pot_a, chords_a = _normal_form(a, f)
-    pot_b, chords_b = _normal_form(b, f)
+    pot_a, chords_a = _normal(a, f)
+    pot_b, chords_b = _normal(b, f)
     if chords_a != chords_b:
         return None
     k = a.group.order
@@ -298,8 +312,8 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     if a.graph != b.graph or a.group != b.group:
         raise ValidationError("inputs do not share an underlying graph")
     f = forest if forest is not None else spanning_forest(a.graph)
-    _, chords_a = _normal_form(a, f)
-    _, chords_b = _normal_form(b, f)
+    _, chords_a = _normal(a, f)
+    _, chords_b = _normal(b, f)
     chord_ids = compress(range(a.graph.m), f.is_chord)
     for e, x, y in zip(chord_ids, chords_a, chords_b):
         if x != y:
@@ -374,7 +388,7 @@ def cycle_gains_equal_chordless(a: GainGraph, b: GainGraph, max_vertices: int = 
 
 def is_balanced(g: GainGraph) -> bool:
     """True when every cycle has gain 1 (checked on a fundamental basis)."""
-    _, chords = _normal_form(g, spanning_forest(g.graph))
+    _, chords = _normal(g, spanning_forest(g.graph))
     return not any(chords)
 
 
@@ -410,7 +424,7 @@ def gain_character(g: GainGraph) -> str:
     +-i, so an unbalanced graph is mixed-profile.
     """
     f = spanning_forest(g.graph)
-    _, chords = _normal_form(g, f)
+    _, chords = _normal(g, f)
     if not any(chords):
         return BALANCED
     if not _chord_cycles_disjoint(g.graph, f):

@@ -15,7 +15,7 @@ from operator import sub
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
-from .switching import _normal_form, spanning_forest, switching_equivalent
+from .switching import _normal, spanning_forest, switching_equivalent
 
 __all__ = [
     "VertexPermutation",
@@ -511,12 +511,12 @@ def orbit_of_class(
         )
     forest = spanning_forest(g.graph)
     generators = automorphisms(g.graph, max_vertices).generators
-    reps = {_normal_form(g, forest)[1]: g}
+    reps = {_normal(g, forest)[1]: g}
     queue = [g]
     for h in queue:  # BFS over the classes: act(s, h) is act(f∘s, g) for h = act(f, g)
         for s in generators:
             moved = act(s, h)
-            key = _normal_form(moved, forest)[1]
+            key = _normal(moved, forest)[1]
             if key not in reps:
                 reps[key] = moved
                 queue.append(moved)

@@ -4,6 +4,8 @@ Claims covered:
     - group axioms hold exhaustively for orders up to 12
     - conjugation is the inverse and an involution
     - quarter-turn gains have bit-exact complex values; others match cmath
+    - a ``GainExponent`` holds an exact int: numpy ints are converted, and
+      floats, bools and other non-integers raise ValidationError naming it
     - mixed mode accepts only gains 1, i, -i
     - SimpleGraph validates and canonicalizes its edge list; a count or
       vertex that is not an integer raises ValidationError naming it, while
@@ -79,6 +81,17 @@ def test_exponent_reduction_and_mismatch():
     assert gs.GainExponent(g6, 2) * gs.GainExponent(g6, 5) == gs.GainExponent(g6, 1)
     with pytest.raises(ValidationError):
         gs.GainExponent(g6, 1) * gs.GainExponent(G4, 1)
+
+
+def test_exponents_are_exact_ints():
+    for exp in (1.0, True, False, "1", None, 1 + 0j):
+        with pytest.raises(ValidationError, match=re.escape(f"exponent {exp!r} is not an integer")):
+            gs.GainExponent(G4, exp)
+    x = gs.GainExponent(G4, np.int64(3))
+    assert type(x.exp) is int and x == gs.GainExponent(G4, 3) and x.label() == "-i"
+    assert type(G4.element(np.int32(7)).exp) is int
+    with pytest.raises(ValidationError, match="exponent 4 out of range"):
+        gs.GainExponent(G4, np.int64(4))
 
 
 def test_quarter_turn_values_are_exact():

@@ -5,7 +5,18 @@ Claims covered:
       order 1..8, mixed and not, with and without face lines
     - any soup of lines over the format's tokens either parses or raises
       ``ValidationError``; no other exception escapes the reader
+    - the array pass over the ``e`` columns and the exact per-row route
+      give the same graph, or the same message, on format_gg output and on
+      rewritten texts (reversed edges, shuffled lines, tabs, CRLF, leading
+      zeros, comments, one bad line), for k 1..8 and edge counts on both
+      sides of the array pass's threshold; the array pass takes every valid
+      text whose keys fit int64 and leaves the rest to the exact route,
+      with n on both sides of that bound and a vertex token past int64
 """
+
+import itertools
+import math
+import random
 
 import pytest
 
@@ -13,6 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 import gainswitch as gs  # noqa: E402
+from gainswitch import gaincore  # noqa: E402
 
 given, settings = hypothesis.given, hypothesis.settings
 
@@ -55,3 +67,115 @@ def test_line_soup_parses_or_raises_validation_error(header, lines):
         gs.parse_gg(header + "\n".join(lines))
     except gs.ValidationError:
         pass
+
+
+def parse_by(text, route):
+    """``parse_gg(text)`` with the array pass on every text ("array"), on
+    none ("exact") or as shipped ("default"): the graph and faces, or the
+    message; and whether the array pass built the graph."""
+    taken = []
+    array_pass = gaincore._array_arc_columns
+
+    def spy(*args):
+        taken.append(array_pass(*args))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaincore, "_array_arc_columns", spy)
+        if route != "default":
+            mp.setattr(gaincore, "_ARRAY_PARSE_EDGES", 0 if route == "array" else math.inf)
+        try:
+            result = gs.parse_gg(text)
+        except gs.ValidationError as exc:
+            result = str(exc)
+    return result, any(taken)
+
+
+def _token(k, t, rng):
+    """A gain token for exponent t: at k = 4 an alias or, where the alias
+    does not read otherwise, the exponent itself."""
+    if k != 4:
+        return str(t)
+    return rng.choice({0: ("1", "0"), 1: ("i",), 2: ("-1", "2"), 3: ("-i", "3")}[t])
+
+
+def gg_text(rng, n, k, arcs, bad=None, tidy=False):
+    """A .gg text of (u, v, t) arcs, rewritten unless ``tidy``: each edge
+    maybe reversed (gain conjugated), lines shuffled, fields spread by tabs
+    and spaces, vertex fields zero-padded, CRLF line ends, comments; ``bad``
+    is one more raw e line, put among the others."""
+    def pad(x):
+        return "0" * rng.choice((0, 0, 1, 3)) + str(x)
+
+    def line(u, v, t):
+        if rng.random() < 0.5:
+            u, v, t = v, u, -t % k
+        gap = rng.choice((" ", "\t", "  ", " \t "))
+        comment = rng.choice(("", "", " # c", "\t#x y z"))
+        return rng.choice(("", " ", "\t")) + gap.join(("e", pad(u), pad(v), _token(k, t, rng))) + comment
+
+    if tidy:
+        lines = [f"e {u} {v} {_token(k, t, rng)}" for u, v, t in arcs]
+    else:
+        lines = [line(*arc) for arc in arcs]
+        rng.shuffle(lines)
+    if bad is not None:
+        lines.insert(rng.randint(0, len(lines)), bad)
+    end = "\n" if tidy else rng.choice(("\n", "\r\n"))
+    return end.join([f"gg {k}", f"n {n}", *lines]) + end
+
+
+def random_arcs(rng, n, k, m):
+    pairs = rng.sample([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)], m)
+    return [(u, v, rng.randrange(k)) for u, v in pairs]
+
+
+def bad_lines(rng, n, k, arcs):
+    """One bad e line for each fault the exact route names."""
+    u, v, t = rng.choice(arcs)
+    return [
+        f"e {u} {v} {t}", f"e {v} {u} {-t % k}",  # a repeated pair, either way round
+        "e 2 2 0", f"e 0 {n} 0", f"e 1 {n + 1} 0", f"e {n} 99999999999999999999 0",  # loop, range, past int64
+        f"e 1 2 {k}" if k != 4 else "e 1 2 4", "e 1 -2 0", "e 1 2 x",
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8), st.integers(0, 100))
+def test_array_and_exact_parse_routes_agree(seed, k, m):
+    rng = random.Random(seed)
+    n = next(n for n in range(2, 20) if n * (n - 1) // 2 >= m)
+    arcs = random_arcs(rng, n, k, m)
+    want = gs.build_gain_graph(n, gs.GainGroup(k), arcs)
+    for text in (gg_text(rng, n, k, arcs, tidy=True), gs.format_gg(want), gg_text(rng, n, k, arcs)):
+        (array, took), (exact, _), (default, by_default) = (parse_by(text, r) for r in ("array", "exact", "default"))
+        assert array == exact == default == (want, ())
+        assert took and by_default == (m >= gaincore._ARRAY_PARSE_EDGES)
+    if m:
+        for bad in bad_lines(rng, n, k, arcs):
+            text = gg_text(rng, n, k, arcs, bad)
+            (array, took), (exact, _), (default, _) = (parse_by(text, r) for r in ("array", "exact", "default"))
+            assert array == exact == default
+            assert isinstance(exact, str) and not took
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_array_parse_takes_keys_up_to_the_int64_bound(k):
+    # The largest n whose keys, below (n + 1)^2 * k, fit int64, and the next.
+    w = math.isqrt((2**63 - 1) // k)
+    assert w * w * k < 2**63 <= (w + 1) ** 2 * k
+    rng = random.Random(k)
+    for n, fits in ((w - 1, True), (w, False)):
+        top = [n, n - 1, n - 2, 1, 2, 3]
+        arcs = [(u, v, rng.randrange(k)) for u, v in itertools.combinations(top, 2)] * 4
+        arcs = list({(min(u, v), max(u, v)): (u, v, t) for u, v, t in arcs}.values())
+        text = gg_text(rng, n, k, arcs)
+        (array, took), (exact, _) = parse_by(text, "array"), parse_by(text, "exact")
+        assert array == exact == (gs.build_gain_graph(n, gs.GainGroup(k), arcs), ())
+        assert took == fits
+    past = "99999999999999999999"
+    for n, want in ((5, f"edge (1,{past}) out of range 1..5"), (int(past), None)):
+        text = f"gg {k}\nn {n}\ne 1 2 0\ne 1 {past} 0\n"
+        (array, took), (exact, _) = parse_by(text, "array"), parse_by(text, "exact")
+        assert array == exact and not took
+        assert exact == want if want else exact[0].graph.heads == (2, int(past))

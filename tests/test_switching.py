@@ -21,7 +21,13 @@ Claims covered:
       the bipartite negation criterion
     - an empty cycle, a face or cycle gain that is not a k = 4
       ``GainExponent``, the group of a switching function on no vertices,
-      and a vertex order or walk holding a string raise ValidationError
+      a vertex order or walk holding a string, and ``has_edge`` on a string
+      raise ValidationError
+    - a graph's normal form (vertex potentials and chord exponents) is
+      computed once per forest object: an inequivalent decision with its
+      first difference and balance test makes one pass per graph, the
+      readers of one graph share one pass, and a ``forest=`` argument or a
+      re-ranked forest gets its own pass and its own basis
 """
 
 import itertools
@@ -206,6 +212,81 @@ def test_default_forest_is_built_once_per_graph(monkeypatch):
     assert gs.spanning_forest(graph, [5, 4, 3, 2, 1]).root[1] == 5
     assert gs.spanning_forest(graph).root[1] == 1
     assert len(built) == 3
+
+
+def counted_normal_forms(monkeypatch):
+    """The (graph, forest) of each ``_normal_form`` pass from here on."""
+    computed = []
+    real = gs.switching._normal_form
+    monkeypatch.setattr(gs.switching, "_normal_form", lambda g, f: computed.append((g, f)) or real(g, f))
+    return computed
+
+
+def chord_changed_pair(rng):
+    """A mixed graph and, on an equal but distinct SimpleGraph, the same
+    gains with one chord's changed: an inequivalent pair."""
+    graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=14)
+    while graph.m < graph.n:  # a tree: no chord to change
+        graph = random_connected_graph(rng, n_lo=6, n_hi=9, m_cap=14)
+    a = random_gains(rng, graph, mixed_mode=True)
+    chord = gs.spanning_forest(graph).is_chord.index(True)
+    arcs = [(u, v, (t + 1) % 4 if e == chord else t) for e, (u, v, t) in enumerate(zip(graph.tails, graph.heads, a.exps))]
+    b = gs.build_gain_graph(graph.n, G4, arcs)
+    assert b.graph == a.graph and b.graph is not a.graph
+    return a, b
+
+
+def test_a_decision_computes_one_normal_form_per_graph(monkeypatch):
+    rng = random.Random(73)
+    for _ in range(20):
+        a, b = chord_changed_pair(rng)
+        computed = counted_normal_forms(monkeypatch)
+        assert gs.switching_equivalent(a, b) is None
+        _, gain_a, gain_b = gs.first_profile_difference(a, b)
+        assert gain_a != gain_b and gs.is_balanced(a) == (not any(gs.mixed_basis_profile(a)))
+        # b is normalised on a's default forest, the one the decision walks
+        assert computed == [(a, gs.spanning_forest(a.graph)), (b, gs.spanning_forest(a.graph))]
+        assert type(a._normal[1][0]) is tuple
+
+
+def test_one_graph_computes_its_normal_form_once(monkeypatch):
+    rng = random.Random(79)
+    for _ in range(20):
+        g, _ = chord_changed_pair(rng)
+        computed = counted_normal_forms(monkeypatch)
+        character, balanced = gs.gain_character(g), gs.is_balanced(g)
+        profile = gs.mixed_basis_profile(g)
+        normal, theta = gs.normalize_to_forest(g)
+        assert gs.class_size_by_blocks(g) >= 1
+        assert any(gs.switching_equivalent(g, h) for h in gs.orbit_of_class(g))
+        assert sum(h is g for h, _ in computed) == 1
+        assert balanced == (character == gs.BALANCED) == (not any(profile))
+        assert gs.apply_switching(g, theta) == normal
+
+
+def test_another_forest_gets_its_own_normal_form(monkeypatch):
+    rng = random.Random(83)
+    for _ in range(20):
+        a, b = chord_changed_pair(rng)
+        order = list(range(1, a.graph.n + 1))
+        rng.shuffle(order)
+        ranked = gs.spanning_forest(a.graph, order)
+        real = gs.switching._normal_form
+        computed = counted_normal_forms(monkeypatch)
+        balanced = gs.is_balanced(a)
+        assert gs.switching_equivalent(a, b, forest=ranked) is None
+        cycle, gain_a, gain_b = gs.first_profile_difference(a, b, forest=ranked)
+        # the ranked forest's basis, not the default one's
+        chords = [e for e in range(a.graph.m) if ranked.is_chord[e]]
+        profiles = [real(g, ranked)[1] for g in (a, b)]
+        j = next(j for j, (x, y) in enumerate(zip(*profiles)) if x != y)
+        assert cycle == gs.fundamental_cycles(a.graph, ranked).cycles[j]
+        assert (gain_a.exp, gain_b.exp) == (profiles[0][j], profiles[1][j])
+        assert gs.walk_gain(a, cycle + cycle[:1]) == gain_a and gs.walk_gain(b, cycle + cycle[:1]) == gain_b
+        normal, _ = gs.normalize_to_forest(a, ranked)
+        assert not any(normal.exps[e] for e in range(a.graph.m) if e not in chords)
+        assert gs.is_balanced(a) == balanced
+        assert computed == [(a, a.graph._forest), (a, ranked), (b, ranked), (a, a.graph._forest)]
 
 
 def test_vertex_order_changes_root():
@@ -652,9 +733,10 @@ def square_face():
         lambda: gs.negation_witness(all_ones(gs.SimpleGraph(0, []))).group,
         lambda: gs.spanning_forest(cycle_graph(3), [1, "a", 3]),
         lambda: gs.walk_gain(arc_triangle(), [1, "x"]),
+        lambda: cycle_graph(3).has_edge(1, "x"),
     ],
     ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "empty-theta-group",
-         "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk"],
+         "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk", "str-in-has-edge"],
 )
 def test_malformed_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
