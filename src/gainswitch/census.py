@@ -65,6 +65,11 @@ __all__ = [
 
 _LOW_DIGITS = 10  # least scan chunk width: 3^10 uint32 keys, about 231 KiB, sized for a core's cache
 _MAX_DENSE_DIM = 12  # largest (4,)*d int64 array built: 4^12 entries, 128 MiB
+# Largest d whose convolution steps are flat gathers.  Per block of a random
+# 2-connected graph, np.roll -> gathers (routes interleaved in one process,
+# medians of 9): d 5 0.81 -> 0.36 ms and d 6 1.18 -> 1.09 ms, but d 7
+# 2.58 -> 4.10 ms and d 8 7.2 -> 20.0 ms, the maps outgrowing roll's copies.
+_MAX_GATHER_DIM = 6
 
 DEFAULT_CENSUS_CAP = 16
 
@@ -91,7 +96,19 @@ class ClassCountVector:
         return self.as_tuple()[_ALPHA_POSITION[x.exp]]
 
 
-@lru_cache(maxsize=None)
+def _word_length(n) -> int:
+    """n as an int, refusing bools, non-integers and negative lengths.
+
+    The alpha functions check here before their caches, which are keyed by
+    int only: True == 1 and 5.0 == 5 would otherwise share entries.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"word length {n!r} is not an integer")
+    if n < 0:
+        raise ValidationError("word length must be nonnegative")
+    return int(n)
+
+
 def alpha_vector(n: int) -> ClassCountVector:
     """Alpha vector by the one-step recurrence from (1, 0, 0, 0) at n = 0.
 
@@ -99,8 +116,11 @@ def alpha_vector(n: int) -> ClassCountVector:
     by that gain, which mixes the four counts linearly; iterating the mixing
     matrix n times counts all 3^n words by their product.
     """
-    if n < 0:
-        raise ValidationError("word length must be nonnegative")
+    return _alpha_vector(_word_length(n))
+
+
+@lru_cache(maxsize=None)
+def _alpha_vector(n: int) -> ClassCountVector:
     a1, am1, ai, ami = 1, 0, 0, 0
     for _ in range(n):
         a1, am1, ai, ami = (
@@ -112,11 +132,13 @@ def alpha_vector(n: int) -> ClassCountVector:
     return ClassCountVector(n, a1, am1, ai, ami)
 
 
-@lru_cache(maxsize=None)
 def alpha_closed_form(n: int) -> ClassCountVector:
     """Alpha vector in closed form, split on the parity of n."""
-    if n < 0:
-        raise ValidationError("word length must be nonnegative")
+    return _alpha_closed_form(_word_length(n))
+
+
+@lru_cache(maxsize=None)
+def _alpha_closed_form(n: int) -> ClassCountVector:
     if n == 0:
         return ClassCountVector(0, 1, 0, 0, 0)
     p = 3**n
@@ -127,7 +149,7 @@ def alpha_closed_form(n: int) -> ClassCountVector:
 
 def cycle_class_size(n: int, zeta: GainExponent) -> int:
     """Size of the switching class of a mixed n-cycle with cycle gain zeta."""
-    if n < 3:
+    if _word_length(n) < 3:
         raise ValidationError(f"cycles need at least 3 vertices, got {n}")
     return alpha_closed_form(n).component(zeta)
 
@@ -292,8 +314,18 @@ def _convolve(d: int, steps) -> np.ndarray:
     negative and sum to the product of the steps' weight totals, so int64
     holds them exactly while that product is below 2^63; past it they are
     Python integers, which take about five times the bytes and time, so
-    their cap on d is two lower.  Three arrays of 4^d entries are live at
-    once.
+    their cap on d is two lower.
+
+    Two routes give the same array.  Up to d = 6 (4096 entries) W stays
+    flat: one pass builds an index map with a row of 4^d source indices per
+    shift of nonzero weight in every step, by packed 2-bit field arithmetic,
+    and each step is one gather, W <- weights @ W[its rows].  At these sizes
+    np.roll's per-axis handling, not the data, is the cost, and a gather
+    skips it; from d = 7 the maps' 4^d entries per shift cost more than
+    np.roll's slice copies (2^k for a shift on k axes), so there each shift
+    of nonzero weight rolls the (4,)*d array.  Live at once: W, the next W and one rolled copy on the
+    roll route; W, the next W, the index map (4^d entries per shift) and
+    one step's gather on the gather route.
     """
     steps = [list(step) for step in steps]
     total = math.prod(sum(weight for _, weight in step) for step in steps)
@@ -301,7 +333,31 @@ def _convolve(d: int, steps) -> np.ndarray:
     cap = _MAX_DENSE_DIM if exact else _MAX_DENSE_DIM - 2
     if d > cap:
         raise InstanceTooLargeError(f"convolution over Z_4^d capped at d = {cap}, got d = {d}")
-    w = np.zeros((4,) * d, dtype=np.int64 if exact else object)
+    dtype = np.int64 if exact else object
+    if d <= _MAX_GATHER_DIM:
+        # Flat index c packs the exponents in 2-bit fields, axis 0 most
+        # significant (C order).  The index map has a row per shift of
+        # nonzero weight, each step's rows in a run: row i is c - shift_i for
+        # every c, that is c plus neg = pack(-shift_i) field by field mod 4,
+        # the carry out of each field's low bit dropped at its high bit.
+        steps = [[(shift, weight) for shift, weight in step if weight] for step in steps]
+        shifts = np.array([shift for step in steps for shift, _ in step], dtype=np.int64)
+        place = 1 << 2 * np.arange(d - 1, -1, -1)
+        neg = (-shifts.reshape(len(shifts), d) % 4 @ place)[:, None]
+        flat = np.arange(4**d)
+        src = flat & sum(1 << 2 * j for j in range(d)) & neg
+        src <<= 1
+        src ^= flat
+        src ^= neg
+        weights = np.array([weight for step in steps for _, weight in step], dtype=dtype)
+        w = np.zeros(4**d, dtype=dtype)
+        w[0] = 1
+        end = 0
+        for step in steps:
+            start, end = end, end + len(step)
+            w = weights[start:end] @ w[src[start:end]]
+        return w.reshape((4,) * d)
+    w = np.zeros((4,) * d, dtype=dtype)
     w[(0,) * d] = 1
     axes = tuple(range(d))
     for step in steps:
@@ -510,7 +566,10 @@ def parse_face_structure(g: GainGraph, faces) -> FaceStructure:
     covered = {v for ids in blocks for e in ids for v in (graph.tails[e], graph.heads[e])}
     if graph.n < 3 or len(blocks) != 1 or len(covered) != graph.n:
         raise ValidationError("face structures require a 2-connected graph")
-    faces = tuple(tuple(face) for face in faces)
+    try:
+        faces = tuple(tuple(face) for face in faces)
+    except TypeError:
+        raise ValidationError(f"faces {faces!r} are not a sequence of vertex sequences") from None
     expected = graph.m - graph.n + 1
     if len(faces) != expected:
         raise ValidationError(f"expected {expected} inner faces, got {len(faces)}")

@@ -337,16 +337,22 @@ def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     tol * ||H||_F, which by Weyl's inequality bounds every eigenvalue's
     error.  Results are cached on the (immutable) graph.
     """
+    _check_tol(tol)
+    return _spectrum_cached(g, tol)
+
+
+def _check_tol(tol: float) -> None:
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValidationError("tol must be positive and finite")
-    return _spectrum_cached(g, tol)
 
 
 def cospectral(a: GainGraph, b: GainGraph, tol: float = 1e-9) -> bool:
     """Whether sorted spectra agree elementwise within tol.
 
-    Graphs of different orders are simply not cospectral (no error).
+    Graphs of different orders are simply not cospectral (no error), once
+    tol is valid.
     """
+    _check_tol(tol)
     if a.graph.n != b.graph.n:
         return False
     sa = spectrum(a, tol).eigenvalues

@@ -2,7 +2,8 @@
 
 Claims covered here:
   * the alpha recurrence agrees with its parity-split closed form and its
-    components count 3^n words exactly;
+    components count 3^n words exactly; word lengths that are bools or not
+    integers are refused, also after the same length was cached as an int;
   * the chunked numpy census agrees with a pure-Python complex-arithmetic
     oracle and with the closed forms on cycles;
   * class-count bounds and their tightness match the vertex-tuple cycles
@@ -35,7 +36,11 @@ Claims covered here:
     enumeration for every face-gain vector (a seeded sample on the
     5-face prism), it is the face structure's read-only ``weights``, built
     by one convolution that both plane formulas read (a refusal keeps
-    nothing), and the convolutions stay exact past 2^63.
+    nothing), and the convolutions stay exact past 2^63;
+  * the convolution's flat gathers (d <= 6) and its rolls (d >= 7) give
+    the shape, dtype and values of a test-local np.roll reference for
+    every d from 0 to 8, which the whole-graph convolution oracle uses in
+    place of the library's own route.
 """
 
 import itertools
@@ -137,6 +142,17 @@ def test_alpha_validation():
         gs.alpha_vector(-1)
     with pytest.raises(gs.ValidationError):
         gs.alpha_closed_form(-1)
+    gs.alpha_vector(1)  # cached as ints: True and 5.0 must not hit these entries
+    gs.alpha_closed_form(5)
+    for length in (True, False, 5.0, 1.5, "a", "3", None, [3]):
+        for alpha in (gs.alpha_vector, gs.alpha_closed_form):
+            with pytest.raises(gs.ValidationError, match="not an integer"):
+                alpha(length)
+        with pytest.raises(gs.ValidationError, match="not an integer"):
+            gs.cycle_class_size(length, G4.one)
+    assert gs.alpha_closed_form(np.int64(5)) == gs.alpha_vector(5) == gs.alpha_closed_form(5)
+    assert type(gs.alpha_closed_form(np.int64(5)).n) is int
+    assert gs.cycle_class_size(np.int64(5), G4.one) == 61
 
 
 # -- cycle class sizes -------------------------------------------------------
@@ -422,6 +438,10 @@ def test_parse_face_structure_rejects_bad_input():
         gs.parse_face_structure(g, [(1, 2, 3), (1, 2, 3)])
     with pytest.raises(gs.ValidationError, match="same"):
         gs.parse_face_structure(g, [(1, 2, 3), (3, 4, 2)])
+    with pytest.raises(gs.ValidationError, match="not a sequence of vertex sequences"):
+        gs.parse_face_structure(g, 5)
+    with pytest.raises(gs.ValidationError, match="not a sequence of vertex sequences"):
+        gs.parse_face_structure(g, [faces[0], 7])
 
 
 def test_face_gains_follow_stated_order():
@@ -614,16 +634,34 @@ def cycle_incidence(graph):
     return sigma
 
 
+def roll_convolve(d, steps):
+    """Reference for ``census._convolve``: each step sums weight * np.roll(W,
+    shift) over the whole (4,)*d array, int64 while the product of the
+    step totals is below 2^63 and Python integers past it."""
+    steps = [list(step) for step in steps]
+    exact = np.prod([sum(weight for _, weight in step) for step in steps], dtype=object) < 2**63
+    w = np.zeros((4,) * d, dtype=np.int64 if exact else object)
+    w[(0,) * d] = 1
+    for step in steps:
+        out = np.zeros_like(w)
+        for shift, weight in step:
+            if weight:
+                out += weight * (np.roll(w, shift, tuple(range(d))) if any(shift) else w)
+        w = out
+    return w
+
+
 def dp_census(graph):
     """Nonzero profile counts of the whole graph's cycle-space convolution,
-    one step per edge over the default basis, as a dict."""
+    one step per edge over the default basis, as a dict; convolved by
+    ``roll_convolve``, not the library's own route."""
     r = graph.m - graph.n + graph.num_components
     zero = (0,) * r
     steps = [
         [(zero, 1), (tuple(s), 1), (tuple(-x for x in s), 1)]  # gain 1, i, -i on edge e
         for s in cycle_incidence(graph)
     ]
-    counts = census_mod._convolve(r, steps)
+    counts = roll_convolve(r, steps)
     return {
         tuple(int(x) for x in p): int(counts[p])
         for p in itertools.product(range(4), repeat=counts.ndim)
@@ -1072,6 +1110,36 @@ def test_convolutions_stay_exact_past_int64(length):
     if length == 16:
         assert want > 2**63  # an int64 accumulator would have wrapped
     assert gs.plane_class_count(graph, fs) == 16
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_convolution_matches_roll_reference(d):
+    """Both routes, gathers up to d = 6 and rolls above, against the reference."""
+    rng = random.Random(d)
+
+    def shift():  # entries outside 0..3 wrap mod 4
+        return tuple(rng.randint(-5, 8) for _ in range(d))
+
+    def step(big):
+        return [(shift(), rng.choice((0, 1, 2, 5, 2**40 if big else 7))) for _ in range(rng.randint(1, 4))]
+
+    zero = (0,) * d
+    cases = [
+        [],
+        [[(zero, 3)]],
+        [[(zero, 1), ((4,) * d, 2)], [(shift(), 0), (shift(), 0)]],  # a step of zero weights empties W
+        [step(False) for _ in range(4)],
+        [step(False), [(shift(), 0), (zero, 2)], step(False)],
+        [[(zero, 1), ((1,) * d, 2**62), ((-1,) * d, 2**62)], step(True), [(zero, 5)]],
+        [step(True) for _ in range(3)],
+    ]
+    for steps in cases:
+        got, want = census_mod._convolve(d, steps), roll_convolve(d, steps)
+        assert got.shape == want.shape == (4,) * d
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist(), steps
+    assert census_mod._convolve(d, cases[-2]).dtype == object
+    assert census_mod._convolve(d, cases[3]).dtype == np.int64
 
 
 def test_convolution_caps():

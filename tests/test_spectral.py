@@ -423,6 +423,11 @@ def test_cospectral_basics():
     two_isolated = all_ones(gs.SimpleGraph(2, []))
     assert not gs.cospectral(all_ones(path_graph(2)), two_isolated)
     assert not gs.cospectral(arc_triangle(), all_ones(path_graph(2)))  # size mismatch
+    for tol in (-1, 0, math.inf, math.nan):  # refused before the orders are compared, as spectrum does
+        with pytest.raises(gs.ValidationError, match="tol"):
+            gs.cospectral(arc_triangle(), all_ones(path_graph(2)), tol=tol)
+        with pytest.raises(gs.ValidationError, match="tol"):
+            gs.cospectral(arc_triangle(), arc_triangle(), tol=tol)
 
 
 def test_bowtie_cospectral_values():
