@@ -10,8 +10,10 @@ spanning forest decides equivalence outright.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
+
+import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import (
@@ -71,6 +73,10 @@ class SpanningForest:
     bfs_order: tuple[int, ...]
     is_chord: tuple[bool, ...]  # per edge id: False on forest edges
     parent_edge: tuple[int, ...]  # edge id of the forest edge to the parent, -1 at roots
+    # (parent, parent_edge, is_chord, height): three numpy arrays and the
+    # largest depth, on a forest walked by whole levels; read by the array
+    # normal form and witness check.
+    _arrays: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -95,39 +101,55 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     ``vertex_order`` optionally re-ranks the vertices (a permutation of 1..n)
     to obtain a different forest of the same graph; roots and neighbor visits
     then follow that ranking instead of the numeric one.  The default forest
-    is built once per graph and the same object is returned on every call.
+    is built once per graph and the same object is returned on every call;
+    from ``gaincore._ARRAY_WALK_EDGES`` edges on it is walked a whole level
+    at a time (see ``_level_walk``), with the same result.
     """
     n = g.n
-    if vertex_order is None and g._forest is not None:
+    if vertex_order is None:
+        if g._forest is None:
+            arrays = g._array_csr()
+            g._forest = _level_walk(g, arrays) if arrays is not None and n else _queue_walk(g, g.csr)
         return g._forest
     offsets, neighbours, edge_ids = g.csr  # each row's neighbours sorted, and their edge ids
-    roots = range(1, n + 1)
-    if vertex_order is not None:
-        try:
-            roots = list(map(operator.index, vertex_order))
-        except TypeError:  # not iterable, or an entry that is not an integer
-            roots = None
-        if roots is None or sorted(roots) != list(range(1, n + 1)):
-            raise ValidationError("vertex_order must be a permutation of 1..n")
-        rank = [0] * (n + 1)
-        for pos, v in enumerate(roots):
-            rank[v] = pos
-        # The same rows, each re-sorted by the rank of its neighbours.
-        places = [
-            i for v in range(n + 1) for i in sorted(range(offsets[v], offsets[v + 1]), key=lambda i: rank[neighbours[i]])
-        ]
-        neighbours, edge_ids = [neighbours[i] for i in places], [edge_ids[i] for i in places]
-    parent = [0] * (n + 1)
-    root = [0] * (n + 1)  # 0 until the vertex is reached
-    depth = [0] * (n + 1)
-    parent_edge = [-1] * (n + 1)
-    order: list[int] = []
-    is_chord = [True] * g.m
-    for s in roots:
-        if root[s]:
-            continue
-        root[s] = s
-        tree = [s]  # grows while it is walked: the breadth-first queue
+    try:
+        roots = list(map(operator.index, vertex_order))
+    except TypeError:  # not iterable, or an entry that is not an integer
+        roots = None
+    if roots is None or sorted(roots) != list(range(1, n + 1)):
+        raise ValidationError("vertex_order must be a permutation of 1..n")
+    rank = [0] * (n + 1)
+    for pos, v in enumerate(roots):
+        rank[v] = pos
+    # The same rows, each re-sorted by the rank of its neighbours.
+    places = [
+        i for v in range(n + 1) for i in sorted(range(offsets[v], offsets[v + 1]), key=lambda i: rank[neighbours[i]])
+    ]
+    return _queue_walk(g, (offsets, [neighbours[i] for i in places], [edge_ids[i] for i in places]), roots)
+
+
+def _queue_walk(g: SimpleGraph, csr, roots=None, state=None) -> SpanningForest:
+    """The breadth-first forest by one queue per component, over ``csr``'s rows.
+
+    Components are walked from each unreached root in turn (1..n by
+    default).  ``state`` resumes a walk that ``_level_walk`` began:
+    ``(parent, root, depth, parent_edge, is_chord, order, tree)`` as lists,
+    ``tree`` the queue of vertex 1's component, its vertices reached and
+    ``order`` holding the vertices queued before them.
+    """
+    n = g.n
+    offsets, neighbours, edge_ids = csr
+    if state is None:
+        parent, root, depth, parent_edge = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [-1] * (n + 1)
+        is_chord, order, tree = [True] * g.m, [], None
+    else:
+        parent, root, depth, parent_edge, is_chord, order, tree = state
+    for s in range(1, n + 1) if roots is None else roots:
+        if tree is None:
+            if root[s]:
+                continue
+            root[s] = s
+            tree = [s]  # grows while it is walked: the breadth-first queue
         for v in tree:
             d = depth[v] + 1
             for i in range(offsets[v], offsets[v + 1]):
@@ -141,10 +163,81 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
                     is_chord[e] = False
                     tree.append(w)
         order += tree
-    forest = SpanningForest(*map(tuple, (parent, root, depth, order, is_chord, parent_edge)))
-    if vertex_order is None:
-        g._forest = forest
-    return forest
+        tree = None
+    return SpanningForest(*map(tuple, (parent, root, depth, order, is_chord, parent_edge)))
+
+
+# _level_walk hands the walk to the queue loop at a level narrower than
+# _NARROW vertices, no wider than the level _STALL levels up, while more than
+# _NARROW times its width are unreached: a path, a cycle or a ladder, whose
+# levels would each pay numpy's fixed cost (about 25 us a level, what the
+# queue loop takes for some 50 vertices) for a few vertices.  Walked by levels
+# alone, C_4000 took 52 ms against 3.2 ms for the queue loop.
+_NARROW = 32
+_STALL = 4
+
+
+def _level_walk(g: SimpleGraph, arrays) -> SpanningForest:
+    """The breadth-first forest of vertex 1's component walked one level at a time.
+
+    Each level gathers its frontier's ``csr`` rows in queue order, and keeps
+    the first place of each neighbour not reached before: the vertices the
+    queue walk appends while it takes that level, in the order it appends
+    them.  A reversed scatter finds the first places: numpy writes a 1-d
+    fancy assignment in index order, so the last write to an index wins.
+    The other components, and a walk that stops widening (see
+    ``_NARROW``), are finished by ``_queue_walk`` from the lists.
+    """
+    offsets, neighbours, edge_ids, rows = arrays
+    n = g.n
+    parent = np.zeros(n + 1, dtype=np.int64)
+    parent_edge = np.full(n + 1, -1, dtype=np.int64)
+    reached = np.zeros(n + 1, dtype=bool)
+    first = np.empty(n + 1, dtype=np.int64)
+    degree = np.diff(offsets)
+    reached[1] = True
+    levels = [np.ones(1, dtype=np.int64)]
+    unreached, handoff = n - 1, False
+    while unreached and not handoff:
+        frontier = levels[-1]
+        starts, counts = offsets[frontier], degree[frontier]
+        ends = np.cumsum(counts)
+        places = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        fresh = np.flatnonzero(~reached[neighbours[places]])
+        if not len(fresh):
+            break
+        places = places[fresh]
+        w = neighbours[places]
+        at = np.arange(len(w))
+        first[w[::-1]] = at[::-1]
+        new = np.flatnonzero(first[w] == at)
+        w, places = w[new], places[new]
+        parent[w] = rows[places]
+        parent_edge[w] = edge_ids[places]
+        reached[w] = True
+        levels.append(w)
+        width = len(w)
+        unreached -= width
+        handoff = (
+            width < _NARROW and len(levels) > _STALL and width <= len(levels[-1 - _STALL]) and unreached > _NARROW * width
+        )
+    order = np.concatenate(levels)
+    depth = np.zeros(n + 1, dtype=np.int64)
+    depth[order] = np.repeat(np.arange(len(levels)), list(map(len, levels)))
+    is_chord = np.ones(g.m, dtype=bool)
+    is_chord[parent_edge[order[1:]]] = False
+    if unreached:
+        queued = len(levels[-1]) if handoff else 0
+        state = parent, reached.astype(np.int64), depth, parent_edge, is_chord, order[: len(order) - queued]
+        tree = levels[-1].tolist() if handoff else None
+        return _queue_walk(g, g.csr, state=(*(column.tolist() for column in state), tree))
+    parent_t, depth_t, order_t, is_chord_t, parent_edge_t = (
+        tuple(column.tolist()) for column in (parent, depth, order, is_chord, parent_edge)
+    )
+    return SpanningForest(
+        parent_t, (0,) + (1,) * n, depth_t, order_t, is_chord_t, parent_edge_t,
+        (parent, parent_edge, is_chord, len(levels) - 1),
+    )
 
 
 def _chord_walk(f: SpanningForest, u: int, v: int):
@@ -229,15 +322,38 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     return GainGraph(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
 
+def _forest_arrays(g: GainGraph, f: SpanningForest):
+    """f's arrays when g's normal form on f fits int64 arrays: f was walked
+    by levels, and sums of n exponents below k stay below 2^62."""
+    return f._arrays if f._arrays is not None and g.group.order * (g.graph.n + 1) < 1 << 62 else None
+
+
 def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex potentials on f, and the chord exponents of g normalised to f.
 
     ``pot[v]`` is the exponent of v's forest path to its root; switching by pot
     leaves chord (u, v), listed by edge id, with t_uv + pot[v] - pot[u]: the
     gain of its fundamental cycle.  Read it through ``_normal``, which keeps it.
+    On a forest walked by levels the potentials come from pointer doubling:
+    after j passes each vertex holds the sum of its 2^j nearest forest steps
+    and points 2^j levels up, so ceil(log2(height)) passes reach every root.
     """
     k = g.group.order
     exps, parent_edge = g.exps, f.parent_edge
+    arrays = _forest_arrays(g, f)
+    if arrays is not None:
+        parent, up_edge, is_chord, height = arrays
+        x = g._exps_column()
+        step = np.append(x, 0)[up_edge]  # 0 at roots, whose up_edge is -1
+        pot = np.where(np.arange(len(parent)) < parent, step, -step)
+        up = parent
+        for _ in range((height - 1).bit_length()):
+            pot = pot + pot[up]
+            up = up[up]
+        pot %= k
+        tails, heads = g.graph._column_arrays()
+        chords = (x + pot[heads] - pot[tails])[is_chord] % k
+        return tuple(pot.tolist()), tuple(chords.tolist())
     pot = [0] * (g.graph.n + 1)
     for v in f.bfs_order:
         p = f.parent[v]
@@ -296,10 +412,16 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
     if chords_a != chords_b:
         return None
     k = a.group.order
-    shift = [(x - y) % k for x, y in zip(pot_a, pot_b)]
-    for u, v, x, y in zip(a.graph.tails, a.graph.heads, a.exps, b.exps):  # exact check; cannot fail
-        if (x - shift[u] + shift[v]) % k != y:
-            raise AssertionError("internal error: switching witness failed to verify")
+    if _forest_arrays(a, f) is not None:
+        shift = (np.array(pot_a, dtype=np.int64) - np.array(pot_b, dtype=np.int64)) % k
+        tails, heads = a.graph._column_arrays()
+        verified = np.array_equal((a._exps_column() - shift[tails] + shift[heads]) % k, b._exps_column())
+        shift = shift.tolist()
+    else:
+        shift = [(x - y) % k for x, y in zip(pot_a, pot_b)]
+        verified = all((x - shift[u] + shift[v]) % k == y for u, v, x, y in zip(a.graph.tails, a.graph.heads, a.exps, b.exps))
+    if not verified:  # exact check; cannot fail
+        raise AssertionError("internal error: switching witness failed to verify")
     return SwitchingFunction(_elements(a.group, shift[1:]))
 
 

@@ -24,14 +24,17 @@ Claims covered:
       GainExponent; only the values handed to callers are built
     - ``csr`` rows (``neighbors(v)``) come out sorted without a per-vertex
       sort, and the parallel ``edge_ids`` row lists the edge id of each
+    - ``degree`` and ``neighbors`` take numpy ints as vertices and raise
+      ValidationError for anything that is not a vertex in 1..n, built by
+      either csr route
     - malformed graph data raises the per-entry check's message, and names
       the same entry, whichever of several entries are bad
     - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
       f lines, and names the first bad line even when a later one is bad too
     - build, .gg round trip, equivalence, first difference, balance,
       negation, bounds and the cactus test build no ``edges`` or
-      ``edge_index`` view, and neither do ``automorphisms`` and
-      ``gain_automorphisms``
+      ``edge_index`` view, and above the array crossover no ``csr``
+      tuples; neither do ``automorphisms`` and ``gain_automorphisms``
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
@@ -196,6 +199,18 @@ def test_malformed_graph_data_raises_validation_error(build, named):
     with pytest.raises(ValidationError) as raised:
         build()
     assert named in str(raised.value)
+
+
+@pytest.mark.parametrize("v", [-1, 0, 4, 2**70, 1.5, "a", None, True, np.float64(2.0)])
+@pytest.mark.parametrize("route", ["array", "python"])
+def test_degree_and_neighbors_take_only_vertices(v, route, monkeypatch):
+    monkeypatch.setattr(gs.gaincore, "_ARRAY_WALK_EDGES", 0 if route == "array" else math.inf)
+    graph = gs.SimpleGraph(3, [(1, 2), (2, 3)])
+    for look in (graph.degree, graph.neighbors):
+        with pytest.raises(ValidationError, match=re.escape(f"{v!r} is not a vertex in 1..3")):
+            look(v)
+    assert [graph.degree(np.int64(v)) for v in (1, 2, 3)] == [1, 2, 1]
+    assert type(graph.degree(np.int32(2))) is int and graph.neighbors(np.uint8(2)) == (1, 3)
 
 
 def test_integer_like_graph_data_is_accepted():
@@ -575,21 +590,27 @@ def test_integer_paths_build_no_gain_exponents(monkeypatch):
 
 
 def test_decision_path_builds_no_edge_views():
-    rng = random.Random(67)
-    n, k = 300, 4
-    edges = {(v - rng.randint(1, min(v - 1, 20)), v) for v in range(2, n + 1)}
-    while len(edges) < 2 * n:
-        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
-    arcs = [(u, v, rng.choice(gs.MIXED_EXPONENTS)) for u, v in edges]
-    a = gs.build_gain_graph(n, G4, arcs, mixed_mode=True)
-    b = gs.build_gain_graph(n, G4, [(v, u, t) for u, v, t in arcs])  # conjugated: unbalanced difference
-    a2, _ = gs.parse_gg(gs.format_gg(a))
-    assert a2 == a and hash(a2) == hash(a)
-    assert gs.switching_equivalent(a2, b) is None
-    assert gs.first_profile_difference(a2, b) is not None
-    gs.is_balanced(a2), gs.equivalent_to_negation(a2), gs.class_count_bounds(a2.graph), gs.is_cactus(a2.graph)
-    for graph in (a.graph, a2.graph, b.graph):
-        assert graph._edges is None and graph._edge_index is None
+    k = 4
+    for n in (60, 300):  # m 120, below the array crossover, and m 600, above it
+        rng = random.Random(67)
+        edges = {(v - rng.randint(1, min(v - 1, 20)), v) for v in range(2, n + 1)}
+        while len(edges) < 2 * n:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        arcs = [(u, v, rng.choice(gs.MIXED_EXPONENTS)) for u, v in edges]
+        a = gs.build_gain_graph(n, G4, arcs, mixed_mode=True)
+        b = gs.build_gain_graph(n, G4, [(v, u, t) for u, v, t in arcs])  # conjugated: unbalanced difference
+        a2, _ = gs.parse_gg(gs.format_gg(a))
+        assert a2 == a and hash(a2) == hash(a)
+        assert gs.switching_equivalent(a2, b) is None
+        assert gs.first_profile_difference(a2, b) is not None
+        gs.is_balanced(a2), gs.equivalent_to_negation(a2), gs.class_count_bounds(a2.graph), gs.is_cactus(a2.graph)
+        above = a.graph.m >= gs.gaincore._ARRAY_WALK_EDGES
+        assert above == (n == 300)
+        assert (gs.spanning_forest(a2.graph)._arrays is not None) == above
+        for graph in (a.graph, a2.graph, b.graph):
+            assert graph._edges is None and graph._edge_index is None
+            # above the crossover the walk reads csr as arrays, and no csr tuples are built
+            assert graph._csr is None or not above
 
 
 def test_block_and_symmetry_searches_read_csr_only():
@@ -604,7 +625,7 @@ def test_incidence_is_parallel_to_adjacency(rng):
     for _ in range(20):
         graph = random_connected_graph(rng, n_hi=12)
         offsets, neighbours, edge_ids = graph.csr
-        for v in range(graph.n + 1):
+        for v in range(1, graph.n + 1):
             row = slice(offsets[v], offsets[v + 1])
             assert len(edge_ids[row]) == len(neighbours[row]) == len(graph.neighbors(v))
             for w, e in zip(neighbours[row], edge_ids[row]):

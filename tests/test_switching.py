@@ -9,6 +9,12 @@ Claims covered:
       ``edges`` (disconnected graphs, isolated vertices, n 0 and 1), and
       ``neighbors(v)`` is v's row of ``csr``, whose parallel ``edge_ids``
       row holds the id of each of those edges
+    - with the array passes on every graph and on none, csr, the default
+      forest (equal to the oracle's), the normal forms, witnesses and first
+      differences agree on seeded graphs: n 0 and 1, isolated vertices,
+      several components, paths, cycles, ladders, stars, a matching and
+      random sparse graphs up to n 3000, walked by levels to the end,
+      handed to the queue loop, or with later components left to it
     - the fundamental basis has m - n + c chord-first cycles, equal to the
       vertex-path construction on default and re-ranked forests
     - switching preserves every cycle gain; witnesses verify exactly, and
@@ -31,6 +37,7 @@ Claims covered:
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -168,13 +175,98 @@ def test_forests_match_the_neighbour_list_walk(rng):
         offsets, neighbours, edge_ids = graph.csr
         assert len(offsets) == n + 2 and offsets[:2] == (0, 0) and offsets[-1] == len(neighbours) == 2 * graph.m
         rows = [slice(offsets[v], offsets[v + 1]) for v in range(n + 1)]
-        assert tuple(map(graph.neighbors, range(n + 1))) == tuple(neighbours[r] for r in rows)
+        assert tuple(map(graph.neighbors, range(1, n + 1))) == tuple(neighbours[r] for r in rows[1:])
         assert all([graph.edge_id(v, w) for w in graph.neighbors(v)] == list(edge_ids[rows[v]]) for v in range(1, n + 1))
         assert gs.spanning_forest(graph) == oracle_forest(graph)
         order = list(range(1, n + 1))
         rng.shuffle(order)
         assert gs.spanning_forest(graph, order) == oracle_forest(graph, order)
     assert min(seen.values()) >= 1, seen
+
+
+def ladder(length, label):
+    """The 2 x length ladder: rails 1..L and L+1..2L, rungs (i, L + i), relabelled by ``label``."""
+    rails = [(i, i + 1) for i in (*range(1, length), *range(length + 1, 2 * length))]
+    return [(label[u], label[v]) for u, v in rails + [(i, length + i) for i in range(1, length + 1)]]
+
+
+def route_graphs(rng):
+    """(name, n, edges) of the seeded graphs both walk routes are compared on."""
+    def shuffled(n):
+        label = list(range(1, n + 1))
+        rng.shuffle(label)
+        return [0, *label]
+
+    def sparse(n, m, offset=0, connected=True):
+        edges = {tuple(sorted((rng.randint(1, v - 1), v))) for v in range(2, n + 1)} if connected else set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+        label = shuffled(n)
+        return [(label[u] + offset, label[v] + offset) for u, v in edges]
+
+    same = list(range(6000))
+    yield "n 0", 0, []
+    yield "n 1", 1, []
+    yield "isolated vertices", 9, [(2, 5), (5, 7), (2, 7), (3, 4)]
+    yield "first component small", 605, [(1, 2), (2, 3), (1, 3)] + sparse(600, 900, offset=4)
+    yield "isolated vertex 1", 801, sparse(800, 1200, offset=1)
+    yield "many components", 3000, sparse(3000, 2200, connected=False)
+    for n in (2, 40, 700):
+        yield f"path {n}", n, [(i, i + 1) for i in range(1, n)]
+    for n in (3, 100, 1200):
+        label = shuffled(n) if n > 3 else same
+        yield f"cycle {n}", n, [(label[i], label[i % n + 1]) for i in range(1, n + 1)]
+    for length in (3, 40, 700):
+        yield f"ladder {length}", 2 * length, ladder(length, same)
+    yield "shuffled ladder 500", 1000, ladder(500, shuffled(1000))
+    yield "matching 600", 1200, [(2 * i - 1, 2 * i) for i in range(1, 601)]
+    for n in (6, 600):
+        yield f"star {n}", n, [(1, v) for v in range(2, n + 1)]
+        yield f"star {n} centred at n", n, [(v, n) for v in range(1, n)]
+    for n, ratio in ((10, 2.0), (200, 1.2), (500, 2.5), (1000, 1.5), (3000, 1.2), (3000, 2.5)):
+        yield f"sparse {n} x {ratio}", n, sparse(n, round(n * ratio))
+
+
+def decided_by(route, n, edges, k, seed):
+    """What the decision path reads off a graph built with the array passes on
+    every graph ("array") or on none ("python"): csr, the default forest, the
+    normal forms of gains a and of a with one chord changed (c), the witness
+    for a against a switched copy, and the first difference of a and c."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs.gaincore, "_ARRAY_WALK_EDGES", 0 if route == "array" else math.inf)
+        graph = gs.SimpleGraph(n, edges)
+        group = gs.GainGroup(k)
+        a = gs.GainGraph(graph, group, [rng.randrange(k) for _ in range(graph.m)])
+        b = gs.apply_switching(a, gs.SwitchingFunction(tuple(group.element(rng.randrange(k)) for _ in range(n))))
+        f = gs.spanning_forest(graph)
+        assert f == oracle_forest(graph), route
+        chord = f.is_chord.index(True) if True in f.is_chord else None
+        c = gs.GainGraph(graph, group, [(t + 1) % k if e == chord else t for e, t in enumerate(a.exps)])
+        normal = [gs.switching._normal_form(g, f) for g in (a, b, c)]
+        found = (
+            gs.switching_equivalent(a, b), gs.switching_equivalent(a, c), gs.first_profile_difference(a, c),
+            gs.is_balanced(a), gs.bipartition(graph), gs.normalize_to_forest(c),
+        )
+        return graph.csr, f, normal, found, f._arrays is not None
+
+
+def test_level_walk_and_queue_walk_agree(rng):
+    """Both routes give the same csr, the oracle's forest, and the same normal
+    forms and decisions, whether the level walk finishes a graph, hands a
+    narrow walk to the queue loop, or leaves later components to it."""
+    walked = {True: 0, False: 0}
+    for i, (name, n, edges) in enumerate(route_graphs(rng)):
+        k = (4, 6, 5)[i % 3]
+        array, python = (decided_by(route, n, edges, k, i) for route in ("array", "python"))
+        assert array[:4] == python[:4], name
+        assert not python[4]
+        walked[array[4]] += n > 1
+        if name.startswith(("sparse 1000", "sparse 3000", "star 600")):
+            assert array[4], name  # walked by levels to the end
+        if name.startswith(("path 700", "cycle 1200", "ladder 700", "matching", "first component")):
+            assert not array[4], name  # handed to the queue loop
+    assert min(walked.values()) >= 5, walked
 
 
 def test_spanning_forest_disconnected_roots():
