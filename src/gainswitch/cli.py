@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -36,7 +35,9 @@ def _rounded(obj):
 
 
 def _theta_table(theta) -> dict[str, str]:
-    return {str(v): theta(v).label() for v in range(1, theta.n + 1)}
+    """theta's label per vertex; each distinct exponent is labelled once."""
+    labels = {t: theta.group.element(t).label() for t in set(theta.exps)}
+    return dict(zip(map(str, range(1, theta.n + 1)), map(labels.__getitem__, theta.exps)))
 
 
 def _load(path: str) -> tuple[GainGraph, tuple]:
@@ -334,8 +335,7 @@ def main(argv=None) -> int:
     inputs = [getattr(args, name) for name in ("file", "file_a", "file_b") if hasattr(args, name)]
     report = {"command": args.command, "inputs": inputs, "result": {}, "diagnostics": []}
     try:
-        if not 0 < args.tol < math.inf:  # spectral.spectrum's check, made for every command
-            raise ValidationError("tol must be positive and finite")
+        spectral._check_tol(args.tol)  # spectral.spectrum's check, made for every command
         payload, code = args.func(args)
     except InstanceTooLargeError as exc:
         report["diagnostics"] = [f"error: {exc}"]

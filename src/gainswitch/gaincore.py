@@ -45,6 +45,13 @@ _QUARTER_VALUES = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 MIXED_EXPONENTS = (0, 1, 3)
 
 
+def _exact_int(x, what: str) -> int:
+    """x as an int: numpy ints are converted; bools, floats and the rest raise."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValidationError(f"{what} {x!r} is not an integer")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class GainGroup:
     """Cyclic group of the k-th roots of unity; exponent t stands for e^(2*pi*i*t/k)."""
@@ -52,6 +59,7 @@ class GainGroup:
     order: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order", _exact_int(self.order, "gain group order"))
         if self.order < 1:
             raise ValidationError(f"gain group order must be positive, got {self.order}")
 
@@ -75,13 +83,8 @@ class GainExponent:
     exp: int
 
     def __post_init__(self) -> None:
-        if type(self.exp) is not int:  # numpy ints become ints; bools, floats and the rest are refused
-            try:
-                if isinstance(self.exp, bool):
-                    raise TypeError
-                object.__setattr__(self, "exp", operator.index(self.exp))
-            except TypeError:
-                raise ValidationError(f"exponent {self.exp!r} is not an integer") from None
+        if type(self.exp) is not int:
+            object.__setattr__(self, "exp", _exact_int(self.exp, "exponent"))
         if not 0 <= self.exp < self.group.order:
             raise ValidationError(
                 f"exponent {self.exp} out of range for group of order {self.group.order}"
@@ -384,12 +387,6 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
-def _elements(group: GainGroup, exps) -> tuple[GainExponent, ...]:
-    """``GainExponent``s for exponents in [0, k), one object per distinct exponent."""
-    made = {t: GainExponent(group, t) for t in set(exps)}
-    return tuple(map(made.__getitem__, exps))
-
-
 def _exponent(group: GainGroup, t) -> int:
     """The exponent of one gain: a ``GainExponent`` of ``group``, or an int
     (not a bool) in [0, k)."""
@@ -404,6 +401,14 @@ def _exponent(group: GainGroup, t) -> int:
     if not 0 <= t < group.order:
         raise ValidationError(f"exponent {t} out of range for group of order {group.order}")
     return t
+
+
+def _exponents(group: GainGroup, gains: tuple) -> tuple[int, ...]:
+    """A tuple of gains as exponents by ``_exponent``'s rule; exact ints in [0, k) are
+    kept as they are (``map(type, ...)`` is exact: bools take the per-gain rule)."""
+    if gains and not ({*map(type, gains)} == {int} and min(gains) >= 0 and max(gains) < group.order):
+        gains = tuple(_exponent(group, t) for t in gains)
+    return gains
 
 
 class GainGraph:
@@ -431,10 +436,7 @@ class GainGraph:
         exps = tuple(gains)
         if len(exps) != graph.m:
             raise ValidationError(f"expected {graph.m} gains, got {len(exps)}")
-        # map(type, ...) is exact, so bools (and any other int subclass) take the per-gain rule.
-        if exps and not ({*map(type, exps)} == {int} and min(exps) >= 0 and max(exps) < group.order):
-            exps = tuple(_exponent(group, t) for t in exps)
-        self._store(graph, group, exps, mixed_mode)
+        self._store(graph, group, _exponents(group, exps), mixed_mode)
 
     def _store(self, graph: SimpleGraph, group: GainGroup, exps: tuple, mixed_mode: bool) -> None:
         if mixed_mode:
@@ -458,8 +460,10 @@ class GainGraph:
 
     @property
     def gains(self) -> tuple[GainExponent, ...]:
-        """The gains as ``GainExponent``s, in edge-id order (built on each access)."""
-        return _elements(self.group, self.exps)
+        """The gains as ``GainExponent``s, in edge-id order (built on each
+        access, one object per distinct exponent)."""
+        made = {t: GainExponent(self.group, t) for t in set(self.exps)}
+        return tuple(map(made.__getitem__, self.exps))
 
     def exponent(self, u: int, v: int) -> int:
         """Exponent of the gain of the oriented edge u -> v."""
@@ -492,37 +496,48 @@ class GainGraph:
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Vertex -> gain map theta; the diagonal of the switching matrix D(theta)."""
+    """Vertex -> gain map theta, the diagonal of the switching matrix D(theta):
+    ``exps[v - 1]`` is theta(v)'s exponent, taken and stored as a ``GainGraph`` gain is."""
 
-    values: tuple[GainExponent, ...]
+    group: GainGroup
+    exps: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exps", _exponents(self.group, tuple(self.exps)))
+
+    @classmethod
+    def _unchecked(cls, group: GainGroup, exps: tuple[int, ...]) -> "SwitchingFunction":
+        """Wrap exponents known to be ints in [0, k), skipping the check."""
+        theta = object.__new__(cls)
+        object.__setattr__(theta, "group", group)
+        object.__setattr__(theta, "exps", exps)
+        return theta
 
     def __call__(self, v: int) -> GainExponent:
-        return self.values[v - 1]
+        return GainExponent(self.group, self.exps[v - 1])
 
     @property
     def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def group(self) -> GainGroup:
-        if not self.values:
-            raise ValidationError("a switching function on no vertices has no gain group")
-        return self.values[0].group
+        return len(self.exps)
 
     @staticmethod
     def identity(group: GainGroup, n: int) -> "SwitchingFunction":
-        return SwitchingFunction((group.one,) * n)
+        return SwitchingFunction._unchecked(group, (0,) * n)
 
     def conj(self) -> "SwitchingFunction":
-        return SwitchingFunction(tuple(v.conj() for v in self.values))
+        k = self.group.order
+        return SwitchingFunction._unchecked(self.group, tuple(-t % k for t in self.exps))
 
     def mul(self, other: "SwitchingFunction") -> "SwitchingFunction":
+        if other.group != self.group:
+            raise ValidationError("gain group mismatch")
         if other.n != self.n:
             raise ValidationError("switching functions defined on different vertex sets")
-        return SwitchingFunction(tuple(a * b for a, b in zip(self.values, other.values)))
+        k = self.group.order
+        return SwitchingFunction._unchecked(self.group, tuple((a + b) % k for a, b in zip(self.exps, other.exps)))
 
     def is_identity(self) -> bool:
-        return all(v.is_one() for v in self.values)
+        return not any(self.exps)
 
 
 def _checked_arcs(n, group: GainGroup, arcs):

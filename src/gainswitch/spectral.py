@@ -54,14 +54,6 @@ class ElementarySubgraph:
     def order(self) -> int:
         return 2 * len(self.edges) + sum(len(c) for c in self.cycles)
 
-    @property
-    def num_components(self) -> int:
-        return len(self.edges) + len(self.cycles)
-
-    @property
-    def num_cycles(self) -> int:
-        return len(self.cycles)
-
 
 def _cycle_weights(group: GainGroup) -> tuple:
     """2 Re(x) for each element x of the group, indexed by exponent.
@@ -73,15 +65,14 @@ def _cycle_weights(group: GainGroup) -> tuple:
     return tuple(round(x) for x in w) if group.order in _INTEGER_ORDERS else w
 
 
-def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int, leaf, covers_only: bool = False) -> None:
+def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int, leaf) -> None:
     """Call ``leaf(order, term, edges, cycles)`` once per elementary subgraph on at most max_order vertices.
 
     One recursion anchors at the smallest vertex not yet decided: either
-    leave it uncovered (never, when covers_only: then only subgraphs that
-    cover every vertex are reached), match it to a free neighbor, or grow a
-    cycle through it (cycles are generated once, smallest vertex first,
-    direction fixed by second vertex < last vertex).  ``exps[e]`` is the
-    exponent of edge id e in its u < v orientation, and the running term is
+    leave it uncovered, match it to a free neighbor, or grow a cycle through
+    it (cycles are generated once, smallest vertex first, direction fixed by
+    second vertex < last vertex).  ``exps[e]`` is the exponent of edge id e
+    in its u < v orientation, and the running term is
     (-1)^components times the product of ``weights[t]`` over the cycles, t
     being the cycle's exponent sum mod len(weights).  ``edges`` and
     ``cycles`` are the live accumulators, valid only during the call.
@@ -108,8 +99,7 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
             leaf(order, term, edges_acc, cycles_acc)
             return
         avail[v] = False
-        if not covers_only:
-            rec(order, v + 1, term)
+        rec(order, v + 1, term)
         if order + 2 <= max_order:
             # match v with a free neighbor (all free vertices are > v here)
             for w in out[v]:
@@ -185,12 +175,15 @@ class CharPoly:
         return acc
 
 
-def _coefficients(g: GainGraph, max_vertices: int, covers_only: bool = False) -> list:
+# Cached on graph equality, as ``_spectrum_cached`` is; the hit that pays is
+# ``determinant`` right after ``char_poly_elementary`` on one graph: one entry.
+@lru_cache(maxsize=1)
+def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
     """a_0 .. a_n of the characteristic polynomial, from one enumeration.
 
     a_k sums (-1)^components * 2^cycles * product of real cycle gains over
     all elementary subgraphs on k vertices: exact ints for k in
-    {1, 2, 3, 4, 6}.  With covers_only only a_n is summed; the rest stay 0.
+    {1, 2, 3, 4, 6}.
     """
     n = g.graph.n
     totals = [0] * (n + 1)
@@ -198,8 +191,8 @@ def _coefficients(g: GainGraph, max_vertices: int, covers_only: bool = False) ->
     def add(order: int, term, _edges, _cycles) -> None:
         totals[order] += term
 
-    _elementary(g.graph, g.exps, _cycle_weights(g.group), n, max_vertices, add, covers_only)
-    return totals
+    _elementary(g.graph, g.exps, _cycle_weights(g.group), n, max_vertices, add)
+    return tuple(totals)
 
 
 def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> CharPoly:
@@ -213,12 +206,9 @@ def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CA
 
 
 def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> float:
-    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n.
-
-    Only the elementary subgraphs that cover every vertex are walked.
-    """
+    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n."""
     n = g.graph.n
-    return float((-1) ** n * _coefficients(g, max_vertices, covers_only=True)[n])
+    return float((-1) ** n * _coefficients(g, max_vertices)[n])
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import (
-    GainExponent,
-    GainGraph,
-    SimpleGraph,
-    SwitchingFunction,
-    _elements,
-)
+from .gaincore import GainExponent, GainGraph, SimpleGraph, SwitchingFunction
 
 __all__ = [
     "SpanningForest",
@@ -314,10 +308,10 @@ def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:
     """
     if theta.n != g.graph.n:
         raise ValidationError("switching function defined on a different vertex set")
-    if theta.values and theta.group != g.group:
+    if theta.group != g.group:
         raise ValidationError("gain group mismatch")
     k = g.group.order
-    th = [0] + [x.exp for x in theta.values]
+    th = (0, *theta.exps)
     exps = tuple((t - th[u] + th[v]) % k for u, v, t in zip(g.graph.tails, g.graph.heads, g.exps))
     return GainGraph(g.graph, g.group, exps, g.mixed_mode and 2 not in exps)
 
@@ -392,7 +386,7 @@ def normalize_to_forest(g: GainGraph, f: SpanningForest | None = None):
     if f is None:
         f = spanning_forest(g.graph)
     pot, _ = _normal(g, f)
-    theta = SwitchingFunction(_elements(g.group, pot[1:]))
+    theta = SwitchingFunction._unchecked(g.group, pot[1:])
     return apply_switching(g, theta), theta
 
 
@@ -422,7 +416,7 @@ def switching_equivalent(a: GainGraph, b: GainGraph, forest: SpanningForest | No
         verified = all((x - shift[u] + shift[v]) % k == y for u, v, x, y in zip(a.graph.tails, a.graph.heads, a.exps, b.exps))
     if not verified:  # exact check; cannot fail
         raise AssertionError("internal error: switching witness failed to verify")
-    return SwitchingFunction(_elements(a.group, shift[1:]))
+    return SwitchingFunction._unchecked(a.group, tuple(shift[1:]))
 
 
 def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest | None = None):
@@ -551,10 +545,10 @@ def gain_character(g: GainGraph) -> str:
         return BALANCED
     if not _chord_cycles_disjoint(g.graph, f):
         return MIXED_PROFILE
-    gains = _elements(g.group, chords)
-    if all(x.is_minus_one() for x in gains):
+    k = g.group.order
+    if all(2 * x == k for x in chords):
         return NEGATIVE
-    if all(x.is_imaginary_unit() for x in gains):
+    if all(4 * x in (k, 3 * k) for x in chords):
         return IMAGINARY
     return MIXED_PROFILE
 
@@ -595,6 +589,4 @@ def negation_witness(g: GainGraph) -> SwitchingFunction | None:
     if sides is None:
         return None
     side0, _ = sides
-    half = GainExponent(g.group, k // 2)
-    values = tuple(g.group.one if v in side0 else half for v in range(1, g.graph.n + 1))
-    return SwitchingFunction(values)
+    return SwitchingFunction._unchecked(g.group, tuple(0 if v in side0 else k // 2 for v in range(1, g.graph.n + 1)))

@@ -14,7 +14,7 @@ from math import prod
 from operator import sub
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainGraph, SimpleGraph, SwitchingFunction, build_gain_graph
+from .gaincore import GainGraph, SimpleGraph, _exact_int, build_gain_graph
 from .switching import _normal, spanning_forest, switching_equivalent
 
 __all__ = [
@@ -40,9 +40,13 @@ class VertexPermutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
+        try:
+            image = tuple(_exact_int(w, "image entry") for w in self.image)
+        except TypeError:  # not iterable
+            image = None
+        if image is None or sorted(image) != list(range(1, len(image) + 1)):
             raise ValidationError("image is not a permutation of 1..n")
+        object.__setattr__(self, "image", image)
 
     @classmethod
     def _unchecked(cls, image: tuple[int, ...]) -> "VertexPermutation":
@@ -224,9 +228,13 @@ def _search(tables, pinned: tuple[int, ...] = (), restrict: int = -1):
         cands[v] = c
 
 
-def automorphisms(g: SimpleGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """The automorphism group of a simple graph, as a stabiliser chain."""
+def automorphisms(g: SimpleGraph | GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
+    """The automorphism group of a simple graph, or of a gain graph's gains
+    (``gain_automorphisms``: pruned by the gains), as a stabiliser chain."""
     return _automorphism_chain(_tables(g, g, max_vertices, "automorphism"))
+
+
+gain_automorphisms = automorphisms
 
 
 def _moved_exps(f: VertexPermutation, g: GainGraph):
@@ -238,11 +246,6 @@ def _moved_exps(f: VertexPermutation, g: GainGraph):
     for u, v in zip(g.graph.tails, g.graph.heads):
         x, y = image[u - 1], image[v - 1]
         yield exps[index[x, y]] if x < y else -exps[index[y, x]] % k
-
-
-def gain_automorphisms(g: GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """The graph automorphisms that preserve every gain exactly, as a chain of gain-pruned searches."""
-    return _automorphism_chain(_tables(g, g, max_vertices, "automorphism"))
 
 
 def _meet(s, t):

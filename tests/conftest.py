@@ -117,10 +117,7 @@ def random_gains(rng, graph, k=4, mixed_mode=False):
 
 
 def random_switching(rng, g):
-    values = tuple(
-        gs.GainExponent(g.group, rng.randrange(g.group.order)) for _ in range(g.graph.n)
-    )
-    return gs.SwitchingFunction(values)
+    return gs.SwitchingFunction(g.group, tuple(rng.randrange(g.group.order) for _ in range(g.graph.n)))
 
 
 def random_cactus(rng, m_cap=14):

@@ -41,7 +41,7 @@ def run(capsys, *argv):
 
 def test_equiv_switched_copy(tmp_path, capsys):
     a, _ = gs.load_gg(BOWTIE_MINUS)
-    theta = gs.SwitchingFunction(tuple(gs.GainExponent(a.group, t) for t in (0, 1, 2, 3, 0)))
+    theta = gs.SwitchingFunction(a.group, (0, 1, 2, 3, 0))
     b = gs.apply_switching(a, theta)
     other = tmp_path / "switched.gg"
     gs.save_gg(b, other)
@@ -50,9 +50,7 @@ def test_equiv_switched_copy(tmp_path, capsys):
     assert report["result"]["equivalent"] is True
     table = report["result"]["theta"]
     assert sorted(table) == ["1", "2", "3", "4", "5"]
-    witness = gs.SwitchingFunction(
-        tuple(gs.GainExponent(a.group, LABEL_EXP[table[str(v)]]) for v in range(1, 6))
-    )
+    witness = gs.SwitchingFunction(a.group, tuple(LABEL_EXP[table[str(v)]] for v in range(1, 6)))
     assert gs.apply_switching(a, witness) == b
 
 

@@ -341,12 +341,20 @@ def test_switching_function_basics():
     theta = gs.SwitchingFunction.identity(G4, 3)
     assert theta.is_identity()
     vals = (gs.GainExponent(G4, 1), gs.GainExponent(G4, 2), gs.GainExponent(G4, 0))
-    phi = gs.SwitchingFunction(vals)
-    assert phi(1).exp == 1
-    assert phi.conj()(2).exp == 2
+    phi = gs.SwitchingFunction(G4, vals)
+    assert phi == gs.SwitchingFunction(G4, (1, 2, 0)) and phi.exps == (1, 2, 0)
+    assert all(type(t) is int for t in phi.exps)
+    assert phi(1) == gs.GainExponent(G4, 1)
+    assert phi.conj()(2).exp == 2 and phi.conj().exps == (3, 2, 0)
     assert phi.mul(phi.conj()).is_identity()
+    assert not phi.is_identity() and phi.n == 3
     with pytest.raises(ValidationError):
         phi.mul(gs.SwitchingFunction.identity(G4, 4))
+    with pytest.raises(ValidationError):
+        phi.mul(gs.SwitchingFunction.identity(gs.GainGroup(8), 3))
+    for bad in ((1, 4, 0), (1, True, 0), (1, 2.0, 0), (gs.GainExponent(gs.GainGroup(8), 1), 0, 0)):
+        with pytest.raises(ValidationError):
+            gs.SwitchingFunction(G4, bad)
 
 
 def test_parse_gg_mixed_aliases():
@@ -583,6 +591,14 @@ def test_integer_paths_build_no_gain_exponents(monkeypatch):
     assert a2 == a
     assert not gs.is_balanced(a2)
     assert gs.switching_equivalent(a2, b) is None
+    normal, theta = gs.normalize_to_forest(a2)
+    assert gs.switching_equivalent(a2, normal) == theta
+    assert gs.gain_character(a2) == gs.MIXED_PROFILE
+    assert gs.equivalent_to_negation(a2) == (gs.negation_witness(a2) is not None)
+    square = gs.build_gain_graph(4, group, [(1, 2, k // 2), (2, 3, 0), (3, 4, 0), (4, 1, 0)])
+    assert gs.gain_character(square) == gs.NEGATIVE and gs.equivalent_to_negation(square)
+    assert gs.apply_switching(square, gs.negation_witness(square)) == gs.negate(square)
+    assert gs.gain_character(arc_triangle()) == gs.IMAGINARY
     assert built == []
     _, gain_a, gain_b = gs.first_profile_difference(a2, b)
     assert gain_a != gain_b

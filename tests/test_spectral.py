@@ -207,13 +207,31 @@ def test_char_poly_and_determinant_match_sympy(rng):
 
 
 def test_determinant_is_the_last_coefficient_at_float_orders(rng):
-    # determinant walks only the subgraphs covering every vertex, in the order
-    # the full expansion meets them, so even float weights sum bit for bit alike
+    # determinant reads a_n from the one expansion char_poly_elementary ran
+    # (kept by _coefficients' cache), so even float weights agree bit for bit
     for k in (5, 8):
         for _ in range(10):
             g = random_gains(rng, random_connected_graph(rng, n_hi=8), k=k)
             a_n = gs.char_poly_elementary(g).coefficients[-1]
             assert gs.determinant(g) == (-1) ** g.graph.n * a_n
+
+
+def test_char_poly_then_determinant_walk_once(monkeypatch):
+    walks = []
+    walk = gs.spectral._elementary
+
+    def counting(*args):
+        walks.append(args[0])
+        walk(*args)
+
+    monkeypatch.setattr(gs.spectral, "_elementary", counting)
+    gs.spectral._coefficients.cache_clear()
+    g = bowtie_i()
+    poly = gs.char_poly_elementary(g)
+    assert gs.determinant(g) == gs.determinant(bowtie_i()) == (-1) ** g.graph.n * poly.coefficients[-1]
+    assert walks == [g.graph]
+    gs.determinant(bowtie_minus())  # another graph: a pass of its own
+    assert len(walks) == 2
 
 
 def test_real_cycle_gain():

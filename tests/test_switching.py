@@ -40,6 +40,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import gainswitch as gs
@@ -238,7 +239,7 @@ def decided_by(route, n, edges, k, seed):
         graph = gs.SimpleGraph(n, edges)
         group = gs.GainGroup(k)
         a = gs.GainGraph(graph, group, [rng.randrange(k) for _ in range(graph.m)])
-        b = gs.apply_switching(a, gs.SwitchingFunction(tuple(group.element(rng.randrange(k)) for _ in range(n))))
+        b = gs.apply_switching(a, gs.SwitchingFunction(group, tuple(rng.randrange(k) for _ in range(n))))
         f = gs.spanning_forest(graph)
         assert f == oracle_forest(graph), route
         chord = f.is_chord.index(True) if True in f.is_chord else None
@@ -456,7 +457,7 @@ def test_apply_switching_identity_and_inverse(rng):
 
 def test_apply_switching_recomputes_mixed_flag():
     g = mixed(2, [(1, 2, 0)])
-    theta = gs.SwitchingFunction((gs.GainExponent(G4, 2), gs.GainExponent(G4, 0)))
+    theta = gs.SwitchingFunction(G4, (2, 0))
     h = gs.apply_switching(g, theta)
     assert h.gain(1, 2).is_minus_one()
     assert not h.mixed_mode
@@ -821,15 +822,39 @@ def square_face():
         lambda: gs.enumerate_gamma(square_face(), ()),
         lambda: gs.enumerate_gamma(square_face(), (0,)),
         lambda: gs.cycle_class_size(4, 0),
-        lambda: gs.SwitchingFunction(()).group,
-        lambda: gs.negation_witness(all_ones(gs.SimpleGraph(0, []))).group,
         lambda: gs.spanning_forest(cycle_graph(3), [1, "a", 3]),
         lambda: gs.walk_gain(arc_triangle(), [1, "x"]),
         lambda: cycle_graph(3).has_edge(1, "x"),
+        lambda: gs.GainGroup(4.0),
+        lambda: gs.build_gain_graph(3, gs.GainGroup(4.0), [(1, 2, 1), (2, 3, 0)]),
+        lambda: gs.GainGroup("4"),
+        lambda: gs.GainGroup(True),
+        lambda: gs.VertexPermutation((1.0, 2)),
+        lambda: gs.VertexPermutation((True, 2)),
+        lambda: gs.VertexPermutation((1, 1)),
+        lambda: gs.VertexPermutation(2),
     ],
-    ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "empty-theta-group",
-         "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk", "str-in-has-edge"],
+    ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "str-in-vertex-order", "str-in-walk",
+         "str-in-has-edge", "float-group-order", "float-group-order-build", "str-group-order", "bool-group-order",
+         "float-in-permutation", "bool-in-permutation", "repeat-in-permutation", "int-permutation"],
 )
 def test_malformed_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_integer_likes_become_ints():
+    order = gs.GainGroup(np.int64(4)).order
+    image = gs.VertexPermutation([np.int32(2), 1]).image
+    assert type(order) is int and order == 4
+    assert image == (2, 1) and all(type(w) is int for w in image)
+
+
+def test_empty_theta_keeps_its_group():
+    empty = all_ones(gs.SimpleGraph(0, []))
+    theta = gs.SwitchingFunction.identity(G4, 0)
+    assert theta.group == G4 and theta.n == 0 and theta  # truthy: a witness on no vertices
+    assert gs.negation_witness(empty) == gs.switching_equivalent(empty, empty) == theta
+    assert gs.apply_switching(empty, theta) == empty
+    with pytest.raises(ValidationError):
+        gs.apply_switching(gs.GainGraph(empty.graph, gs.GainGroup(8), ()), theta)

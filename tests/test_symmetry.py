@@ -725,7 +725,7 @@ def test_switching_isomorphic_matches_the_listing_loop():
             a = seeded_gain_graph(rng, graph)
             k = a.group.order
             if i < 2:
-                theta = gs.SwitchingFunction(tuple(a.group.element(rng.randrange(k)) for _ in range(graph.n)))
+                theta = gs.SwitchingFunction(a.group, tuple(rng.randrange(k) for _ in range(graph.n)))
                 b = gs.apply_switching(gs.act(rng.choice(group), a), theta)
             else:
                 pool = gs.MIXED_EXPONENTS if a.mixed_mode else range(k)
