@@ -822,6 +822,9 @@ def square_face():
         lambda: gs.enumerate_gamma(square_face(), ()),
         lambda: gs.enumerate_gamma(square_face(), (0,)),
         lambda: gs.cycle_class_size(4, 0),
+        lambda: gs.SwitchingFunction.identity(gs.GainGroup(4), 0).mul(gs.SwitchingFunction.identity(gs.GainGroup(8), 0)),
+        lambda: gs.apply_switching(gs.GainGraph(gs.SimpleGraph(0, []), gs.GainGroup(8), ()),
+                                   gs.negation_witness(all_ones(gs.SimpleGraph(0, [])))),
         lambda: gs.spanning_forest(cycle_graph(3), [1, "a", 3]),
         lambda: gs.walk_gain(arc_triangle(), [1, "x"]),
         lambda: cycle_graph(3).has_edge(1, "x"),
@@ -834,9 +837,10 @@ def square_face():
         lambda: gs.VertexPermutation((1, 1)),
         lambda: gs.VertexPermutation(2),
     ],
-    ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "str-in-vertex-order", "str-in-walk",
-         "str-in-has-edge", "float-group-order", "float-group-order-build", "str-group-order", "bool-group-order",
-         "float-in-permutation", "bool-in-permutation", "repeat-in-permutation", "int-permutation"],
+    ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "empty-theta-group",
+         "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk", "str-in-has-edge",
+         "float-group-order", "float-group-order-build", "str-group-order", "bool-group-order", "float-in-permutation",
+         "bool-in-permutation", "repeat-in-permutation", "int-permutation"],
 )
 def test_malformed_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
