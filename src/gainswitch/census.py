@@ -15,9 +15,9 @@ multiplying class sizes over blocks, where a block that is not a cycle is
 sized by a convolution over Z_4^r, and 2-connected plane graphs by sums
 over gamma matrices attached to the inner faces, taken for every face-gain
 vector at once by a convolution over Z_4^k that the face structure
-keeps.  Both convolutions take one step per run of edges in series: a run
-of j edges shifts by x times one column with the weight alpha_x(j), the
-count of its words of product i^x.
+keeps.  Both convolutions are character sums over Z_4^d with one factor
+per run of edges in series; at d = 1 a run of j edges gives the paper's
+alpha_x(j) = (3^j + 2 cos(pi x / 2) + (-1)^(j + x)) / 4.
 
 All counts are exact Python integers.
 """
@@ -25,7 +25,6 @@ All counts are exact Python integers.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -65,11 +64,6 @@ __all__ = [
 
 _LOW_DIGITS = 10  # least scan chunk width: 3^10 uint32 keys, about 231 KiB, sized for a core's cache
 _MAX_DENSE_DIM = 12  # largest (4,)*d int64 array built: 4^12 entries, 128 MiB
-# Largest d whose convolution steps are flat gathers.  Per block of a random
-# 2-connected graph, np.roll -> gathers (routes interleaved in one process,
-# medians of 9): d 5 0.81 -> 0.36 ms and d 6 1.18 -> 1.09 ms, but d 7
-# 2.58 -> 4.10 ms and d 8 7.2 -> 20.0 ms, the maps outgrowing roll's copies.
-_MAX_GATHER_DIM = 6
 
 DEFAULT_CENSUS_CAP = 16
 
@@ -305,79 +299,53 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     return Census(total=3**g.m, weights=tally.reshape((4,) * r), chords=chords)
 
 
-def _convolve(d: int, steps) -> np.ndarray:
-    """Weights over Z_4^d after a sequence of weighted shift steps.
+def _convolve(d: int, runs) -> np.ndarray:
+    """Weights over Z_4^d of the sums of ``(column, count)`` runs of edges.
 
-    Starts from a unit weight at 0.  Each step is a list of (shift, weight)
-    pairs, a shift being a length-d vector of exponents; the step replaces W
-    by the sum of weight * (W shifted by shift).  The entries never go
-    negative and sum to the product of the steps' weight totals, so int64
-    holds them exactly while that product is below 2^63; past it they are
-    Python integers, which take about five times the bytes and time, so
-    their cap on d is two lower.
-
-    Two routes give the same array.  Up to d = 6 (4096 entries) W stays
-    flat: one pass builds an index map with a row of 4^d source indices per
-    shift of nonzero weight in every step, by packed 2-bit field arithmetic,
-    and each step is one gather, W <- weights @ W[its rows].  At these sizes
-    np.roll's per-axis handling, not the data, is the cost, and a gather
-    skips it; from d = 7 the maps' 4^d entries per shift cost more than
-    np.roll's slice copies (2^k for a shift on k axes), so there each shift
-    of nonzero weight rolls the (4,)*d array.  Live at once: W, the next W and one rolled copy on the
-    roll route; W, the next W, the index map (4^d entries per shift) and
-    one step's gather on the gather route.
+    Each of a run's ``count`` edges adds x * column, x in {0, 1, -1}, and
+    W(y) counts the 3^m choices (m edges in all) summing to y.  Character
+    chi takes a run to lambda(s) = (3^count, 1, (-1)^count, 1)[s], s =
+    <chi, column> mod 4, so the transform P of W is the product of the
+    runs' lambdas, one broadcast int8 lookup per run.  W(y) = 4^-d sum_chi
+    P(chi) i^-<chi, y> then takes d radix-4 passes over one (2, 4^d) buffer
+    of real and imaginary parts: a pass reads the contiguous slices of the
+    leading axis of its (2, 4, 4^(d-1)) view and writes its outputs as the
+    last axis of the (2, 4^(d-1), 4) view, so d passes restore the axis
+    order.  A pass's sums are 4 times Gaussian integers bounded by 3^m and
+    are shifted right by 2: int64 while 4 * 3^m < 2^63 (m <= 38), Python
+    integers past it, which take about five times the bytes and time, so
+    their cap on d is two lower.  Live at once: the buffer and a pass's two
+    temporaries, as large as the buffer together.
     """
-    steps = [list(step) for step in steps]
-    total = math.prod(sum(weight for _, weight in step) for step in steps)
-    exact = total < 2**63
+    runs = list(runs)
+    exact = 4 * 3 ** sum(count for _, count in runs) < 2**63
     cap = _MAX_DENSE_DIM if exact else _MAX_DENSE_DIM - 2
     if d > cap:
         raise InstanceTooLargeError(f"convolution over Z_4^d capped at d = {cap}, got d = {d}")
     dtype = np.int64 if exact else object
-    if d <= _MAX_GATHER_DIM:
-        # Flat index c packs the exponents in 2-bit fields, axis 0 most
-        # significant (C order).  The index map has a row per shift of
-        # nonzero weight, each step's rows in a run: row i is c - shift_i for
-        # every c, that is c plus neg = pack(-shift_i) field by field mod 4,
-        # the carry out of each field's low bit dropped at its high bit.
-        steps = [[(shift, weight) for shift, weight in step if weight] for step in steps]
-        shifts = np.array([shift for step in steps for shift, _ in step], dtype=np.int64)
-        place = 1 << 2 * np.arange(d - 1, -1, -1)
-        neg = (-shifts.reshape(len(shifts), d) % 4 @ place)[:, None]
-        flat = np.arange(4**d)
-        src = flat & sum(1 << 2 * j for j in range(d)) & neg
-        src <<= 1
-        src ^= flat
-        src ^= neg
-        weights = np.array([weight for step in steps for _, weight in step], dtype=dtype)
-        w = np.zeros(4**d, dtype=dtype)
-        w[0] = 1
-        end = 0
-        for step in steps:
-            start, end = end, end + len(step)
-            w = weights[start:end] @ w[src[start:end]]
-        return w.reshape((4,) * d)
-    w = np.zeros((4,) * d, dtype=dtype)
-    w[(0,) * d] = 1
-    axes = tuple(range(d))
-    for step in steps:
-        out = np.zeros_like(w)
-        for shift, weight in step:
-            if weight:
-                term = np.roll(w, shift, axes) if any(shift) else w.copy()  # own copy: scaled in place
-                term *= weight
-                out += term
-                del term  # before the next roll allocates
-        w = out
-    return w
-
-
-def _series_step(column, count: int) -> list:
-    """The ``_convolve`` step of ``count`` edges whose gain exponent x each
-    shifts W by x * column: shift x * column, weighted by alpha_x(count).
-    Zero-weight shifts (x = 2 on a single edge) are left out."""
-    alpha = alpha_closed_form(count).as_tuple()
-    return [(tuple(map(x.__mul__, column)), alpha[i]) for x, i in _ALPHA_POSITION.items() if alpha[i]]
+    buf = np.zeros((2, 4**d), dtype=dtype)
+    p = buf[0].reshape((4,) * d)
+    p[...] = 1
+    chi = np.arange(4, dtype=np.int8)
+    times = chi[:, None] * chi & 3  # row c: c * chi mod 4
+    axes = [(4,) + (1,) * (d - 1 - j) for j in range(d)]  # chi_j broadcast along axis j
+    lam = np.array([(3**count, 1, (-1) ** count, 1) for _, count in runs], dtype=dtype)
+    for (column, _), row in zip(runs, lam):
+        terms = [times[c % 4].reshape(axis) for c, axis in zip(column, axes) if c % 4]
+        t = reduce(np.add, terms) if terms else 0  # <chi, column> <= 3d: int8 holds it
+        p *= row.take(t & 3)
+    for _ in range(d):
+        a = buf.reshape(2, 4, -1)
+        s, t = a[:, :2] + a[:, 2:], a[:, :2] - a[:, 2:]  # (a0 + a2, a1 + a3) and (a0 - a2, a1 - a3)
+        np.negative(t[0, 1], out=t[0, 1])  # t[::-1, 1] is now -i (a1 - a3)
+        out = buf.reshape(2, -1, 4)
+        np.add(s[:, 0], s[:, 1], out=out[:, :, 0])
+        np.add(t[:, 0], t[::-1, 1], out=out[:, :, 1])
+        np.subtract(s[:, 0], s[:, 1], out=out[:, :, 2])
+        np.subtract(t[:, 0], t[::-1, 1], out=out[:, :, 3])
+        del a, s, t, out
+        buf >>= 2
+    return buf[0].reshape((4,) * d).copy()  # its own data: the imaginary half is freed
 
 
 def _block_edge_ids(g: SimpleGraph) -> list[list[int]]:
@@ -453,10 +421,10 @@ def class_size_by_blocks(g: GainGraph) -> int:
     is a cycle and contributes the alpha component of its cycle gain; any
     other block contributes the number of its orientations sharing its
     chord profile, counted by a convolution over Z_4^r.  An edge with gain
-    1, i or -i shifts the profile by 0, +sigma_e or -sigma_e, a step that
+    1, i or -i shifts the profile by 0, +sigma_e or -sigma_e, a choice that
     sigma_e -> -sigma_e leaves alone, so the edges whose incidence columns
-    agree up to sign are one series step; a 2-connected block of rank r has
-    at most 3r - 3 of them, and the convolution's cap on r bounds the cost.
+    agree up to sign are one run; a 2-connected block of rank r has at most
+    3r - 3 runs, and the convolution's cap on r bounds the cost.
     The input must be mixed.
     """
     if not g.mixed_mode:
@@ -479,8 +447,7 @@ def class_size_by_blocks(g: GainGraph) -> int:
             for s in _basis_incidence(graph, forest, chords, ids):
                 key = tuple(s) if next(filter(None, s)) > 0 else tuple(-x for x in s)
                 runs[key] = runs.get(key, 0) + 1
-            steps = [_series_step(s, count) for s, count in runs.items()]
-            size *= int(_convolve(len(chords), steps)[tuple(profile[column[e]] for e in chords)])
+            size *= int(_convolve(len(chords), runs.items())[tuple(profile[column[e]] for e in chords)])
     return size
 
 
@@ -523,23 +490,22 @@ class FaceStructure:
     def weights(self) -> np.ndarray:
         """The gamma-matrix sum of alpha products for every face-gain vector.
 
-        A read-only (4,)*k array (int64, or Python integers once the sums
-        outgrow int64): entry y sums, over the gamma matrices for face gains
-        y, the product of alpha_{x_pq}(n_pq) over the nonempty cells.  Each
-        cell (p, q) is one series step of n_pq edges: value x adds x to row
-        sum p and, off the diagonal, -x to row sum q.  A single-edge cell
-        never carries -1 because alpha_{-1}(1) = 0.  Built by one
-        convolution on first use and kept as long as the face structure; more
-        than 12 faces (10 past int64) raise ``InstanceTooLargeError`` on every
-        access.
+        A read-only (4,)*k array, int64 up to m = 38 edges and Python
+        integers past it: entry y sums, over the gamma matrices for face
+        gains y, the product of alpha_{x_pq}(n_pq) over the nonempty cells.
+        Each cell (p, q) is one run of n_pq edges: value x adds x to row sum
+        p and, off the diagonal, -x to row sum q.  A single-edge cell never
+        carries -1 because alpha_{-1}(1) = 0.  Built by one convolution on
+        first use and kept as long as the face structure; more than 12 faces
+        (10 past 38 edges) raise ``InstanceTooLargeError`` on every access.
         """
-        steps = []
+        runs = []
         for p, q in self.nonempty_cells():
             column = [0] * self.k
             column[q - 1] = -1
             column[p - 1] = 1  # on the diagonal this overwrites the -1
-            steps.append(_series_step(column, self.n_pq(p, q)))
-        w = _convolve(self.k, steps)
+            runs.append((column, self.n_pq(p, q)))
+        w = _convolve(self.k, runs)
         w.flags.writeable = False
         return w
 

@@ -388,16 +388,16 @@ class SimpleGraph:
 
 
 def _exponent(group: GainGroup, t) -> int:
-    """The exponent of one gain: a ``GainExponent`` of ``group``, or an int
-    (not a bool) in [0, k)."""
+    """The exponent of one gain: a ``GainExponent`` of ``group``, or an
+    integer in [0, k), numpy ints converted as ``_exact_int`` does (not a bool)."""
     if isinstance(t, GainExponent):
         if t.group != group:
             raise ValidationError("gain group mismatch")
         t = t.exp
     if type(t) is not int:
-        if not isinstance(t, int) or isinstance(t, bool):
+        if isinstance(t, bool) or not hasattr(type(t), "__index__"):
             raise ValidationError(f"gain {t!r} is neither a GainExponent nor an exponent")
-        t = int(t)
+        t = operator.index(t)
     if not 0 <= t < group.order:
         raise ValidationError(f"exponent {t} out of range for group of order {group.order}")
     return t

@@ -30,17 +30,20 @@ Claims covered here:
   * the chunked scan, the whole-graph cycle-space convolution and a
     character-sum formula give the same census, block sizes by convolution
     match the scan on random mixed graphs (with non-cycle blocks through
-    one cut vertex and isolated vertices), and block sizes taking one step
-    per run of edges in series match one step per edge and the scan on
+    one cut vertex and isolated vertices), and block sizes taking one run
+    of edges in series at a time match one step per edge and the scan on
     subdivided graphs; the face-cell convolution matches gamma-matrix
     enumeration for every face-gain vector (a seeded sample on the
     5-face prism), it is the face structure's read-only ``weights``, built
     by one convolution that both plane formulas read (a refusal keeps
     nothing), and the convolutions stay exact past 2^63;
-  * the convolution's flat gathers (d <= 6) and its rolls (d >= 7) give
-    the shape, dtype and values of a test-local np.roll reference for
-    every d from 0 to 8, which the whole-graph convolution oracle uses in
-    place of the library's own route.
+  * the character-sum convolution gives the shape and values of a
+    test-local np.roll reference, whose steps come from the alpha
+    recurrence, for every d from 0 to 9, with int64 up to 38 edges and
+    Python integers from 39; the whole-graph convolution oracle uses that
+    reference in place of the library's convolution;
+  * on Z_4 one run of n edges is the alpha vector read by exponent, for n
+    from 0 to 45.
 """
 
 import itertools
@@ -635,9 +638,10 @@ def cycle_incidence(graph):
 
 
 def roll_convolve(d, steps):
-    """Reference for ``census._convolve``: each step sums weight * np.roll(W,
-    shift) over the whole (4,)*d array, int64 while the product of the
-    step totals is below 2^63 and Python integers past it."""
+    """Reference for ``census._convolve``, its runs given as ``series_step``
+    steps: each step sums weight * np.roll(W, shift) over the whole (4,)*d
+    array, int64 while the product of the step totals is below 2^63 and
+    Python integers past it."""
     steps = [list(step) for step in steps]
     exact = np.prod([sum(weight for _, weight in step) for step in steps], dtype=object) < 2**63
     w = np.zeros((4,) * d, dtype=np.int64 if exact else object)
@@ -746,8 +750,9 @@ def series_mixed_graph(rng):
 
 
 def test_block_series_steps_match_per_edge_steps():
-    """Edges in series take one alpha-weighted step: the block product equals
-    one 3-term step per edge over the whole graph, and the scan where m <= 16."""
+    """Edges in series make one run of the block convolution: the block
+    product equals one 3-term step per edge over the whole graph, and the
+    scan where m <= 16."""
     rng = random.Random(4005)
     scanned = in_series = 0
     for _ in range(160):
@@ -1112,41 +1117,55 @@ def test_convolutions_stay_exact_past_int64(length):
     assert gs.plane_class_count(graph, fs) == 16
 
 
-@pytest.mark.parametrize("d", range(9))
+def series_step(column, count):
+    """The roll reference's step for a run of ``count`` edges in series:
+    shift x * column weighted by alpha_x(count), from the alpha recurrence."""
+    alpha = gs.alpha_vector(count)
+    return [(tuple(x * c for c in column), alpha.component(G4.element(x))) for x in range(4)]
+
+
+@pytest.mark.parametrize("d", range(10))
 def test_convolution_matches_roll_reference(d):
-    """Both routes, gathers up to d = 6 and rolls above, against the reference."""
+    """Runs of edges in series, by characters, against np.roll steps."""
     rng = random.Random(d)
 
-    def shift():  # entries outside 0..3 wrap mod 4
+    def column():  # entries outside 0..3 are taken mod 4
         return tuple(rng.randint(-5, 8) for _ in range(d))
-
-    def step(big):
-        return [(shift(), rng.choice((0, 1, 2, 5, 2**40 if big else 7))) for _ in range(rng.randint(1, 4))]
 
     zero = (0,) * d
     cases = [
         [],
-        [[(zero, 3)]],
-        [[(zero, 1), ((4,) * d, 2)], [(shift(), 0), (shift(), 0)]],  # a step of zero weights empties W
-        [step(False) for _ in range(4)],
-        [step(False), [(shift(), 0), (zero, 2)], step(False)],
-        [[(zero, 1), ((1,) * d, 2**62), ((-1,) * d, 2**62)], step(True), [(zero, 5)]],
-        [step(True) for _ in range(3)],
+        [(zero, 3)],
+        [((4,) * d, 2), (column(), 1)],
+        [(column(), rng.choice((1, 2, 3, 5))) for _ in range(4)],
+        [(column(), 20), (zero, 1), (column(), 17)],  # m = 38: the last int64 case
+        [(column(), 20), (column(), 19)],  # m = 39: Python integers
+        [(column(), 60), ((1,) * d, 1), (column(), 45)],
     ]
-    for steps in cases:
-        got, want = census_mod._convolve(d, steps), roll_convolve(d, steps)
+    for runs in cases:
+        got = census_mod._convolve(d, runs)
+        want = roll_convolve(d, [series_step(c, count) for c, count in runs])
         assert got.shape == want.shape == (4,) * d
-        assert got.dtype == want.dtype
-        assert got.tolist() == want.tolist(), steps
-    assert census_mod._convolve(d, cases[-2]).dtype == object
-    assert census_mod._convolve(d, cases[3]).dtype == np.int64
+        assert got.dtype == (np.int64 if sum(count for _, count in runs) <= 38 else object)
+        assert got.tolist() == want.tolist(), runs
+
+
+def test_convolution_in_one_dimension_is_the_alpha_vector():
+    """One run of n edges on Z_4 counts the words of each product: alpha(n)
+    read by exponent, across the switch to Python integers at n = 39."""
+    for n in range(46):
+        w = census_mod._convolve(1, [((1,), n)])
+        alpha = gs.alpha_vector(n)
+        assert w.tolist() == [alpha.one, alpha.i, alpha.minus_one, alpha.minus_i], n
+        assert w.dtype == (np.int64 if n <= 38 else object)
 
 
 def test_convolution_caps():
+    assert census_mod._convolve(1, [((1,), 38)]).dtype == np.int64
+    assert census_mod._convolve(1, [((1,), 39)]).dtype == object
     with pytest.raises(gs.InstanceTooLargeError):
         census_mod._convolve(13, [])
-    assert census_mod._convolve(2, [[((1, 0), 2**62), ((0, 1), 2**62)]]).dtype == object
     with pytest.raises(gs.InstanceTooLargeError):  # Python-int weights: cap 10
-        census_mod._convolve(11, [[((0,) * 11, 2**63)]])
+        census_mod._convolve(11, [((0,) * 11, 39)])
     with pytest.raises(gs.InstanceTooLargeError, match="capped at d = 12, got d = 15"):
         gs.class_size_by_blocks(all_ones(complete_graph(7)))  # one block of rank 15

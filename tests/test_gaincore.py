@@ -9,7 +9,8 @@ Claims covered:
     - mixed mode accepts only gains 1, i, -i
     - SimpleGraph validates and canonicalizes its edge list; a count or
       vertex that is not an integer raises ValidationError naming it, while
-      integer-like counts and vertices (numpy ints) stay accepted
+      integer-like counts and vertices (numpy ints) stay accepted, as do
+      numpy-int gains and switching exponents
     - graphs whose packed edge keys pass int64 (n = 2^63 + 5, or k = 2^62)
       build and parse to exact columns equal to a plain sorted() reference,
       and a repeated pair or both orientations raise the usual messages
@@ -218,6 +219,16 @@ def test_integer_like_graph_data_is_accepted():
     assert graph.edges == ((1, 2), (2, 3)) and graph.n == 3
     assert gs.SimpleGraph(3, iter([(1, 2)])).edges == ((1, 2),)
     assert gs.SimpleGraph(3, {(2, 3): 0}).edges == ((2, 3),)
+
+
+def test_numpy_int_gains_are_accepted():
+    """Gains and switching exponents take numpy ints, converted to exact ints."""
+    g = gs.build_gain_graph(2, G4, [(1, 2, np.int64(1))])
+    h = gs.GainGraph(gs.SimpleGraph(2, [(1, 2)]), G4, [np.int64(1)])
+    assert g == h == gs.build_gain_graph(2, G4, [(1, 2, 1)])
+    assert type(g.exps[0]) is int and type(h.exps[0]) is int
+    theta = gs.SwitchingFunction(G4, (np.int64(1), 0))
+    assert theta == gs.SwitchingFunction(G4, (1, 0)) and type(theta.exps[0]) is int
 
 
 def test_components():
