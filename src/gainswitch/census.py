@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph
+from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph, _check_cap
 from .switching import (
     SpanningForest,
     _chord_cycles_disjoint,
@@ -260,8 +260,7 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     tally, reshaped to (4,)*r, is the census's weight array.  Graphs of
     rank above 12, whose tally would not fit, are refused before the scan.
     """
-    if g.m > max_edges:
-        raise InstanceTooLargeError(f"census capped at {max_edges} edges, graph has {g.m}")
+    _check_cap("census", g.m, max_edges, "edges")
     f = spanning_forest(g)
     chords = tuple(itertools.compress(range(g.m), f.is_chord))
     r = len(chords)
@@ -299,6 +298,20 @@ def brute_force_census(g: SimpleGraph, max_edges: int = DEFAULT_CENSUS_CAP) -> C
     return Census(total=3**g.m, weights=tally.reshape((4,) * r), chords=chords)
 
 
+def _convolution_dtype(d: int, m: int):
+    """The weight dtype of a convolution over Z_4^d of m edges in all; d past its cap raises.
+
+    A pass's sums are 4 times Gaussian integers bounded by 3^m: int64 while
+    4 * 3^m < 2^63 (m <= 38), Python integers past it, which take about
+    five times the bytes and time, so their cap on d is two lower.
+    """
+    exact = 4 * 3**m < 2**63
+    cap = _MAX_DENSE_DIM if exact else _MAX_DENSE_DIM - 2
+    if d > cap:
+        raise InstanceTooLargeError(f"convolution over Z_4^d capped at d = {cap}, got d = {d}")
+    return np.int64 if exact else object
+
+
 def _convolve(d: int, runs) -> np.ndarray:
     """Weights over Z_4^d of the sums of ``(column, count)`` runs of edges.
 
@@ -311,18 +324,12 @@ def _convolve(d: int, runs) -> np.ndarray:
     of real and imaginary parts: a pass reads the contiguous slices of the
     leading axis of its (2, 4, 4^(d-1)) view and writes its outputs as the
     last axis of the (2, 4^(d-1), 4) view, so d passes restore the axis
-    order.  A pass's sums are 4 times Gaussian integers bounded by 3^m and
-    are shifted right by 2: int64 while 4 * 3^m < 2^63 (m <= 38), Python
-    integers past it, which take about five times the bytes and time, so
-    their cap on d is two lower.  Live at once: the buffer and a pass's two
-    temporaries, as large as the buffer together.
+    order.  A pass's sums are shifted right by 2, in ``_convolution_dtype``'s
+    dtype.  Live at once: the buffer and a pass's two temporaries, as large
+    as the buffer together.
     """
     runs = list(runs)
-    exact = 4 * 3 ** sum(count for _, count in runs) < 2**63
-    cap = _MAX_DENSE_DIM if exact else _MAX_DENSE_DIM - 2
-    if d > cap:
-        raise InstanceTooLargeError(f"convolution over Z_4^d capped at d = {cap}, got d = {d}")
-    dtype = np.int64 if exact else object
+    dtype = _convolution_dtype(d, sum(count for _, count in runs))
     buf = np.zeros((2, 4**d), dtype=dtype)
     p = buf[0].reshape((4,) * d)
     p[...] = 1
@@ -424,7 +431,7 @@ def class_size_by_blocks(g: GainGraph) -> int:
     1, i or -i shifts the profile by 0, +sigma_e or -sigma_e, a choice that
     sigma_e -> -sigma_e leaves alone, so the edges whose incidence columns
     agree up to sign are one run; a 2-connected block of rank r has at most
-    3r - 3 runs, and the convolution's cap on r bounds the cost.
+    3r - 3 runs, and the convolution's cap on r, asked first, bounds the cost.
     The input must be mixed.
     """
     if not g.mixed_mode:
@@ -443,6 +450,7 @@ def class_size_by_blocks(g: GainGraph) -> int:
             # counts a gain and its conjugate alike, so the direction is moot.
             size *= alpha_closed_form(len(ids)).component(g.group.element(profile[column[chords[0]]]))
         else:
+            _convolution_dtype(len(chords), len(ids))  # a d past the cap raises before the incidence is built
             runs: dict[tuple[int, ...], int] = {}
             for s in _basis_incidence(graph, forest, chords, ids):
                 key = tuple(s) if next(filter(None, s)) > 0 else tuple(-x for x in s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InstanceTooLargeError, ValidationError
 
 __all__ = [
     "GainGroup",
@@ -50,6 +50,20 @@ def _exact_int(x, what: str) -> int:
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise ValidationError(f"{what} {x!r} is not an integer")
     return operator.index(x)
+
+
+def _check_cap(what: str, size: int, cap, unit: str) -> None:
+    """Refuse an instance of ``size`` past an enumeration's integer ``cap``."""
+    cap = _exact_int(cap, f"{what} cap")
+    if size > cap:
+        raise InstanceTooLargeError(f"{what} capped at {cap} {unit}, graph has {size}")
+
+
+def _vertex(v, n: int) -> int:
+    """v as an int, when it is one of 1..n (numpy ints included, bools not)."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__") or not 1 <= operator.index(v) <= n:
+        raise ValidationError(f"{v!r} is not a vertex in 1..{n}")
+    return operator.index(v)
 
 
 @dataclass(frozen=True)
@@ -317,23 +331,14 @@ class SimpleGraph:
             self._csr_arrays = offsets, neighbours, place % m, keys // m2
         return self._csr_arrays
 
-    def _vertex(self, v) -> int:
-        """v as an int, when it is one of 1..n (numpy ints included, bools not)."""
-        try:
-            if not isinstance(v, bool) and 1 <= operator.index(v) <= self.n:
-                return operator.index(v)
-        except TypeError:
-            pass
-        raise ValidationError(f"{v!r} is not a vertex in 1..{self.n}")
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """v's sorted neighbours: its row of ``csr``."""
-        v = self._vertex(v)
+        v = _vertex(v, self.n)
         offsets, neighbours, _ = self.csr
         return neighbours[offsets[v] : offsets[v + 1]]
 
     def degree(self, v: int) -> int:
-        v = self._vertex(v)
+        v = _vertex(v, self.n)
         offsets = self.csr[0]
         return offsets[v + 1] - offsets[v]
 
@@ -514,7 +519,7 @@ class SwitchingFunction:
         return theta
 
     def __call__(self, v: int) -> GainExponent:
-        return GainExponent(self.group, self.exps[v - 1])
+        return GainExponent(self.group, self.exps[_vertex(v, len(self.exps)) - 1])
 
     @property
     def n(self) -> int:

@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .gaincore import GainGraph, GainGroup, SimpleGraph, build_gain_graph, hermitian_matrix, underlying
+from .gaincore import _check_cap, _exact_int
 from .switching import DEFAULT_CYCLE_CAP, cycle_gain, enumerate_cycles
 
 __all__ = [
@@ -78,10 +79,7 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
     ``cycles`` are the live accumulators, valid only during the call.
     """
     n = g.n
-    if n > max_vertices:
-        raise InstanceTooLargeError(
-            f"elementary-subgraph enumeration capped at {max_vertices} vertices, graph has {n}"
-        )
+    _check_cap("elementary-subgraph enumeration", n, max_vertices, "vertices")
     k = len(weights)
     out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
     for u, v, x in zip(g.tails, g.heads, exps):
@@ -146,6 +144,7 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
 
 def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
     """All elementary subgraphs covering exactly k vertices."""
+    k = _exact_int(k, "order")
     if not 0 <= k <= g.n:
         raise ValidationError(f"order {k} out of range 0..{g.n}")
     found: list[ElementarySubgraph] = []
@@ -175,9 +174,9 @@ class CharPoly:
         return acc
 
 
-# Cached on graph equality, as ``_spectrum_cached`` is; the hit that pays is
-# ``determinant`` right after ``char_poly_elementary`` on one graph: one entry.
-@lru_cache(maxsize=1)
+# Cached on graph equality, as ``_spectrum_cached`` is, and typed, so a cap of True
+# misses the cap 1's one entry; it pays for ``determinant`` after ``char_poly_elementary``.
+@lru_cache(maxsize=1, typed=True)
 def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
     """a_0 .. a_n of the characteristic polynomial, from one enumeration.
 

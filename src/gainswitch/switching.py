@@ -15,8 +15,8 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainExponent, GainGraph, SimpleGraph, SwitchingFunction
+from .errors import ValidationError
+from .gaincore import GainExponent, GainGraph, SimpleGraph, SwitchingFunction, _check_cap, negate
 
 __all__ = [
     "SpanningForest",
@@ -445,10 +445,7 @@ def enumerate_cycles(g: SimpleGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> l
     direction fixed by second vertex < last vertex.  Exponential in general;
     refuses graphs with more than ``max_vertices`` vertices.
     """
-    if g.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"cycle enumeration capped at {max_vertices} vertices, graph has {g.n}"
-        )
+    _check_cap("cycle enumeration", g.n, max_vertices, "vertices")
     cycles: list[tuple[int, ...]] = []
     on_path = [False] * (g.n + 1)
     offsets, neighbours, _ = g.csr
@@ -579,14 +576,9 @@ def equivalent_to_negation(g: GainGraph) -> bool:
 def negation_witness(g: GainGraph) -> SwitchingFunction | None:
     """A theta with ``apply_switching(g, theta) == negate(g)``, or None.
 
-    Built from a 2-coloring (theta = 1 on one side, -1 on the other), so the
-    group order must be even; returns None when the graph is not bipartite.
+    ``switching_equivalent(g, negate(g))``: negation adds k/2 to every forest
+    step, so theta is 1 at even depth and -1 at odd depth (``bipartition``'s
+    sides), and None when a chord joins two depths of equal parity.  The
+    group order must be even, as ``negate`` checks.
     """
-    k = g.group.order
-    if k % 2 != 0:
-        raise ValidationError("negation needs -1 in the gain group (even order)")
-    sides = bipartition(g.graph)
-    if sides is None:
-        return None
-    side0, _ = sides
-    return SwitchingFunction._unchecked(g.group, tuple(0 if v in side0 else k // 2 for v in range(1, g.graph.n + 1)))
+    return switching_equivalent(g, negate(g))

@@ -13,8 +13,8 @@ from functools import cached_property
 from math import prod
 from operator import sub
 
-from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainGraph, SimpleGraph, _exact_int, build_gain_graph
+from .errors import ValidationError
+from .gaincore import GainGraph, SimpleGraph, _check_cap, _exact_int, _vertex, build_gain_graph
 from .switching import _normal, spanning_forest, switching_equivalent
 
 __all__ = [
@@ -56,7 +56,7 @@ class VertexPermutation:
         return f
 
     def __call__(self, v: int) -> int:
-        return self.image[v - 1]
+        return self.image[_vertex(v, len(self.image)) - 1]
 
     @property
     def n(self) -> int:
@@ -137,10 +137,7 @@ def _masks(a: SimpleGraph | GainGraph, b: SimpleGraph | GainGraph, max_vertices:
         k, exps_b, a, b = a.group.order, b.exps, a.graph, b.graph
     else:
         k, exps_b = 1, (0,) * b.m
-    if a.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"{search} search capped at {max_vertices} vertices, graph has {a.n}"
-        )
+    _check_cap(f"{search} search", a.n, max_vertices, "vertices")
     n = a.n
     offsets_a, offsets_b = a.csr[0], b.csr[0]
     deg_a = list(map(sub, offsets_a[1:], offsets_a))
@@ -508,10 +505,7 @@ def orbit_of_class(
     One gain graph act(f, g) per switching class in the orbit, by BFS over the
     underlying chain's generators, keyed by basis gain profile and sorted by it.
     """
-    if g.graph.m > max_edges:
-        raise InstanceTooLargeError(
-            f"orbit computation capped at {max_edges} edges, graph has {g.graph.m}"
-        )
+    _check_cap("orbit computation", g.graph.m, max_edges, "edges")
     forest = spanning_forest(g.graph)
     generators = automorphisms(g.graph, max_vertices).generators
     reps = {_normal(g, forest)[1]: g}

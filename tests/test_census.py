@@ -43,7 +43,9 @@ Claims covered here:
     Python integers from 39; the whole-graph convolution oracle uses that
     reference in place of the library's convolution;
   * on Z_4 one run of n edges is the alpha vector read by exponent, for n
-    from 0 to 45.
+    from 0 to 45;
+  * a block whose rank is past the convolution's cap is refused before its
+    incidence on its chords is built.
 """
 
 import itertools
@@ -1169,3 +1171,20 @@ def test_convolution_caps():
         census_mod._convolve(11, [((0,) * 11, 39)])
     with pytest.raises(gs.InstanceTooLargeError, match="capped at d = 12, got d = 15"):
         gs.class_size_by_blocks(all_ones(complete_graph(7)))  # one block of rank 15
+
+
+def test_block_dimension_is_refused_before_the_incidence(monkeypatch):
+    """A mixed 2 x 40 ladder (n 80, m 118) is one block of rank 39: past the
+    Python-int cap of 10, which is asked before the block's incidence is built."""
+    rails = [(i, i + 1) for i in (*range(1, 40), *range(41, 80))]
+    ladder = rails + [(i, 40 + i) for i in range(1, 41)]
+    g = gs.build_gain_graph(80, gs.GainGroup(4), [(u, v, (0, 1, 3)[e % 3]) for e, (u, v) in enumerate(ladder)],
+                            mixed_mode=True)
+    assert (g.graph.n, g.graph.m) == (80, 118)
+
+    def unbuilt(*args):
+        raise AssertionError("the block's incidence was built")
+
+    monkeypatch.setattr(census_mod, "_basis_incidence", unbuilt)
+    with pytest.raises(gs.InstanceTooLargeError, match="capped at d = 10, got d = 39"):
+        gs.class_size_by_blocks(g)

@@ -25,9 +25,10 @@ Claims covered:
       GainExponent; only the values handed to callers are built
     - ``csr`` rows (``neighbors(v)``) come out sorted without a per-vertex
       sort, and the parallel ``edge_ids`` row lists the edge id of each
-    - ``degree`` and ``neighbors`` take numpy ints as vertices and raise
-      ValidationError for anything that is not a vertex in 1..n, built by
-      either csr route
+    - ``degree``, ``neighbors``, a switching function theta(v) and a vertex
+      permutation f(v) take numpy ints as vertices and raise
+      ValidationError for anything that is not a vertex in 1..n, the graph
+      built by either csr route
     - malformed graph data raises the per-entry check's message, and names
       the same entry, whichever of several entries are bad
     - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
@@ -207,11 +208,13 @@ def test_malformed_graph_data_raises_validation_error(build, named):
 def test_degree_and_neighbors_take_only_vertices(v, route, monkeypatch):
     monkeypatch.setattr(gs.gaincore, "_ARRAY_WALK_EDGES", 0 if route == "array" else math.inf)
     graph = gs.SimpleGraph(3, [(1, 2), (2, 3)])
-    for look in (graph.degree, graph.neighbors):
+    theta, f = gs.SwitchingFunction(G4, (0, 1, 2)), gs.VertexPermutation((2, 3, 1))
+    for look in (graph.degree, graph.neighbors, theta, f):
         with pytest.raises(ValidationError, match=re.escape(f"{v!r} is not a vertex in 1..3")):
             look(v)
     assert [graph.degree(np.int64(v)) for v in (1, 2, 3)] == [1, 2, 1]
     assert type(graph.degree(np.int32(2))) is int and graph.neighbors(np.uint8(2)) == (1, 3)
+    assert [theta(np.int64(v)).exp for v in (1, 2, 3)] == [0, 1, 2] and f(np.uint8(3)) == 1
 
 
 def test_integer_like_graph_data_is_accepted():

@@ -24,11 +24,12 @@ Claims covered:
     - agreement on every non-cut edge is sufficient for equivalence
     - balance, gain character (against every cycle's gain, thetas included),
       the bipartition (against networkx and a breadth-first 2-coloring) and
-      the bipartite negation criterion
+      the bipartite negation criterion, whose witness is the 2-coloring's
     - an empty cycle, a face or cycle gain that is not a k = 4
       ``GainExponent``, the group of a switching function on no vertices,
-      a vertex order or walk holding a string, and ``has_edge`` on a string
-      raise ValidationError
+      a vertex order or walk holding a string, ``has_edge`` on a string, an
+      elementary order or an enumeration cap that is not an integer raise
+      ValidationError; a numpy-int cap refuses as its int does
     - a graph's normal form (vertex potentials and chord exponents) is
       computed once per forest object: an inequivalent decision with its
       first difference and balance test makes one pass per graph, the
@@ -801,6 +802,9 @@ def test_negation_criterion(rng):
         if bipartite:
             switched = gs.apply_switching(g, witness)
             assert switched.gains == gs.negate(g).gains
+            side0, _ = bfs_two_coloring(graph)  # oracle: theta = 1 on side 0, -1 on side 1
+            half = g.group.order // 2
+            assert witness == gs.SwitchingFunction(g.group, [0 if v in side0 else half for v in range(1, graph.n + 1)])
         else:
             assert witness is None
 
@@ -813,6 +817,27 @@ def test_negation_witness_odd_group():
 
 def square_face():
     return gs.parse_face_structure(all_ones(cycle_graph(4)), [(1, 2, 3, 4)])
+
+
+# Every public enumeration cap, each given a non-integer: the cap is read
+# before the enumeration or search it guards.
+CAPPED = {
+    "elementary": lambda cap: gs.enumerate_elementary(complete_graph(4), 2, cap),
+    "char-poly": lambda cap: gs.char_poly_elementary(all_ones(complete_graph(4)), cap),
+    "determinant": lambda cap: gs.determinant(all_ones(complete_graph(4)), cap),
+    "cycles": lambda cap: gs.enumerate_cycles(cycle_graph(4), cap),
+    "chordless-cycles": lambda cap: gs.enumerate_chordless_cycles(cycle_graph(4), cap),
+    "cycle-gains-equal": lambda cap: gs.cycle_gains_equal_chordless(arc_triangle(), arc_triangle(), cap),
+    "real-gain-sums": lambda cap: gs.cycle_real_gain_sums(arc_triangle(), cap),
+    "census": lambda cap: gs.brute_force_census(cycle_graph(4), cap),
+    "automorphisms": lambda cap: gs.automorphisms(cycle_graph(4), cap),
+    "aut-decomposition": lambda cap: gs.mixed_aut_decomposition(arc_triangle(), cap),
+    "switching-isomorphic": lambda cap: gs.switching_isomorphic(arc_triangle(), arc_triangle(), cap),
+    "orbit-vertices": lambda cap: gs.orbit_of_class(arc_triangle(), max_vertices=cap),
+    "orbit-edges": lambda cap: gs.orbit_of_class(arc_triangle(), max_edges=cap),
+    "underlying-isomorphism": lambda cap: gs.underlying_isomorphism(cycle_graph(4), cycle_graph(4), cap),
+}
+BAD_CAPS = {"none": None, "str": "x", "float": 1.5, "bool": True}
 
 
 @pytest.mark.parametrize(
@@ -836,15 +861,31 @@ def square_face():
         lambda: gs.VertexPermutation((True, 2)),
         lambda: gs.VertexPermutation((1, 1)),
         lambda: gs.VertexPermutation(2),
-    ],
+        lambda: gs.enumerate_elementary(complete_graph(4), 1.5),
+        lambda: gs.enumerate_elementary(complete_graph(4), True),
+    ]
+    + [lambda call=call, cap=cap: call(cap) for call in CAPPED.values() for cap in BAD_CAPS.values()],
     ids=["empty-cycle", "no-face-gains", "int-face-gain", "int-cycle-gain", "empty-theta-group",
          "empty-negation-witness-group", "str-in-vertex-order", "str-in-walk", "str-in-has-edge",
          "float-group-order", "float-group-order-build", "str-group-order", "bool-group-order", "float-in-permutation",
-         "bool-in-permutation", "repeat-in-permutation", "int-permutation"],
+         "bool-in-permutation", "repeat-in-permutation", "int-permutation", "float-elementary-order",
+         "bool-elementary-order"]
+    + [f"{kind}-{name}-cap" for name in CAPPED for kind in BAD_CAPS],
 )
 def test_malformed_arguments_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_numpy_int_caps_read_as_ints():
+    """A numpy-int cap refuses as its int does, with the same message."""
+    for name, call in CAPPED.items():
+        messages = []
+        for cap in (2, np.int64(2)):
+            with pytest.raises(InstanceTooLargeError) as raised:
+                call(cap)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] and "capped at 2 " in messages[0], name
 
 
 def test_integer_likes_become_ints():
