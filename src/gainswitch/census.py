@@ -35,6 +35,7 @@ from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph, _check_ca
 from .switching import (
     SpanningForest,
     _chord_cycles_disjoint,
+    _chord_use,
     _chord_walk,
     _normal,
     cycle_gain,
@@ -158,13 +159,17 @@ def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
     their child ends) needs one edge that no other chord's path uses.
     """
     f = spanning_forest(g)
-    chords = itertools.compress(zip(g.tails, g.heads), f.is_chord)
-    paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in chords]
-    use = [0] * (g.n + 1)
-    for x in itertools.chain.from_iterable(paths):
-        use[x] += 1
-    tight = all(any(use[x] == 1 for x in path) for path in paths)
-    r = len(paths)
+    if f._arrays is not None:  # paths counted per forest edge by levels
+        least = _chord_use(g, f)[1]
+        r, tight = len(least), bool((least == 1).all())
+    else:
+        chords = itertools.compress(zip(g.tails, g.heads), f.is_chord)
+        paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in chords]
+        use = [0] * (g.n + 1)
+        for x in itertools.chain.from_iterable(paths):
+            use[x] += 1
+        tight = all(any(use[x] == 1 for x in path) for path in paths)
+        r = len(paths)
     return 3**r, 4**r, tight
 
 
@@ -235,10 +240,11 @@ def _basis_incidence(g: SimpleGraph, f: SpanningForest, chords, edge_ids) -> lis
     be listed in ``edge_ids``."""
     row = {e: i for i, e in enumerate(edge_ids)}
     sigma = [[0] * len(chords) for _ in row]
+    parent, parent_edge = f.parent, f.parent_edge
     for j, e in enumerate(chords):
         sigma[row[e]][j] = 1
         for x, climbs in _chord_walk(f, g.tails[e], g.heads[e]):
-            sigma[row[f.parent_edge[x]]][j] = 1 if (x < f.parent[x]) == climbs else -1
+            sigma[row[parent_edge[x]]][j] = 1 if (x < parent[x]) == climbs else -1
     return sigma
 
 

@@ -199,11 +199,16 @@ def cmd_classify(args) -> tuple[dict, int]:
         "cactus": census_mod.is_cactus(g.graph),
         "mixed": g.mixed_mode,
     }
+    diagnostics: list[str] = []
     if g.mixed_mode:
-        spectral_balance = spectral.is_balanced_spectrally(g, max(args.tol, 1e-8))
-        result["spectral_balance"] = spectral_balance
-        result["spectral_balance_agrees"] = spectral_balance == result["balanced"]
-    return result, 0
+        try:
+            spectral_balance = spectral.is_balanced_spectrally(g, max(args.tol, 1e-8))
+        except InstanceTooLargeError as exc:  # past the Jacobi order cap
+            diagnostics.append(f"spectral balance cross-check skipped: {exc}")
+        else:
+            result["spectral_balance"] = spectral_balance
+            result["spectral_balance_agrees"] = spectral_balance == result["balanced"]
+    return {"result": result, "diagnostics": diagnostics}, 0
 
 
 def cmd_iso(args) -> tuple[dict, int]:

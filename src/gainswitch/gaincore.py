@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -629,7 +630,8 @@ def _sorted_columns(keys: np.ndarray, w: int, k: int):
 
 def _array_arc_columns(n: int, k: int, columns):
     """``_arc_columns`` as array arithmetic, for ``parse_gg``'s (us, vs, ts)
-    columns of ASCII-digit vertex fields (or ints) and int exponents.
+    columns of ASCII-digit vertex fields (or ints) and int exponents, or
+    for the int64 array of them that its bulk route converts.
 
     One int64 array holds the columns; the orientation, range, self-loop
     and key steps run on whole columns.  Returns None where ``_arc_columns``
@@ -752,12 +754,12 @@ def _e_columns(us: list[str], vs: list[str], ts: list[str], k: int):
     return us, vs, exps
 
 
-def _e_rescan(lines: list[str], aliases: dict[str, int]):
-    """Convert the fields of the ``e`` lines among ``lines``, which the line
-    loop found to have four fields each, one line at a time, naming the line
-    of the first bad field."""
+def _e_rescan(lines: list[str], aliases: dict[str, int], first: int = 1):
+    """Convert the fields of the ``e`` lines among ``lines``, numbered from
+    ``first``, which the line loop found to have four fields each, one line
+    at a time, naming the line of the first bad field."""
     us, vs, ts = [], [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         parts = raw.partition("#")[0].split()
         if parts and parts[0] == "e":
             _, su, sv, tok = parts
@@ -770,39 +772,16 @@ def _e_rescan(lines: list[str], aliases: dict[str, int]):
     return us, vs, ts
 
 
-def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
-    """Parse the ``.gg`` text format.
+def _read_lines(lines: list[str], first: int = 1, state=None):
+    """The line loop of ``parse_gg`` over ``lines``, numbered from ``first``.
 
-    Returns ``(graph, faces)`` where ``faces`` collects the optional ``f``
-    lines (clockwise inner-face cycles, consumed by the census module).
-
-    Format, one directive per line, ``#`` starts a comment::
-
-        gg <k> [mixed]     header; k is the gain group order
-        n <count>          vertex count
-        e <u> <v> <t>      edge with gain exponent t on orientation u -> v;
-                           for k = 4 the tokens 1, -1, i, -i are accepted
-                           as aliases for t = 0, 2, 1, 3
-        f <v1> ... <vl>    optional inner face, clockwise vertex cycle
-
-    The line loop collects the fields of the ``e`` lines as text; they are
-    checked and converted together after it, into one int64 array whose
-    columns are keyed and sorted as arrays when there are at least
-    ``_ARRAY_PARSE_EDGES`` of them.  Only when that fails, or when a later
-    line is bad, are they converted again one line at a time, so that the
-    first bad line is the one named; a refusal of the array pass (a field
-    past int64 among them) goes the same exact way as a small file.
+    Returns the state ``(k, aliases, mixed, n, us, vs, ts, faces)``: the
+    header, the fields of the ``e`` lines as text and the faces, read on
+    from ``state`` when it is given.  A bad line raises, unless a bad ``e``
+    line above it among ``lines`` comes first.
     """
-    k: int | None = None
-    aliases: dict[str, int] = {}
-    mixed = False
-    n: int | None = None
-    us: list[str] = []
-    vs: list[str] = []
-    ts: list[str] = []
-    faces: list[tuple[int, ...]] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    k, aliases, mixed, n, us, vs, ts, faces = state or (None, {}, False, None, [], [], [], [])
+    for lineno, raw in enumerate(lines, start=first):
         parts = raw.partition("#")[0].split()
         if not parts:
             continue
@@ -845,9 +824,100 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
             else:
                 raise ValidationError(f"unknown directive {tag!r}")
         except (ValidationError, IndexError, ValueError) as exc:
-            _e_rescan(lines[: lineno - 1], aliases)  # a bad e line above this one comes first
+            _e_rescan(lines[: lineno - first], aliases, first)  # a bad e line above this one comes first
             what = exc if isinstance(exc, ValidationError) else f"malformed {tag!r} line ({exc})"
             raise ValidationError(f"line {lineno}: {what}") from None
+    return k, aliases, mixed, n, us, vs, ts, faces
+
+
+# A run of e lines as format_gg writes them, "e <u> <v> <gain>\n" with single
+# spaces and ASCII-digit vertices; the gain is ASCII digits or, at k = 4, one
+# of the tokens 0 1 2 3 i -1 -i (a longer digit string there, such as 01,
+# is an exponent that a one-character alias would read otherwise).
+_E_RUN = re.compile(r"(?:e [0-9]+ [0-9]+ [0-9]+\n)+")
+_E_RUN_QUARTER = re.compile(r"(?:e [0-9]+ [0-9]+ (?:[0-3i]|-[1i])\n)+")
+# A run with its e dropped, i read as 5 and - as 6 is decimal fields only, and
+# a k = 4 gain token reads as one of 0 1 2 3 5 61 65; _RUN_EXPONENT maps each
+# of those to its exponent ("1" 0, "i" 1, "-1" 2, "-i" 3).
+_RUN_DIGITS = str.maketrans({"e": None, "i": "5", "-": "6"})
+_RUN_EXPONENT = np.zeros(66, dtype=np.int64)
+_RUN_EXPONENT[[2, 3, 5, 61, 65]] = 2, 3, 1, 2, 3
+
+
+def _parse_bulk(text: str):
+    """``parse_gg`` by its bulk route, or None where the plain loop must read the text.
+
+    The lines up to the first ``e`` line go through the line loop, which
+    must find the header there.  The run of canonical ``e`` lines from that
+    one on (``_E_RUN``) is converted by one ``np.fromstring``, whose fields
+    past int64 read as the largest int64 and so fail the vertex range check
+    of ``_array_arc_columns``.  The lines after the run go through the line
+    loop with their true numbers.  Any line, field or graph that the route
+    does not take, faulty or not, leaves the text to the plain loop.
+    """
+    start = text.find("\ne ") + 1
+    if not start:
+        return None
+    head = text[:start].splitlines()
+    try:
+        state = _read_lines(head)
+        k, n = state[0], state[3]
+        if k is None or n is None:
+            return None
+        run = (_E_RUN_QUARTER if k == 4 else _E_RUN).match(text, start)
+        block = run.group() if run else ""
+        count = block.count("\n")
+        if not count or count < _ARRAY_PARSE_EDGES:
+            return None
+        columns = np.fromstring(block.translate(_RUN_DIGITS), dtype=np.int64, sep=" ").reshape(count, 3).T
+        if k == 4:
+            columns[2] = _RUN_EXPONENT[columns[2]]
+        k, _, mixed, n, us, vs, ts, faces = _read_lines(text[run.end() :].splitlines(), len(head) + count + 1, state)
+        if us:  # e lines outside the run
+            outside = _e_columns(us, vs, ts, k)
+            if outside is None:
+                return None
+            columns = np.concatenate((columns, np.array(outside, dtype=np.int64)), axis=1)
+        group = GainGroup(k)
+        built = _array_arc_columns(n, k, columns)
+        return built and (_gain_graph(n, group, built, None, mixed), tuple(faces))
+    except (ValidationError, OverflowError):  # OverflowError: an outside field past int64
+        return None
+
+
+def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
+    """Parse the ``.gg`` text format.
+
+    Returns ``(graph, faces)`` where ``faces`` collects the optional ``f``
+    lines (clockwise inner-face cycles, consumed by the census module).
+
+    Format, one directive per line, ``#`` starts a comment::
+
+        gg <k> [mixed]     header; k is the gain group order
+        n <count>          vertex count
+        e <u> <v> <t>      edge with gain exponent t on orientation u -> v;
+                           for k = 4 the tokens 1, -1, i, -i are accepted
+                           as aliases for t = 0, 2, 1, 3
+        f <v1> ... <vl>    optional inner face, clockwise vertex cycle
+
+    A text with a run of at least ``_ARRAY_PARSE_EDGES`` canonical ``e``
+    lines, as ``format_gg`` writes them, is read by ``_parse_bulk``, which
+    converts the run in one pass and leaves the text here whenever it does
+    not build the graph.  Here the line loop collects the fields of the
+    ``e`` lines as text; they are checked and converted together after it,
+    into one int64 array whose columns are keyed and sorted as arrays when
+    there are at least ``_ARRAY_PARSE_EDGES`` of them.  Only when that
+    fails, or when a later line is bad, are they converted again one line at
+    a time, so that the first bad line is the one named; a refusal of the
+    array pass (a field past int64 among them) goes the same exact way as a
+    small file.
+    """
+    # Every canonical e line takes at least 8 characters ("e 1 2 1\n").
+    parsed = len(text) >= 8 * _ARRAY_PARSE_EDGES and _parse_bulk(text)
+    if parsed:
+        return parsed
+    lines = text.splitlines()
+    k, aliases, mixed, n, us, vs, ts, faces = _read_lines(lines)
     if k is None:
         raise ValidationError("missing gg header")
     if n is None:
@@ -867,14 +937,13 @@ def format_gg(g: GainGraph, faces=()) -> str:
     ``parse_gg(format_gg(g)) == g`` for every valid gain graph.
     """
     head = f"gg {g.group.order} mixed" if g.mixed_mode else f"gg {g.group.order}"
-    lines = [head, f"n {g.graph.n}"]
     # For k = 4 the parser reads a bare "1" as the alias for gain 1, so the
     # exponent 1 must be written as its token "i" to round-trip.
     tokens = {exp: tok for tok, exp in _MIXED_TOKEN.items()} if g.group.order == 4 else None
     gains = map(tokens.__getitem__, g.exps) if tokens else g.exps
-    lines += [f"e {u} {v} {t}" for u, v, t in zip(g.graph.tails, g.graph.heads, gains)]
-    lines += ["f " + " ".join(map(str, face)) for face in faces]
-    return "\n".join(lines) + "\n"
+    rows = itertools.chain.from_iterable(zip(g.graph.tails, g.graph.heads, gains))
+    edges = ("e %d %d %s\n" * g.graph.m) % tuple(rows)
+    return f"{head}\nn {g.graph.n}\n{edges}" + "".join("f " + " ".join(map(str, face)) + "\n" for face in faces)
 
 
 def load_gg(path) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:

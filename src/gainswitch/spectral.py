@@ -37,7 +37,19 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENTARY_CAP = 14
+_ELEMENTARY = "elementary-subgraph enumeration"
 JACOBI_MAX_SWEEPS = 50
+# The largest graph order ``spectrum`` takes.  A Jacobi round forms J A J^H
+# with a dense n x n J, so a sweep costs O(n^4).  Process time of
+# ``_jacobi_eigenvalues`` at tol 1e-9 on seeded mixed graphs with m = 1.6n
+# (min of 3, one run from n 128 on; one process on a shared 2-vCPU host):
+#
+#     n      24     48     64     96    128    192
+#     ms    5.3     56    103    414   1219   6165
+#
+# At 96 a spectrum takes well under a second, and ``classify``'s spectral
+# cross-check (two spectra) about one.
+JACOBI_MAX_ORDER = 96
 _NORMAL_MIN = np.finfo(float).tiny
 
 # Group orders at which 2 Re of every element is an integer (Niven).
@@ -79,7 +91,7 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
     ``cycles`` are the live accumulators, valid only during the call.
     """
     n = g.n
-    _check_cap("elementary-subgraph enumeration", n, max_vertices, "vertices")
+    _check_cap(_ELEMENTARY, n, max_vertices, "vertices")
     k = len(weights)
     out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
     for u, v, x in zip(g.tails, g.heads, exps):
@@ -174,9 +186,10 @@ class CharPoly:
         return acc
 
 
-# Cached on graph equality, as ``_spectrum_cached`` is, and typed, so a cap of True
-# misses the cap 1's one entry; it pays for ``determinant`` after ``char_poly_elementary``.
-@lru_cache(maxsize=1, typed=True)
+# Cached on graph equality, as ``_spectrum_cached`` is; it pays for ``determinant``
+# after ``char_poly_elementary``.  The callers read the cap as an int first, so
+# that the cache sees no bool, float or unhashable cap.
+@lru_cache(maxsize=1)
 def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
     """a_0 .. a_n of the characteristic polynomial, from one enumeration.
 
@@ -200,14 +213,14 @@ def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CA
     For group orders 1, 2, 3, 4 and 6 every coefficient is summed as an
     exact integer and stored as its float.
     """
-    coeffs = _coefficients(g, max_vertices)[1:]
+    coeffs = _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[1:]
     return CharPoly(g.graph.n, tuple(float(c) for c in coeffs))
 
 
 def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> float:
     """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n."""
     n = g.graph.n
-    return float((-1) ** n * _coefficients(g, max_vertices)[n])
+    return float((-1) ** n * _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[n])
 
 
 @dataclass(frozen=True)
@@ -315,6 +328,7 @@ def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_
 # orientation's underlying graph in spectral balance, or one graph asked again.
 @lru_cache(maxsize=256)
 def _spectrum_cached(g: GainGraph, tol: float) -> Spectrum:
+    _check_cap("Jacobi spectrum", g.graph.n, JACOBI_MAX_ORDER, "vertices")
     return Spectrum(tuple(_jacobi_eigenvalues(hermitian_matrix(g), tol)), tol)
 
 
@@ -324,7 +338,9 @@ def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     Cyclic complex Jacobi, in the round-robin ordering, runs on the n x n
     Hermitian matrix until its off-diagonal Frobenius norm is at most
     tol * ||H||_F, which by Weyl's inequality bounds every eigenvalue's
-    error.  Results are cached on the (immutable) graph.
+    error.  Results are cached on the (immutable) graph.  Graphs of more
+    than ``JACOBI_MAX_ORDER`` vertices raise ``InstanceTooLargeError``
+    before any matrix is built.
     """
     _check_tol(tol)
     return _spectrum_cached(g, tol)

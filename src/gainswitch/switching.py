@@ -10,7 +10,7 @@ spanning forest decides equivalence outright.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -53,24 +53,61 @@ IMAGINARY = "imaginary"
 MIXED_PROFILE = "mixed-profile"
 
 
-@dataclass(frozen=True)
 class SpanningForest:
     """A breadth-first spanning forest; index 0 of each per-vertex tuple is unused.
 
     Each forest edge is named by its child end v: it joins v to
-    ``parent[v]`` and has edge id ``parent_edge[v]``.
+    ``parent[v]`` and has edge id ``parent_edge[v]``.  The six fields are
+    tuples: ``parent`` (0 at roots), ``root``, ``depth``, ``bfs_order``,
+    ``is_chord`` (per edge id: False on forest edges) and ``parent_edge``
+    (-1 at roots).  A forest walked by whole levels (see ``_level_walk``)
+    keeps them as numpy arrays in ``_arrays``, read by the array passes, and
+    builds each tuple when it is first read, as ``SimpleGraph.csr`` does.
+    Instances are immutable by convention and compare by their fields.
     """
 
-    parent: tuple[int, ...]  # parent vertex, 0 at roots
-    root: tuple[int, ...]
-    depth: tuple[int, ...]
-    bfs_order: tuple[int, ...]
-    is_chord: tuple[bool, ...]  # per edge id: False on forest edges
-    parent_edge: tuple[int, ...]  # edge id of the forest edge to the parent, -1 at roots
-    # (parent, parent_edge, is_chord, height): three numpy arrays and the
-    # largest depth, on a forest walked by whole levels; read by the array
-    # normal form and witness check.
-    _arrays: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("_fields", "_arrays", "_levels", "_use")
+    _NAMES = ("parent", "root", "depth", "bfs_order", "is_chord", "parent_edge")
+
+    def __init__(self, parent, root, depth, bfs_order, is_chord, parent_edge) -> None:
+        self._fields = [parent, root, depth, bfs_order, is_chord, parent_edge]
+        self._arrays = self._levels = self._use = None
+
+    @classmethod
+    def _walked(cls, arrays: tuple, levels: np.ndarray) -> "SpanningForest":
+        """A forest from ``_level_walk``: its six fields as int64 (bool for
+        ``is_chord``) arrays, and ``levels``, the offsets into ``bfs_order``
+        at which each depth starts, then its end."""
+        f = cls(*(None,) * 6)
+        f._arrays, f._levels = arrays, levels
+        return f
+
+    def _field(self, i: int) -> tuple:
+        value = self._fields[i]
+        if value is None:
+            value = self._fields[i] = tuple(self._arrays[i].tolist())
+        return value
+
+    parent = property(lambda self: self._field(0))
+    root = property(lambda self: self._field(1))
+    depth = property(lambda self: self._field(2))
+    bfs_order = property(lambda self: self._field(3))
+    is_chord = property(lambda self: self._field(4))
+    parent_edge = property(lambda self: self._field(5))
+
+    def _key(self) -> tuple:
+        return tuple(map(self._field, range(6)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "SpanningForest(" + ", ".join(f"{name}={value!r}" for name, value in zip(self._NAMES, self._key())) + ")"
 
 
 @dataclass(frozen=True)
@@ -97,7 +134,8 @@ def spanning_forest(g: SimpleGraph, vertex_order=None) -> SpanningForest:
     then follow that ranking instead of the numeric one.  The default forest
     is built once per graph and the same object is returned on every call;
     from ``gaincore._ARRAY_WALK_EDGES`` edges on it is walked a whole level
-    at a time (see ``_level_walk``), with the same result.
+    at a time (see ``_level_walk``), with the same result, and keeps its
+    fields as arrays until they are read.
     """
     n = g.n
     if vertex_order is None:
@@ -216,8 +254,9 @@ def _level_walk(g: SimpleGraph, arrays) -> SpanningForest:
             width < _NARROW and len(levels) > _STALL and width <= len(levels[-1 - _STALL]) and unreached > _NARROW * width
         )
     order = np.concatenate(levels)
+    sizes = list(map(len, levels))
     depth = np.zeros(n + 1, dtype=np.int64)
-    depth[order] = np.repeat(np.arange(len(levels)), list(map(len, levels)))
+    depth[order] = np.repeat(np.arange(len(levels)), sizes)
     is_chord = np.ones(g.m, dtype=bool)
     is_chord[parent_edge[order[1:]]] = False
     if unreached:
@@ -225,12 +264,8 @@ def _level_walk(g: SimpleGraph, arrays) -> SpanningForest:
         state = parent, reached.astype(np.int64), depth, parent_edge, is_chord, order[: len(order) - queued]
         tree = levels[-1].tolist() if handoff else None
         return _queue_walk(g, g.csr, state=(*(column.tolist() for column in state), tree))
-    parent_t, depth_t, order_t, is_chord_t, parent_edge_t = (
-        tuple(column.tolist()) for column in (parent, depth, order, is_chord, parent_edge)
-    )
-    return SpanningForest(
-        parent_t, (0,) + (1,) * n, depth_t, order_t, is_chord_t, parent_edge_t,
-        (parent, parent_edge, is_chord, len(levels) - 1),
+    return SpanningForest._walked(
+        (parent, reached.astype(np.int64), depth, order, is_chord, parent_edge), np.cumsum([0, *sizes])
     )
 
 
@@ -333,14 +368,13 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tupl
     and points 2^j levels up, so ceil(log2(height)) passes reach every root.
     """
     k = g.group.order
-    exps, parent_edge = g.exps, f.parent_edge
     arrays = _forest_arrays(g, f)
     if arrays is not None:
-        parent, up_edge, is_chord, height = arrays
+        parent, _, _, _, is_chord, up_edge = arrays
         x = g._exps_column()
         step = np.append(x, 0)[up_edge]  # 0 at roots, whose up_edge is -1
         pot = np.where(np.arange(len(parent)) < parent, step, -step)
-        up = parent
+        up, height = parent, len(f._levels) - 2
         for _ in range((height - 1).bit_length()):
             pot = pot + pot[up]
             up = up[up]
@@ -348,9 +382,10 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tupl
         tails, heads = g.graph._column_arrays()
         chords = (x + pot[heads] - pot[tails])[is_chord] % k
         return tuple(pot.tolist()), tuple(chords.tolist())
+    exps, parent, parent_edge = g.exps, f.parent, f.parent_edge
     pot = [0] * (g.graph.n + 1)
     for v in f.bfs_order:
-        p = f.parent[v]
+        p = parent[v]
         if p:
             x = exps[parent_edge[v]]
             pot[v] = (pot[p] + x if v < p else pot[p] - x) % k
@@ -505,16 +540,69 @@ def is_balanced(g: GainGraph) -> bool:
     return not any(chords)
 
 
+def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
+    """``(use, least)`` for a forest walked by levels, kept on f: ``use[x]``
+    counts the chord paths through forest edge x (named by its child end),
+    and ``least[j]`` is the least count on the path of chord j (by edge id).
+
+    A forest edge lies on as many chord paths as its subtree holds chord
+    ends, less twice the chord LCAs in it.  So each chord adds 1 at both
+    ends and -2 at its LCA, and the sums are taken up the forest one level
+    at a time.  The LCAs and the path minima come from pointer-doubling
+    tables: ``ups[j]`` sends each vertex 2^j levels up (0 above the root).
+    Lifting the deeper end of a chord by the depth difference, then both
+    ends by each 2^j, largest first, that keeps them apart, leaves them just
+    below the LCA.  ``low`` holds, for each j in turn, the least count on
+    the 2^j forest edges from each vertex up, so a path of length l from x
+    is covered by the tables of the bits of l.
+    """
+    if f._use is None:
+        parent, _, depth, order, is_chord, _ = f._arrays
+        levels = f._levels
+        height = len(levels) - 2
+        tails, heads = g._column_arrays()
+        u, v = tails[is_chord], heads[is_chord]
+        ups = [parent]
+        for _ in range(height.bit_length() - 1):
+            ups.append(ups[-1][ups[-1]])
+        deeper = depth[u] >= depth[v]
+        a, b = np.where(deeper, u, v), np.where(deeper, v, u)
+        lift = depth[a] - depth[b]
+        for j, up in enumerate(ups):
+            a = np.where(lift >> j & 1, up[a], a)
+        for up in reversed(ups):
+            apart = up[a] != up[b]
+            a, b = np.where(apart, up[a], a), np.where(apart, up[b], b)
+        lca = np.where(a == b, a, parent[a])
+        size = len(parent)
+        use = np.bincount(u, minlength=size) + np.bincount(v, minlength=size) - 2 * np.bincount(lca, minlength=size)
+        for d in range(height, 0, -1):
+            level = order[levels[d] : levels[d + 1]]
+            np.add.at(use, parent[level], use[level])
+        x, length = np.concatenate((u, v)), np.concatenate((depth[u], depth[v])) - np.tile(depth[lca], 2)
+        least, low = np.full(len(x), len(u) + 1), use
+        for j, up in enumerate(ups):
+            step = length >> j & 1
+            least = np.where(step, np.minimum(least, low[x]), least)
+            x = np.where(step, up[x], x)
+            low = np.minimum(low, low[up])
+        f._use = use, np.minimum(least[: len(u)], least[len(u) :])
+    return f._use
+
+
 def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
     """True when the fundamental cycles of f share no edge: exactly when g is a cactus.
 
     In a cactus each chord's cycle is the one cycle of its block.
     Conversely, when the cycles are disjoint every cycle of g, a sum of
     them, is one of them, so no block holds a theta (whose third cycle is
-    the sum of the other two).  Only forest edges can be shared; the walk
-    over the chords' cycles stops at the first forest edge met twice, so it
-    takes at most n steps.
+    the sum of the other two).  Only forest edges can be shared.  On a
+    forest walked by levels ``_chord_use`` counts the paths through each
+    of them; otherwise the walk over the chords' cycles stops at the first
+    forest edge met twice, so it takes at most n steps.
     """
+    if f._arrays is not None:
+        return bool(_chord_use(g, f)[0].max(initial=0) <= 1)
     used = [False] * (g.n + 1)
     for u, v in compress(zip(g.tails, g.heads), f.is_chord):
         for x, _ in _chord_walk(f, u, v):

@@ -9,6 +9,10 @@ Claims covered here:
   * class-count bounds and their tightness match the vertex-tuple cycles
     mapped to edge ids, and bounds, census and block sizes list no cycle
     basis;
+  * on forests walked by levels the chord-path count of every forest edge
+    and the least count on every chord path match those cycles, and the
+    bounds, tightness and cactus verdict match the chord walk's, on 240
+    seeded graphs by both routes and on level-walked graphs with m >= 500;
   * class sizes multiply over biconnected blocks, each sized from the
     default forest's chords inside it (checked on hand-built and random
     cacti against the exhaustive census, and on a 3000-triangle cactus
@@ -48,7 +52,9 @@ Claims covered here:
     incidence on its chords is built.
 """
 
+import collections
 import itertools
+import math
 import random
 import time
 
@@ -219,6 +225,125 @@ def test_tight_upper_bound_is_attained():
     assert gs.brute_force_census(two_squares).num_classes == hi
     lo, hi, tight = gs.class_count_bounds(cycle_graph(5))
     assert tight and gs.brute_force_census(cycle_graph(5)).num_classes == hi
+
+
+def cycle_edge_use(graph):
+    """The default forest's fundamental cycles as edge-id lists, by chord
+    edge id, and how many of them use each edge id."""
+    cycles = tree_path_cycles(graph, gs.spanning_forest(graph))
+    ids = [[graph.edge_id(a, b) for a, b in zip(c, c[1:] + c[:1])] for c in cycles]
+    return ids, collections.Counter(itertools.chain.from_iterable(ids))
+
+
+def cycle_edge_counts(graph):
+    """``(bounds, cactus)`` from ``cycle_edge_use``: tight iff every cycle has
+    two edges no other cycle uses, a cactus iff no edge lies on two cycles."""
+    ids, use = cycle_edge_use(graph)
+    r = len(ids)
+    return (3**r, 4**r, all(sum(use[e] == 1 for e in cyc) >= 2 for cyc in ids)), max(use.values(), default=0) <= 1
+
+
+def assert_level_counts_match_cycle_edges(graph):
+    """The level walk's per-edge path counts and per-chord least counts
+    (``switching._chord_use``) against ``cycle_edge_use``."""
+    f = gs.spanning_forest(graph)
+    use, least = gs.switching._chord_use(graph, f)
+    ids, want = cycle_edge_use(graph)
+    assert use.tolist() == [0] + [want[e] if e >= 0 else 0 for e in f.parent_edge[1:]]
+    assert least.tolist() == [min(want[e] for e in cyc if not f.is_chord[e]) for cyc in ids]
+
+
+def counted_by(route, n, edges, cactus_first=False):
+    """``class_count_bounds`` and ``is_cactus`` of a graph built with the array
+    passes on every graph ("array") or on none ("python", the chord walk),
+    and whether its forest was walked by levels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs.gaincore, "_ARRAY_WALK_EDGES", 0 if route == "array" else math.inf)
+        graph = gs.SimpleGraph(n, edges)
+        asks = (gs.is_cactus, gs.class_count_bounds) if cactus_first else (gs.class_count_bounds, gs.is_cactus)
+        found = {ask: ask(graph) for ask in asks}
+        return (found[gs.class_count_bounds], found[gs.is_cactus]), gs.spanning_forest(graph)._arrays is not None, graph
+
+
+def test_chord_counts_by_levels_match_the_chord_walk_and_cycle_edges():
+    """Both routes give the chord walk's bounds, tightness and cactus verdict,
+    and the cycle-edge oracle's, whichever of the two is asked first."""
+    rng = random.Random(2929)
+    walked = tight = cactus = 0
+    for t in range(240):
+        if t % 4 == 0:
+            graph = random_cactus(rng, m_cap=rng.choice((12, 40)))
+        elif t % 4 == 1:
+            graph = random_graph(rng, n_hi=12, m_cap=20)
+        else:
+            graph = random_connected_graph(rng, n_hi=rng.choice((8, 60)), m_cap=rng.choice((12, 70, 200)))
+        (array, by_levels, _), (python, by_queue, built) = (
+            counted_by(route, graph.n, graph.edges, cactus_first=t % 2) for route in ("array", "python")
+        )
+        assert array == python == cycle_edge_counts(built), t
+        assert not by_queue
+        if by_levels:
+            assert_level_counts_match_cycle_edges(counted_by("array", graph.n, graph.edges)[2])
+        walked += by_levels
+        tight += array[0][2] and array[0][0] > 1
+        cactus += array[1] and array[0][0] > 1
+    assert walked >= 150 and tight >= 40 and cactus >= 40, (walked, tight, cactus)
+
+
+def large_structures():
+    """(name, n, edges, tight, cactus, walked by levels) of graphs with m >= 500."""
+    def theta(paths, length):  # hubs 1 and 2 joined by paths of ``length`` edges
+        edges, n = [], 2
+        for _ in range(paths):
+            inner = list(range(n + 1, n + length))
+            n += length - 1
+            chain = [1, *inner, 2]
+            edges += [(min(u, v), max(u, v)) for u, v in zip(chain, chain[1:])]
+        return n, edges
+
+    def grid(rows, cols):
+        vid = lambda i, j: i * cols + j + 1  # noqa: E731
+        right = [(vid(i, j), vid(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+        return rows * cols, right + [(vid(i, j), vid(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+
+    def ladders(count, length):  # ladders hung from vertex 1 by the first ends of both rails
+        edges, n = [], 1
+        for _ in range(count):
+            left, right = range(n + 1, n + length + 1), range(n + length + 1, n + 2 * length + 1)
+            edges += [(1, left[0]), (1, right[0])] + list(zip(left, left[1:])) + list(zip(right, right[1:]))
+            edges += list(zip(left, right))
+            n += 2 * length
+        return n, edges
+
+    def bouquet(count, length):  # cycles of ``length`` through vertex 1
+        edges, n = [], 1
+        for _ in range(count):
+            ring = [1, *range(n + 1, n + length)]
+            n += length - 1
+            edges += [(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])]
+        return n, edges
+
+    yield "bouquet of 20 cycles of 30", *bouquet(20, 30), True, True, True
+    yield "theta of 40 paths of 15", *theta(40, 15), True, False, True
+    yield "grid 25 x 25", *grid(25, 25), False, False, True
+    yield "40 ladders of 6", *ladders(40, 6), False, False, True
+    n = 700
+    yield "cycle 700 with chords", n, [(i, i + 1) for i in range(1, n)] + [(1, n), (100, 300), (200, 400)], True, False, False
+
+
+@pytest.mark.parametrize("name, n, edges, tight, cactus, by_levels", list(large_structures()), ids=lambda x: x if isinstance(x, str) else "")
+def test_chord_counts_on_large_graphs(name, n, edges, tight, cactus, by_levels):
+    """Graphs past ``_ARRAY_WALK_EDGES`` as shipped: the level walk's counts, or
+    the chord walk after a narrow walk is handed to the queue loop, give the
+    cycle-edge oracle's bounds, tightness and cactus verdict."""
+    graph = gs.SimpleGraph(n, edges)
+    assert graph.m >= max(500, gs.gaincore._ARRAY_WALK_EDGES)
+    counts = gs.class_count_bounds(graph), gs.is_cactus(graph)
+    assert (gs.spanning_forest(graph)._arrays is not None) == by_levels
+    assert counts == cycle_edge_counts(graph) == counted_by("python", n, edges)[0]
+    assert (counts[0][2], counts[1]) == (tight, cactus)
+    if by_levels:
+        assert_level_counts_match_cycle_edges(graph)
 
 
 # -- brute-force census ------------------------------------------------------

@@ -282,6 +282,34 @@ def test_classify_needs_no_cycle_cap(tmp_path, capsys):
         assert report["result"]["character"] == "imaginary" and report["result"]["cactus"] is True
 
 
+def test_classify_and_spectrum_past_the_jacobi_order_cap(monkeypatch, tmp_path, capsys):
+    """At the Jacobi order cap both run; one vertex past it classify keeps its
+    combinatorial verdicts, reports the spectral cross-check as skipped and
+    exits 0, and spectrum exits 3 with the cap in its diagnostic."""
+    def arc_cycle(n):  # a cycle with one arc: imaginary
+        path = tmp_path / f"arc_cycle_{n}.gg"
+        arcs = [(v, v % n + 1, 1 if v == 1 else 0) for v in range(1, n + 1)]
+        gs.save_gg(gs.build_gain_graph(n, gs.GainGroup(4), arcs, mixed_mode=True), path)
+        return str(path)
+
+    verdicts = {"balanced": False, "negative": False, "imaginary": True, "character": "imaginary",
+                "cactus": True, "mixed": True}
+    for cap in (8, gs.spectral.JACOBI_MAX_ORDER):
+        monkeypatch.setattr(gs.spectral, "JACOBI_MAX_ORDER", cap)
+        refused = f"Jacobi spectrum capped at {cap} vertices, graph has {cap + 1}"
+        code, report = run(capsys, "classify", arc_cycle(cap + 1))
+        assert code == 0 and report["diagnostics"] == [f"spectral balance cross-check skipped: {refused}"]
+        assert report["result"] == {**verdicts, "equivalent_to_negation": (cap + 1) % 2 == 0}
+        code, report = run(capsys, "spectrum", arc_cycle(cap + 1))
+        assert code == 3 and report["result"] == {} and report["diagnostics"] == [f"error: {refused}"]
+    monkeypatch.setattr(gs.spectral, "JACOBI_MAX_ORDER", 8)
+    code, report = run(capsys, "classify", arc_cycle(8))
+    assert code == 0 and report["diagnostics"] == []
+    assert report["result"]["spectral_balance"] is False and report["result"]["spectral_balance_agrees"] is True
+    code, report = run(capsys, "spectrum", arc_cycle(8))
+    assert code == 0 and len(report["result"]["eigenvalues"]) == 8
+
+
 def test_iso_relabeled_bowtie(capsys):
     code, report = run(capsys, "iso", BOWTIE_MINUS, RELABELED)
     assert code == 0

@@ -12,6 +12,11 @@ Claims covered:
       sides of the array pass's threshold; the array pass takes every valid
       text whose keys fit int64 and leaves the rest to the exact route,
       with n on both sides of that bound and a vertex token past int64
+    - a run of at least 64 canonical e lines with one perturbation (a bad
+      field, a comment, a tab, CRLF, a form feed, a field past int64 or with
+      leading zeros, an e line before the header, a repeated pair, trailing
+      f lines) parses as the plain line loop does, graph and faces or
+      message; the bulk route builds only valid graphs
 """
 
 import itertools
@@ -179,3 +184,67 @@ def test_array_parse_takes_keys_up_to_the_int64_bound(k):
         (array, took), (exact, _) = parse_by(text, "array"), parse_by(text, "exact")
         assert array == exact and not took
         assert exact == want if want else exact[0].graph.heads == (2, int(past))
+
+
+def _perturbed(rng, kind, k):
+    """A text of 64 to 150 ``e`` lines as ``format_gg`` writes them, with one
+    perturbation of ``kind`` at a random line; and whether it is valid."""
+    n, mixed = 30, k == 4 and rng.random() < 0.5
+    arcs = [(u, v, rng.choice(gs.MIXED_EXPONENTS) if mixed else t) for u, v, t in random_arcs(rng, n, k, rng.randint(64, 150))]
+    header, count, *body = gs.format_gg(gs.build_gain_graph(n, gs.GainGroup(k), arcs, mixed)).splitlines(keepends=True)
+    i = rng.randrange(len(body))
+    _, u, v, t = body[i].split()
+    valid = kind not in ("bad field", "past int64", "e line before header", "repeated pair")
+    if kind == "bad field":
+        parts = ["e", u, v, t]
+        field, bad = rng.choice(((1, "1_0"), (2, "-3"), (1, "١"), (3, "x"), (3, "w^1"), (3, "+1")))
+        parts[field] = bad
+        body[i] = " ".join(parts) + "\n"
+    elif kind == "comment":
+        body[i] = rng.choice((body[i][:-1] + " # note\n", "# a comment line\n" + body[i]))
+    elif kind == "tab":
+        body[i] = body[i].replace(" ", "\t", rng.randint(1, 3))
+    elif kind == "crlf":
+        body[i] = body[i][:-1] + "\r\n"
+    elif kind == "form feed":
+        body[i] = body[i][:-1] + rng.choice(("\x0c", "\x0c\n", " \x0c\n"))
+    elif kind == "past int64":
+        body[i] = f"e {u} {rng.choice(('9223372036854775808', '99999999999999999999'))} {t}\n"
+    elif kind == "leading zeros":  # at k = 4 a zero-padded exponent, which no alias reads
+        gain = "0" * rng.randint(1, 3) + (rng.choice("013") if k == 4 else t)
+        body[i] = rng.choice((f"e 00{u} {v} {t}\n", f"e {u} {v} {gain}\n"))
+    elif kind == "e line before header":  # one e line above it, or all of them
+        header, body = (body.pop(i) + header, body) if rng.random() < 0.5 else ("", body + [header])
+    elif kind == "repeated pair":
+        x = gaincore._QUARTER_TOKEN[t] if k == 4 else int(t)
+        body.insert(i, rng.choice((body[i], f"e {v} {u} {_token(k, -x % k, rng)}\n")))
+    elif kind == "trailing f lines":
+        body += [f"f {u} {v} 1\n", "f 2 3\n"]
+    return header + count + "".join(body), valid
+
+
+PERTURBATIONS = (
+    "bad field", "comment", "tab", "crlf", "form feed", "past int64", "leading zeros",
+    "e line before header", "repeated pair", "trailing f lines",
+)
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+def test_bulk_run_with_one_perturbation_reads_as_the_plain_loop(kind):
+    """A run of canonical e lines with one perturbation parses, by default,
+    to the graph and faces, or the message, that the plain line loop gives
+    over the whole text (the exact route); the bulk route builds only valid
+    graphs, and builds some where 64 canonical lines precede the perturbation."""
+    rng = random.Random(kind)
+    bulk, taken = gaincore._parse_bulk, []
+    built = 0
+    for j in range(24):
+        text, valid = _perturbed(rng, kind, (4, 6, 2, 4, 7, 1)[j % 6])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaincore, "_parse_bulk", lambda text: taken.append(bulk(text)) or taken[-1])
+            default, _ = parse_by(text, "default")
+        plain, _ = parse_by(text, "exact")
+        assert default == plain, (kind, text)
+        assert isinstance(plain, str) != valid, plain
+        built += bool(taken.pop())
+    assert built >= 4 if valid else built == 0, built

@@ -15,6 +15,8 @@ Claims covered:
     - spectrum matches numpy.linalg.eigvalsh within 1e-9, and within
       tol * ||H||_F up to n 48, on graphs with isolated vertices and several
       components, and at loose tol without ever raising; the sweep cap raises
+    - past JACOBI_MAX_ORDER vertices spectrum refuses before building the
+      matrix, reading the cap on a cache miss only
     - switching preserves spectra and coefficients
     - bipartite graphs have symmetric spectra; the nonzero-cycle-sum
       converse recovers bipartiteness; the one-arc triangle is the counterexample
@@ -406,6 +408,24 @@ def test_spectrum_loose_tol_never_raises(rng):
         for tol in (1e-4, 1e-2):
             got = np.array(gs.spectrum(g, tol).eigenvalues)
             assert np.abs(got - want).max() <= tol * np.linalg.norm(h)
+
+
+def test_spectrum_order_cap_is_read_on_a_cache_miss_before_the_matrix(monkeypatch):
+    """Past ``JACOBI_MAX_ORDER`` vertices spectrum refuses before building H;
+    a cache hit does not read the cap again."""
+    cap = gs.spectral.JACOBI_MAX_ORDER
+    assert cap >= 48  # the largest graphs the tests take a spectrum of
+    checks, built = [], []
+    check, matrix = gs.spectral._check_cap, gs.spectral.hermitian_matrix
+    monkeypatch.setattr(gs.spectral, "_check_cap", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(gs.spectral, "hermitian_matrix", lambda g: built.append(g) or matrix(g))
+    gs.spectral._spectrum_cached.cache_clear()
+    with pytest.raises(InstanceTooLargeError, match=f"Jacobi spectrum capped at {cap} vertices, graph has {cap + 1}"):
+        gs.spectrum(all_ones(path_graph(cap + 1)))
+    assert built == [] and len(checks) == 1
+    g = arc_triangle()
+    assert gs.spectrum(g) == gs.spectrum(g)
+    assert built == [g] and len(checks) == 2
 
 
 def test_spectrum_tol_validation():

@@ -28,8 +28,9 @@ Claims covered:
     - an empty cycle, a face or cycle gain that is not a k = 4
       ``GainExponent``, the group of a switching function on no vertices,
       a vertex order or walk holding a string, ``has_edge`` on a string, an
-      elementary order or an enumeration cap that is not an integer raise
-      ValidationError; a numpy-int cap refuses as its int does
+      elementary order or an enumeration cap that is not an integer (a
+      list included, which no cache may see) raise ValidationError; a
+      numpy-int cap refuses as its int does
     - a graph's normal form (vertex potentials and chord exponents) is
       computed once per forest object: an inequivalent decision with its
       first difference and balance test makes one pass per graph, the
@@ -837,7 +838,7 @@ CAPPED = {
     "orbit-edges": lambda cap: gs.orbit_of_class(arc_triangle(), max_edges=cap),
     "underlying-isomorphism": lambda cap: gs.underlying_isomorphism(cycle_graph(4), cycle_graph(4), cap),
 }
-BAD_CAPS = {"none": None, "str": "x", "float": 1.5, "bool": True}
+BAD_CAPS = {"none": None, "str": "x", "float": 1.5, "bool": True, "list": []}
 
 
 @pytest.mark.parametrize(
