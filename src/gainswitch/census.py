@@ -160,8 +160,8 @@ def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
     """
     f = spanning_forest(g)
     if f._arrays is not None:  # paths counted per forest edge by levels
-        least = _chord_use(g, f)[1]
-        r, tight = len(least), bool((least == 1).all())
+        private = _chord_use(g, f)[1]
+        r, tight = len(private), bool(private.all())
     else:
         chords = itertools.compress(zip(g.tails, g.heads), f.is_chord)
         paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in chords]

@@ -628,10 +628,10 @@ def _sorted_columns(keys: np.ndarray, w: int, k: int):
     return tuple(tails.tolist()), tuple(heads.tolist()), exps, arrays
 
 
-def _array_arc_columns(n: int, k: int, columns):
-    """``_arc_columns`` as array arithmetic, for ``parse_gg``'s (us, vs, ts)
-    columns of ASCII-digit vertex fields (or ints) and int exponents, or
-    for the int64 array of them that its bulk route converts.
+def _array_arc_columns(n: int, k: int, runs, arcs):
+    """``_arc_columns`` as array arithmetic, for ``parse_gg``: ``runs`` are
+    the (3, L) int64 columns of the ``e`` lines it read in bulk, ``arcs``
+    the (u, v, t) int rows of the others.
 
     One int64 array holds the columns; the orientation, range, self-loop
     and key steps run on whole columns.  Returns None where ``_arc_columns``
@@ -641,8 +641,8 @@ def _array_arc_columns(n: int, k: int, columns):
     if n < 0 or w * w * k >= 1 << 63:
         return None
     try:
-        us, vs, ts = np.array(columns, dtype=np.int64)
-    except OverflowError:  # a field past int64
+        us, vs, ts = np.concatenate((*runs, np.array(arcs, dtype=np.int64).reshape(-1, 3).T), axis=1)
+    except OverflowError:  # a field of arcs past int64
         return None
     forward = us < vs
     lo, hi = np.where(forward, us, vs), np.where(forward, vs, us)
@@ -716,14 +716,12 @@ def negate(g: GainGraph) -> GainGraph:
 
 _MIXED_TOKEN = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
-# parse_gg keys its edges as arrays from this many on.  Below it the array
-# pass's fixed cost (some twenty numpy calls) outweighs its per-edge saving:
-# parsing took as long both ways at 60 edges, and 1.2-1.7x as long by arrays
-# at 7-30 edges.
-_ARRAY_PARSE_EDGES = 64
-
-# Every k = 4 gain token: the aliases, and the plain exponents they leave free.
-_QUARTER_TOKEN = {"0": 0, "2": 2, "3": 3, **_MIXED_TOKEN}
+# parse_gg reads a run of canonical e lines in bulk from this many lines on.
+# Below it the bulk read's fixed cost (some twenty numpy calls) outweighs its
+# per-line saving: on format_gg texts at k 2, 4 and 6 the whole parse took
+# 0.97-1.19x the line loop's time at 16-20 lines, 0.77-0.91x at 24 and
+# 0.58-0.67x at 45.
+_ARRAY_PARSE_EDGES = 24
 
 
 def _integer(token: str) -> int:
@@ -734,53 +732,14 @@ def _integer(token: str) -> int:
     return int(token)
 
 
-def _e_columns(us: list[str], vs: list[str], ts: list[str], k: int):
-    """The bulk check over the fields of the ``e`` lines: (us, vs, exps),
-    the vertex fields left as text and the gains as int exponents, or None
-    unless every vertex is ASCII digits and every gain a k = 4 token or, for
-    other k, ASCII digits."""
-    digits = "".join(us) + "".join(vs)
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    if k == 4:
-        exps = tuple(map(_QUARTER_TOKEN.get, ts))
-        if None in exps:
-            return None
-    else:
-        gains = "".join(ts)
-        if not (gains.isascii() and gains.isdigit()):
-            return None
-        exps = tuple(map(int, ts))
-    return us, vs, exps
-
-
-def _e_rescan(lines: list[str], aliases: dict[str, int], first: int = 1):
-    """Convert the fields of the ``e`` lines among ``lines``, numbered from
-    ``first``, which the line loop found to have four fields each, one line
-    at a time, naming the line of the first bad field."""
-    us, vs, ts = [], [], []
-    for lineno, raw in enumerate(lines, start=first):
-        parts = raw.partition("#")[0].split()
-        if parts and parts[0] == "e":
-            _, su, sv, tok = parts
-            try:
-                us.append(_integer(su))
-                vs.append(_integer(sv))
-                ts.append(aliases[tok] if tok in aliases else _integer(tok))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-    return us, vs, ts
-
-
 def _read_lines(lines: list[str], first: int = 1, state=None):
     """The line loop of ``parse_gg`` over ``lines``, numbered from ``first``.
 
-    Returns the state ``(k, aliases, mixed, n, us, vs, ts, faces)``: the
-    header, the fields of the ``e`` lines as text and the faces, read on
-    from ``state`` when it is given.  A bad line raises, unless a bad ``e``
-    line above it among ``lines`` comes first.
+    Returns the state ``(k, aliases, mixed, n, arcs, faces)``: the header,
+    the ``e`` lines as (u, v, t) int rows and the faces, read on from
+    ``state`` when it is given.  A bad line raises, naming its number.
     """
-    k, aliases, mixed, n, us, vs, ts, faces = state or (None, {}, False, None, [], [], [], [])
+    k, aliases, mixed, n, arcs, faces = state or (None, {}, False, None, [], [])
     for lineno, raw in enumerate(lines, start=first):
         parts = raw.partition("#")[0].split()
         if not parts:
@@ -791,9 +750,7 @@ def _read_lines(lines: list[str], first: int = 1, state=None):
                 if k is None or n is None:
                     raise ValidationError("e line before gg/n header")
                 _, su, sv, tok = parts
-                us.append(su)
-                vs.append(sv)
-                ts.append(tok)
+                arcs.append((_integer(su), _integer(sv), aliases[tok] if tok in aliases else _integer(tok)))
             elif tag == "gg":
                 if k is not None:
                     raise ValidationError("repeated gg header")
@@ -824,65 +781,24 @@ def _read_lines(lines: list[str], first: int = 1, state=None):
             else:
                 raise ValidationError(f"unknown directive {tag!r}")
         except (ValidationError, IndexError, ValueError) as exc:
-            _e_rescan(lines[: lineno - first], aliases, first)  # a bad e line above this one comes first
             what = exc if isinstance(exc, ValidationError) else f"malformed {tag!r} line ({exc})"
             raise ValidationError(f"line {lineno}: {what}") from None
-    return k, aliases, mixed, n, us, vs, ts, faces
+    return k, aliases, mixed, n, arcs, faces
 
 
-# A run of e lines as format_gg writes them, "e <u> <v> <gain>\n" with single
-# spaces and ASCII-digit vertices; the gain is ASCII digits or, at k = 4, one
-# of the tokens 0 1 2 3 i -1 -i (a longer digit string there, such as 01,
-# is an exponent that a one-character alias would read otherwise).
-_E_RUN = re.compile(r"(?:e [0-9]+ [0-9]+ [0-9]+\n)+")
-_E_RUN_QUARTER = re.compile(r"(?:e [0-9]+ [0-9]+ (?:[0-3i]|-[1i])\n)+")
+# A run of e lines as format_gg writes them, "e <u> <v> <gain>\n" from a line
+# start, with single spaces and vertices of 1 to 18 ASCII digits, so that each
+# field fits int64 exactly.  The gain is such digits too or, at k = 4, one of
+# the tokens 0 1 2 3 i -1 -i (a longer digit string there, such as 01, is an
+# exponent that a one-character alias would read otherwise).
+_E_RUN = re.compile(r"(?m)^(?:e [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)+")
+_E_RUN_QUARTER = re.compile(r"(?m)^(?:e [0-9]{1,18} [0-9]{1,18} (?:[0-3i]|-[1i])\n)+")
 # A run with its e dropped, i read as 5 and - as 6 is decimal fields only, and
 # a k = 4 gain token reads as one of 0 1 2 3 5 61 65; _RUN_EXPONENT maps each
 # of those to its exponent ("1" 0, "i" 1, "-1" 2, "-i" 3).
 _RUN_DIGITS = str.maketrans({"e": None, "i": "5", "-": "6"})
 _RUN_EXPONENT = np.zeros(66, dtype=np.int64)
 _RUN_EXPONENT[[2, 3, 5, 61, 65]] = 2, 3, 1, 2, 3
-
-
-def _parse_bulk(text: str):
-    """``parse_gg`` by its bulk route, or None where the plain loop must read the text.
-
-    The lines up to the first ``e`` line go through the line loop, which
-    must find the header there.  The run of canonical ``e`` lines from that
-    one on (``_E_RUN``) is converted by one ``np.fromstring``, whose fields
-    past int64 read as the largest int64 and so fail the vertex range check
-    of ``_array_arc_columns``.  The lines after the run go through the line
-    loop with their true numbers.  Any line, field or graph that the route
-    does not take, faulty or not, leaves the text to the plain loop.
-    """
-    start = text.find("\ne ") + 1
-    if not start:
-        return None
-    head = text[:start].splitlines()
-    try:
-        state = _read_lines(head)
-        k, n = state[0], state[3]
-        if k is None or n is None:
-            return None
-        run = (_E_RUN_QUARTER if k == 4 else _E_RUN).match(text, start)
-        block = run.group() if run else ""
-        count = block.count("\n")
-        if not count or count < _ARRAY_PARSE_EDGES:
-            return None
-        columns = np.fromstring(block.translate(_RUN_DIGITS), dtype=np.int64, sep=" ").reshape(count, 3).T
-        if k == 4:
-            columns[2] = _RUN_EXPONENT[columns[2]]
-        k, _, mixed, n, us, vs, ts, faces = _read_lines(text[run.end() :].splitlines(), len(head) + count + 1, state)
-        if us:  # e lines outside the run
-            outside = _e_columns(us, vs, ts, k)
-            if outside is None:
-                return None
-            columns = np.concatenate((columns, np.array(outside, dtype=np.int64)), axis=1)
-        group = GainGroup(k)
-        built = _array_arc_columns(n, k, columns)
-        return built and (_gain_graph(n, group, built, None, mixed), tuple(faces))
-    except (ValidationError, OverflowError):  # OverflowError: an outside field past int64
-        return None
 
 
 def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
@@ -900,35 +816,50 @@ def parse_gg(text: str) -> tuple[GainGraph, tuple[tuple[int, ...], ...]]:
                            as aliases for t = 0, 2, 1, 3
         f <v1> ... <vl>    optional inner face, clockwise vertex cycle
 
-    A text with a run of at least ``_ARRAY_PARSE_EDGES`` canonical ``e``
-    lines, as ``format_gg`` writes them, is read by ``_parse_bulk``, which
-    converts the run in one pass and leaves the text here whenever it does
-    not build the graph.  Here the line loop collects the fields of the
-    ``e`` lines as text; they are checked and converted together after it,
-    into one int64 array whose columns are keyed and sorted as arrays when
-    there are at least ``_ARRAY_PARSE_EDGES`` of them.  Only when that
-    fails, or when a later line is bad, are they converted again one line at
-    a time, so that the first bad line is the one named; a refusal of the
-    array pass (a field past int64 among them) goes the same exact way as a
-    small file.
+    One walk reads the text.  The line loop (``_read_lines``) reads the
+    lines up to the first ``e`` line, which must hold the header.  Then
+    every run of at least ``_ARRAY_PARSE_EDGES`` canonical ``e`` lines, as
+    ``format_gg`` writes them, is converted by one ``np.fromstring``, and
+    the lines between the runs and after the last go through the line loop
+    with their true numbers; it converts each ``e`` line's fields as it
+    reaches them.  The edges are keyed once, as arrays when a run was read
+    in bulk.  Where keying refuses, the exact ints of every ``e`` line, in
+    file order, go to the per-entry check, which names the first bad one.
     """
-    # Every canonical e line takes at least 8 characters ("e 1 2 1\n").
-    parsed = len(text) >= 8 * _ARRAY_PARSE_EDGES and _parse_bulk(text)
-    if parsed:
-        return parsed
-    lines = text.splitlines()
-    k, aliases, mixed, n, us, vs, ts, faces = _read_lines(lines)
+    start = text.find("\ne ") + 1  # the first line that starts with "e ", or 0
+    lines = text[:start].splitlines()
+    state = _read_lines(lines)
+    first = len(lines) + 1
+    runs = []  # (how many e lines the loop read before it, its (3, L) int64 columns)
+    k, n = state[0], state[3]
+    if k is not None and n is not None:
+        for run in (_E_RUN_QUARTER if k == 4 else _E_RUN).finditer(text, start):
+            block = run.group()
+            count = block.count("\n")
+            if count < _ARRAY_PARSE_EDGES:
+                continue
+            lines = text[start : run.start()].splitlines()
+            state = _read_lines(lines, first, state)
+            columns = np.fromstring(block.translate(_RUN_DIGITS), dtype=np.int64, sep=" ").reshape(count, 3).T
+            if k == 4:
+                columns[2] = _RUN_EXPONENT[columns[2]]
+            runs.append((len(state[4]), columns))
+            first += len(lines) + count
+            start = run.end()
+    k, _, mixed, n, arcs, faces = _read_lines(text[start:].splitlines(), first, state)
     if k is None:
         raise ValidationError("missing gg header")
     if n is None:
         raise ValidationError("missing n line")
-    columns = _e_columns(us, vs, ts, k) or _e_rescan(lines, aliases)
     group = GainGroup(k)
-    built = len(columns[2]) >= _ARRAY_PARSE_EDGES and _array_arc_columns(n, k, columns)
-    if not built:  # the exact route, as for build_gain_graph
-        columns = tuple(map(int, columns[0])), tuple(map(int, columns[1])), columns[2]
-        built = _arc_columns(n, k, zip(*columns))
-    return _gain_graph(n, group, built, zip(*columns), mixed), tuple(faces)
+    if runs:
+        built = _array_arc_columns(n, k, [columns for _, columns in runs], arcs)
+        if not built:  # every e line's exact ints, in file order
+            for at, columns in reversed(runs):
+                arcs[at:at] = zip(*columns.tolist())
+    else:
+        built = _arc_columns(n, k, arcs)
+    return _gain_graph(n, group, built, arcs, mixed), tuple(faces)
 
 
 def format_gg(g: GainGraph, faces=()) -> str:

@@ -541,20 +541,20 @@ def is_balanced(g: GainGraph) -> bool:
 
 
 def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
-    """``(use, least)`` for a forest walked by levels, kept on f: ``use[x]``
+    """``(use, private)`` for a forest walked by levels, kept on f: ``use[x]``
     counts the chord paths through forest edge x (named by its child end),
-    and ``least[j]`` is the least count on the path of chord j (by edge id).
+    and ``private[j]`` is True when the path of chord j (the j-th chord by
+    edge id) has a forest edge that no other chord path uses.
 
     A forest edge lies on as many chord paths as its subtree holds chord
     ends, less twice the chord LCAs in it.  So each chord adds 1 at both
     ends and -2 at its LCA, and the sums are taken up the forest one level
-    at a time.  The LCAs and the path minima come from pointer-doubling
+    at a time.  Chord ids 1..r summed the same way name, on each edge of
+    count 1, the one chord through it.  The LCAs come from pointer-doubling
     tables: ``ups[j]`` sends each vertex 2^j levels up (0 above the root).
     Lifting the deeper end of a chord by the depth difference, then both
     ends by each 2^j, largest first, that keeps them apart, leaves them just
-    below the LCA.  ``low`` holds, for each j in turn, the least count on
-    the 2^j forest edges from each vertex up, so a path of length l from x
-    is covered by the tables of the bits of l.
+    below the LCA.
     """
     if f._use is None:
         parent, _, depth, order, is_chord, _ = f._arrays
@@ -574,19 +574,19 @@ def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarra
             apart = up[a] != up[b]
             a, b = np.where(apart, up[a], a), np.where(apart, up[b], b)
         lca = np.where(a == b, a, parent[a])
-        size = len(parent)
+        size, ids = len(parent), np.arange(1, len(u) + 1)
         use = np.bincount(u, minlength=size) + np.bincount(v, minlength=size) - 2 * np.bincount(lca, minlength=size)
+        named = np.zeros(size, dtype=np.int64)
+        np.add.at(named, u, ids)
+        np.add.at(named, v, ids)
+        np.add.at(named, lca, -2 * ids)
         for d in range(height, 0, -1):
             level = order[levels[d] : levels[d + 1]]
             np.add.at(use, parent[level], use[level])
-        x, length = np.concatenate((u, v)), np.concatenate((depth[u], depth[v])) - np.tile(depth[lca], 2)
-        least, low = np.full(len(x), len(u) + 1), use
-        for j, up in enumerate(ups):
-            step = length >> j & 1
-            least = np.where(step, np.minimum(least, low[x]), least)
-            x = np.where(step, up[x], x)
-            low = np.minimum(low, low[up])
-        f._use = use, np.minimum(least[: len(u)], least[len(u) :])
+            np.add.at(named, parent[level], named[level])
+        private = np.zeros(len(u) + 1, dtype=bool)
+        private[named[use == 1]] = True
+        f._use = use, private[1:]
     return f._use
 
 
@@ -596,11 +596,17 @@ def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
     In a cactus each chord's cycle is the one cycle of its block.
     Conversely, when the cycles are disjoint every cycle of g, a sum of
     them, is one of them, so no block holds a theta (whose third cycle is
-    the sum of the other two).  Only forest edges can be shared.  On a
-    forest walked by levels ``_chord_use`` counts the paths through each
-    of them; otherwise the walk over the chords' cycles stops at the first
-    forest edge met twice, so it takes at most n steps.
+    the sum of the other two).  Only forest edges can be shared.  Each of
+    the r chord paths has at least two forest edges (g has no parallel
+    edges), so disjoint paths need 2r <= n - c = m - r: a graph with
+    3r > m is refused before any path is looked at.  On a forest walked by
+    levels ``_chord_use`` counts the paths through each forest edge;
+    otherwise the walk over the chords' cycles stops at the first forest
+    edge met twice, so it takes at most n steps.
     """
+    r = f.is_chord.count(True) if f._arrays is None else np.count_nonzero(f._arrays[4])
+    if 3 * r > g.m:
+        return False
     if f._arrays is not None:
         return bool(_chord_use(g, f)[0].max(initial=0) <= 1)
     used = [False] * (g.n + 1)

@@ -10,9 +10,11 @@ Claims covered here:
     mapped to edge ids, and bounds, census and block sizes list no cycle
     basis;
   * on forests walked by levels the chord-path count of every forest edge
-    and the least count on every chord path match those cycles, and the
-    bounds, tightness and cactus verdict match the chord walk's, on 240
-    seeded graphs by both routes and on level-walked graphs with m >= 500;
+    and whether every chord path has an edge of count 1 match those cycles,
+    and the bounds, tightness and cactus verdict match the chord walk's, on
+    240 seeded graphs by both routes and on level-walked graphs with
+    m >= 500; a windmill (3r = m) is still a cactus, and a graph with
+    3r > m is refused before any chord path is looked at;
   * class sizes multiply over biconnected blocks, each sized from the
     default forest's chords inside it (checked on hand-built and random
     cacti against the exhaustive census, and on a 3000-triangle cactus
@@ -244,13 +246,13 @@ def cycle_edge_counts(graph):
 
 
 def assert_level_counts_match_cycle_edges(graph):
-    """The level walk's per-edge path counts and per-chord least counts
-    (``switching._chord_use``) against ``cycle_edge_use``."""
+    """The level walk's per-edge path counts and per-chord private-edge
+    verdicts (``switching._chord_use``) against ``cycle_edge_use``."""
     f = gs.spanning_forest(graph)
-    use, least = gs.switching._chord_use(graph, f)
+    use, private = gs.switching._chord_use(graph, f)
     ids, want = cycle_edge_use(graph)
     assert use.tolist() == [0] + [want[e] if e >= 0 else 0 for e in f.parent_edge[1:]]
-    assert least.tolist() == [min(want[e] for e in cyc if not f.is_chord[e]) for cyc in ids]
+    assert private.tolist() == [any(want[e] == 1 for e in cyc if not f.is_chord[e]) for cyc in ids]
 
 
 def counted_by(route, n, edges, cactus_first=False):
@@ -344,6 +346,38 @@ def test_chord_counts_on_large_graphs(name, n, edges, tight, cactus, by_levels):
     assert (counts[0][2], counts[1]) == (tight, cactus)
     if by_levels:
         assert_level_counts_match_cycle_edges(graph)
+
+
+@pytest.mark.parametrize("route", ("array", "python"))
+@pytest.mark.parametrize("blades", (1, 3, 200))
+def test_windmill_is_a_cactus_at_the_edge_bound(route, blades):
+    """A windmill of triangles through vertex 1 has 3r = m, the most edges a
+    cactus with r cycles can have: the edge-count refusal lets it through,
+    and both routes find it a tight cactus."""
+    n = 2 * blades + 1
+    edges = [e for b in range(2, n, 2) for e in ((1, b), (1, b + 1), (b, b + 1))]
+    (bounds, cactus), by_levels, graph = counted_by(route, n, edges)
+    assert 3 * (graph.m - graph.n + 1) == graph.m
+    assert cactus and bounds[2] and by_levels == (route == "array")
+    assert gs.gain_character(all_ones(graph)) == "balanced"
+
+
+@pytest.mark.parametrize("route", ("array", "python"))
+def test_dense_graph_is_refused_before_any_chord_path(route):
+    """With 3r > m no chord path is looked at: ``is_cactus`` and
+    ``gain_character`` answer without the level counts or the chord walk."""
+    def fail(*args):
+        raise AssertionError("a chord path was looked at")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs.gaincore, "_ARRAY_WALK_EDGES", 0 if route == "array" else math.inf)
+        graph = complete_graph(12)
+        g = gs.GainGraph(graph, gs.GainGroup(4), [1] + [0] * (graph.m - 1))
+        assert (gs.spanning_forest(graph)._arrays is not None) == (route == "array")
+        mp.setattr(gs.switching, "_chord_use", fail)
+        mp.setattr(gs.switching, "_chord_walk", fail)
+        assert not gs.is_cactus(graph)
+        assert gs.gain_character(g) == "mixed-profile"
 
 
 # -- brute-force census ------------------------------------------------------

@@ -32,7 +32,8 @@ Claims covered:
     - malformed graph data raises the per-entry check's message, and names
       the same entry, whichever of several entries are bad
     - ``parse_gg`` reads comments, tabs, CRLF, blank lines and interleaved
-      f lines, and names the first bad line even when a later one is bad too
+      f lines, and names the first bad line even when a later one is bad too,
+      a field past Python's int digit limit included
     - build, .gg round trip, equivalence, first difference, balance,
       negation, bounds and the cactus test build no ``edges`` or
       ``edge_index`` view, and above the array crossover no ``csr``
@@ -46,6 +47,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -457,6 +459,23 @@ def test_parse_gg_names_the_first_bad_line(text, message):
     with pytest.raises(ValidationError) as raised:
         gs.parse_gg(text)
     assert str(raised.value) == message
+
+
+def test_parse_gg_names_a_field_past_the_int_digit_limit():
+    """A field longer than Python's int conversion limit is a bad line,
+    named like any other, also after a run read in bulk."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no int digit limit")
+    long = "1" * (limit + 1)
+    run = gs.format_gg(gs.build_gain_graph(80, gs.GainGroup(6), [(v, v + 1, v % 6) for v in range(1, 80)]))
+    for text, lineno in (
+        (f"gg 6\nn 3\ne 1 2 {long}\n", 3),
+        (f"gg 4\nn 3\ne {long} 2 i\n", 3),
+        (run + f"e 1 3 {long}\n", 82),
+    ):
+        with pytest.raises(ValidationError, match=f"^line {lineno}: malformed 'e' line"):
+            gs.parse_gg(text)
 
 
 def test_round_trip_random(rng):

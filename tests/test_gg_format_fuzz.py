@@ -5,18 +5,25 @@ Claims covered:
       order 1..8, mixed and not, with and without face lines
     - any soup of lines over the format's tokens either parses or raises
       ``ValidationError``; no other exception escapes the reader
-    - the array pass over the ``e`` columns and the exact per-row route
-      give the same graph, or the same message, on format_gg output and on
-      rewritten texts (reversed edges, shuffled lines, tabs, CRLF, leading
-      zeros, comments, one bad line), for k 1..8 and edge counts on both
-      sides of the array pass's threshold; the array pass takes every valid
-      text whose keys fit int64 and leaves the rest to the exact route,
-      with n on both sides of that bound and a vertex token past int64
+    - the reader with every canonical run read in bulk, with none (the
+      line loop over every line, keyed by the exact per-row route) and as
+      shipped give the same graph, or the same message, on format_gg output
+      and on rewritten texts (reversed edges, shuffled lines, tabs, CRLF,
+      leading zeros, comments, one bad line), for k 1..8 and edge counts on
+      both sides of the bulk threshold; the array keying takes every valid
+      canonical text whose keys fit int64 and leaves the rest to the exact
+      route, with n on both sides of that bound and a vertex token past
+      int64 on a line of its own
     - a run of at least 64 canonical e lines with one perturbation (a bad
       field, a comment, a tab, CRLF, a form feed, a field past int64 or with
       leading zeros, an e line before the header, a repeated pair, trailing
-      f lines) parses as the plain line loop does, graph and faces or
-      message; the bulk route builds only valid graphs
+      f lines) parses as the line loop alone does, graph and faces or
+      message; the array keying builds only valid graphs
+    - every run of at least ``_ARRAY_PARSE_EDGES`` canonical e lines is read
+      in bulk wherever it starts: after a first e line with a comment, a tab
+      or CRLF, on both sides of a comment line and after a shorter run; when
+      the array keying refuses such a text, the first bad edge in file order
+      is named
 """
 
 import itertools
@@ -75,15 +82,17 @@ def test_line_soup_parses_or_raises_validation_error(header, lines):
 
 
 def parse_by(text, route):
-    """``parse_gg(text)`` with the array pass on every text ("array"), on
-    none ("exact") or as shipped ("default"): the graph and faces, or the
-    message; and whether the array pass built the graph."""
-    taken = []
-    array_pass = gaincore._array_arc_columns
+    """``parse_gg(text)`` with every canonical run read in bulk, however
+    short ("array"), none ("exact": the line loop reads every line) or the
+    runs of at least ``_ARRAY_PARSE_EDGES`` lines ("default"): the graph and
+    faces, or the message; whether the array keying built the graph; and,
+    when it ran, the line count of each bulk run and how many ``e`` lines
+    the loop read."""
+    taken, keyed = [], gaincore._array_arc_columns
 
-    def spy(*args):
-        taken.append(array_pass(*args))
-        return taken[-1]
+    def spy(n, k, runs, arcs):
+        taken.append(([run.shape[1] for run in runs], len(arcs), keyed(n, k, runs, arcs)))
+        return taken[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gaincore, "_array_arc_columns", spy)
@@ -93,7 +102,7 @@ def parse_by(text, route):
             result = gs.parse_gg(text)
         except gs.ValidationError as exc:
             result = str(exc)
-    return result, any(taken)
+    return result, any(built for *_, built in taken), taken[0][:2] if taken else None
 
 
 def _token(k, t, rng):
@@ -152,14 +161,15 @@ def test_array_and_exact_parse_routes_agree(seed, k, m):
     n = next(n for n in range(2, 20) if n * (n - 1) // 2 >= m)
     arcs = random_arcs(rng, n, k, m)
     want = gs.build_gain_graph(n, gs.GainGroup(k), arcs)
-    for text in (gg_text(rng, n, k, arcs, tidy=True), gs.format_gg(want), gg_text(rng, n, k, arcs)):
-        (array, took), (exact, _), (default, by_default) = (parse_by(text, r) for r in ("array", "exact", "default"))
+    for text, canonical in ((gg_text(rng, n, k, arcs, tidy=True), True), (gs.format_gg(want), True), (gg_text(rng, n, k, arcs), False)):
+        (array, took, runs), (exact, _, _), (default, by_default, _) = (parse_by(text, r) for r in ("array", "exact", "default"))
         assert array == exact == default == (want, ())
-        assert took and by_default == (m >= gaincore._ARRAY_PARSE_EDGES)
+        if canonical:  # one run of all m lines
+            assert took == (runs == ([m], 0)) == bool(m) and by_default == (m >= gaincore._ARRAY_PARSE_EDGES)
     if m:
         for bad in bad_lines(rng, n, k, arcs):
             text = gg_text(rng, n, k, arcs, bad)
-            (array, took), (exact, _), (default, _) = (parse_by(text, r) for r in ("array", "exact", "default"))
+            (array, took, _), (exact, _, _), (default, _, _) = (parse_by(text, r) for r in ("array", "exact", "default"))
             assert array == exact == default
             assert isinstance(exact, str) and not took
 
@@ -174,15 +184,15 @@ def test_array_parse_takes_keys_up_to_the_int64_bound(k):
         top = [n, n - 1, n - 2, 1, 2, 3]
         arcs = [(u, v, rng.randrange(k)) for u, v in itertools.combinations(top, 2)] * 4
         arcs = list({(min(u, v), max(u, v)): (u, v, t) for u, v, t in arcs}.values())
-        text = gg_text(rng, n, k, arcs)
-        (array, took), (exact, _) = parse_by(text, "array"), parse_by(text, "exact")
+        text = gg_text(rng, n, k, arcs, tidy=True)  # one canonical run, read in bulk
+        (array, took, runs), (exact, _, _) = parse_by(text, "array"), parse_by(text, "exact")
         assert array == exact == (gs.build_gain_graph(n, gs.GainGroup(k), arcs), ())
-        assert took == fits
-    past = "99999999999999999999"
+        assert took == fits and runs == ([len(arcs)], 0)
+    past = "99999999999999999999"  # 20 digits: the loop reads its line, the run holds the other
     for n, want in ((5, f"edge (1,{past}) out of range 1..5"), (int(past), None)):
         text = f"gg {k}\nn {n}\ne 1 2 0\ne 1 {past} 0\n"
-        (array, took), (exact, _) = parse_by(text, "array"), parse_by(text, "exact")
-        assert array == exact and not took
+        (array, took, runs), (exact, _, _) = parse_by(text, "array"), parse_by(text, "exact")
+        assert array == exact and not took and runs == ([1], 1)
         assert exact == want if want else exact[0].graph.heads == (2, int(past))
 
 
@@ -216,7 +226,7 @@ def _perturbed(rng, kind, k):
     elif kind == "e line before header":  # one e line above it, or all of them
         header, body = (body.pop(i) + header, body) if rng.random() < 0.5 else ("", body + [header])
     elif kind == "repeated pair":
-        x = gaincore._QUARTER_TOKEN[t] if k == 4 else int(t)
+        x = gaincore._MIXED_TOKEN[t] if k == 4 else int(t)
         body.insert(i, rng.choice((body[i], f"e {v} {u} {_token(k, -x % k, rng)}\n")))
     elif kind == "trailing f lines":
         body += [f"f {u} {v} 1\n", "f 2 3\n"]
@@ -232,19 +242,68 @@ PERTURBATIONS = (
 @pytest.mark.parametrize("kind", PERTURBATIONS)
 def test_bulk_run_with_one_perturbation_reads_as_the_plain_loop(kind):
     """A run of canonical e lines with one perturbation parses, by default,
-    to the graph and faces, or the message, that the plain line loop gives
-    over the whole text (the exact route); the bulk route builds only valid
-    graphs, and builds some where 64 canonical lines precede the perturbation."""
+    to the graph and faces, or the message, that the line loop gives over
+    the whole text (the exact route); the array keying builds only valid
+    graphs, and builds some where a run of ``_ARRAY_PARSE_EDGES`` canonical
+    lines is left."""
     rng = random.Random(kind)
-    bulk, taken = gaincore._parse_bulk, []
     built = 0
     for j in range(24):
         text, valid = _perturbed(rng, kind, (4, 6, 2, 4, 7, 1)[j % 6])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gaincore, "_parse_bulk", lambda text: taken.append(bulk(text)) or taken[-1])
-            default, _ = parse_by(text, "default")
-        plain, _ = parse_by(text, "exact")
+        (default, took, _), (plain, _, _) = parse_by(text, "default"), parse_by(text, "exact")
         assert default == plain, (kind, text)
         assert isinstance(plain, str) != valid, plain
-        built += bool(taken.pop())
+        built += took
     assert built >= 4 if valid else built == 0, built
+
+
+def _marked(rng, k, mark):
+    """A format_gg text of 128 to 160 edges with one mark: a comment, a tab
+    or CRLF on its first e line, or a comment line halfway through its e
+    lines (``middle``) or after the tenth (``early``); the graph, the text,
+    and the line counts of the runs the default reader should read in bulk
+    and how many e lines the loop should read."""
+    n = 30
+    g = gs.build_gain_graph(n, gs.GainGroup(k), random_arcs(rng, n, k, rng.randint(128, 160)))
+    header, count, *body = gs.format_gg(g).splitlines(keepends=True)
+    m = g.graph.m
+    if mark == "middle":
+        body.insert(m // 2, "# middle\n")
+        return g, header + count + "".join(body), ([m // 2, m - m // 2], 0)
+    if mark == "early":  # the 10 lines above it are too few for a bulk run
+        body.insert(10, "# early\n")
+        return g, header + count + "".join(body), ([m - 10], 10)
+    body[0] = {"comment": body[0][:-1] + " # first edge\n", "tab": body[0].replace(" ", "\t", 1), "crlf": body[0][:-1] + "\r\n"}[mark]
+    return g, header + count + "".join(body), ([m - 1], 1)
+
+
+@pytest.mark.parametrize("mark", ("comment", "tab", "crlf", "middle", "early"))
+def test_every_canonical_run_is_read_in_bulk(mark):
+    """A run of canonical e lines is read in bulk wherever it starts: after
+    a first e line with a comment, a tab or CRLF, on both sides of a comment
+    line, and after a run too short for it; the graph is the one written."""
+    rng = random.Random(mark)
+    for k in (4, 6, 1, 4, 2, 8):
+        g, text, runs = _marked(rng, k, mark)
+        assert parse_by(text, "default") == ((g, ()), True, runs)
+        assert parse_by(text, "exact")[0] == (g, ())
+
+
+def test_refused_bulk_text_names_the_first_bad_edge_in_file_order():
+    """When the array keying refuses a text read partly in bulk, the
+    per-entry check sees every e line in file order: a repeat of a run-1
+    pair early in run 2 is named, not a repeat later in run 2 of a run-2
+    pair, as the line loop alone names it."""
+    rng = random.Random(30)
+    for k in (4, 6):
+        _, text, _ = _marked(rng, k, "middle")
+        lines = text.splitlines(keepends=True)
+        middle = lines.index("# middle\n")
+        first, second = lines[2], lines[middle + 1]
+        lines[middle + 1 : middle + 1] = [first]
+        lines.append(second)
+        text = "".join(lines)
+        u, v = sorted(map(int, first.split()[1:3]))
+        want = f"both orientations (or a repeat) given for pair ({u}, {v})"
+        assert parse_by(text, "default") == (want, False, ([middle - 2, len(lines) - middle - 1], 0))
+        assert parse_by(text, "exact")[0] == want
