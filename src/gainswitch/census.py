@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .errors import InstanceTooLargeError, ValidationError
-from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph, _check_cap
+from .gaincore import GainExponent, GainGraph, GainGroup, SimpleGraph, _check_cap, _exact_int
 from .switching import (
     SpanningForest,
     _chord_cycles_disjoint,
@@ -97,11 +97,10 @@ def _word_length(n) -> int:
     The alpha functions check here before their caches, which are keyed by
     int only: True == 1 and 5.0 == 5 would otherwise share entries.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"word length {n!r} is not an integer")
+    n = _exact_int(n, "word length")
     if n < 0:
         raise ValidationError("word length must be nonnegative")
-    return int(n)
+    return n
 
 
 def alpha_vector(n: int) -> ClassCountVector:

@@ -356,24 +356,14 @@ class SimpleGraph:
             raise ValidationError(f"no edge between {u} and {v}") from None
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest vertex."""
-        offsets, neighbours, _ = self.csr
-        seen = [False] * (self.n + 1)
-        out = []
-        for s in range(1, self.n + 1):
-            if seen[s]:
-                continue
-            comp, queue = [], [s]
-            seen[s] = True
-            while queue:
-                v = queue.pop()
-                comp.append(v)
-                for w in neighbours[offsets[v] : offsets[v + 1]]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            out.append(sorted(comp))
-        return out
+        """Connected components as sorted vertex lists, ordered by smallest vertex:
+        the trees of the default spanning forest, grouped by their roots."""
+        from .switching import spanning_forest  # switching imports this module
+
+        trees: dict[int, list[int]] = {}
+        for v, r in enumerate(spanning_forest(self).root[1:], 1):
+            trees.setdefault(r, []).append(v)  # r, the smallest vertex, comes first
+        return list(trees.values())
 
     @property
     def num_components(self) -> int:

@@ -23,10 +23,8 @@ __all__ = [
     "FundamentalCycleBasis",
     "spanning_forest",
     "fundamental_cycles",
-    "canonical_basis",
     "walk_gain",
     "cycle_gain",
-    "basis_gain_profile",
     "apply_switching",
     "normalize_to_forest",
     "switching_equivalent",
@@ -301,12 +299,6 @@ def fundamental_cycles(g: SimpleGraph, f: SpanningForest) -> FundamentalCycleBas
     return FundamentalCycleBasis(tuple(_chord_cycle(f, g.tails[e], g.heads[e]) for e in chords), chords)
 
 
-def canonical_basis(g: SimpleGraph) -> tuple[SpanningForest, FundamentalCycleBasis]:
-    """The default forest and fundamental cycle basis used across the package."""
-    f = spanning_forest(g)
-    return f, fundamental_cycles(g, f)
-
-
 def walk_gain(g: GainGraph, walk) -> GainExponent:
     """Gain of a walk: the ordered product of edge gains along it.
 
@@ -328,11 +320,6 @@ def cycle_gain(g: GainGraph, cycle) -> GainExponent:
     if not cycle:
         raise ValidationError("empty cycle")
     return walk_gain(g, cycle + (cycle[0],))
-
-
-def basis_gain_profile(g: GainGraph, basis: FundamentalCycleBasis) -> tuple[GainExponent, ...]:
-    """Cycle gains over a fundamental basis, ordered by chord edge id."""
-    return tuple(cycle_gain(g, c) for c in basis.cycles)
 
 
 def apply_switching(g: GainGraph, theta: SwitchingFunction) -> GainGraph:

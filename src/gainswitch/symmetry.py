@@ -21,7 +21,6 @@ __all__ = [
     "VertexPermutation",
     "AutGroup",
     "automorphisms",
-    "gain_automorphisms",
     "mixed_aut_decomposition",
     "act",
     "switching_isomorphic",
@@ -227,11 +226,8 @@ def _search(tables, pinned: tuple[int, ...] = (), restrict: int = -1):
 
 def automorphisms(g: SimpleGraph | GainGraph, max_vertices: int = DEFAULT_AUT_CAP) -> AutGroup:
     """The automorphism group of a simple graph, or of a gain graph's gains
-    (``gain_automorphisms``: pruned by the gains), as a stabiliser chain."""
+    (pruned by the gains), as a stabiliser chain."""
     return _automorphism_chain(_tables(g, g, max_vertices, "automorphism"))
-
-
-gain_automorphisms = automorphisms
 
 
 def _moved_exps(f: VertexPermutation, g: GainGraph):

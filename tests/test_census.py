@@ -99,7 +99,7 @@ def oracle_census(graph):
     Gains multiply as raw complex numbers along each fundamental cycle, so
     nothing of the vectorized census machinery is reused.
     """
-    _, basis = gs.canonical_basis(graph)
+    basis = gs.fundamental_cycles(graph, gs.spanning_forest(graph))
     counts = {}
     for combo in itertools.product((0, 1, 3), repeat=graph.m):
         profile = []
@@ -789,7 +789,7 @@ def cycle_incidence(graph):
     """Signed incidence of each edge on the default basis cycles, walked as
     vertex sequences: +1 (-1) where a cycle runs an edge from its smaller
     (larger) end, 0 where it avoids the edge."""
-    _, basis = gs.canonical_basis(graph)
+    basis = gs.fundamental_cycles(graph, gs.spanning_forest(graph))
     sigma = [[0] * len(basis) for _ in range(graph.m)]
     for j, cyc in enumerate(basis.cycles):
         closed = list(cyc) + [cyc[0]]
@@ -976,7 +976,7 @@ def test_census_lists_no_fundamental_cycles(monkeypatch):
         gs.brute_force_census(g.graph)
         gs.class_size_by_blocks(g)
     assert built == []
-    gs.canonical_basis(graph)
+    gs.fundamental_cycles(graph, gs.spanning_forest(graph))
     assert built == [1]
 
 

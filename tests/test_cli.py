@@ -16,7 +16,7 @@ import time
 import pytest
 
 import gainswitch as gs
-from gainswitch import cli, symmetry
+from gainswitch import cli, spectral, symmetry
 from conftest import all_ones, complete_graph, cycle_graph, path_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -390,6 +390,21 @@ def test_product_round_trip(tmp_path, capsys):
     assert all(abs(x - y) < 1e-8 for x, y in zip(got, want))
 
 
+def test_product_past_the_cap_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    """The diamond squared has 16 vertices and 40 edges: with the product cap
+    at 39 it exits 3 with the cap's diagnostic and writes no file, at 40 it exits 0."""
+    out = tmp_path / "square.gg"
+    monkeypatch.setattr(spectral, "PRODUCT_MAX_SIZE", 39)
+    code, report = run(capsys, "product", DIAMOND, DIAMOND, "-o", str(out))
+    assert code == 3 and report["result"] == {}
+    assert report["diagnostics"] == ["error: Cartesian product capped at 39 edges, graph has 40"]
+    assert not out.exists()
+    monkeypatch.setattr(spectral, "PRODUCT_MAX_SIZE", 40)
+    code, report = run(capsys, "product", DIAMOND, DIAMOND, "-o", str(out))
+    assert code == 0 and report["result"]["n"] == 16 and report["result"]["m"] == 40
+    assert gs.load_gg(out)[0] == gs.cartesian_product(*[gs.load_gg(DIAMOND)[0]] * 2)
+
+
 def test_aut_bowtie(capsys):
     code, report = run(capsys, "aut", BOWTIE_MINUS)
     assert code == 0
@@ -460,7 +475,7 @@ def _forbid(monkeypatch, name: str) -> list:
 
 def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
     built = _count_tables(monkeypatch)
-    listing = ("automorphisms", "gain_automorphisms")
+    listing = ("automorphisms",)
     listed = [_forbid(monkeypatch, name) for name in listing]
     runs = []  # (tables, restrict) of every search run
     search = symmetry._search
@@ -490,7 +505,7 @@ def test_aut_searches_the_underlying_graph_once(monkeypatch, capsys):
     assert report["result"]["underlying_order"] == 6 and listed == [[]] * len(listing)
 
 
-def test_aut_searches_the_input_for_gain_automorphisms_once(monkeypatch, capsys, tmp_path):
+def test_aut_searches_the_input_for_its_gain_group_once(monkeypatch, capsys, tmp_path):
     built = _count_tables(monkeypatch)
     tested = _forbid(monkeypatch, "_moved_exps")
     for path, graphs, gain_order in ((BOWTIE_MINUS, 4, 1), (SIGNED_TRI, 2, 2)):

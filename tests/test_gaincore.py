@@ -37,7 +37,7 @@ Claims covered:
     - build, .gg round trip, equivalence, first difference, balance,
       negation, bounds and the cactus test build no ``edges`` or
       ``edge_index`` view, and above the array crossover no ``csr``
-      tuples; neither do ``automorphisms`` and ``gain_automorphisms``
+      tuples; neither does ``automorphisms``, on a graph or on its gains
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
@@ -57,7 +57,7 @@ from gainswitch.errors import ValidationError
 
 from gainswitch.spectral import _spectrum_cached
 
-from conftest import G4, all_ones, arc_triangle, bowtie_i, bowtie_minus, complete_graph, mixed, random_connected_graph, random_gains
+from conftest import G4, all_ones, arc_triangle, bowtie_i, bowtie_minus, complete_graph, mixed, random_connected_graph, random_gains, random_graph
 
 
 def test_group_axioms_exhaustive():
@@ -241,6 +241,42 @@ def test_components():
     comps = g.components()
     assert sorted(sorted(c) for c in comps) == [[1, 2], [3], [4, 5]]
     assert g.num_components == 3
+
+
+def test_components_match_networkx():
+    """``components()`` and ``num_components`` equal networkx's on n 0 and 1,
+    edgeless and small disconnected graphs, graphs of 500+ edges in several
+    components (the level walk, then the queue loop), and 2 x L ladders,
+    whose narrow levels hand the walk to the queue loop."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3110)
+    graphs = [gs.SimpleGraph(0, []), gs.SimpleGraph(1, []), gs.SimpleGraph(6, []), gs.SimpleGraph(5, [(2, 4)])]
+    graphs += [random_graph(rng) for _ in range(300)]
+    for _ in range(12):  # several random connected parts and isolated vertices, relabelled at random
+        n = rng.randint(800, 3000)
+        label = list(range(1, n + 1))
+        rng.shuffle(label)
+        cuts = sorted(rng.sample(range(2, n - 20), rng.randint(1, 4)))
+        edges = set()
+        for lo, hi in zip([0, *cuts], [*cuts, n - rng.randint(0, 20)]):
+            for v in range(lo + 1, hi):
+                edges.add((rng.randint(lo, v - 1), v))
+            for _ in range((hi - lo) // 2):
+                edges.add(tuple(sorted(rng.sample(range(lo, hi), 2))))
+        graphs.append(gs.SimpleGraph(n, sorted({tuple(sorted((label[u], label[v]))) for u, v in edges})))
+    for size in (300, 1000):  # one ladder, then one beside a second ladder and an isolated vertex
+        rungs = [(i, size + i) for i in range(1, size + 1)]
+        ladder = [(i, i + 1) for i in range(1, 2 * size) if i != size] + rungs
+        graphs.append(gs.SimpleGraph(2 * size, ladder))
+        graphs.append(gs.SimpleGraph(4 * size + 1, ladder + [(u + 2 * size, v + 2 * size) for u, v in ladder]))
+    large = 0
+    for graph in graphs:
+        nxg = nx.Graph(graph.edges)
+        nxg.add_nodes_from(range(1, graph.n + 1))
+        want = sorted(sorted(c) for c in nx.connected_components(nxg))
+        assert graph.components() == want and graph.num_components == len(want)
+        large += graph.m >= gs.gaincore._ARRAY_WALK_EDGES and len(want) > 1
+    assert large >= 14
 
 
 def test_mixed_mode_rejects_minus_one():
@@ -666,7 +702,7 @@ def test_block_and_symmetry_searches_read_csr_only():
     a, b = bowtie_minus(), bowtie_i()
     gs.class_size_by_blocks(a), gs.automorphisms(a.graph), gs.switching_isomorphic(a, b)
     g = bowtie_i()
-    gs.automorphisms(g.graph), gs.gain_automorphisms(g)
+    gs.automorphisms(g.graph), gs.automorphisms(g)
     assert g.graph._edges is None and g.graph._edge_index is None
 
 

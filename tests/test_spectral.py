@@ -21,7 +21,8 @@ Claims covered:
     - bipartite graphs have symmetric spectra; the nonzero-cycle-sum
       converse recovers bipartiteness; the one-arc triangle is the counterexample
     - spectral balance equals combinatorial balance on mixed graphs
-    - Cartesian products realize the Kronecker-sum identity
+    - Cartesian products realize the Kronecker-sum identity; past
+      PRODUCT_MAX_SIZE vertices or edges a product refuses before building it
 """
 
 import collections
@@ -604,6 +605,31 @@ def test_product_mixed_flag():
     assert gs.cartesian_product(arc_triangle(), arc_triangle()).mixed_mode
     plain = gs.GainGraph(path_graph(2), G4, (G4.one,), mixed_mode=False)
     assert not gs.cartesian_product(arc_triangle(), plain).mixed_mode
+
+
+def test_cartesian_product_cap_is_checked_before_the_build(monkeypatch):
+    """A product of more than ``PRODUCT_MAX_SIZE`` vertices, or of more edges,
+    refuses before ``build_gain_graph`` is called; one at the cap is built."""
+    built = []
+    build = gs.spectral.build_gain_graph
+    monkeypatch.setattr(gs.spectral, "build_gain_graph", lambda *args, **kw: built.append(args[0]) or build(*args, **kw))
+    cap = gs.spectral.PRODUCT_MAX_SIZE
+    rails = [(i, i + 1) for i in range(1, 5000) if i != 2500]
+    ladder = all_ones(gs.SimpleGraph(5000, rails + [(i, 2500 + i) for i in range(1, 2501)]))  # 2 x 2500
+    with pytest.raises(InstanceTooLargeError, match=f"^Cartesian product capped at {cap} vertices, graph has 25000000$"):
+        gs.cartesian_product(ladder, ladder)
+    k100 = all_ones(complete_graph(100))  # 10000 vertices, 2 * 100 * 4950 edges
+    with pytest.raises(InstanceTooLargeError, match=f"^Cartesian product capped at {cap} edges, graph has 990000$"):
+        gs.cartesian_product(k100, k100)
+    assert built == []
+    p3 = all_ones(path_graph(3))  # its square: 9 vertices, 12 edges
+    for low, unit, size in ((8, "vertices", 9), (11, "edges", 12)):
+        monkeypatch.setattr(gs.spectral, "PRODUCT_MAX_SIZE", low)
+        with pytest.raises(InstanceTooLargeError, match=f"capped at {low} {unit}, graph has {size}$"):
+            gs.cartesian_product(p3, p3)
+    assert built == []
+    monkeypatch.setattr(gs.spectral, "PRODUCT_MAX_SIZE", 12)
+    assert gs.cartesian_product(p3, p3).graph.m == 12 and built == [9]
 
 
 def unpruned_coefficients(g, covers_only=False):

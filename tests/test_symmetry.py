@@ -81,7 +81,7 @@ def oracle_automorphisms(graph):
 
 def oracle_profile(g):
     """Basis gain exponents via raw complex products along each chord cycle."""
-    _, basis = gs.canonical_basis(g.graph)
+    basis = gs.fundamental_cycles(g.graph, gs.spanning_forest(g.graph))
     quarter = (1 + 0j, 1j, -1 + 0j, -1j)
     profile = []
     for cyc in basis.cycles:
@@ -318,15 +318,15 @@ def test_generating_set_generates_the_group(rng):
 # -- gain automorphisms ------------------------------------------------------
 
 
-def test_gain_automorphisms_known():
-    assert gs.gain_automorphisms(all_ones(cycle_graph(3))).order == 6
-    assert gs.gain_automorphisms(arc_triangle()).order == 1
-    assert gs.gain_automorphisms(bowtie_minus()).order == 1
+def test_automorphisms_of_gain_graphs_known():
+    assert gs.automorphisms(all_ones(cycle_graph(3))).order == 6
+    assert gs.automorphisms(arc_triangle()).order == 1
+    assert gs.automorphisms(bowtie_minus()).order == 1
     rotor = mixed(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])  # directed 3-cycle, all gain i
-    assert gs.gain_automorphisms(rotor).order == 3
+    assert gs.automorphisms(rotor).order == 3
 
 
-def test_gain_automorphisms_match_oracle(rng):
+def test_automorphisms_of_gain_graphs_match_oracle(rng):
     for _ in range(5):
         graph = random_connected_graph(rng, n_lo=3, n_hi=6)
         g = random_gains(rng, graph, mixed_mode=True)
@@ -339,7 +339,7 @@ def test_gain_automorphisms_match_oracle(rng):
                 for u, v in graph.edges
             ):
                 want.add(img)
-        assert {f.image for f in gs.gain_automorphisms(g)} == want
+        assert {f.image for f in gs.automorphisms(g)} == want
 
 
 def seeded_gain_graph(rng, graph):
@@ -367,12 +367,12 @@ def gain_isomorphisms_by_permutations(a, b):
                 yield img
 
 
-def test_gain_automorphisms_match_a_permutation_filter():
+def test_automorphisms_of_gain_graphs_match_a_permutation_filter():
     rng = random.Random(7102)
     orders = []
     for graph in seeded_graphs():
         g = seeded_gain_graph(rng, graph)
-        got = [f.image for f in gs.gain_automorphisms(g).elements]
+        got = [f.image for f in gs.automorphisms(g).elements]
         assert got == list(gain_isomorphisms_by_permutations(g, g))
         orders.append(len(got))
     assert sum(order > 1 for order in orders) >= 100  # nontrivial groups are common
@@ -452,7 +452,7 @@ def chain_graphs():
 
 
 def listed_group(g):
-    return gs.automorphisms(g) if isinstance(g, gs.SimpleGraph) else gs.gain_automorphisms(g)
+    return gs.automorphisms(g)
 
 
 def aut_tables(g):
@@ -512,7 +512,7 @@ def test_mixed_aut_decomposition_star():
     assert aut_g.order == 6  # leaves permute freely
     assert aut_s.order == 2  # the arc is rigid; 3 and 4 may swap
     assert aut_u.order == 2
-    assert gs.gain_automorphisms(g).order == 2
+    assert gs.automorphisms(g).order == 2
 
 
 def test_mixed_aut_decomposition_all_undirected():
@@ -578,7 +578,7 @@ def test_meet_chains_match_the_listed_intersections():
     kinds = set()
     for g in seeded_mixed_graphs():
         directed, undirected = symmetry._mixed_parts(g)
-        t_s, aut_s = aut_tables(directed), gs.gain_automorphisms(directed)
+        t_s, aut_s = aut_tables(directed), gs.automorphisms(directed)
         for h in (g.graph, undirected):
             members = {f.image for f in gs.automorphisms(h)}
             meet = types.SimpleNamespace(n=g.graph.n, elements=[f for f in aut_s if f.image in members])
@@ -595,7 +595,7 @@ def test_mixed_aut_decomposition_random(rng):
         graph = random_connected_graph(rng, n_lo=3, n_hi=7)
         g = random_gains(rng, graph, mixed_mode=True)
         aut_g, aut_s, aut_u = gs.mixed_aut_decomposition(g)
-        assert gs.gain_automorphisms(g).order <= min(aut_g.order, aut_s.order)
+        assert gs.automorphisms(g).order <= min(aut_g.order, aut_s.order)
 
 
 # -- the action --------------------------------------------------------------
