@@ -203,7 +203,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     if g.mixed_mode:
         try:
             spectral_balance = spectral.is_balanced_spectrally(g, max(args.tol, 1e-8))
-        except InstanceTooLargeError as exc:  # past the Jacobi order cap
+        except InstanceTooLargeError as exc:  # past the spectrum cap
             diagnostics.append(f"spectral balance cross-check skipped: {exc}")
         else:
             result["spectral_balance"] = spectral_balance

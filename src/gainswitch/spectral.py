@@ -1,12 +1,14 @@
 """Hermitian spectra and characteristic polynomials of gain graphs.
 
-Two independent routes are kept deliberately separate: the characteristic
-polynomial is assembled combinatorially from elementary subgraphs (edges and
-cycles with real cycle gains) in one recursion that sums every order at once,
-with integer coefficients for k in {1, 2, 3, 4, 6}, while eigenvalues come
-from a cyclic complex Jacobi iteration on the n x n Hermitian matrix itself,
-in the round-robin ordering.  Their agreement is a standing cross-check, not
-an implementation shortcut.
+Three routes are kept deliberately separate.  The characteristic polynomial
+is assembled combinatorially from elementary subgraphs (edges and cycles
+with real cycle gains) in one recursion that sums every order at once, with
+integer coefficients for k in {1, 2, 3, 4, 6}.  Eigenvalues come from a
+Householder reduction of the n x n Hermitian matrix to a real symmetric
+tridiagonal one, followed by implicit QL with Wilkinson shifts.  A cyclic
+complex Jacobi iteration in the round-robin ordering, which shares no step
+with the reduction, is kept as the eigenvalues' cross-check.  Their
+agreement is a standing check, not an implementation shortcut.
 """
 
 from __future__ import annotations
@@ -39,17 +41,19 @@ __all__ = [
 DEFAULT_ELEMENTARY_CAP = 14
 _ELEMENTARY = "elementary-subgraph enumeration"
 JACOBI_MAX_SWEEPS = 50
-# The largest graph order ``spectrum`` takes.  A Jacobi round forms J A J^H
-# with a dense n x n J, so a sweep costs O(n^4).  Process time of
-# ``_jacobi_eigenvalues`` at tol 1e-9 on seeded mixed graphs with m = 1.6n
-# (min of 3, one run from n 128 on; one process on a shared 2-vCPU host):
+# The QL iteration raises NumericError past this many steps on one eigenvalue.
+QL_MAX_ITERATIONS = 30
+# The largest graph order ``spectrum`` takes.  The reduction costs O(n^3) in
+# numpy and QL O(n^2) steps in Python floats.  Process time of ``spectrum``
+# at tol 1e-9 on a seeded k 4 graph with m = 1.6n (the matrix included; min
+# of 3 runs, of 2 from n 700; one process on a shared 2-vCPU host):
 #
-#     n      24     48     64     96    128    192
-#     ms    5.3     56    103    414   1219   6165
+#     n      96    192    400    600    700    800   1000
+#     ms      7     29    187    457    713   1000   1860
 #
-# At 96 a spectrum takes well under a second, and ``classify``'s spectral
-# cross-check (two spectra) about one.
-JACOBI_MAX_ORDER = 96
+# At 800 a spectrum takes about a second, and ``classify``'s spectral
+# cross-check (two spectra) about two.
+SPECTRUM_MAX_ORDER = 800
 # The largest Cartesian product ``cartesian_product`` builds, counted in
 # vertices and in edges alike.  Process time and peak RSS of squaring a 2 x L
 # ladder and writing the product with ``save_gg`` (one process per row, one
@@ -63,6 +67,7 @@ JACOBI_MAX_ORDER = 96
 # At 500000 a product takes about half a second and under 200 MB.
 PRODUCT_MAX_SIZE = 500_000
 _NORMAL_MIN = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 # Group orders at which 2 Re of every element is an integer (Niven).
 _INTEGER_ORDERS = (1, 2, 3, 4, 6)
@@ -237,10 +242,104 @@ def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> flo
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order, each within ``tol * ||H||_F`` of the truth."""
+    """Eigenvalues in ascending order, each within ``tol * ||H||_F`` of the truth.
+
+    QL splits the tridiagonal matrix at off-diagonal entries of at most
+    tol * ||H||_F / (n - 1); each split moves every eigenvalue by at most
+    that entry (Weyl), and there are at most n - 1 of them.
+    """
 
     eigenvalues: tuple[float, ...]
     tol: float
+
+
+def _tridiagonal(h: np.ndarray) -> tuple[list[float], list[float]]:
+    """Diagonal and off-diagonal of a real symmetric tridiagonal matrix similar to h.
+
+    Householder reduction (Golub and Van Loan, *Matrix Computations*,
+    section 8.3): step k maps column k below the diagonal onto its first
+    entry by the Hermitian reflection P = I - tau v v^H, and updates the
+    trailing block S <- P S P = S - v w^H - w v^H, with p = tau S v and
+    w = p - (tau / 2)(v^H p) v.  The off-diagonal that results is complex;
+    a unitary diagonal scaling turns it into its moduli, so only those are
+    kept.
+    """
+    a = np.array(h, dtype=complex)
+    n = len(a)
+    e = []
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        norm = math.sqrt(np.vdot(x, x).real)
+        e.append(norm)
+        if norm == 0.0:
+            continue
+        x0 = complex(x[0])
+        r0 = abs(x0)
+        v = x.copy()
+        v[0] += x0 * (norm / r0) if r0 else norm
+        tau = 1.0 / (norm * (norm + r0))  # 2 / (v^H v)
+        s = a[k + 1 :, k + 1 :]
+        p = tau * (s @ v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        s -= np.array((v, w)).T @ np.array((w.conj(), v.conj()))  # v w^H + w v^H in one pass over S
+    if n > 1:
+        e.append(abs(complex(a[n - 1, n - 2])))
+    return a.real.diagonal().tolist(), e
+
+
+def _ql_eigenvalues(d: list[float], e: list[float], split: float) -> list[float]:
+    """Implicit QL with Wilkinson shifts on the tridiagonal (d, e); ascending eigenvalues.
+
+    The classic ``tqli`` (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 8), on Python floats.  e_i is split off, and counts as zero, once
+    |e_i| <= split or |e_i| <= eps (|d_i| + |d_i+1|); the second test only
+    matters when split is below the rounding of d.  More than
+    ``QL_MAX_ITERATIONS`` steps on one eigenvalue raise NumericError.
+    """
+    n = len(d)
+    d, e = list(d), list(e) + [0.0]
+    cap = QL_MAX_ITERATIONS
+    for lo in range(n):
+        steps = 0
+        while True:
+            m = lo
+            while m < n - 1:
+                f = abs(e[m])
+                if f <= split or f <= _EPS * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == lo:
+                break
+            if steps == cap:
+                raise NumericError(f"QL iteration did not converge in {cap} steps")
+            steps += 1
+            # the shift: the eigenvalue of the leading 2 x 2 block nearer d[lo]
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # an exact split inside the block: start the step again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[lo] -= p
+                e[lo] = g
+                e[m] = 0.0
+    return sorted(d)
 
 
 @lru_cache(maxsize=64)
@@ -340,19 +439,25 @@ def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_
 # orientation's underlying graph in spectral balance, or one graph asked again.
 @lru_cache(maxsize=256)
 def _spectrum_cached(g: GainGraph, tol: float) -> Spectrum:
-    _check_cap("Jacobi spectrum", g.graph.n, JACOBI_MAX_ORDER, "vertices")
-    return Spectrum(tuple(_jacobi_eigenvalues(hermitian_matrix(g), tol)), tol)
+    n = g.graph.n
+    _check_cap("Hermitian spectrum", n, SPECTRUM_MAX_ORDER, "vertices")
+    # every gain has modulus 1, so ||H||_F^2 = 2m
+    split = tol * math.sqrt(2 * g.graph.m) / max(1, n - 1)
+    return Spectrum(tuple(_ql_eigenvalues(*_tridiagonal(hermitian_matrix(g)), split)), tol)
 
 
 def spectrum(g: GainGraph, tol: float = 1e-9) -> Spectrum:
     """Eigenvalues of the Hermitian adjacency matrix.
 
-    Cyclic complex Jacobi, in the round-robin ordering, runs on the n x n
-    Hermitian matrix until its off-diagonal Frobenius norm is at most
-    tol * ||H||_F, which by Weyl's inequality bounds every eigenvalue's
-    error.  Results are cached on the (immutable) graph.  Graphs of more
-    than ``JACOBI_MAX_ORDER`` vertices raise ``InstanceTooLargeError``
-    before any matrix is built.
+    Householder reflections reduce the n x n Hermitian matrix H to a real
+    symmetric tridiagonal one, and implicit QL with Wilkinson shifts finds
+    its eigenvalues.  QL splits off an off-diagonal entry once it is at most
+    tol * ||H||_F / (n - 1); by Weyl's inequality each split moves every
+    eigenvalue by at most that much, so every eigenvalue is within
+    tol * ||H||_F of the truth, up to double-precision rounding.  Results
+    are cached on the (immutable) graph.  Graphs of more than
+    ``SPECTRUM_MAX_ORDER`` vertices raise ``InstanceTooLargeError`` before
+    any matrix is built.
     """
     _check_tol(tol)
     return _spectrum_cached(g, tol)

@@ -9,10 +9,12 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import gainswitch as gs
@@ -107,7 +109,7 @@ def test_spectrum_cap_keeps_eigenvalues(capsys):
 
 
 def test_non_finite_tol_is_a_validation_error(capsys, tmp_path):
-    # an infinite tol stops Jacobi at once (the unbalanced arc triangle would
+    # an infinite tol splits QL at once (the unbalanced arc triangle would
     # look spectrally balanced) and would print "tol": Infinity, not JSON.
     # Every command checks --tol before it runs, also those that ignore it,
     # and a tol of 0 or below fails as in spectral.spectrum.
@@ -282,8 +284,8 @@ def test_classify_needs_no_cycle_cap(tmp_path, capsys):
         assert report["result"]["character"] == "imaginary" and report["result"]["cactus"] is True
 
 
-def test_classify_and_spectrum_past_the_jacobi_order_cap(monkeypatch, tmp_path, capsys):
-    """At the Jacobi order cap both run; one vertex past it classify keeps its
+def test_classify_and_spectrum_past_the_spectrum_order_cap(monkeypatch, tmp_path, capsys):
+    """At the spectrum order cap both run; one vertex past it classify keeps its
     combinatorial verdicts, reports the spectral cross-check as skipped and
     exits 0, and spectrum exits 3 with the cap in its diagnostic."""
     def arc_cycle(n):  # a cycle with one arc: imaginary
@@ -294,20 +296,54 @@ def test_classify_and_spectrum_past_the_jacobi_order_cap(monkeypatch, tmp_path, 
 
     verdicts = {"balanced": False, "negative": False, "imaginary": True, "character": "imaginary",
                 "cactus": True, "mixed": True}
-    for cap in (8, gs.spectral.JACOBI_MAX_ORDER):
-        monkeypatch.setattr(gs.spectral, "JACOBI_MAX_ORDER", cap)
-        refused = f"Jacobi spectrum capped at {cap} vertices, graph has {cap + 1}"
+    for cap in (8, gs.spectral.SPECTRUM_MAX_ORDER):
+        monkeypatch.setattr(gs.spectral, "SPECTRUM_MAX_ORDER", cap)
+        refused = f"Hermitian spectrum capped at {cap} vertices, graph has {cap + 1}"
         code, report = run(capsys, "classify", arc_cycle(cap + 1))
         assert code == 0 and report["diagnostics"] == [f"spectral balance cross-check skipped: {refused}"]
         assert report["result"] == {**verdicts, "equivalent_to_negation": (cap + 1) % 2 == 0}
         code, report = run(capsys, "spectrum", arc_cycle(cap + 1))
         assert code == 3 and report["result"] == {} and report["diagnostics"] == [f"error: {refused}"]
-    monkeypatch.setattr(gs.spectral, "JACOBI_MAX_ORDER", 8)
+    monkeypatch.setattr(gs.spectral, "SPECTRUM_MAX_ORDER", 8)
     code, report = run(capsys, "classify", arc_cycle(8))
     assert code == 0 and report["diagnostics"] == []
     assert report["result"]["spectral_balance"] is False and report["result"]["spectral_balance_agrees"] is True
     code, report = run(capsys, "spectrum", arc_cycle(8))
     assert code == 0 and len(report["result"]["eigenvalues"]) == 8
+
+
+def test_classify_and_spectrum_on_a_ladder_past_the_old_order_cap(tmp_path, capsys):
+    """A 2 x 100 mixed ladder (n 200, past the 96 vertices the Jacobi route
+    took): classify runs its spectral cross-check, and spectrum gives all 200
+    eigenvalues, within tol * ||H||_F of eigvalsh, and exits 3 only on the
+    elementary polynomial's cap."""
+    rng = random.Random(100)
+    rails = [(i, i + 1) for i in (*range(1, 100), *range(101, 200))]
+    arcs = [(u, v, rng.choice(gs.MIXED_EXPONENTS)) for u, v in rails + [(i, 100 + i) for i in range(1, 101)]]
+    g = gs.build_gain_graph(200, gs.GainGroup(4), arcs, mixed_mode=True)
+    path = tmp_path / "ladder.gg"
+    gs.save_gg(g, path)
+    code, report = run(capsys, "classify", str(path))
+    assert code == 0 and report["diagnostics"] == []
+    assert report["result"]["spectral_balance"] == report["result"]["balanced"]
+    assert report["result"]["spectral_balance_agrees"] is True
+    code, report = run(capsys, "spectrum", str(path))
+    assert code == 3
+    assert report["diagnostics"] == [
+        "characteristic polynomial skipped: elementary-subgraph enumeration capped at 14 vertices, graph has 200"
+    ]
+    h = gs.hermitian_matrix(g)
+    got = report["result"]["eigenvalues"]
+    assert len(got) == 200 and got == sorted(got)
+    assert max(abs(x - y) for x, y in zip(got, np.linalg.eigvalsh(h))) <= 1e-9 * np.linalg.norm(h)
+
+
+def test_spectrum_numeric_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "QL_MAX_ITERATIONS", 0)
+    spectral._spectrum_cached.cache_clear()
+    code, report = run(capsys, "spectrum", ARC_TRIANGLE)
+    assert code == 2 and report["result"] == {}
+    assert report["diagnostics"] == ["error: QL iteration did not converge in 0 steps"]
 
 
 def test_iso_relabeled_bowtie(capsys):

@@ -1,4 +1,4 @@
-"""Characteristic polynomials, Jacobi spectra, and spectral characterizations.
+"""Characteristic polynomials, Hermitian spectra, and spectral characterizations.
 
 Claims covered:
     - enumerate_elementary matches a brute-force edge-subset oracle
@@ -15,7 +15,14 @@ Claims covered:
     - spectrum matches numpy.linalg.eigvalsh within 1e-9, and within
       tol * ||H||_F up to n 48, on graphs with isolated vertices and several
       components, and at loose tol without ever raising; the sweep cap raises
-    - past JACOBI_MAX_ORDER vertices spectrum refuses before building the
+    - spectrum's Householder + QL route is within tol * ||H||_F of eigvalsh
+      and of the Jacobi kernel for n 0-48, k 1-8 and tol 1e-14 to 1e-2, in
+      ascending order; on repeated eigenvalues (K_n, cycles, products), on
+      edgeless graphs, at n 200, and at tols from the smallest subnormal
+      to near the largest float without raising; QL splits off exactly
+      the entries at most tol * ||H||_F / (n - 1); past the QL step cap it
+      raises NumericError
+    - past SPECTRUM_MAX_ORDER vertices spectrum refuses before building the
       matrix, reading the cap on a cache miss only
     - switching preserves spectra and coefficients
     - bipartite graphs have symmetric spectra; the nonzero-cycle-sum
@@ -398,6 +405,120 @@ def test_jacobi_sweep_cap_raises():
         gs.spectral._jacobi_eigenvalues(h, 1e-15, max_sweeps=1)
 
 
+def assert_within_tol_of_eigvalsh_and_jacobi(g, tol):
+    """spectrum(g, tol) is ascending and within tol * ||H||_F of eigvalsh,
+    and within twice that of the Jacobi kernel."""
+    h = gs.hermitian_matrix(g)
+    bound = tol * np.linalg.norm(h)
+    got = np.array(gs.spectrum(g, tol).eigenvalues)
+    assert list(got) == sorted(got) and len(got) == g.graph.n
+    assert np.abs(got - oracle_spectrum(g)).max(initial=0.0) <= bound
+    assert np.abs(got - gs.spectral._jacobi_eigenvalues(h, tol)).max(initial=0.0) <= 2 * bound
+    return got
+
+
+def test_householder_ql_matches_eigvalsh_and_jacobi_on_graphs():
+    rng = random.Random(2026)
+    for n in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 24, 25, 47, 48):
+        for k in range(1, 9):
+            graph = random_connected_graph(rng, n_lo=n, n_hi=n, m_cap=2 * n) if n else gs.SimpleGraph(0, [])
+            g = random_gains(rng, graph, k=k)
+            for tol in JACOBI_TOLS if n <= 17 else JACOBI_TOLS[k % 6 : k % 6 + 1]:
+                assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+
+
+def test_householder_ql_matches_eigvalsh_and_jacobi_on_scattered_graphs():
+    rng = random.Random(2027)
+    for n in (20, 21, 27, 32, 33, 47, 48):
+        for k in range(1, 9):
+            g = random_gains(rng, _scattered_graph(rng, n), k=k)
+            for tol in (JACOBI_TOLS[k % 6], 1e-14):
+                assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+
+
+def test_spectrum_of_repeated_eigenvalues():
+    # all-ones K_n: n - 1 once and -1 n - 1 times
+    for n in (2, 3, 5, 8, 13, 21):
+        g = all_ones(complete_graph(n))
+        for tol in JACOBI_TOLS:
+            got = assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+            assert np.abs(got - ([-1.0] * (n - 1) + [n - 1.0])).max() <= tol * np.linalg.norm(gs.hermitian_matrix(g))
+    # cycles: 2 cos(2 pi j / n), every value but +-2 twice; the arc cycle shifts j by 1/4
+    for n in (4, 5, 8, 9, 16, 31):
+        for g, shift in ((all_ones(cycle_graph(n)), 0.0), (mixed(n, [(v, v % n + 1, 1 if v == 1 else 0) for v in range(1, n + 1)]), 0.25)):
+            want = sorted(2 * math.cos(2 * math.pi * (j + shift) / n) for j in range(n))
+            for tol in JACOBI_TOLS:
+                got = assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+                assert np.abs(got - want).max() <= tol * math.sqrt(2 * n)
+    # Cartesian products: every sum of a factor eigenvalue of each, so many repeats
+    factors = (all_ones(cycle_graph(4)), all_ones(complete_graph(3)), arc_triangle(), bowtie_i(), all_ones(path_graph(3)))
+    for a, b in itertools.combinations_with_replacement(factors, 2):
+        g = gs.cartesian_product(a, b)
+        want = np.sort(np.add.outer(oracle_spectrum(a), oracle_spectrum(b)).ravel())
+        for tol in JACOBI_TOLS:
+            got = assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+            assert np.abs(got - want).max() <= tol * np.linalg.norm(gs.hermitian_matrix(g)) + 1e-13
+
+
+def test_spectrum_of_edgeless_graphs():
+    for n in (0, 1, 2, 7):
+        for k in (1, 2, 4, 6):
+            g = all_ones(gs.SimpleGraph(n, []), k=k, mixed_mode=False)
+            for tol in (1e-300, 1e-9, 1.0):
+                assert gs.spectrum(g, tol).eigenvalues == (0.0,) * n
+
+
+def test_spectrum_never_raises_at_extreme_tols():
+    """At the smallest tols QL splits on the eps floor alone; at the largest
+    it splits every entry at once.  Neither raises, and both keep the bound."""
+    rng = random.Random(300)
+    for i in range(300):
+        n = rng.randint(12, 30)
+        graph = random_connected_graph(rng, n_lo=n, n_hi=n, m_cap=2 * n) if i % 3 else _scattered_graph(rng, n)
+        g = random_gains(rng, graph, k=rng.randint(1, 8))
+        norm = np.linalg.norm(gs.hermitian_matrix(g))
+        got = np.array(gs.spectrum(g, 1e-300).eigenvalues)
+        assert np.abs(got - oracle_spectrum(g)).max() <= 1e-13 * norm
+    g = bowtie_i()
+    for tol in (5e-324, 1e-300, 1e300, 1.7e308):
+        got = np.array(gs.spectrum(g, tol).eigenvalues)
+        assert list(got) == sorted(got)
+        assert np.abs(got - oracle_spectrum(g)).max() <= max(1e-13, tol * math.sqrt(2 * g.graph.m))
+
+
+def test_ql_splits_at_the_bound():
+    """An off-diagonal entry at most the split is dropped and one above it is
+    not; on one edge the dropped entry is the whole error, which stays within
+    tol * ||H||_F on both sides of the split."""
+    assert gs.spectral._ql_eigenvalues([0.0, 0.0], [0.5], 0.5) == [0.0, 0.0]
+    assert gs.spectral._ql_eigenvalues([0.0, 0.0], [0.5], 0.49) == pytest.approx([-0.5, 0.5], abs=1e-15)
+    edge = all_ones(path_graph(2))  # ||H||_F = sqrt(2); the split falls at tol 1 / sqrt(2)
+    for tol in (0.05, 0.1, 0.5, 0.7, 0.71, 0.75, 1.0):
+        got = gs.spectrum(edge, tol).eigenvalues
+        assert max(abs(x - y) for x, y in zip(got, (-1.0, 1.0))) <= tol * math.sqrt(2)
+    assert gs.spectrum(edge, 0.71).eigenvalues == (0.0, 0.0)
+
+
+def test_ql_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(gs.spectral, "QL_MAX_ITERATIONS", 0)
+    gs.spectral._spectrum_cached.cache_clear()
+    with pytest.raises(NumericError, match="QL iteration did not converge in 0 steps"):
+        gs.spectrum(arc_triangle())
+    assert gs.spectrum(all_ones(gs.SimpleGraph(3, []))).eigenvalues == (0.0,) * 3  # nothing to iterate
+
+
+def test_spectrum_past_the_old_order_cap():
+    """A 2 x 100 mixed ladder (n 200), past the 96 vertices the Jacobi route took."""
+    rng = random.Random(200)
+    rails = [(i, i + 1) for i in (*range(1, 100), *range(101, 200))]
+    ladder = gs.SimpleGraph(200, rails + [(i, 100 + i) for i in range(1, 101)])
+    g = random_gains(rng, ladder, k=4, mixed_mode=True)
+    for tol in (1e-12, 1e-9):
+        got = np.array(gs.spectrum(g, tol).eigenvalues)
+        assert list(got) == sorted(got)
+        assert np.abs(got - oracle_spectrum(g)).max() <= tol * np.linalg.norm(gs.hermitian_matrix(g))
+
+
 def test_spectrum_loose_tol_never_raises(rng):
     # a loose tol only widens the error bound tol * ||H||_F; it is a valid
     # setting and must not turn into a numeric failure
@@ -412,16 +533,16 @@ def test_spectrum_loose_tol_never_raises(rng):
 
 
 def test_spectrum_order_cap_is_read_on_a_cache_miss_before_the_matrix(monkeypatch):
-    """Past ``JACOBI_MAX_ORDER`` vertices spectrum refuses before building H;
+    """Past ``SPECTRUM_MAX_ORDER`` vertices spectrum refuses before building H;
     a cache hit does not read the cap again."""
-    cap = gs.spectral.JACOBI_MAX_ORDER
-    assert cap >= 48  # the largest graphs the tests take a spectrum of
+    cap = gs.spectral.SPECTRUM_MAX_ORDER
+    assert cap >= 200  # the largest graphs the tests take a spectrum of
     checks, built = [], []
     check, matrix = gs.spectral._check_cap, gs.spectral.hermitian_matrix
     monkeypatch.setattr(gs.spectral, "_check_cap", lambda *args: checks.append(args) or check(*args))
     monkeypatch.setattr(gs.spectral, "hermitian_matrix", lambda g: built.append(g) or matrix(g))
     gs.spectral._spectrum_cached.cache_clear()
-    with pytest.raises(InstanceTooLargeError, match=f"Jacobi spectrum capped at {cap} vertices, graph has {cap + 1}"):
+    with pytest.raises(InstanceTooLargeError, match=f"Hermitian spectrum capped at {cap} vertices, graph has {cap + 1}"):
         gs.spectrum(all_ones(path_graph(cap + 1)))
     assert built == [] and len(checks) == 1
     g = arc_triangle()
@@ -434,7 +555,7 @@ def test_spectrum_tol_validation():
         gs.spectrum(arc_triangle(), tol=0.0)
     with pytest.raises(ValidationError):
         gs.spectrum(arc_triangle(), tol=-1e-9)
-    for tol in (math.inf, math.nan):  # an infinite tol stops Jacobi at once; NaN never stops it
+    for tol in (math.inf, math.nan):  # an infinite tol splits QL at once; a NaN one bounds nothing
         with pytest.raises(ValidationError):
             gs.spectrum(arc_triangle(), tol=tol)
 
