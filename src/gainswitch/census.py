@@ -157,19 +157,9 @@ def class_count_bounds(g: SimpleGraph) -> tuple[int, int, bool]:
     is private to its own cycle, so each chord's forest path (edges named by
     their child ends) needs one edge that no other chord's path uses.
     """
-    f = spanning_forest(g)
-    if f._arrays is not None:  # paths counted per forest edge by levels
-        private = _chord_use(g, f)[1]
-        r, tight = len(private), bool(private.all())
-    else:
-        chords = itertools.compress(zip(g.tails, g.heads), f.is_chord)
-        paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in chords]
-        use = [0] * (g.n + 1)
-        for x in itertools.chain.from_iterable(paths):
-            use[x] += 1
-        tight = all(any(use[x] == 1 for x in path) for path in paths)
-        r = len(paths)
-    return 3**r, 4**r, tight
+    private = _chord_use(g, spanning_forest(g))[1]
+    r = len(private)
+    return 3**r, 4**r, bool(private.all())
 
 
 def mixed_basis_profile(g: GainGraph) -> tuple[int, ...]:

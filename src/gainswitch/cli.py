@@ -23,15 +23,9 @@ from .gaincore import GainGraph, load_gg, save_gg, underlying
 _SIG_DIGITS = 12
 
 
-def _rounded(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{_SIG_DIGITS}g}")
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    return obj
+def _round(x: float) -> float:
+    """x to 12 significant digits: ``spectrum``'s floats, the only floats in a report."""
+    return float(f"{x:.{_SIG_DIGITS}g}")
 
 
 def _theta_table(theta) -> dict[str, str]:
@@ -47,7 +41,8 @@ def _load(path: str) -> tuple[GainGraph, tuple]:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def cmd_equiv(args) -> tuple[dict, int]:
+# Each command returns (result, diagnostics, exit code); ``main`` wraps them in the report.
+def cmd_equiv(args) -> tuple[dict, list[str], int]:
     a, _ = _load(args.file_a)
     b, _ = _load(args.file_b)
     verdict = switching.switching_equivalent(a, b)
@@ -57,45 +52,50 @@ def cmd_equiv(args) -> tuple[dict, int]:
             "equivalent": False,
             "first_difference": {"cycle": list(cycle), "gain_a": ga.label(), "gain_b": gb.label()},
         }
-        return result, 1
-    return {"equivalent": True, "theta": _theta_table(verdict)}, 0
+        return result, [], 1
+    return {"equivalent": True, "theta": _theta_table(verdict)}, [], 0
 
 
-def cmd_spectrum(args) -> tuple[dict, int]:
+def cmd_spectrum(args) -> tuple[dict, list[str], int]:
     g, _ = _load(args.file)
     eigs = list(spectral.spectrum(g, args.tol).eigenvalues)
+    result = {"eigenvalues": list(map(_round, eigs))}
     cap = args.max_enum if args.max_enum is not None else spectral.DEFAULT_ELEMENTARY_CAP
     try:
         poly = spectral.char_poly_elementary(g, cap)
     except InstanceTooLargeError as exc:
-        result = {"eigenvalues": eigs, "tol": args.tol}
-        return {
-            "result": result,
-            "diagnostics": [f"characteristic polynomial skipped: {exc}"],
-        }, 3
+        result["tol"] = _round(args.tol)
+        return result, [f"characteristic polynomial skipped: {exc}"], 3
     from_eigs = [float(c) for c in np.poly(eigs)] if eigs else [1.0]
     coeffs = list(poly.all_coefficients())
-    max_disc = max(abs(x - y) for x, y in zip(coeffs, from_eigs))
-    result = {
-        "eigenvalues": eigs,
-        "coefficients": coeffs,
-        "coefficients_from_eigenvalues": from_eigs,
-        "max_discrepancy": max_disc,
-        "tol": args.tol,
-    }
-    return result, 0
+    result["coefficients"] = list(map(_round, coeffs))
+    result["coefficients_from_eigenvalues"] = list(map(_round, from_eigs))
+    result["max_discrepancy"] = _round(max(abs(x - y) for x, y in zip(coeffs, from_eigs)))
+    result["tol"] = _round(args.tol)
+    return result, [], 0
 
 
-def cmd_census(args) -> tuple[dict, int]:
+# The census cross-checks in report order: each compares two answers, recorded
+# as (method, quantity), and is made when both methods gave that quantity.
+_CROSS_CHECKS = (
+    ("sizes_sum_to_total", ("brute", "sizes_sum"), ("brute", "total")),
+    ("brute_vs_cycle_sizes", ("brute", "sizes"), ("cycle", "sizes")),
+    ("brute_vs_blocks", ("brute", "input_class_size"), ("blocks", "input_class_size")),
+    ("brute_count_vs_plane_count", ("brute", "class_count"), ("plane", "class_count")),
+    ("brute_vs_plane_size", ("brute", "input_class_size"), ("plane", "input_class_size")),
+    ("blocks_vs_plane_size", ("blocks", "input_class_size"), ("plane", "input_class_size")),
+)
+
+
+def cmd_census(args) -> tuple[dict, list[str], int]:
     g, faces = _load(args.file)
     graph = g.graph
     lower, upper, tight = census_mod.class_count_bounds(graph)
     result: dict = {"bounds": {"lower": lower, "upper": upper, "upper_tight": tight}}
     diagnostics: list[str] = []
-    methods = 0
+    answered: dict[str, dict] = {}  # each method that answers: its quantities
 
     cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_CENSUS_CAP
-    brute = None
     if graph.m > cap:
         diagnostics.append(f"brute-force census skipped: {graph.m} edges exceed the cap {cap}")
     else:
@@ -103,18 +103,14 @@ def cmd_census(args) -> tuple[dict, int]:
             brute = census_mod.brute_force_census(graph, cap)
         except InstanceTooLargeError as exc:  # a rank above the tally's cap
             diagnostics.append(f"brute-force census skipped: {exc}")
-    if brute is not None:
-        weights = brute.weights
-        entry: dict = {
-            "class_count": brute.num_classes,
-            "sizes": sorted(weights[weights != 0].tolist(), reverse=True),
-            "total": brute.total,
-        }
-        if g.mixed_mode:
-            profile = census_mod.mixed_basis_profile(g)
-            entry["input_class_size"] = brute.size_of(profile)
-        result["brute_force"] = entry
-        methods += 1
+        else:
+            weights = brute.weights
+            sizes = sorted(weights[weights != 0].tolist(), reverse=True)
+            entry: dict = {"class_count": brute.num_classes, "sizes": sizes, "total": brute.total}
+            if g.mixed_mode:
+                entry["input_class_size"] = brute.size_of(census_mod.mixed_basis_profile(g))
+            result["brute_force"] = entry
+            answered["brute"] = {**entry, "sizes_sum": sum(sizes)}
 
     is_cycle = (
         graph.n >= 3
@@ -124,22 +120,18 @@ def cmd_census(args) -> tuple[dict, int]:
     )
     if is_cycle:
         alpha = census_mod.alpha_closed_form(graph.n)
-        result["cycle_class_sizes"] = {
-            "1": alpha.one,
-            "-1": alpha.minus_one,
-            "i": alpha.i,
-            "-i": alpha.minus_i,
-        }
-        methods += 1
+        cycle = result["cycle_class_sizes"] = {"1": alpha.one, "-1": alpha.minus_one, "i": alpha.i, "-i": alpha.minus_i}
+        answered["cycle"] = {"sizes": sorted(cycle.values(), reverse=True)}
 
     if g.mixed_mode:
         try:
-            result["block_product_size"] = census_mod.class_size_by_blocks(g)
+            size = census_mod.class_size_by_blocks(g)
         except InstanceTooLargeError as exc:  # a block's rank above the convolution's cap
             diagnostics.append(f"block product skipped: {exc}")
         else:
+            result["block_product_size"] = size
             result["cactus"] = census_mod.is_cactus(graph)
-            methods += 1
+            answered["blocks"] = {"input_class_size": size}
 
     if args.faces:
         if not faces:
@@ -152,42 +144,18 @@ def cmd_census(args) -> tuple[dict, int]:
         except InstanceTooLargeError as exc:  # more faces than the convolution's cap
             diagnostics.append(f"plane census skipped: {exc}")
         else:
-            result["plane"] = plane
-            methods += 1
+            result["plane"] = answered["plane"] = plane
 
-    checks: dict = {}
-    if brute is not None:
-        checks["sizes_sum_to_total"] = int(brute.weights.sum()) == brute.total
-        if "cycle_class_sizes" in result:
-            checks["brute_vs_cycle_sizes"] = (
-                sorted(result["cycle_class_sizes"].values(), reverse=True) == result["brute_force"]["sizes"]
-            )
-        if "block_product_size" in result and g.mixed_mode:
-            checks["brute_vs_blocks"] = (
-                result["block_product_size"] == result["brute_force"]["input_class_size"]
-            )
-        if "plane" in result:
-            checks["brute_count_vs_plane_count"] = (
-                result["plane"]["class_count"] == brute.num_classes
-            )
-            if g.mixed_mode:
-                checks["brute_vs_plane_size"] = (
-                    result["plane"]["input_class_size"] == result["brute_force"]["input_class_size"]
-                )
-    if "block_product_size" in result and "input_class_size" in result.get("plane", {}):
-        checks["blocks_vs_plane_size"] = result["block_product_size"] == result["plane"]["input_class_size"]
+    found = {(method, key): value for method, quantities in answered.items() for key, value in quantities.items()}
+    checks = {name: found[a] == found[b] for name, a, b in _CROSS_CHECKS if a in found and b in found}
     if checks:
         result["cross_checks"] = checks
-
-    if methods == 0:
-        return {
-            "result": result,
-            "diagnostics": diagnostics + ["no census method applies under the configured caps"],
-        }, 3
-    return {"result": result, "diagnostics": diagnostics}, 0
+    if not answered:
+        return result, diagnostics + ["no census method applies under the configured caps"], 3
+    return result, diagnostics, 0
 
 
-def cmd_classify(args) -> tuple[dict, int]:
+def cmd_classify(args) -> tuple[dict, list[str], int]:
     g, _ = _load(args.file)
     character = switching.gain_character(g)
     result = {
@@ -208,10 +176,10 @@ def cmd_classify(args) -> tuple[dict, int]:
         else:
             result["spectral_balance"] = spectral_balance
             result["spectral_balance_agrees"] = spectral_balance == result["balanced"]
-    return {"result": result, "diagnostics": diagnostics}, 0
+    return result, diagnostics, 0
 
 
-def cmd_iso(args) -> tuple[dict, int]:
+def cmd_iso(args) -> tuple[dict, list[str], int]:
     a, _ = _load(args.file_a)
     b, _ = _load(args.file_b)
     if a.group != b.group:
@@ -221,23 +189,23 @@ def cmd_iso(args) -> tuple[dict, int]:
     if a.graph != b.graph:
         sigma = symmetry.underlying_isomorphism(a.graph, b.graph, max_aut)
         if sigma is None:
-            return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, 1
+            return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, [], 1
         exps = [b.exponent(sigma(u), sigma(v)) for u, v in zip(a.graph.tails, a.graph.heads)]
         b = GainGraph(a.graph, b.group, exps, b.mixed_mode)
         relabeling = list(sigma.image)
     hit = symmetry.switching_isomorphic(a, b, max_aut)
     if hit is None:
-        return {"isomorphic": False, "relabeling": relabeling}, 1
+        return {"isomorphic": False, "relabeling": relabeling}, [], 1
     f, theta = hit
     return {
         "isomorphic": True,
         "relabeling": relabeling,
         "permutation": list(f.image),
         "theta": _theta_table(theta),
-    }, 0
+    }, [], 0
 
 
-def cmd_product(args) -> tuple[dict, int]:
+def cmd_product(args) -> tuple[dict, list[str], int]:
     a, _ = _load(args.file_a)
     b, _ = _load(args.file_b)
     prod = spectral.cartesian_product(a, b)
@@ -252,10 +220,10 @@ def cmd_product(args) -> tuple[dict, int]:
         "mixed": prod.mixed_mode,
         "output": args.output,
     }
-    return result, 0
+    return result, [], 0
 
 
-def cmd_aut(args) -> tuple[dict, int]:
+def cmd_aut(args) -> tuple[dict, list[str], int]:
     g, _ = _load(args.file)
     max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
     under, *parts, gain = symmetry._aut_chains(g, max_aut)
@@ -267,7 +235,7 @@ def cmd_aut(args) -> tuple[dict, int]:
     }
     if parts:
         result["directed_part_order"], result["undirected_part_order"] = (c.order for c in parts)
-    return result, 0
+    return result, [], 0
 
 
 def _cap(text: str) -> int:
@@ -338,23 +306,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     inputs = [getattr(args, name) for name in ("file", "file_a", "file_b") if hasattr(args, name)]
-    report = {"command": args.command, "inputs": inputs, "result": {}, "diagnostics": []}
     try:
         spectral._check_tol(args.tol)  # spectral.spectrum's check, made for every command
-        payload, code = args.func(args)
-    except InstanceTooLargeError as exc:
-        report["diagnostics"] = [f"error: {exc}"]
-        code = 3
+        result, diagnostics, code = args.func(args)
     except GainGraphError as exc:
-        report["diagnostics"] = [f"error: {exc}"]
-        code = 2
-    else:
-        if "result" in payload and "diagnostics" in payload:
-            report["result"] = payload["result"]
-            report["diagnostics"] = payload["diagnostics"]
-        else:
-            report["result"] = payload
-    print(json.dumps(_rounded(report), indent=2 if getattr(args, "json_pretty", False) else None))
+        result, diagnostics = {}, [f"error: {exc}"]
+        code = 3 if isinstance(exc, InstanceTooLargeError) else 2
+    report = {"command": args.command, "inputs": inputs, "result": result, "diagnostics": diagnostics}
+    print(json.dumps(report, indent=2 if getattr(args, "json_pretty", False) else None))
     return code
 
 

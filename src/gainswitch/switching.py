@@ -528,11 +528,13 @@ def is_balanced(g: GainGraph) -> bool:
 
 
 def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarray]:
-    """``(use, private)`` for a forest walked by levels, kept on f: ``use[x]``
+    """``(use, private)`` for any forest of g, kept on f: ``use[x]``
     counts the chord paths through forest edge x (named by its child end),
     and ``private[j]`` is True when the path of chord j (the j-th chord by
     edge id) has a forest edge that no other chord path uses.
 
+    A forest not walked by levels walks each chord's path once
+    (``_chord_walk``).  On one walked by levels no path is walked.
     A forest edge lies on as many chord paths as its subtree holds chord
     ends, less twice the chord LCAs in it.  So each chord adds 1 at both
     ends and -2 at its LCA, and the sums are taken up the forest one level
@@ -543,7 +545,15 @@ def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarra
     ends by each 2^j, largest first, that keeps them apart, leaves them just
     below the LCA.
     """
-    if f._use is None:
+    if f._use is None and f._arrays is None:
+        paths = [[x for x, _ in _chord_walk(f, u, v)] for u, v in compress(zip(g.tails, g.heads), f.is_chord)]
+        use = [0] * (g.n + 1)
+        for path in paths:
+            for x in path:
+                use[x] += 1
+        private = [any(use[x] == 1 for x in path) for path in paths]
+        f._use = np.array(use, dtype=np.int64), np.array(private, dtype=bool)
+    elif f._use is None:
         parent, _, depth, order, is_chord, _ = f._arrays
         levels = f._levels
         height = len(levels) - 2
@@ -583,26 +593,16 @@ def _chord_cycles_disjoint(g: SimpleGraph, f: SpanningForest) -> bool:
     In a cactus each chord's cycle is the one cycle of its block.
     Conversely, when the cycles are disjoint every cycle of g, a sum of
     them, is one of them, so no block holds a theta (whose third cycle is
-    the sum of the other two).  Only forest edges can be shared.  Each of
-    the r chord paths has at least two forest edges (g has no parallel
-    edges), so disjoint paths need 2r <= n - c = m - r: a graph with
-    3r > m is refused before any path is looked at.  On a forest walked by
-    levels ``_chord_use`` counts the paths through each forest edge;
-    otherwise the walk over the chords' cycles stops at the first forest
-    edge met twice, so it takes at most n steps.
+    the sum of the other two).  Only forest edges can be shared, and
+    ``_chord_use`` counts the chord paths through each.  Each of the r
+    chord paths has at least two forest edges (g has no parallel edges),
+    so disjoint paths need 2r <= n - c = m - r: a graph with 3r > m is
+    refused before any path is looked at.
     """
     r = f.is_chord.count(True) if f._arrays is None else np.count_nonzero(f._arrays[4])
     if 3 * r > g.m:
         return False
-    if f._arrays is not None:
-        return bool(_chord_use(g, f)[0].max(initial=0) <= 1)
-    used = [False] * (g.n + 1)
-    for u, v in compress(zip(g.tails, g.heads), f.is_chord):
-        for x, _ in _chord_walk(f, u, v):
-            if used[x]:
-                return False
-            used[x] = True
-    return True
+    return bool(_chord_use(g, f)[0].max(initial=0) <= 1)
 
 
 def gain_character(g: GainGraph) -> str:

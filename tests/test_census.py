@@ -246,8 +246,9 @@ def cycle_edge_counts(graph):
 
 
 def assert_level_counts_match_cycle_edges(graph):
-    """The level walk's per-edge path counts and per-chord private-edge
-    verdicts (``switching._chord_use``) against ``cycle_edge_use``."""
+    """The per-edge path counts and per-chord private-edge verdicts of
+    ``switching._chord_use``, by level sums or by the chord walk as the
+    default forest was walked, against ``cycle_edge_use``."""
     f = gs.spanning_forest(graph)
     use, private = gs.switching._chord_use(graph, f)
     ids, want = cycle_edge_use(graph)
@@ -284,6 +285,7 @@ def test_chord_counts_by_levels_match_the_chord_walk_and_cycle_edges():
         )
         assert array == python == cycle_edge_counts(built), t
         assert not by_queue
+        assert_level_counts_match_cycle_edges(built)
         if by_levels:
             assert_level_counts_match_cycle_edges(counted_by("array", graph.n, graph.edges)[2])
         walked += by_levels
@@ -344,8 +346,7 @@ def test_chord_counts_on_large_graphs(name, n, edges, tight, cactus, by_levels):
     assert (gs.spanning_forest(graph)._arrays is not None) == by_levels
     assert counts == cycle_edge_counts(graph) == counted_by("python", n, edges)[0]
     assert (counts[0][2], counts[1]) == (tight, cactus)
-    if by_levels:
-        assert_level_counts_match_cycle_edges(graph)
+    assert_level_counts_match_cycle_edges(graph)
 
 
 @pytest.mark.parametrize("route", ("array", "python"))

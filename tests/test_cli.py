@@ -247,6 +247,40 @@ def test_census_theta_past_the_scan_cap(capsys):
     assert res["cross_checks"] == {"blocks_vs_plane_size": True}
 
 
+def test_cross_checks_keep_their_order(capsys):
+    for argv, names in (
+        (["census", ARC_TRIANGLE], ["sizes_sum_to_total", "brute_vs_cycle_sizes", "brute_vs_blocks"]),
+        (
+            ["census", "--faces", DIAMOND],
+            [
+                "sizes_sum_to_total",
+                "brute_vs_blocks",
+                "brute_count_vs_plane_count",
+                "brute_vs_plane_size",
+                "blocks_vs_plane_size",
+            ],
+        ),
+        (["census", "--faces", THETA], ["blocks_vs_plane_size"]),
+    ):
+        code, report = run(capsys, *argv)
+        assert code == 0 and list(report["result"]["cross_checks"]) == names, argv
+
+
+def test_every_float_in_a_report_has_12_significant_digits(tmp_path, capsys):
+    files = sorted(map(str, DATA.glob("*.gg")))
+    argvs = [[cmd, f] for f in files for cmd in ("census", "spectrum", "classify", "aut")]
+    argvs += [["spectrum", "--max-enum", "1", f] for f in files] + [["spectrum", "--tol", "1e-2", f] for f in files]
+    argvs += [["census", "--faces", DIAMOND], ["census", "--faces", THETA]]
+    argvs += [[cmd, f, f] for f in files for cmd in ("equiv", "iso")]
+    argvs += [["product", ARC_TRIANGLE, DIAMOND, "-o", str(tmp_path / "p.gg")]]
+    floats = []
+    for argv in argvs:
+        cli.main(argv)
+        json.loads(capsys.readouterr().out, parse_float=lambda text: floats.append(float(text)) or floats[-1])
+    assert len(floats) > 100
+    assert all(x == float(f"{x:.12g}") for x in floats)
+
+
 def test_classify_arc_triangle(capsys):
     code, report = run(capsys, "classify", ARC_TRIANGLE)
     assert code == 0
