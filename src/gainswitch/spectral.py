@@ -2,13 +2,14 @@
 
 Three routes are kept deliberately separate.  The characteristic polynomial
 is assembled combinatorially from elementary subgraphs (edges and cycles
-with real cycle gains) in one recursion that sums every order at once, with
-integer coefficients for k in {1, 2, 3, 4, 6}.  Eigenvalues come from a
-Householder reduction of the n x n Hermitian matrix to a real symmetric
-tridiagonal one, followed by implicit QL with Wilkinson shifts.  A cyclic
-complex Jacobi iteration in the round-robin ordering, which shares no step
-with the reduction, is kept as the eigenvalues' cross-check.  Their
-agreement is a standing check, not an implementation shortcut.
+with real cycle gains) by one sum, memoised on the set of vertices not yet
+decided, that gives every order at once, with integer coefficients for k in
+{1, 2, 3, 4, 6}.  Eigenvalues come from a Householder reduction of the
+n x n Hermitian matrix to a real symmetric tridiagonal one, followed by
+implicit QL with Wilkinson shifts.  A cyclic complex Jacobi iteration in the
+round-robin ordering, which shares no step with the reduction, is kept as
+the eigenvalues' cross-check.  Their agreement is a standing check, not an
+implementation shortcut.
 """
 
 from __future__ import annotations
@@ -95,17 +96,18 @@ def _cycle_weights(group: GainGroup) -> tuple:
     return tuple(round(x) for x in w) if group.order in _INTEGER_ORDERS else w
 
 
-def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int, leaf) -> None:
-    """Call ``leaf(order, term, edges, cycles)`` once per elementary subgraph on at most max_order vertices.
+def _pieces(g: SimpleGraph, exps, weights, max_vertices: int, longest: int) -> list[list[tuple]]:
+    """Per vertex v, each piece that can cover v as its least vertex: ``(mask, coef, vertices)``.
 
-    One recursion anchors at the smallest vertex not yet decided: either
-    leave it uncovered, match it to a free neighbor, or grow a cycle through
-    it (cycles are generated once, smallest vertex first, direction fixed by
-    second vertex < last vertex).  ``exps[e]`` is the exponent of edge id e
-    in its u < v orientation, and the running term is
-    (-1)^components times the product of ``weights[t]`` over the cycles, t
-    being the cycle's exponent sum mod len(weights).  ``edges`` and
-    ``cycles`` are the live accumulators, valid only during the call.
+    A piece is an edge vw with w > v (coef -1) or a cycle through v on
+    vertices above v (coef -2 Re of its gain, that is -``weights[t]``, t
+    being the cycle's exponent sum mod len(weights), ``exps[e]`` being the
+    exponent of edge id e in its u < v orientation); ``mask`` has bit u set
+    for each of its vertices u.  Each cycle is listed once, from its least
+    vertex, with second vertex < last vertex; a path stops growing once no
+    neighbor of the anchor above the second vertex is left off it, as it
+    could no longer close, or once it has ``longest`` vertices.  Cycles of
+    coef 0 add nothing and are left out.
     """
     n = g.n
     _check_cap(_ELEMENTARY, n, max_vertices, "vertices")
@@ -114,75 +116,63 @@ def _elementary(g: SimpleGraph, exps, weights, max_order: int, max_vertices: int
     for u, v, x in zip(g.tails, g.heads, exps):
         out[u][v] = x
         out[v][u] = -x
-    avail = [True] * (n + 1)
-    edges_acc: list[tuple[int, int]] = []
-    cycles_acc: list[tuple[int, ...]] = []
+    pieces: list[list] = [[] for _ in range(n + 1)]
 
-    def rec(order: int, start: int, term) -> None:
-        v = start
-        while v <= n and not avail[v]:
-            v += 1
-        if v > n or order == max_order:
-            leaf(order, term, edges_acc, cycles_acc)
-            return
-        avail[v] = False
-        rec(order, v + 1, term)
-        if order + 2 <= max_order:
-            # match v with a free neighbor (all free vertices are > v here)
-            for w in out[v]:
-                if avail[w]:
-                    avail[w] = False
-                    edges_acc.append((v, w))
-                    rec(order + 2, v + 1, -term)
-                    edges_acc.pop()
-                    avail[w] = True
-            # or grow a cycle anchored at v through a second vertex y: it can
-            # only close on a free neighbor of v above y, so grow while one is left
-            if order + 3 <= max_order:
-                nbrs = out[v]
-                for y, x in nbrs.items():
-                    if avail[y]:
-                        left = sum(avail[z] for z in nbrs if z > y)
-                        if left:
-                            avail[y] = False
-                            grow([v, y], x, order, v + 1, term, left)
-                            avail[y] = True
-        avail[v] = True
-
-    def grow(path: list[int], t: int, order: int, resume: int, term, left: int) -> None:
-        # left: the free neighbors of the anchor path[0] above path[1]
-        last = path[-1]
-        if len(path) >= 3 and path[1] < last:
-            closing = out[last].get(path[0])
-            if closing is not None:
-                cycles_acc.append(tuple(path))
-                rec(order + len(path), resume, -term * weights[(t + closing) % k])
-                cycles_acc.pop()
-        if left and order + len(path) < max_order:
-            anchor, second = out[path[0]], path[1]
+    def grow(path: list[int], mask: int, t: int, left: int) -> None:
+        # left: the neighbors of the anchor path[0] above path[1] not yet on the path
+        anchor, second, last = path[0], path[1], path[-1]
+        if len(path) >= 3 and second < last and anchor in out[last]:
+            w = weights[(t + out[last][anchor]) % k]
+            if w:
+                pieces[anchor].append((mask, -w, tuple(path)))
+        if left and len(path) < longest:
             for y, x in out[last].items():
-                if avail[y]:
-                    avail[y] = False
+                if y > anchor and not mask >> y & 1:
                     path.append(y)
-                    grow(path, t + x, order, resume, term, left - (y > second and y in anchor))
+                    grow(path, mask | 1 << y, t + x, left - (y > second and y in out[anchor]))
                     path.pop()
-                    avail[y] = True
 
-    rec(0, 1, 1)
+    for v in range(1, n + 1):
+        pieces[v] += [(1 << v | 1 << w, -1, (v, w)) for w in out[v] if w > v]
+        for y, x in out[v].items():
+            if y > v:
+                left = sum(z > y for z in out[v])
+                if left:
+                    grow([v, y], 1 << v | 1 << y, x, left)
+    return pieces
 
 
 def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
-    """All elementary subgraphs covering exactly k vertices."""
+    """All elementary subgraphs covering exactly k vertices.
+
+    Walks ``_pieces`` as ``_coefficients`` does, without its memo: the least
+    undecided vertex is left uncovered or covered by one of its pieces that
+    avoids every decided vertex, until k vertices are covered.
+    """
     k = _exact_int(k, "order")
     if not 0 <= k <= g.n:
         raise ValidationError(f"order {k} out of range 0..{g.n}")
+    pieces = _pieces(g, (0,) * g.m, (1,), max_vertices, k)
     found: list[ElementarySubgraph] = []
+    edges: list[tuple[int, ...]] = []
+    cycles: list[tuple[int, ...]] = []
 
-    def keep(order: int, _term, edges, cycles) -> None:
+    def walk(s: int, order: int) -> None:
         if order == k:
             found.append(ElementarySubgraph(tuple(edges), tuple(cycles)))
+            return
+        if s.bit_count() < k - order:  # too few vertices left, or none
+            return
+        low = s & -s
+        walk(s ^ low, order)
+        for mask, _, verts in pieces[low.bit_length() - 1]:
+            if s & mask == mask and order + len(verts) <= k:
+                acc = edges if len(verts) == 2 else cycles
+                acc.append(verts)
+                walk(s ^ mask, order + len(verts))
+                acc.pop()
 
-    _elementary(g, (0,) * g.m, (1,), k, max_vertices, keep)
+    walk((1 << g.n + 1) - 2, 0)
     return found
 
 
@@ -208,20 +198,32 @@ class CharPoly:
 # that the cache sees no bool, float or unhashable cap.
 @lru_cache(maxsize=1)
 def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
-    """a_0 .. a_n of the characteristic polynomial, from one enumeration.
+    """a_0 .. a_n of the characteristic polynomial, by one memoised sum.
 
     a_k sums (-1)^components * 2^cycles * product of real cycle gains over
     all elementary subgraphs on k vertices: exact ints for k in
-    {1, 2, 3, 4, 6}.
+    {1, 2, 3, 4, 6}.  The subgraphs that agree on the vertices below the
+    least undecided vertex v share the sum over the rest, which depends only
+    on the set S of undecided vertices.  So f(S), the polynomial of orders
+    0..|S| summed over S, is f(S - v) plus, for each piece p of v inside S,
+    coef_p * x^|p| * f(S - p); it is kept per S, and the answer is f(V).
     """
-    n = g.graph.n
-    totals = [0] * (n + 1)
+    pieces = _pieces(g.graph, g.exps, _cycle_weights(g.group), max_vertices, g.graph.n)
+    memo: dict[int, list] = {0: [1]}
 
-    def add(order: int, term, _edges, _cycles) -> None:
-        totals[order] += term
+    def f(s: int) -> list:
+        got = memo.get(s)
+        if got is None:
+            low = s & -s
+            got = f(s ^ low) + [0]
+            for mask, coef, verts in pieces[low.bit_length() - 1]:
+                if s & mask == mask:
+                    for j, c in enumerate(f(s ^ mask), len(verts)):
+                        got[j] += coef * c
+            memo[s] = got
+        return got
 
-    _elementary(g.graph, g.exps, _cycle_weights(g.group), n, max_vertices, add)
-    return tuple(totals)
+    return tuple(f((1 << g.graph.n + 1) - 2))
 
 
 def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> CharPoly:

@@ -1,12 +1,17 @@
 """Characteristic polynomials, Hermitian spectra, and spectral characterizations.
 
 Claims covered:
-    - enumerate_elementary matches a brute-force edge-subset oracle
+    - enumerate_elementary matches a brute-force edge-subset oracle, and
+      grows no cycle longer than the order it lists
     - char_poly_elementary matches numpy's eigenvalue-based polynomial
     - char_poly_elementary and determinant equal sympy's exact charpoly/det
       for k 1/2/3/4/6; determinant is (-1)^n a_n bit for bit at float k
-    - pruning cycle growth changes no sum: coefficients and determinants are
-      == to those of the unpruned recursion for k 1-8
+    - the memoised sum over pieces equals the unpruned one-subgraph-at-a-time
+      recursion: == for k 1/2/3/4/6, within 1e-12 of the terms' absolute sum
+      for k 5/7/8; it equals the sum over enumerate_elementary's lists too
+    - at the 14-vertex cap, sparse graphs at k 2 and 4 equal sympy's exact
+      charpoly and det; edgeless graphs and K2 give the known tuples
+    - one char poly and determinant of a graph build one piece list
     - the round-robin schedule meets every pair once per sweep, in rounds
       of disjoint pairs
     - the scalar-angle Jacobi kernel returns the eigenvalues of the
@@ -147,6 +152,21 @@ def test_elementary_cap():
         gs.enumerate_elementary(complete_graph(6), 3, max_vertices=5)
 
 
+def test_enumerate_elementary_grows_no_cycle_past_the_order(monkeypatch):
+    # the triangles of K10 are listed without first listing its longer cycles
+    built = []
+    pieces = gs.spectral._pieces
+
+    def keeping(*args):
+        built.append(pieces(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gs.spectral, "_pieces", keeping)
+    assert len(gs.enumerate_elementary(complete_graph(10), 3)) == 120
+    (listed,) = built
+    assert max(len(verts) for anchored in listed for _, _, verts in anchored) == 3
+
+
 def test_char_poly_frozen_examples():
     k2 = all_ones(path_graph(2))
     assert gs.char_poly_elementary(k2).all_coefficients() == (1.0, 0.0, -1.0)
@@ -227,14 +247,15 @@ def test_determinant_is_the_last_coefficient_at_float_orders(rng):
 
 
 def test_char_poly_then_determinant_walk_once(monkeypatch):
+    # each pass of the memoised sum builds its piece list once
     walks = []
-    walk = gs.spectral._elementary
+    pieces = gs.spectral._pieces
 
     def counting(*args):
         walks.append(args[0])
-        walk(*args)
+        return pieces(*args)
 
-    monkeypatch.setattr(gs.spectral, "_elementary", counting)
+    monkeypatch.setattr(gs.spectral, "_pieces", counting)
     gs.spectral._coefficients.cache_clear()
     g = bowtie_i()
     poly = gs.char_poly_elementary(g)
@@ -755,7 +776,8 @@ def test_cartesian_product_cap_is_checked_before_the_build(monkeypatch):
 
 def unpruned_coefficients(g, covers_only=False):
     """a_0 .. a_n by the elementary recursion with no pruning of cycle growth:
-    every path is grown to its full length, whether or not it can still close."""
+    every path is grown to its full length, whether or not it can still close.
+    Also returns, per order, the sum of the terms' absolute values."""
     n = g.graph.n
     weights = gs.spectral._cycle_weights(g.group)
     k = len(weights)
@@ -765,6 +787,7 @@ def unpruned_coefficients(g, covers_only=False):
         out[v][u] = -x
     avail = [True] * (n + 1)
     totals = [0] * (n + 1)
+    magnitudes = [0] * (n + 1)
 
     def rec(order, start, term):
         v = start
@@ -772,6 +795,7 @@ def unpruned_coefficients(g, covers_only=False):
             v += 1
         if v > n or order == n:
             totals[order] += term
+            magnitudes[order] += abs(term)
             return
         avail[v] = False
         if not covers_only:
@@ -802,19 +826,97 @@ def unpruned_coefficients(g, covers_only=False):
                     avail[y] = True
 
     rec(0, 1, 1)
-    return totals
+    return totals, magnitudes
 
 
 def test_pruned_cycle_growth_sums_like_the_unpruned_recursion():
-    # Pruning drops only paths that can no longer close, so the same terms
-    # are summed in the same order: == even at the float orders 5, 7 and 8.
+    # Pruning drops only paths that can no longer close, and the memo only
+    # regroups the same terms: == at the integer orders.  At the float orders
+    # 5, 7 and 8 the memo adds them in another order, so each coefficient is
+    # within 1e-12 of the sum of its terms' absolute values (at least 1).
     rng = random.Random(1408)
     for k in range(1, 9):
         for _ in range(6):
             graph = random_connected_graph(rng, n_lo=5, n_hi=10, m_cap=20)
             g = random_gains(rng, graph, k=k)
             n = graph.n
-            want = unpruned_coefficients(g)
-            assert gs.char_poly_elementary(g).all_coefficients() == tuple(float(c) for c in want)
-            det = (-1) ** n * unpruned_coefficients(g, covers_only=True)[n]
-            assert gs.determinant(g) == float(det)
+            want, magnitudes = unpruned_coefficients(g)
+            got = gs.char_poly_elementary(g).all_coefficients()
+            covers, cover_magnitudes = unpruned_coefficients(g, covers_only=True)
+            det = (-1) ** n * covers[n]
+            if k in (1, 2, 3, 4, 6):
+                assert got == tuple(float(c) for c in want)
+                assert gs.determinant(g) == float(det)
+            else:
+                for a, b, size in zip(got, want, magnitudes):
+                    assert abs(a - b) <= 1e-12 * max(1, size)
+                assert abs(gs.determinant(g) - det) <= 1e-12 * max(1, cover_magnitudes[n])
+
+
+def sparse_graph(rng, n, m):
+    """A random spanning tree topped up to exactly m edges at random."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    rest = [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if (u, v) not in edges]
+    rng.shuffle(rest)
+    return gs.SimpleGraph(n, sorted(edges | set(rest[: m - len(edges)])))
+
+
+def test_coefficients_sum_the_listed_elementary_subgraphs():
+    # a_j, recomputed from enumerate_elementary's lists: each subgraph adds
+    # (-1)^components times 2 Re of each cycle's gain
+    rng = random.Random(3407)
+    for k in range(1, 9):
+        for _ in range(4):
+            g = random_gains(rng, random_connected_graph(rng, n_lo=3, n_hi=8, m_cap=14), k=k)
+            want, magnitudes = [], []
+            for j in range(g.graph.n + 1):
+                terms = []
+                for sub in gs.enumerate_elementary(g.graph, j):
+                    term = (-1) ** (len(sub.edges) + len(sub.cycles))
+                    for cyc in sub.cycles:
+                        w = 2 * gs.cycle_gain(g, cyc).value.real
+                        term *= round(w) if k in (1, 2, 3, 4, 6) else w
+                    terms.append(term)
+                want.append(sum(terms))
+                magnitudes.append(sum(abs(t) for t in terms))
+            got = gs.spectral._coefficients(g, gs.spectral.DEFAULT_ELEMENTARY_CAP)
+            if k in (1, 2, 3, 4, 6):
+                assert got == tuple(want)
+            else:
+                assert all(abs(a - b) <= 1e-12 * max(1, size) for a, b, size in zip(got, want, magnitudes))
+
+
+def test_char_poly_and_determinant_match_sympy_at_the_cap():
+    # Sparse graphs of 12-14 vertices (m = 1.6n) at k 2 and 4: every gain is
+    # a Gaussian integer, so sympy's charpoly and det over ZZ_I are exact.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(1214)
+    units = {2: (1, -1), 4: (1, sympy.I, -1, -sympy.I)}
+    for n in (12, 13, 14):
+        for k in (2, 4):
+            g = random_gains(rng, sparse_graph(rng, n, (8 * n) // 5), k=k)
+            m = sympy.zeros(n, n)
+            for (u, v), x in zip(g.graph.edges, g.exps):
+                m[u - 1, v - 1] = units[k][x]
+                m[v - 1, u - 1] = units[k][-x % k]
+            dm = DomainMatrix.from_Matrix(m)
+            want = [dm.domain.to_sympy(c) for c in dm.charpoly()]
+            det = dm.domain.to_sympy(dm.det())
+            assert all(c.is_Integer for c in want) and det.is_Integer
+            assert gs.char_poly_elementary(g).all_coefficients() == tuple(int(c) for c in want)
+            assert gs.determinant(g) == int(det)
+
+
+def test_edgeless_graph_and_k2_give_the_known_tuples():
+    for n in range(4):
+        edgeless = gs.GainGraph(gs.SimpleGraph(n, []), G4, ())
+        assert gs.spectral._coefficients(edgeless, gs.spectral.DEFAULT_ELEMENTARY_CAP) == (1,) + (0,) * n
+        assert gs.char_poly_elementary(edgeless).all_coefficients() == (1.0,) + (0.0,) * n
+        assert gs.determinant(edgeless) == (1.0 if n == 0 else 0.0)
+        assert gs.enumerate_elementary(edgeless.graph, 0) == [gs.ElementarySubgraph((), ())]
+    k2 = all_ones(path_graph(2))
+    assert gs.spectral._coefficients(k2, gs.spectral.DEFAULT_ELEMENTARY_CAP) == (1, 0, -1)
+    assert gs.enumerate_elementary(k2.graph, 2) == [gs.ElementarySubgraph(((1, 2),), ())]
+    assert gs.determinant(k2) == -1.0
