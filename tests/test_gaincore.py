@@ -38,6 +38,11 @@ Claims covered:
       negation, bounds and the cactus test build no ``edges`` or
       ``edge_index`` view, and above the array crossover no ``csr``
       tuples; neither does ``automorphisms``, on a graph or on its gains
+    - ``build_gain_graph`` (arcs in any order and orientation) and
+      ``parse_gg`` hand out one ``SimpleGraph`` per edge set below
+      ``_ARRAY_WALK_EDGES`` edges, whose default forest is walked once, while
+      each gain graph keeps its own gains and normal form; larger edge sets
+      are never shared, and clearing the cache gives a fresh graph
     - the package exports exactly its five layer modules' ``__all__`` and
       the four error types
 """
@@ -575,6 +580,57 @@ def test_every_route_builds_the_same_graph(rng):
             hits = _spectrum_cached.cache_info().hits
             gs.spectrum(h)
             assert _spectrum_cached.cache_info().hits == hits + 1
+
+
+def test_small_edge_sets_share_one_graph(monkeypatch):
+    """``build_gain_graph`` and ``parse_gg`` hand out one ``SimpleGraph`` per
+    edge set below ``_ARRAY_WALK_EDGES`` edges, whose default forest is
+    walked once; each gain graph keeps its own gains and normal form."""
+    shared = gs.gaincore._shared_graph
+    shared.cache_clear()
+    walks = []
+    walk = gs.switching._queue_walk
+    monkeypatch.setattr(gs.switching, "_queue_walk", lambda *args: walks.append(1) or walk(*args))
+    rng = random.Random(89)
+    graph = random_connected_graph(rng, n_lo=6, n_hi=6, m_cap=9)
+    gains = [[rng.randrange(4) for _ in range(graph.m)] for _ in range(4)]
+    arcs = [(u, v, t) for (u, v), t in zip(graph.edges, gains[0])]
+    flipped = [(v, u, -t % 4) for u, v, t in arcs]
+    rng.shuffle(flipped)
+    built = [
+        gs.build_gain_graph(graph.n, G4, arcs),
+        gs.build_gain_graph(graph.n, G4, flipped),
+        *(gs.build_gain_graph(graph.n, G4, [(u, v, t) for (u, v), t in zip(graph.edges, x)]) for x in gains[1:]),
+        gs.parse_gg(gs.format_gg(gs.GainGraph(graph, G4, gains[1])))[0],
+    ]
+    assert all(g.graph is built[0].graph for g in built) and built[0].graph is not graph
+    assert built[0].graph == graph and built[0].exps == built[1].exps
+    assert len({g.exps for g in built}) == len(set(map(tuple, gains)))
+    assert [gs.is_balanced(g) for g in built] == [gs.is_balanced(gs.GainGraph(graph, G4, g.exps)) for g in built]
+    assert len(walks) == 2  # one for the shared graph, one for graph itself
+    forest = gs.spanning_forest(built[0].graph)
+    assert all(g._normal[0] is forest for g in built)
+    assert len({id(g._normal) for g in built}) == len(built)
+    assert [g._normal[1] for g in built] == [gs.switching._normal_form(g, forest) for g in built]
+    shared.cache_clear()
+    fresh = gs.build_gain_graph(graph.n, G4, arcs)
+    assert fresh.graph is not built[0].graph and fresh.graph == graph and fresh.graph._forest is None
+
+
+def test_large_edge_sets_are_never_shared(rng):
+    n = 300
+    edges = {(v - rng.randint(1, min(v - 1, 20)), v) for v in range(2, n + 1)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    arcs = [(u, v, rng.randrange(4)) for u, v in edges]
+    assert len(arcs) >= gs.gaincore._ARRAY_WALK_EDGES
+    a = gs.build_gain_graph(n, G4, arcs)
+    b = gs.build_gain_graph(n, G4, arcs)
+    c, _ = gs.parse_gg(gs.format_gg(a))
+    assert a.graph == b.graph == c.graph
+    assert len({id(a.graph), id(b.graph), id(c.graph)}) == 3
+    small = gs.build_gain_graph(n, G4, arcs[: gs.gaincore._ARRAY_WALK_EDGES - 1])
+    assert gs.build_gain_graph(n, G4, arcs[: gs.gaincore._ARRAY_WALK_EDGES - 1]).graph is small.graph
 
 
 @pytest.mark.parametrize(

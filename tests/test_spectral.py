@@ -27,6 +27,11 @@ Claims covered:
       to near the largest float without raising; QL splits off exactly
       the entries at most tol * ||H||_F / (n - 1); past the QL step cap it
       raises NumericError
+    - the reduction's hand-off to Python lists at ``_PY_TAIL`` rows keeps
+      every eigenvalue within tol * ||H||_F of eigvalsh and of the Jacobi
+      kernel at every n up to ``_PY_TAIL`` + 4 and at n 24 and 48, k 1-8, on
+      random graphs, stars, perfect matchings and graphs with isolated
+      vertices, whose columns reduce to zero in both phases
     - past SPECTRUM_MAX_ORDER vertices spectrum refuses before building the
       matrix, reading the cap on a cache miss only
     - switching preserves spectra and coefficients
@@ -455,6 +460,42 @@ def test_householder_ql_matches_eigvalsh_and_jacobi_on_scattered_graphs():
             g = random_gains(rng, _scattered_graph(rng, n), k=k)
             for tol in (JACOBI_TOLS[k % 6], 1e-14):
                 assert_within_tol_of_eigvalsh_and_jacobi(g, tol)
+
+
+def handoff_graphs(rng, n):
+    """Seeded n-vertex graphs for the reduction's hand-off to Python lists:
+    random ones, and a star, a perfect matching and a graph whose last
+    vertices are isolated, whose columns reduce to zero."""
+    yield random_connected_graph(rng, n_lo=n, n_hi=n, m_cap=2 * n) if n else gs.SimpleGraph(0, [])
+    yield gs.SimpleGraph(n, [(1, v) for v in range(2, n + 1)])
+    yield gs.SimpleGraph(n, [(v, v + 1) for v in range(1, n, 2)])
+    if n > 3:
+        core = random_connected_graph(rng, n_lo=n // 2, n_hi=n // 2, m_cap=n)
+        yield gs.SimpleGraph(n, core.edges)
+
+
+def test_householder_handoff_matches_eigvalsh_and_jacobi():
+    """Both phases of the reduction (numpy above ``_PY_TAIL`` rows, Python
+    lists below) keep every eigenvalue within tol * ||H||_F of eigvalsh and
+    of the Jacobi kernel, zero columns included."""
+    rng = random.Random(2028)
+    tail = gs.spectral._PY_TAIL
+    zero_columns = collections.Counter()
+    for n in [*range(tail + 5), 24, 48]:
+        for k in range(1, 9):
+            for graph in handoff_graphs(rng, n):
+                g = random_gains(rng, graph, k=k)
+                h = gs.hermitian_matrix(g)
+                _, e = gs.spectral._tridiagonal(h)
+                for step, x in enumerate(e[: n - 2]):  # e[step] is the norm of column step below the diagonal
+                    zero_columns["numpy" if step < n - tail else "python"] += x == 0.0
+                for tol in (1e-12, 1e-9, 1e-6) if n <= tail + 4 else (1e-9,):
+                    bound = tol * np.linalg.norm(h)
+                    got = np.array(gs.spectrum(g, tol).eigenvalues)
+                    assert len(got) == n and list(got) == sorted(got)
+                    assert np.abs(got - oracle_spectrum(g)).max(initial=0.0) <= bound, (n, k, tol)
+                    assert np.abs(got - gs.spectral._jacobi_eigenvalues(h, tol)).max(initial=0.0) <= bound, (n, k, tol)
+    assert zero_columns["numpy"] and zero_columns["python"], zero_columns
 
 
 def test_spectrum_of_repeated_eigenvalues():

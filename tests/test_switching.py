@@ -15,6 +15,11 @@ Claims covered:
       several components, paths, cycles, ladders, stars, a matching and
       random sparse graphs up to n 3000, walked by levels to the end,
       handed to the queue loop, or with later components left to it
+    - past ``_ARRAY_WALK_EDGES`` edges, a graph of several large components
+      or with isolated vertices (vertex 1 and vertex n among them) stays on
+      the level walk without building ``csr``: its forest equals the queue
+      walk's, its trees are networkx's components, and its normal form and
+      chord-path counts equal those on the queue walk's forest
     - the fundamental basis has m - n + c chord-first cycles, equal to the
       vertex-path construction on default and re-ranked forests
     - switching preserves every cycle gain; witnesses verify exactly, and
@@ -270,6 +275,57 @@ def test_level_walk_and_queue_walk_agree(rng):
         if name.startswith(("path 700", "cycle 1200", "ladder 700", "matching", "first component")):
             assert not array[4], name  # handed to the queue loop
     assert min(walked.values()) >= 5, walked
+
+
+def components_past_the_first(rng):
+    """(name, n, edges) of graphs past ``_ARRAY_WALK_EDGES`` edges whose
+    components are all large, or isolated vertices, on shuffled labels."""
+    def pieces(n, sizes):
+        label = list(range(1, n + 1))
+        rng.shuffle(label)
+        edges, at = [], 0
+        for size in sizes:
+            part = label[at : at + size]
+            tree = {(part[rng.randrange(i)], part[i]) for i in range(1, size)}
+            while len(tree) < round(1.6 * size):
+                u, v = rng.sample(part, 2)
+                if (v, u) not in tree:
+                    tree.add((u, v))
+            edges += tree
+            at += size
+        return edges
+
+    for isolated in (1, 2, 3):
+        yield f"{isolated} isolated", 400 + isolated, pieces(400 + isolated, [400])
+    yield "isolated vertex 1", 401, [(u + 1, v + 1) for u, v in pieces(400, [400])]
+    yield "isolated vertex n", 401, pieces(400, [400])
+    yield "two large", 700, pieces(700, [350, 350])
+    yield "three large, two isolated", 902, pieces(902, [300, 250, 350])
+    yield "four large", 1200, pieces(1200, [400, 200, 300, 300])
+
+
+def test_components_past_the_first_stay_on_the_level_walk(rng):
+    """The level walk finishes large later components and isolated vertices
+    itself, without building ``csr``: its forest equals the queue walk's,
+    its trees are networkx's components, and the array passes on it agree
+    with the list passes on the queue walk's forest."""
+    nx = pytest.importorskip("networkx")
+    group = gs.GainGroup(6)
+    for name, n, edges in components_past_the_first(rng):
+        graph = gs.SimpleGraph(n, edges)
+        assert graph.m >= gs.gaincore._ARRAY_WALK_EDGES, name
+        f = gs.spanning_forest(graph)
+        assert f._arrays is not None and graph._csr is None, name
+        queued = gs.switching._queue_walk(graph, graph.csr)
+        assert f == queued, name
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(1, n + 1))
+        oracle.add_edges_from(edges)
+        assert graph.components() == sorted(sorted(c) for c in nx.connected_components(oracle)), name
+        a = gs.GainGraph(graph, group, [rng.randrange(6) for _ in range(graph.m)])
+        assert gs.switching._normal_form(a, f) == gs.switching._normal_form(a, queued), name
+        for got, want in zip(gs.switching._chord_use(graph, f), gs.switching._chord_use(graph, queued)):
+            assert np.array_equal(got, want), name
 
 
 def test_spanning_forest_disconnected_roots():
