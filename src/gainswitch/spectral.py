@@ -1,15 +1,14 @@
 """Hermitian spectra and characteristic polynomials of gain graphs.
 
-Three routes are kept deliberately separate.  The characteristic polynomial
+Two routes are kept deliberately separate.  The characteristic polynomial
 is assembled combinatorially from elementary subgraphs (edges and cycles
 with real cycle gains) by one sum, memoised on the set of vertices not yet
 decided, that gives every order at once, with integer coefficients for k in
 {1, 2, 3, 4, 6}.  Eigenvalues come from a Householder reduction of the
 n x n Hermitian matrix to a real symmetric tridiagonal one, followed by
-implicit QL with Wilkinson shifts.  A cyclic complex Jacobi iteration in the
-round-robin ordering, which shares no step with the reduction, is kept as
-the eigenvalues' cross-check.  Their agreement is a standing check, not an
-implementation shortcut.
+implicit QL with Wilkinson shifts.  Their agreement is a standing check, not
+an implementation shortcut; the tests hold a third route, a cyclic complex
+Jacobi iteration that shares no step with the reduction.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .gaincore import GainGraph, GainGroup, SimpleGraph, build_gain_graph, hermitian_matrix, underlying
-from .gaincore import _check_cap, _exact_int
-from .switching import DEFAULT_CYCLE_CAP, cycle_gain, enumerate_cycles
+from .gaincore import _check_cap, _exact_int, _root_value
+from .switching import DEFAULT_CYCLE_CAP, _pieces, cycle_gain, enumerate_cycles
 
 __all__ = [
     "ElementarySubgraph",
@@ -42,7 +41,6 @@ __all__ = [
 
 DEFAULT_ELEMENTARY_CAP = 14
 _ELEMENTARY = "elementary-subgraph enumeration"
-JACOBI_MAX_SWEEPS = 50
 # The QL iteration raises NumericError past this many steps on one eigenvalue.
 QL_MAX_ITERATIONS = 30
 # The largest graph order ``spectrum`` takes.  The reduction costs O(n^3) in
@@ -68,7 +66,6 @@ SPECTRUM_MAX_ORDER = 800
 #
 # At 500000 a product takes about half a second and under 200 MB.
 PRODUCT_MAX_SIZE = 500_000
-_NORMAL_MIN = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
 
 # Group orders at which 2 Re of every element is an integer (Niven).
@@ -93,54 +90,9 @@ def _cycle_weights(group: GainGroup) -> tuple:
     Exact ints for k in {1, 2, 3, 4, 6}, the only orders at which every one
     of them is an integer; floats otherwise.
     """
-    w = tuple(2.0 * x.value.real for x in group.elements())
-    return tuple(round(x) for x in w) if group.order in _INTEGER_ORDERS else w
-
-
-def _pieces(g: SimpleGraph, exps, weights, max_vertices: int, longest: int) -> list[list[tuple]]:
-    """Per vertex v, each piece that can cover v as its least vertex: ``(mask, coef, vertices)``.
-
-    A piece is an edge vw with w > v (coef -1) or a cycle through v on
-    vertices above v (coef -2 Re of its gain, that is -``weights[t]``, t
-    being the cycle's exponent sum mod len(weights), ``exps[e]`` being the
-    exponent of edge id e in its u < v orientation); ``mask`` has bit u set
-    for each of its vertices u.  Each cycle is listed once, from its least
-    vertex, with second vertex < last vertex; a path stops growing once no
-    neighbor of the anchor above the second vertex is left off it, as it
-    could no longer close, or once it has ``longest`` vertices.  Cycles of
-    coef 0 add nothing and are left out.
-    """
-    n = g.n
-    _check_cap(_ELEMENTARY, n, max_vertices, "vertices")
-    k = len(weights)
-    out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
-    for u, v, x in zip(g.tails, g.heads, exps):
-        out[u][v] = x
-        out[v][u] = -x
-    pieces: list[list] = [[] for _ in range(n + 1)]
-
-    def grow(path: list[int], mask: int, t: int, left: int) -> None:
-        # left: the neighbors of the anchor path[0] above path[1] not yet on the path
-        anchor, second, last = path[0], path[1], path[-1]
-        if len(path) >= 3 and second < last and anchor in out[last]:
-            w = weights[(t + out[last][anchor]) % k]
-            if w:
-                pieces[anchor].append((mask, -w, tuple(path)))
-        if left and len(path) < longest:
-            for y, x in out[last].items():
-                if y > anchor and not mask >> y & 1:
-                    path.append(y)
-                    grow(path, mask | 1 << y, t + x, left - (y > second and y in out[anchor]))
-                    path.pop()
-
-    for v in range(1, n + 1):
-        pieces[v] += [(1 << v | 1 << w, -1, (v, w)) for w in out[v] if w > v]
-        for y, x in out[v].items():
-            if y > v:
-                left = sum(z > y for z in out[v])
-                if left:
-                    grow([v, y], 1 << v | 1 << y, x, left)
-    return pieces
+    k = group.order
+    w = tuple(2.0 * _root_value(k, t).real for t in range(k))
+    return tuple(round(x) for x in w) if k in _INTEGER_ORDERS else w
 
 
 def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> list[ElementarySubgraph]:
@@ -153,7 +105,8 @@ def enumerate_elementary(g: SimpleGraph, k: int, max_vertices: int = DEFAULT_ELE
     k = _exact_int(k, "order")
     if not 0 <= k <= g.n:
         raise ValidationError(f"order {k} out of range 0..{g.n}")
-    pieces = _pieces(g, (0,) * g.m, (1,), max_vertices, k)
+    _check_cap(_ELEMENTARY, g.n, max_vertices, "vertices")
+    pieces = _pieces(g, (0,) * g.m, (1,), k)
     found: list[ElementarySubgraph] = []
     edges: list[tuple[int, ...]] = []
     cycles: list[tuple[int, ...]] = []
@@ -209,7 +162,8 @@ def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
     0..|S| summed over S, is f(S - v) plus, for each piece p of v inside S,
     coef_p * x^|p| * f(S - p); it is kept per S, and the answer is f(V).
     """
-    pieces = _pieces(g.graph, g.exps, _cycle_weights(g.group), max_vertices, g.graph.n)
+    _check_cap(_ELEMENTARY, g.graph.n, max_vertices, "vertices")
+    pieces = _pieces(g.graph, g.exps, _cycle_weights(g.group), g.graph.n)
     memo: dict[int, list] = {0: [1]}
 
     def f(s: int) -> list:
@@ -394,99 +348,6 @@ def _ql_eigenvalues(d: list[float], e: list[float], split: float) -> list[float]
                 e[lo] = g
                 e[m] = 0.0
     return sorted(d)
-
-
-@lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """One Jacobi sweep over an n x n matrix in the round-robin ordering.
-
-    Brent and Luk's ordering (SIAM J. Sci. Stat. Comput. 6, 1985): seat the
-    indices at a round table, pair each seat with the one across, and turn
-    every seat but the first by one between rounds.  Odd n gets a phantom
-    seat whose partner sits the round out.  Every pair meets exactly once in
-    n - 1 rounds (n rounds for odd n) of floor(n / 2) disjoint pairs.
-
-    Each round is ``(p, q, read, write, clear)``: its pairs as index arrays
-    with p < q, and flat indices into the matrix, ``read`` for the rows
-    (a_pq, a_pp, a_qq), ``write`` for the rotation's (pp, pq, qp, qq)
-    entries and ``clear`` for the annihilated (pq, qp) entries.
-    """
-    seats = list(range(n + n % 2))
-    half = len(seats) // 2
-    rounds = []
-    for _ in range(len(seats) - 1):
-        pairs = sorted(
-            (min(x, y), max(x, y)) for x, y in zip(seats[:half], reversed(seats[half:])) if max(x, y) < n
-        )
-        if pairs:
-            p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-            pp, pq, qp, qq = p * (n + 1), p * n + q, q * n + p, q * (n + 1)
-            rounds.append((p, q, np.stack((pq, pp, qq)), np.concatenate((pp, pq, qp, qq)), np.concatenate((pq, qp))))
-        seats = seats[:1] + seats[-1:] + seats[1:-1]
-    return tuple(rounds)
-
-
-def _jacobi_eigenvalues(h: np.ndarray, tol: float, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list[float]:
-    """Cyclic complex Jacobi in the round-robin ordering; ascending eigenvalues.
-
-    Each pair (p, q) is annihilated by a real rotation, with the angle taken
-    from |h_pq| and the diagonal difference, times the phase h_pq / |h_pq|;
-    a pair with h_pq = 0 (or subnormal) gets the identity.  The pairs of one
-    round of ``_round_robin`` are disjoint, so their rotations commute and
-    are applied at once, as one unitary J with A <- J A J^H.  A round holds
-    at most n / 2 pairs, so its angles are plain float arithmetic on the
-    entries read out once.  Sweeps run until the off-diagonal Frobenius norm
-    drops below tol * ||H||; hitting the sweep cap raises NumericError.
-    """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    target = tol * float(np.sqrt(np.vdot(a, a).real))
-    rounds = _round_robin(n)
-    eye = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        # Sum the off-diagonal entries directly: subtracting the diagonal
-        # mass from the total cancels catastrophically once the iteration
-        # is nearly converged, stalling the norm around sqrt(eps) * ||H||.
-        strict = a - np.diag(np.diag(a))
-        off = float(np.sqrt(np.vdot(strict, strict).real))
-        if off <= target:
-            return sorted(a.real.diagonal().tolist())
-        for _, _, read, write, clear in rounds:
-            rows = a.take(read)
-            # numpy's modulus: abs() of a Python complex rounds differently
-            moduli = np.abs(rows[0]).tolist()
-            cs, ss, pqs, qqs = [], [], [], []
-            for apq, app, aqq, r in zip(*rows.tolist(), moduli):
-                if r < _NORMAL_MIN:
-                    # A subnormal h_pq has neither an accurate modulus nor a
-                    # phase (1 / r overflows), so it counts as zero: identity.
-                    c, s, zero = 1.0, 0.0, 1.0
-                else:
-                    diff = aqq.real - app.real
-                    if r * 1e150 < abs(diff):
-                        # theta = diff / 2r would overflow; r / diff is the
-                        # large-|theta| limit of t, exact to double precision.
-                        t = r / diff
-                    else:
-                        theta = diff / (2.0 * r)
-                        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                        if theta < 0.0:
-                            t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    zero = 0.0
-                # adding zero (0.0 or 1.0) also clears a -0.0 part, which fixes
-                # the signs of zeros in J and so in the eigenvalues
-                phase = apq * (1.0 / (r + zero)) + zero
-                cs.append(c)
-                ss.append(s)
-                pqs.append(-s * phase)
-                qqs.append(c * phase)
-            j = eye.copy()
-            j.put(write, cs + pqs + ss + qqs)
-            a = j @ a @ j.conj().T
-            a.put(clear, 0.0)
-    raise NumericError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
 
 # Each entry keeps its graph alive.  The hits that pay are few and recent: an

@@ -502,35 +502,62 @@ def first_profile_difference(a: GainGraph, b: GainGraph, forest: SpanningForest 
     return None
 
 
+def _pieces(g: SimpleGraph, exps, weights, longest: int) -> list[list[tuple]]:
+    """Per vertex v, each piece that can cover v as its least vertex: ``(mask, coef, vertices)``.
+
+    A piece is an edge vw with w > v (coef -1) or a cycle through v on
+    vertices above v (coef -2 Re of its gain, that is -``weights[t]``, t
+    being the cycle's exponent sum mod len(weights), ``exps[e]`` being the
+    exponent of edge id e in its u < v orientation); ``mask`` has bit u set
+    for each of its vertices u.  Each cycle is listed once, from its least
+    vertex, with second vertex < last vertex, in depth-first order over
+    ascending neighbors; a path stops growing once no neighbor of the anchor
+    above the second vertex is left off it, as it could no longer close, or
+    once it has ``longest`` vertices.  Cycles of coef 0 add nothing and are
+    left out.  The callers check their own caps first.
+    """
+    n = g.n
+    k = len(weights)
+    out: list[dict[int, int]] = [{} for _ in range(n + 1)]  # neighbor -> exponent, ascending
+    for u, v, x in zip(g.tails, g.heads, exps):
+        out[u][v] = x
+        out[v][u] = -x
+    pieces: list[list] = [[] for _ in range(n + 1)]
+
+    def grow(path: list[int], mask: int, t: int, left: int) -> None:
+        # left: the neighbors of the anchor path[0] above path[1] not yet on the path
+        anchor, second, last = path[0], path[1], path[-1]
+        if len(path) >= 3 and second < last and anchor in out[last]:
+            w = weights[(t + out[last][anchor]) % k]
+            if w:
+                pieces[anchor].append((mask, -w, tuple(path)))
+        if left and len(path) < longest:
+            for y, x in out[last].items():
+                if y > anchor and not mask >> y & 1:
+                    path.append(y)
+                    grow(path, mask | 1 << y, t + x, left - (y > second and y in out[anchor]))
+                    path.pop()
+
+    for v in range(1, n + 1):
+        pieces[v] += [(1 << v | 1 << w, -1, (v, w)) for w in out[v] if w > v]
+        for y, x in out[v].items():
+            if y > v:
+                left = sum(z > y for z in out[v])
+                if left:
+                    grow([v, y], 1 << v | 1 << y, x, left)
+    return pieces
+
+
 def enumerate_cycles(g: SimpleGraph, max_vertices: int = DEFAULT_CYCLE_CAP) -> list[tuple[int, ...]]:
     """All simple cycles, each once, as canonical vertex tuples.
 
     A cycle is listed starting at its smallest vertex, with the traversal
-    direction fixed by second vertex < last vertex.  Exponential in general;
-    refuses graphs with more than ``max_vertices`` vertices.
+    direction fixed by second vertex < last vertex: the cycles among
+    ``_pieces``, by least vertex.  Exponential in general; refuses graphs
+    with more than ``max_vertices`` vertices.
     """
     _check_cap("cycle enumeration", g.n, max_vertices, "vertices")
-    cycles: list[tuple[int, ...]] = []
-    on_path = [False] * (g.n + 1)
-    offsets, neighbours, _ = g.csr
-
-    def grow(path: list[int]) -> None:
-        last = path[-1]
-        if len(path) >= 3 and path[1] < last and g.has_edge(last, path[0]):
-            cycles.append(tuple(path))
-        for y in neighbours[offsets[last] : offsets[last + 1]]:
-            if y > path[0] and not on_path[y]:
-                on_path[y] = True
-                path.append(y)
-                grow(path)
-                path.pop()
-                on_path[y] = False
-
-    for s in range(1, g.n + 1):
-        on_path[s] = True
-        grow([s])
-        on_path[s] = False
-    return cycles
+    return [verts for anchored in _pieces(g, (0,) * g.m, (1,), g.n) for _, _, verts in anchored if len(verts) > 2]
 
 
 def _is_chordless(g: SimpleGraph, cycle: tuple[int, ...]) -> bool:

@@ -25,6 +25,8 @@ Claims covered:
     - switching preserves every cycle gain; witnesses verify exactly, and
       the equivalence verdict ignores the mixed flag
     - verdicts are forest-independent and chordless-agreement holds
+    - simple and chordless cycles are listed in a pinned order: by least
+      vertex, then depth first over ascending neighbours (K4, the diamond)
     - two witnesses differ by one constant per connected component
     - agreement on every non-cut edge is sufficient for equivalence
     - balance, gain character (against every cycle's gain, thetas included),
@@ -695,6 +697,15 @@ def test_enumerate_cycles_counts():
     assert len(gs.enumerate_cycles(diamond)) == 3
     assert len(gs.enumerate_chordless_cycles(diamond)) == 2
     assert len(gs.enumerate_chordless_cycles(complete_graph(4))) == 4
+
+
+def test_enumerate_cycles_order():
+    k4 = complete_graph(4)
+    assert gs.enumerate_cycles(k4) == [(1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert gs.enumerate_chordless_cycles(k4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    diamond = gs.SimpleGraph(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    assert gs.enumerate_cycles(diamond) == [(1, 2, 3), (1, 2, 4, 3), (2, 3, 4)]
+    assert gs.enumerate_chordless_cycles(diamond) == [(1, 2, 3), (2, 3, 4)]
 
 
 def test_enumerate_cycles_matches_oracle(rng):
