@@ -57,12 +57,12 @@ def cmd_equiv(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_spectrum(args) -> tuple[dict, list[str], int]:
+    spectral._check_tol(args.tol)  # before any file is read
     g, _ = _load(args.file)
     eigs = list(spectral.spectrum(g, args.tol).eigenvalues)
     result = {"eigenvalues": list(map(_round, eigs))}
-    cap = args.max_enum if args.max_enum is not None else spectral.DEFAULT_ELEMENTARY_CAP
     try:
-        poly = spectral.char_poly_elementary(g, cap)
+        poly = spectral.char_poly_elementary(g, args.max_enum)
     except InstanceTooLargeError as exc:
         result["tol"] = _round(args.tol)
         return result, [f"characteristic polynomial skipped: {exc}"], 3
@@ -95,12 +95,11 @@ def cmd_census(args) -> tuple[dict, list[str], int]:
     diagnostics: list[str] = []
     answered: dict[str, dict] = {}  # each method that answers: its quantities
 
-    cap = args.max_enum if args.max_enum is not None else census_mod.DEFAULT_CENSUS_CAP
-    if graph.m > cap:
-        diagnostics.append(f"brute-force census skipped: {graph.m} edges exceed the cap {cap}")
+    if graph.m > args.max_enum:
+        diagnostics.append(f"brute-force census skipped: {graph.m} edges exceed the cap {args.max_enum}")
     else:
         try:
-            brute = census_mod.brute_force_census(graph, cap)
+            brute = census_mod.brute_force_census(graph, args.max_enum)
         except InstanceTooLargeError as exc:  # a rank above the tally's cap
             diagnostics.append(f"brute-force census skipped: {exc}")
         else:
@@ -156,6 +155,7 @@ def cmd_census(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_classify(args) -> tuple[dict, list[str], int]:
+    spectral._check_tol(args.tol)  # before any file is read
     g, _ = _load(args.file)
     character = switching.gain_character(g)
     result = {
@@ -184,16 +184,15 @@ def cmd_iso(args) -> tuple[dict, list[str], int]:
     b, _ = _load(args.file_b)
     if a.group != b.group:
         raise ValidationError("gain group mismatch")
-    max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
     relabeling = None
     if a.graph != b.graph:
-        sigma = symmetry.underlying_isomorphism(a.graph, b.graph, max_aut)
+        sigma = symmetry.underlying_isomorphism(a.graph, b.graph, args.max_aut)
         if sigma is None:
             return {"isomorphic": False, "reason": "underlying graphs are not isomorphic"}, [], 1
         exps = [b.exponent(sigma(u), sigma(v)) for u, v in zip(a.graph.tails, a.graph.heads)]
         b = GainGraph(a.graph, b.group, exps, b.mixed_mode)
         relabeling = list(sigma.image)
-    hit = symmetry.switching_isomorphic(a, b, max_aut)
+    hit = symmetry.switching_isomorphic(a, b, args.max_aut)
     if hit is None:
         return {"isomorphic": False, "relabeling": relabeling}, [], 1
     f, theta = hit
@@ -225,8 +224,7 @@ def cmd_product(args) -> tuple[dict, list[str], int]:
 
 def cmd_aut(args) -> tuple[dict, list[str], int]:
     g, _ = _load(args.file)
-    max_aut = args.max_aut if args.max_aut is not None else symmetry.DEFAULT_AUT_CAP
-    under, *parts, gain = symmetry._aut_chains(g, max_aut)
+    under, *parts, gain = symmetry._aut_chains(g, args.max_aut)
     result = {
         "underlying_order": under.order,
         "underlying_generators": [list(p.image) for p in under.generators],
@@ -254,45 +252,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gainswitch",
         description="Switching equivalence, spectra, and class censuses of gain graphs",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
-    common.add_argument("--max-enum", type=_cap, default=None, help="override enumeration caps")
-    common.add_argument("--max-aut", type=_cap, default=None, help="override the automorphism cap")
-    common.add_argument("--json-pretty", action="store_true", help="indent the JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("equiv", parents=[common], help="decide switching equivalence of two files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=cmd_equiv)
+    def command(name: str, func, summary: str, *files: str) -> argparse.ArgumentParser:
+        """A subcommand taking these files and --json-pretty; each adds the options its handler reads."""
+        p = sub.add_parser(name, help=summary)
+        for file in files:
+            p.add_argument(file)
+        p.add_argument("--json-pretty", action="store_true", help="indent the JSON report")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalues and characteristic polynomial")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_spectrum)
+    def cap(p: argparse.ArgumentParser, flag: str, default: int, what: str) -> None:
+        p.add_argument(flag, type=_cap, default=default, help=f"cap on {what} (default %(default)s)")
 
-    p = sub.add_parser("census", parents=[common], help="count and size the switching classes")
-    p.add_argument("file")
+    def tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)")
+
+    command("equiv", cmd_equiv, "decide switching equivalence of two files", "file_a", "file_b")
+
+    p = command("spectrum", cmd_spectrum, "eigenvalues and characteristic polynomial", "file")
+    tol(p)
+    cap(p, "--max-enum", spectral.DEFAULT_ELEMENTARY_CAP, "the vertices of the elementary expansion")
+
+    p = command("census", cmd_census, "count and size the switching classes", "file")
+    cap(p, "--max-enum", census_mod.DEFAULT_CENSUS_CAP, "the edges of the 3^m scan")
     p.add_argument("--faces", action="store_true", help="use the file's f lines for plane formulas")
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("classify", parents=[common], help="balance / character / negation verdicts")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
+    tol(command("classify", cmd_classify, "balance / character / negation verdicts", "file"))
 
-    p = sub.add_parser("iso", parents=[common], help="decide switching isomorphism of two files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(func=cmd_iso)
+    p = command("iso", cmd_iso, "decide switching isomorphism of two files", "file_a", "file_b")
+    cap(p, "--max-aut", symmetry.DEFAULT_AUT_CAP, "the vertices of the automorphism search")
 
-    p = sub.add_parser("product", parents=[common], help="Cartesian product of two files")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
+    p = command("product", cmd_product, "Cartesian product of two files", "file_a", "file_b")
     p.add_argument("-o", "--output", required=True, help="path for the product .gg file")
-    p.set_defaults(func=cmd_product)
 
-    p = sub.add_parser("aut", parents=[common], help="automorphism groups")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_aut)
+    p = command("aut", cmd_aut, "automorphism groups", "file")
+    cap(p, "--max-aut", symmetry.DEFAULT_AUT_CAP, "the vertices of the automorphism search")
 
     return parser
 
@@ -307,13 +303,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     inputs = [getattr(args, name) for name in ("file", "file_a", "file_b") if hasattr(args, name)]
     try:
-        spectral._check_tol(args.tol)  # spectral.spectrum's check, made for every command
         result, diagnostics, code = args.func(args)
     except GainGraphError as exc:
         result, diagnostics = {}, [f"error: {exc}"]
         code = 3 if isinstance(exc, InstanceTooLargeError) else 2
     report = {"command": args.command, "inputs": inputs, "result": result, "diagnostics": diagnostics}
-    print(json.dumps(report, indent=2 if getattr(args, "json_pretty", False) else None))
+    print(json.dumps(report, indent=2 if args.json_pretty else None))
     return code
 
 

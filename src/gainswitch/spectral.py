@@ -135,10 +135,10 @@ class CharPoly:
     """Monic characteristic polynomial x^n + a_1 x^(n-1) + ... + a_n."""
 
     n: int
-    coefficients: tuple[float, ...]  # a_1 .. a_n
+    coefficients: tuple[int | float, ...]  # a_1 .. a_n: ints for k in {1, 2, 3, 4, 6}, floats otherwise
 
-    def all_coefficients(self) -> tuple[float, ...]:
-        return (1.0,) + self.coefficients
+    def all_coefficients(self) -> tuple[int | float, ...]:
+        return (1,) + self.coefficients
 
     def evaluate(self, x: float) -> float:
         acc = 1.0
@@ -156,11 +156,12 @@ def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
 
     a_k sums (-1)^components * 2^cycles * product of real cycle gains over
     all elementary subgraphs on k vertices: exact ints for k in
-    {1, 2, 3, 4, 6}.  The subgraphs that agree on the vertices below the
-    least undecided vertex v share the sum over the rest, which depends only
-    on the set S of undecided vertices.  So f(S), the polynomial of orders
-    0..|S| summed over S, is f(S - v) plus, for each piece p of v inside S,
-    coef_p * x^|p| * f(S - p); it is kept per S, and the answer is f(V).
+    {1, 2, 3, 4, 6}, floats otherwise.  The subgraphs that agree on the
+    vertices below the least undecided vertex v share the sum over the
+    rest, which depends only on the set S of undecided vertices.  So f(S),
+    the polynomial of orders 0..|S| summed over S, is f(S - v) plus, for
+    each piece p of v inside S, coef_p * x^|p| * f(S - p); it is kept per
+    S, and the answer is f(V).
     """
     _check_cap(_ELEMENTARY, g.graph.n, max_vertices, "vertices")
     pieces = _pieces(g.graph, g.exps, _cycle_weights(g.group), g.graph.n)
@@ -178,23 +179,23 @@ def _coefficients(g: GainGraph, max_vertices: int) -> tuple:
             memo[s] = got
         return got
 
-    return tuple(f((1 << g.graph.n + 1) - 2))
+    coeffs = f((1 << g.graph.n + 1) - 2)
+    return tuple(coeffs) if g.group.order in _INTEGER_ORDERS else tuple(map(float, coeffs))
 
 
 def char_poly_elementary(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> CharPoly:
     """Characteristic polynomial from the elementary-subgraph expansion.
 
-    For group orders 1, 2, 3, 4 and 6 every coefficient is summed as an
-    exact integer and stored as its float.
+    For group orders 1, 2, 3, 4 and 6 every coefficient is summed and kept
+    as an exact int; at other orders they are floats.
     """
-    coeffs = _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[1:]
-    return CharPoly(g.graph.n, tuple(float(c) for c in coeffs))
+    return CharPoly(g.graph.n, _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[1:])
 
 
-def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> float:
-    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n."""
+def determinant(g: GainGraph, max_vertices: int = DEFAULT_ELEMENTARY_CAP) -> int | float:
+    """Determinant of the Hermitian adjacency matrix, (-1)^n * a_n: an int where a_n is one."""
     n = g.graph.n
-    return float((-1) ** n * _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[n])
+    return (-1) ** n * _coefficients(g, _exact_int(max_vertices, f"{_ELEMENTARY} cap"))[n]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InstanceTooLargeError, ValidationError
 from .gaincore import GainExponent, GainGraph, SimpleGraph, SwitchingFunction, _check_cap, negate
 
 __all__ = [
@@ -44,6 +44,20 @@ __all__ = [
 ]
 
 DEFAULT_CYCLE_CAP = 12
+# The most paths ``_pieces`` extends before it raises InstanceTooLargeError;
+# no option raises it, as the vertex caps do not bound the cycles of a dense
+# graph.  Paths extended and process time of ``char_poly_elementary`` (the
+# piece list and the memoised sum) on all-ones K_n and on seeded mixed k 4
+# graphs of n vertices and m edges (min of 2 runs, one run for K11; one
+# process on a shared 2-vCPU host):
+#
+#     graph        K9    K10  n12 m40  n14 m44  n12 m46  n14 m46  n12 m50    K11
+#     paths     46225   409k     204k     556k     920k     912k    2.28M  4.04M
+#     s          0.16   1.83     0.50     1.55     2.66     3.28     8.73     38
+#
+# At 500000 the slowest answered graphs take about two seconds, and K11 is
+# refused after about two.
+CYCLE_SEARCH_MAX_PATHS = 500_000
 
 BALANCED = "balanced"
 NEGATIVE = "negative"
@@ -514,7 +528,9 @@ def _pieces(g: SimpleGraph, exps, weights, longest: int) -> list[list[tuple]]:
     ascending neighbors; a path stops growing once no neighbor of the anchor
     above the second vertex is left off it, as it could no longer close, or
     once it has ``longest`` vertices.  Cycles of coef 0 add nothing and are
-    left out.  The callers check their own caps first.
+    left out.  The callers check their own caps first; past
+    ``CYCLE_SEARCH_MAX_PATHS`` extended paths it raises
+    ``InstanceTooLargeError``, whatever the caller's cap.
     """
     n = g.n
     k = len(weights)
@@ -523,15 +539,20 @@ def _pieces(g: SimpleGraph, exps, weights, longest: int) -> list[list[tuple]]:
         out[u][v] = x
         out[v][u] = -x
     pieces: list[list] = [[] for _ in range(n + 1)]
+    budget = CYCLE_SEARCH_MAX_PATHS
 
     def grow(path: list[int], mask: int, t: int, left: int) -> None:
         # left: the neighbors of the anchor path[0] above path[1] not yet on the path
+        nonlocal budget
         anchor, second, last = path[0], path[1], path[-1]
         if len(path) >= 3 and second < last and anchor in out[last]:
             w = weights[(t + out[last][anchor]) % k]
             if w:
                 pieces[anchor].append((mask, -w, tuple(path)))
         if left and len(path) < longest:
+            budget -= 1
+            if budget < 0:
+                raise InstanceTooLargeError(f"cycle search capped at {CYCLE_SEARCH_MAX_PATHS} extended paths")
             for y, x in out[last].items():
                 if y > anchor and not mask >> y & 1:
                     path.append(y)

@@ -108,24 +108,79 @@ def test_spectrum_cap_keeps_eigenvalues(capsys):
     assert report["diagnostics"][0].startswith("characteristic polynomial skipped")
 
 
+def test_spectrum_stops_the_cycle_search_of_a_dense_graph(tmp_path, capsys):
+    """K11 is inside every vertex cap, but listing its 4 million paths took some 40 s."""
+    path = tmp_path / "k11.gg"
+    gs.save_gg(all_ones(complete_graph(11)), path)
+    start = time.process_time()
+    code, report = run(capsys, "spectrum", str(path))
+    assert time.process_time() - start < 20
+    assert code == 3 and len(report["result"]["eigenvalues"]) == 11
+    bound = gs.switching.CYCLE_SEARCH_MAX_PATHS
+    assert report["diagnostics"] == [f"characteristic polynomial skipped: cycle search capped at {bound} extended paths"]
+
+
+@pytest.mark.parametrize("command, option, default", [
+    ("spectrum", "--max-enum", 14), ("census", "--max-enum", 16), ("iso", "--max-aut", 10), ("aut", "--max-aut", 10),
+])
+def test_each_cap_defaults_per_command(capsys, command, option, default):
+    files = [DIAMOND, DIAMOND] if command == "iso" else [DIAMOND]
+    args = cli._parser().parse_args([command, *files])
+    assert getattr(args, option[2:].replace("-", "_")) == default
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_non_finite_tol_is_a_validation_error(capsys, tmp_path):
     # an infinite tol splits QL at once (the unbalanced arc triangle would
     # look spectrally balanced) and would print "tol": Infinity, not JSON.
-    # Every command checks --tol before it runs, also those that ignore it,
-    # and a tol of 0 or below fails as in spectral.spectrum.
+    # spectrum and classify check --tol before they read a file, and a tol of
+    # 0 or below fails as in spectral.spectrum; the others take no --tol.
     product = tmp_path / "product.gg"
-    runs = (
-        ("spectrum", DIAMOND), ("spectrum", ARC_TRIANGLE), ("classify", ARC_TRIANGLE),
-        ("classify", SIGNED_TRI), ("equiv", SIGNED_TRI, SIGNED_TRI), ("census", DIAMOND),
-        ("iso", BOWTIE_MINUS, RELABELED), ("product", DIAMOND, SIGNED_DIA, "-o", str(product)),
-        ("aut", DIAMOND),
+    checked = (("spectrum", DIAMOND), ("spectrum", ARC_TRIANGLE), ("classify", ARC_TRIANGLE), ("classify", SIGNED_TRI))
+    unread = (
+        ("equiv", SIGNED_TRI, SIGNED_TRI), ("census", DIAMOND), ("iso", BOWTIE_MINUS, RELABELED),
+        ("product", DIAMOND, SIGNED_DIA, "-o", str(product)), ("aut", DIAMOND),
     )
-    for argv in runs:
-        for tol in ("inf", "nan", "0", "-1"):
+    for tol in ("inf", "nan", "0", "-1"):
+        for argv in checked + (("spectrum", str(tmp_path / "missing.gg")),):
             code, report = run(capsys, *argv, "--tol", tol)
             assert code == 2 and report["result"] == {}
             assert report["diagnostics"] == ["error: tol must be positive and finite"]
+        for argv in unread:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main([*argv, "--tol", tol])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
     assert not product.exists()
+
+
+# The options each subcommand's handler reads, besides --json-pretty, its files, --faces and -o.
+READS = {
+    "equiv": (), "spectrum": ("--tol", "--max-enum"), "census": ("--max-enum",), "classify": ("--tol",),
+    "iso": ("--max-aut",), "product": (), "aut": ("--max-aut",),
+}
+
+
+@pytest.mark.parametrize("option, value", [("--tol", "1e-6"), ("--max-enum", "16"), ("--max-aut", "10")])
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys, command, option, value):
+    product = tmp_path / "product.gg"
+    files = {
+        "equiv": [BOWTIE_MINUS, BOWTIE_MINUS], "iso": [BOWTIE_MINUS, RELABELED],
+        "product": [DIAMOND, SIGNED_DIA, "-o", str(product)],
+    }.get(command, [DIAMOND])
+    argv = [command, *files, option, value]
+    if option in READS[command]:
+        code, report = run(capsys, *argv)
+        assert code == 0 and report["result"] and report["diagnostics"] == []
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not product.exists()
 
 
 @pytest.mark.parametrize("option, command", [("--max-enum", "census"), ("--max-aut", "aut")])
@@ -312,10 +367,9 @@ def test_classify_needs_no_cycle_cap(tmp_path, capsys):
     path = tmp_path / "arc_13_cycle.gg"
     arcs = [(v, v % 13 + 1, 1 if v == 1 else 0) for v in range(1, 14)]
     gs.save_gg(gs.build_gain_graph(13, gs.GainGroup(4), arcs, mixed_mode=True), path)
-    for caps in ([], ["--max-enum", "0"]):
-        code, report = run(capsys, "classify", *caps, str(path))
-        assert code == 0
-        assert report["result"]["character"] == "imaginary" and report["result"]["cactus"] is True
+    code, report = run(capsys, "classify", str(path))
+    assert code == 0
+    assert report["result"]["character"] == "imaginary" and report["result"]["cactus"] is True
 
 
 def test_classify_and_spectrum_past_the_spectrum_order_cap(monkeypatch, tmp_path, capsys):

@@ -199,6 +199,16 @@ def test_char_poly_integer_for_small_orders(rng):
             assert a == round(a)
 
 
+def test_coefficients_are_ints_at_the_integer_orders(rng):
+    # exact at k in {1, 2, 3, 4, 6}, floats at the other orders
+    for k in range(1, 9):
+        for _ in range(4):
+            g = random_gains(rng, random_connected_graph(rng, n_hi=7), k=k)
+            values = (*gs.char_poly_elementary(g).coefficients, gs.determinant(g))
+            assert {type(a) for a in values} == ({int} if k in (1, 2, 3, 4, 6) else {float})
+    assert gs.char_poly_elementary(arc_triangle()).all_coefficients() == (1, 0, -3, 0)
+
+
 def test_char_poly_evaluate():
     poly = gs.char_poly_elementary(arc_triangle())
     assert abs(poly.evaluate(2.0) - 2.0) < 1e-12  # 8 - 6

@@ -721,6 +721,21 @@ def test_enumerate_cycles_cap():
         gs.enumerate_cycles(complete_graph(5), max_vertices=4)
 
 
+def test_cycle_search_stops_at_its_path_bound(monkeypatch):
+    # K4's search extends 6 paths: [1, 2], [1, 2, 3], [1, 2, 4], [1, 3], [1, 3, 2] and [2, 3]
+    monkeypatch.setattr(gs.switching, "CYCLE_SEARCH_MAX_PATHS", 6)
+    assert len(gs.enumerate_cycles(complete_graph(4))) == 7
+    monkeypatch.setattr(gs.switching, "CYCLE_SEARCH_MAX_PATHS", 5)
+    gs.spectral._coefficients.cache_clear()
+    for listing in (
+        lambda: gs.enumerate_cycles(complete_graph(4)),
+        lambda: gs.enumerate_elementary(complete_graph(4), 4),
+        lambda: gs.char_poly_elementary(all_ones(complete_graph(4))),
+    ):
+        with pytest.raises(InstanceTooLargeError, match="^cycle search capped at 5 extended paths$"):
+            listing()
+
+
 def test_chordless_agreement_with_equivalence(rng):
     for _ in range(50):
         graph = random_connected_graph(rng, n_hi=7)
